@@ -3,18 +3,11 @@
 # guard-discipline, hot-path allocations, interface hygiene — zero
 # findings required), the whole alcotest suite, the bench smoke (parallel-runner sanity +
 # telemetry, faults and monitor on/off overhead) with its numbers
-# recorded in BENCH_SMOKE.json for trend tracking, the chaos smoke
-# (scripted fault plan + determinism verification), the monitor
-# smoke (alerting acceptance + bit-reproducible alert timeline) and the
-# obs smoke (alert-triggered flight-recorder dump, byte-identical
-# across reruns/parallelism/backends), the rack smoke (two-layer
-# scheduler bakeoff + migration, byte-identical across reruns,
-# parallelism and backends) and the rack-obs smoke (rack-scale
-# distributed tracing: hop-delta tiling, dominant-hop attribution on a
-# congested link, burn alert + forensic dump, stitched Follows_from
-# migrations).
+# recorded in BENCH_SMOKE.json for trend tracking, and the scenario
+# smoke (chaos, monitor, obs and rack acceptance checks plus their
+# same-seed rerun and --jobs 2 byte-identity checks).
 
-.PHONY: all build test lint bench-smoke chaos-smoke monitor-smoke obs-smoke rack-smoke rack-obs-smoke check trace chaos monitor obs rack bench clean
+.PHONY: all build test lint bench-smoke smoke check trace chaos monitor obs rack bench clean
 
 all: build
 
@@ -35,75 +28,24 @@ lint: build
 bench-smoke: build
 	dune exec test/bench_smoke.exe -- --json BENCH_SMOKE.json
 
-# Compressed chaos scenario with byte-identity verification (same-seed
-# rerun and serial vs two-domain parallel) — fails loudly on divergence.
-chaos-smoke: build
-	dune exec bin/reflex_sim.exe -- chaos > _build/chaos_smoke.out
-	@grep -q "SLO HELD" _build/chaos_smoke.out
-	@grep -q "same-seed rerun byte-identical: true" _build/chaos_smoke.out
-	@grep -q "serial vs --jobs 2 byte-identical: true" _build/chaos_smoke.out
-	@echo "chaos smoke OK: SLO held, retries bounded, output byte-identical"
-
-# Monitoring acceptance: alerts fire inside injected-fault windows and
-# name their fault, clean runs are silent, a disabled monitor is
-# bit-identical to no monitor, and the alert timeline is byte-identical
-# serial vs parallel.
-monitor-smoke: build
-	dune exec bin/reflex_sim.exe -- monitor > _build/monitor_smoke.out
-	@grep -q "MONITOR OK" _build/monitor_smoke.out
-	@grep -q "same-seed rerun byte-identical: true" _build/monitor_smoke.out
-	@grep -q "serial vs --jobs 2 byte-identical: true" _build/monitor_smoke.out
-	@echo "monitor smoke OK: alerts in fault windows, clean runs silent, timeline byte-identical"
-
-# Observability acceptance: an alert-triggered flight dump is captured,
-# names its firing alert and active fault window, and is byte-identical
-# across same-seed reruns, serial vs --jobs 2, and heap vs wheel.
-obs-smoke: build
-	dune exec bin/reflex_sim.exe -- obs > _build/obs_smoke.out
-	@grep -q "OBS OK" _build/obs_smoke.out
-	@grep -q "heap vs wheel dump byte-identical: true" _build/obs_smoke.out
-	@grep -q "dump names its trigger alert                 PASS" _build/obs_smoke.out
-	@echo "obs smoke OK: forensic dump names its alert, bytes identical across backends"
-
-# Rack-scale scheduling acceptance: the policy bakeoff lands with po2c
-# beating random and the oracle on top, skew-driven migration fires and
-# helps, and the whole render is byte-identical across same-seed reruns,
-# serial vs --jobs 2, and heap vs wheel event backends.
-rack-smoke: build
-	dune exec bin/reflex_sim.exe -- rack > _build/rack_smoke.out
-	@grep -q "RACK OK" _build/rack_smoke.out
-	@grep -q "same-seed rerun byte-identical: true" _build/rack_smoke.out
-	@grep -q "serial vs --jobs 2 byte-identical: true" _build/rack_smoke.out
-	@grep -q "heap vs wheel backends byte-identical: true" _build/rack_smoke.out
-	@echo "rack smoke OK: bakeoff checks pass, migration live, output byte-identical"
-
-# Rack tracing acceptance: every traced request's hop deltas tile its
-# e2e latency exactly, the congested-link leg's SLO violations blame the
-# ingress hop, the rack burn alert fires and captures a forensic dump,
-# migrations appear as Follows_from parents in the stitched span trees,
-# and the whole render (span trees + rollup md5s included) is
-# byte-identical across reruns, parallelism and backends.  Shares the
-# rack scenario binary so the tracer rides the same bakeoff worlds.
-rack-obs-smoke: build
-	dune exec bin/reflex_sim.exe -- rack > _build/rack_obs_smoke.out
-	@grep -q "RACK OK" _build/rack_obs_smoke.out
-	@grep -q "hop deltas tile e2e in every traced leg      PASS" _build/rack_obs_smoke.out
-	@grep -q "congested link's dominant hop is ingress     PASS" _build/rack_obs_smoke.out
-	@grep -q "rack burn alert fired on the congested leg   PASS" _build/rack_obs_smoke.out
-	@grep -q "migrations stitched into the trace logs      PASS" _build/rack_obs_smoke.out
-	@grep -q "follows_from migrate" _build/rack_obs_smoke.out
-	@grep -q "heap vs wheel backends byte-identical: true" _build/rack_obs_smoke.out
-	@echo "rack-obs smoke OK: tiling exact, ingress blamed, alert fired, migrations stitched"
+# Scenario acceptance: chaos (SLO held, retries bounded), monitor (alerts
+# inside fault windows, clean runs silent), obs (alert-triggered forensic
+# dump names its alert and fault) and rack (policy bakeoff, migration,
+# hop-delta tiling, ingress blamed on the congested link), each verified
+# byte-identical across a same-seed rerun and serial vs --jobs 2.
+# reflex_sim exits non-zero when any check fails.
+smoke: build
+	dune exec bin/reflex_sim.exe -- chaos > _build/smoke_chaos.out
+	dune exec bin/reflex_sim.exe -- monitor > _build/smoke_monitor.out
+	dune exec bin/reflex_sim.exe -- obs > _build/smoke_obs.out
+	dune exec bin/reflex_sim.exe -- rack > _build/smoke_rack.out
+	@echo "smoke OK: chaos, monitor, obs and rack checks pass"
 
 check: build
 	$(MAKE) lint
 	dune runtest
 	dune exec test/bench_smoke.exe -- --json BENCH_SMOKE.json
-	$(MAKE) chaos-smoke
-	$(MAKE) monitor-smoke
-	$(MAKE) obs-smoke
-	$(MAKE) rack-smoke
-	$(MAKE) rack-obs-smoke
+	$(MAKE) smoke
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO
 # audit, scheduler decision log, Chrome trace JSON.

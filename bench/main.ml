@@ -138,63 +138,54 @@ let telemetry_overhead () =
 
 (* ---------------- Raw event-loop speed ---------------- *)
 
-(* Simulated-events/sec of a pure event-churn workload on each queue
-   backend: [chains] self-rescheduling events with per-chain prng
-   strides, every fourth hop arming a decoy timer that the next hop
-   cancels — the schedule/cancel/pop mix of a dataplane at load with no
-   flash or network model in the way.  Alongside wall time we report
-   minor-GC words per event: the zero-alloc discipline of the heap,
-   wheel and event arena shows up as a small constant that does not
-   scale with event count.  Both backends must retire the same events
-   and finish at the same virtual time. *)
+(* Simulated-events/sec of a pure event-churn workload: [chains]
+   self-rescheduling events with per-chain prng strides, every fourth hop
+   arming a decoy timer that the next hop cancels — the
+   schedule/cancel/pop mix of a dataplane at load with no flash or
+   network model in the way.  Alongside wall time we report minor-GC
+   words per event: the zero-alloc discipline of the wheel and event
+   arena shows up as a small constant that does not scale with event
+   count. *)
 
-let speed_results : (string * int * float * float) list ref = ref []
-(* (backend, events, events/sec, minor words per event) *)
+let speed_results : (int * float * float) option ref = ref None
+(* (events, events/sec, minor words per event) *)
 
 let speed_leg () =
   let open Reflex_engine in
   let chains = 64 in
   let hops = match !mode with Common.Full -> 20_000 | Common.Quick -> 4_000 in
-  let run_one name backend =
-    let sim = Sim.create ~backend () in
-    for c = 0 to chains - 1 do
-      let prng = Prng.create (Int64.of_int ((c * 7919) + 17)) in
-      let remaining = ref hops in
-      let decoy = ref None in
-      let rec hop () =
-        (match !decoy with
-        | Some id ->
-          Sim.cancel sim id;
-          decoy := None
-        | None -> ());
-        if !remaining > 0 then begin
-          decr remaining;
-          let stride = 1 + Prng.int prng 65536 in
-          ignore (Sim.after sim (Time.ns stride) hop);
-          if !remaining land 3 = 0 then
-            decoy := Some (Sim.after sim (Time.us 500) (fun () -> decoy := None))
-        end
-      in
-      ignore (Sim.at sim (Time.ns (c + 1)) hop)
-    done;
-    Gc.full_major ();
-    let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let n = Sim.run sim in
-    let wall = Unix.gettimeofday () -. t0 in
-    let mw = Gc.minor_words () -. mw0 in
-    let eps = if wall > 0.0 then float_of_int n /. wall else 0.0 in
-    let mwpe = if n > 0 then mw /. float_of_int n else 0.0 in
-    speed_results := (name, n, eps, mwpe) :: !speed_results;
-    Printf.printf "%-6s %9d events  %12.0f events/s  %6.2f minor words/event\n%!" name n eps
-      mwpe;
-    (n, Sim.now sim)
-  in
+  let sim = Sim.create () in
+  for c = 0 to chains - 1 do
+    let prng = Prng.create (Int64.of_int ((c * 7919) + 17)) in
+    let remaining = ref hops in
+    let decoy = ref None in
+    let rec hop () =
+      (match !decoy with
+      | Some id ->
+        Sim.cancel sim id;
+        decoy := None
+      | None -> ());
+      if !remaining > 0 then begin
+        decr remaining;
+        let stride = 1 + Prng.int prng 65536 in
+        ignore (Sim.after sim (Time.ns stride) hop);
+        if !remaining land 3 = 0 then
+          decoy := Some (Sim.after sim (Time.us 500) (fun () -> decoy := None))
+      end
+    in
+    ignore (Sim.at sim (Time.ns (c + 1)) hop)
+  done;
+  Gc.full_major ();
+  let mw0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let n = Sim.run sim in
+  let wall = Unix.gettimeofday () -. t0 in
+  let mw = Gc.minor_words () -. mw0 in
+  let eps = if wall > 0.0 then float_of_int n /. wall else 0.0 in
+  let mwpe = if n > 0 then mw /. float_of_int n else 0.0 in
+  speed_results := Some (n, eps, mwpe);
   Printf.printf "== event-loop speed (%d chains x %d hops) ==\n" chains hops;
-  let dh = run_one "heap" Sim.Heap in
-  let dw = run_one "wheel" Sim.Wheel in
-  if dh <> dw then print_endline "WARNING: heap and wheel diverged (events, final time)";
-  print_newline ()
+  Printf.printf "%9d events  %12.0f events/s  %6.2f minor words/event\n\n%!" n eps mwpe
 
 (* ---------------- Continuous cost profiler ---------------- *)
 
@@ -446,16 +437,6 @@ let micro_benchmarks () =
            done;
            ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit:(fun _ -> ()))))
   in
-  let codec_roundtrip =
-    let msg =
-      Reflex_proto.Message.Read_req { handle = 7; req_id = 42L; lba = 123L; len = 4096 }
-    in
-    let buf = Bytes.create 64 in
-    Test.make ~name:"proto_codec_roundtrip"
-      (Staged.stage (fun () ->
-           ignore (Reflex_proto.Codec.encode_into msg buf 0);
-           ignore (Reflex_proto.Codec.decode buf 0)))
-  in
   let hist_record =
     let h = Reflex_stats.Hdr_histogram.create () in
     Test.make ~name:"hdr_histogram_record"
@@ -475,26 +456,17 @@ let micro_benchmarks () =
               (fun ~latency:_ -> ());
             ignore (Sim.run sim)))
   in
-  let heap_churn =
-    Test.make ~name:"sim_event_schedule_run"
-      (Staged.stage (fun () ->
-           let sim = Sim.create ~backend:Sim.Heap () in
-           for i = 1 to 64 do
-             ignore (Sim.at sim (Time.us i) (fun () -> ()))
-           done;
-           ignore (Sim.run sim)))
-  in
   let wheel_churn =
     Test.make ~name:"sim_event_schedule_run_wheel"
       (Staged.stage (fun () ->
-           let sim = Sim.create ~backend:Sim.Wheel () in
+           let sim = Sim.create () in
            for i = 1 to 64 do
              ignore (Sim.at sim (Time.us i) (fun () -> ()))
            done;
            ignore (Sim.run sim)))
   in
   (* Raw queue datapath, no Sim wrapper: 256 scattered pushes then a
-     full drain, on each backend. *)
+     full drain, on the wheel and on the heap behind its overflow. *)
   let heap_queue =
     let q = Heap.create () in
     Test.make ~name:"engine_heap_push_pop"
@@ -521,12 +493,7 @@ let micro_benchmarks () =
            let rec drain () = match Wheel.pop q with Some _ -> drain () | None -> () in
            drain ()))
   in
-  let tests =
-    [
-      sched_round; codec_roundtrip; hist_record; flash_io; heap_churn; wheel_churn;
-      heap_queue; wheel_queue;
-    ]
-  in
+  let tests = [ sched_round; hist_record; flash_io; wheel_churn; heap_queue; wheel_queue ] in
   let benchmark test =
     let instance = Toolkit.Instance.monotonic_clock in
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.25) ~kde:(Some 1000) () in
@@ -585,18 +552,12 @@ let write_json path =
       "  \"telemetry\": {\"off_wall_s\": %.3f, \"on_wall_s\": %.3f, \"overhead_pct\": %.2f},\n"
       off_s on_s pct
   | None -> ());
-  (match List.rev !speed_results with
-  | [] -> ()
-  | legs ->
-    Printf.fprintf oc "  \"speed\": {";
-    List.iteri
-      (fun i (name, n, eps, mwpe) ->
-        Printf.fprintf oc
-          "%s\"%s_events\": %d, \"%s_events_per_sec\": %.0f, \"%s_minor_words_per_event\": %.3f"
-          (if i = 0 then "" else ", ")
-          name n name eps name mwpe)
-      legs;
-    Printf.fprintf oc "},\n");
+  (match !speed_results with
+  | None -> ()
+  | Some (n, eps, mwpe) ->
+    Printf.fprintf oc
+      "  \"speed\": {\"events\": %d, \"events_per_sec\": %.0f, \"minor_words_per_event\": %.3f},\n"
+      n eps mwpe);
   if !profile_shares <> [] || !tick_curve <> [] then begin
     Printf.fprintf oc "  \"profile\": {\n";
     Printf.fprintf oc "    \"subsystems\": [\n";

@@ -10,9 +10,9 @@
                          [--dump-json FILE]
      reflex_sim rack     [--full] [--seed N] [--no-verify]
 
-   run/trace/chaos/monitor/obs/rack all take [--backend heap|wheel]
-   (wheel is the default; output is byte-identical either way) and the
-   shared [--prom-out FILE] / [--trace-out FILE] observability outputs. *)
+   run/trace/chaos/monitor/obs/rack all take the shared [--prom-out FILE]
+   / [--trace-out FILE] observability outputs.  chaos/monitor/obs/rack
+   exit 1 when any acceptance or identity check fails. *)
 
 open Cmdliner
 open Reflex_experiments
@@ -78,7 +78,8 @@ let list_cmd =
     Printf.printf "%-8s %s\n" "obs"
       "flight recorder, forensic dumps & cost profiler acceptance (see 'reflex_sim obs --help')";
     Printf.printf "%-8s %s\n" "rack"
-      "rack-scale balancing policy bakeoff, tenant migration & SLO audit (see 'reflex_sim rack --help')"
+      "rack-scale balancing policy bakeoff, tenant migration & SLO audit (see 'reflex_sim rack --help')";
+    0
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -111,25 +112,22 @@ let export_prom tel path =
 let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"longer windows and denser sweeps")
 
-(* Event-queue backend for every world the command builds.  Selection
-   happens once, before any simulation exists — Sim.create picks up the
-   process default.  Both backends execute events in the identical
-   (time, seq) order, so the choice changes the datapath, never the
-   output bytes. *)
-let backend_arg =
-  let backend_conv =
-    Arg.enum [ ("heap", Reflex_engine.Sim.Heap); ("wheel", Reflex_engine.Sim.Wheel) ]
-  in
+(* Flags shared by the acceptance scenarios (chaos/monitor/obs/rack). *)
+let seed_arg =
   Arg.(
-    value
-    & opt backend_conv Reflex_engine.Sim.Wheel
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "event-queue backend for every simulated world: $(b,wheel) (hierarchical \
-           timing wheel, the default) or $(b,heap) (binary min-heap, the reference \
-           implementation); results are byte-identical either way")
+    value & opt int64 42L
+    & info [ "seed" ] ~docv:"N" ~doc:"root seed for the simulated world and its generators")
 
-let set_backend b = Reflex_engine.Sim.set_default_backend b
+let no_verify_arg =
+  Arg.(
+    value & flag
+    & info [ "no-verify" ]
+        ~doc:"skip the determinism verification (runs the scenario once instead of 4x)")
+
+(* Print a scenario's report; its checks decide the exit code. *)
+let print_report (rep : Identity.report) =
+  print_string rep.text;
+  Identity.exit_code rep.checks
 
 (* Observability outputs shared by run/trace/chaos/monitor/obs: one
    Cmdliner term so every command accepts the same two flags.  monitor
@@ -199,8 +197,7 @@ let run_cmd =
              decision log) on every simulated world and print the observability reports \
              for the last world after the run")
   in
-  let run backend id full telemetry (prom_out, trace_out) =
-    set_backend backend;
+  let run id full telemetry (prom_out, trace_out) =
     let telemetry = telemetry || trace_out <> None || prom_out <> None in
     if telemetry then Common.set_default_telemetry true;
     (* Exports read the *last* world's telemetry, so force a serial run
@@ -219,18 +216,18 @@ let run_cmd =
     if id = "all" then begin
       List.iter (fun (_, _, f) -> f mode) experiments;
       finish ();
-      `Ok ()
+      `Ok 0
     end
     else
       match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
       | Some (_, _, f) ->
         f mode;
         finish ();
-        `Ok ()
+        `Ok 0
       | None -> `Error (false, "unknown experiment: " ^ id ^ " (try 'list')")
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(ret (const run $ backend_arg $ id_arg $ full_arg $ telemetry_arg $ obs_out_term))
+    Term.(ret (const run $ id_arg $ full_arg $ telemetry_arg $ obs_out_term))
 
 let trace_cmd =
   let doc =
@@ -245,18 +242,24 @@ let trace_cmd =
       & opt string "reflex_trace.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"where to write the Chrome trace JSON")
   in
-  let run backend full out audit_us (prom_out, trace_out) =
-    set_backend backend;
+  let run full out audit_us (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
     let { Tracing.telemetry = tel; rows } = Tracing.run ~mode () in
     Reflex_stats.Table.print (Tracing.to_table rows);
     print_telemetry_reports ~audit_window:(audit_window_of audit_us) tel;
     (* --trace-out (the shared flag) overrides -o/--out. *)
     export_trace tel (Option.value trace_out ~default:out);
-    Option.iter (export_prom tel) prom_out
+    Option.iter (export_prom tel) prom_out;
+    0
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ backend_arg $ full_arg $ out_arg $ audit_window_arg $ obs_out_term)
+    Term.(const run $ full_arg $ out_arg $ audit_window_arg $ obs_out_term)
+
+(* A scenario's report: its debrief, or under --no-verify the render and
+   acceptance checks of the single run [r]. *)
+let report ~no_verify debrief render checks r =
+  if no_verify then { Identity.text = render (Lazy.force r); checks = checks (Lazy.force r) }
+  else debrief ()
 
 let chaos_cmd =
   let doc =
@@ -267,33 +270,23 @@ let chaos_cmd =
      output is verified byte-identical across a same-seed rerun and a two-domain \
      parallel run."
   in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"N" ~doc:"root seed for the world, generators and injector")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"skip the determinism verification (runs the scenario once instead of 4x)")
-  in
-  let run backend full seed no_verify audit_us (prom_out, trace_out) =
-    set_backend backend;
+  let run full seed no_verify audit_us (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
     let window = audit_window_of audit_us in
-    if not no_verify then print_string (Chaos.debrief ~mode ~seed ());
-    let r = Chaos.run ~mode ~seed () in
-    if no_verify then print_string (Chaos.render_result r);
+    let r = lazy (Chaos.run ~mode ~seed ()) in
+    let code =
+      print_report
+        (report ~no_verify (Chaos.debrief ~mode ~seed) Chaos.render_result Chaos.checks r)
+    in
+    let r = Lazy.force r in
     print_newline ();
     print_string (Slo_audit.report ~window r.Chaos.telemetry);
     Option.iter (export_trace r.Chaos.telemetry) trace_out;
-    Option.iter (export_prom r.Chaos.telemetry) prom_out
+    Option.iter (export_prom r.Chaos.telemetry) prom_out;
+    code
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(
-      const run $ backend_arg $ full_arg $ seed_arg $ no_verify_arg $ audit_window_arg
-      $ obs_out_term)
+    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ audit_window_arg $ obs_out_term)
 
 let monitor_cmd =
   let doc =
@@ -305,24 +298,16 @@ let monitor_cmd =
      disabled-monitor run is byte-identical to a no-monitor run, and that the whole \
      render is bit-reproducible serial and under two domains."
   in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"N" ~doc:"root seed for the world, generators and injector")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"skip the determinism verification (runs the scenario once instead of 4x)")
-  in
-  let run backend full seed no_verify (prom_out, trace_out) flight_dump =
-    set_backend backend;
+  let run full seed no_verify (prom_out, trace_out) flight_dump =
     let mode = if full then Common.Full else Common.Quick in
-    if not no_verify then print_string (Monitor_exp.debrief ~mode ~seed ());
-    if no_verify || prom_out <> None || trace_out <> None || flight_dump <> None then begin
-      let r = Monitor_exp.run ~mode ~seed () in
-      if no_verify then print_string (Monitor_exp.render_result r);
+    let r = lazy (Monitor_exp.run ~mode ~seed ()) in
+    let code =
+      print_report
+        (report ~no_verify (Monitor_exp.debrief ~mode ~seed) Monitor_exp.render_result
+           Monitor_exp.checks r)
+    in
+    if prom_out <> None || trace_out <> None || flight_dump <> None then begin
+      let r = Lazy.force r in
       let prom, instants, mon = Monitor_exp.exports r in
       Option.iter
         (fun path ->
@@ -337,32 +322,20 @@ let monitor_cmd =
             "\nChrome trace written to %s (fault windows + alert instants included)\n" path)
         trace_out;
       Option.iter (export_flight_dump (Monitor.flight_dumps mon)) flight_dump
-    end
+    end;
+    code
   in
   Cmd.v (Cmd.info "monitor" ~doc)
-    Term.(
-      const run $ backend_arg $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term
-      $ flight_dump_arg)
+    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term $ flight_dump_arg)
 
 let obs_cmd =
   let doc =
     "Run the observability acceptance scenario: the chaos world with the always-on \
      flight recorder, alert-triggered forensic dumps, causal retry span links and the \
      continuous cost profiler armed.  By default the debrief verifies the first dump is \
-     byte-identical across a same-seed rerun, serial vs two domains, and heap vs wheel \
-     event backends, and that a disarmed recorder perturbs nothing; the profiler table \
-     (host wall time, nondeterministic by design) is printed separately."
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"N" ~doc:"root seed for the world, generators and injector")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"skip the determinism verification (runs the scenario once instead of 8x)")
+     byte-identical across a same-seed rerun and serial vs two domains, and that a \
+     disarmed recorder perturbs nothing; the profiler table (host wall time, \
+     nondeterministic by design) is printed separately."
   in
   let dump_json_arg =
     Arg.(
@@ -371,14 +344,16 @@ let obs_cmd =
       & info [ "dump-json" ] ~docv:"FILE"
           ~doc:"write the first flight dump's JSON forensic debrief to $(docv)")
   in
-  let run backend full seed no_verify (prom_out, trace_out) flight_dump dump_json =
-    set_backend backend;
+  let run full seed no_verify (prom_out, trace_out) flight_dump dump_json =
     let mode = if full then Common.Full else Common.Quick in
-    if not no_verify then print_string (Obs_exp.debrief ~mode ~seed ());
     (* One profiled run drives the exports and the cost table (the
-       verification legs above run unprofiled, keeping them cheap). *)
-    let r = Obs_exp.run ~mode ~seed ~profile:true () in
-    if no_verify then print_string (Obs_exp.render_result r);
+       verification legs run unprofiled, keeping them cheap). *)
+    let r = lazy (Obs_exp.run ~mode ~seed ~profile:true ()) in
+    let code =
+      print_report
+        (report ~no_verify (Obs_exp.debrief ~mode ~seed) Obs_exp.render_result Obs_exp.checks r)
+    in
+    let r = Lazy.force r in
     print_newline ();
     print_string (Obs_exp.profile_report r);
     Option.iter (export_flight_dump (Obs_exp.dumps r)) flight_dump;
@@ -399,12 +374,13 @@ let obs_cmd =
       (fun path ->
         write_file path (Monitor.prometheus r.Obs_exp.monitor);
         Printf.printf "\nPrometheus exposition written to %s\n" path)
-      prom_out
+      prom_out;
+    code
   in
   Cmd.v (Cmd.info "obs" ~doc)
     Term.(
-      const run $ backend_arg $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term
-      $ flight_dump_arg $ dump_json_arg)
+      const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term $ flight_dump_arg
+      $ dump_json_arg)
 
 let rack_cmd =
   let doc =
@@ -415,24 +391,16 @@ let rack_cmd =
      p50/p95/p99, SLO compliance, dispatch imbalance, the po2c-vs-oracle gap) and the \
      migration leg (skew detector firings, migrations applied, imbalance before vs \
      after).  By default the render is verified byte-identical across a same-seed \
-     rerun, serial vs two domains, and heap vs wheel event backends."
+     rerun and serial vs two domains."
   in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"N" ~doc:"root seed for the rack, generators and policies")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"skip the determinism verification (runs the scenario once instead of 4x)")
-  in
-  let run backend full seed no_verify (prom_out, trace_out) =
-    set_backend backend;
+  let run full seed no_verify (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
-    if no_verify then print_string (Rack_exp.render ~mode ~seed ())
-    else print_string (Rack_exp.debrief ~mode ~seed ());
+    let code =
+      print_report
+        (report ~no_verify (Rack_exp.debrief ~mode ~seed) Rack_exp.render_result
+           Rack_exp.checks
+           (lazy (Rack_exp.run ~mode ~seed ())))
+    in
     if prom_out <> None || trace_out <> None then begin
       (* One telemetry-armed po2c leg drives both exports: probe ticks,
          balancing decisions and migrations land in the flight recorder
@@ -440,15 +408,16 @@ let rack_cmd =
       let tel = Rack_exp.export_leg ~mode ~seed () in
       Option.iter (export_trace tel) trace_out;
       Option.iter (export_prom tel) prom_out
-    end
+    end;
+    code
   in
   Cmd.v (Cmd.info "rack" ~doc)
-    Term.(const run $ backend_arg $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term)
+    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term)
 
 let () =
   let doc = "ReFlex (ASPLOS'17) reproduction: run the paper's experiments" in
   let info = Cmd.info "reflex_sim" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [ list_cmd; run_cmd; trace_cmd; chaos_cmd; monitor_cmd; obs_cmd; rack_cmd ]))

@@ -2,6 +2,8 @@
 
     The sequence number breaks ties so that events scheduled for the same
     instant execute in FIFO order — essential for deterministic replay.
+    {!Wheel} keeps its beyond-horizon events in one, and the tests use it
+    as the reference order the wheel must reproduce.
 
     The heap stores keys and payloads in parallel arrays
     (structure-of-arrays), so {!push} allocates nothing in steady state:
@@ -34,7 +36,7 @@ val pop : 'a t -> (Time.t * int * 'a) option
 (** [pop_if_le t ~until] pops the smallest element only if its time is
     [<= until]; returns [None] when the heap is empty or the minimum is
     beyond the horizon.  Equivalent to a {!peek} guard followed by
-    {!pop}, in a single traversal — the simulator's hot path. *)
+    {!pop}, in a single traversal. *)
 val pop_if_le : 'a t -> until:Time.t -> (Time.t * int * 'a) option
 
 (** Empty the heap, dropping all references to stored values (the payload

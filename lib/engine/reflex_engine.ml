@@ -2,8 +2,9 @@
 
     - {!Time}: int64-nanosecond virtual time
     - {!Prng}: deterministic splitmix64 random streams
-    - {!Heap}: the event priority queue (default backend)
-    - {!Wheel}: hierarchical timing-wheel event queue (alternate backend)
+    - {!Heap}: binary min-heap; the wheel's overflow queue and the test
+      oracle for its (time, seq) order
+    - {!Wheel}: hierarchical timing wheel, the event queue of {!Sim}
     - {!Sim}: the event loop
     - {!Resource}: multi-server FIFO queues with two priorities *)
 

@@ -12,13 +12,9 @@ let slot_mask = (1 lsl slot_bits) - 1
 
 type event_id = int
 
-type backend = Heap | Wheel
-
-type queue = Q_heap of int Heap.t | Q_wheel of Wheel.t
-
 type t = {
   mutable clock : Time.t;
-  queue : queue;
+  queue : Wheel.t; (* (time, seq)-ordered arena slots *)
   mutable seq : int;
   mutable executed : int;
   mutable daemon_pending : int; (* daemon events currently queued *)
@@ -35,26 +31,14 @@ type t = {
 
 let default_seed = 0x5EED_0F_F1A5_1234L
 
-(* Backend used by [create] when none is passed explicitly.  Written
-   once by the CLI before any simulation exists; reflects the per-run
-   [--backend] selection.  Wheel is the default: it is byte-identical to
-   the heap at any seed and ~2.5-3x faster on the dataplane event mix
-   (see BENCH_BASELINE.json); [--backend heap] keeps the reference
-   implementation reachable. *)
-let default_backend = ref Wheel
-
-let set_default_backend b = default_backend := b
-let get_default_backend () = !default_backend
-
 (* Shared thunk so cancellation and slot recycling can drop an event's
    closure without allocating. *)
 let noop_action () = ()
 
-let create ?(seed = default_seed) ?backend () =
-  let backend = match backend with Some b -> b | None -> !default_backend in
+let create ?(seed = default_seed) () =
   {
     clock = Time.zero;
-    queue = (match backend with Heap -> Q_heap (Heap.create ()) | Wheel -> Q_wheel (Wheel.create ()));
+    queue = Wheel.create ();
     seq = 0;
     executed = 0;
     daemon_pending = 0;
@@ -68,23 +52,8 @@ let create ?(seed = default_seed) ?backend () =
     free_len = 0;
   }
 
-let backend t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
-
 let now t = t.clock
 let prng t = t.root_prng
-
-let queue_length t =
-  match t.queue with Q_heap h -> Heap.length h | Q_wheel w -> Wheel.length w
-
-let queue_push t ~time ~seq slot =
-  match t.queue with
-  | Q_heap h -> Heap.push h ~time ~seq slot
-  | Q_wheel w -> Wheel.push w ~time ~seq slot
-
-let queue_pop_if_le t ~until =
-  match t.queue with
-  | Q_heap h -> Heap.pop_if_le h ~until
-  | Q_wheel w -> Wheel.pop_if_le w ~until
 
 (* Cold path: double the arena and push the fresh slots onto the
    freelist (newest first, so low slot numbers are reused first). *)
@@ -136,7 +105,7 @@ let schedule t ~daemon time f =
       (Printf.sprintf "Sim.at: scheduling in the past (%s < %s)" (Time.to_string time)
          (Time.to_string t.clock));
   let id = alloc_event t ~daemon f in
-  queue_push t ~time ~seq:t.seq (id land slot_mask);
+  Wheel.push t.queue ~time ~seq:t.seq (id land slot_mask);
   t.seq <- t.seq + 1;
   if daemon then t.daemon_pending <- t.daemon_pending + 1;
   id
@@ -178,11 +147,11 @@ let run ?(until = Time.infinity) t =
        and the like) observe the simulation but never keep it alive, so
        [run] still terminates when the real workload drains.  Unexecuted
        daemons stay queued and resume if new work arrives later. *)
-    if queue_length t <= t.daemon_pending then continue := false
+    if Wheel.length t.queue <= t.daemon_pending then continue := false
     else
       (* Single queue traversal per event: pop only when the minimum is
          due, instead of the former peek-then-pop pair. *)
-      match queue_pop_if_le t ~until with
+      match Wheel.pop_if_le t.queue ~until with
       | None -> continue := false
       | Some (time, _, slot) ->
         let daemon = t.a_daemon.(slot) in
@@ -206,13 +175,13 @@ let run ?(until = Time.infinity) t =
   t.executed - executed_before
 
 let events_executed t = t.executed
-let pending t = queue_length t
+let pending t = Wheel.length t.queue
 
 (* Cancelled non-daemon events still occupy queue slots until their time
    comes, but they are dead weight: polling loops that wait for
    [live_pending = 0] must not spin on a pile of cancelled retry
    timers. *)
-let live_pending t = queue_length t - t.daemon_pending - t.cancelled_pending
+let live_pending t = Wheel.length t.queue - t.daemon_pending - t.cancelled_pending
 
 let every t ~every:period ~until f =
   if Time.(period <= Time.zero) then invalid_arg "Sim.every: non-positive period";

@@ -13,34 +13,14 @@ type t
     counter so stale handles are harmless. *)
 type event_id
 
-(** Event-queue backend.  Both implement the identical (time, then
-    insertion seq) execution order — proven by the equivalence tests —
-    so results are byte-identical across backends at the same seed;
-    only the datapath differs (binary heap vs hierarchical timing
-    wheel). *)
-type backend = Heap | Wheel
-
 (** Root seed used by {!create} when none is given — recorded in the
     bench harness's JSON metadata so archived results name the exact
     simulations they ran. *)
 val default_seed : int64
 
-(** [create ?seed ?backend ()] — [backend] defaults to the process-wide
-    selection (see {!set_default_backend}), itself [Wheel] initially
-    (byte-identical to [Heap], ~2.5-3x faster on the dataplane mix). *)
-val create : ?seed:int64 -> ?backend:backend -> unit -> t
-
-(** Set the backend used by {!create} when none is passed explicitly.
-    Intended for per-run CLI selection ([--backend]); call before any
-    simulation is created. *)
-val set_default_backend : backend -> unit
-
-(** Current process-wide default (for save/restore around a sweep that
-    forces a specific backend). *)
-val get_default_backend : unit -> backend
-
-(** Backend this simulation runs on. *)
-val backend : t -> backend
+(** [create ?seed ()] — a fresh simulation at time zero whose event
+    queue is a hierarchical timing wheel ({!Wheel}). *)
+val create : ?seed:int64 -> unit -> t
 
 (** Current virtual time. *)
 val now : t -> Time.t

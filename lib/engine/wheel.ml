@@ -1,5 +1,5 @@
 (* Hierarchical timing wheel (Varghese & Lauck) over int payloads — the
-   second [Sim] event-queue backend next to the binary heap.
+   [Sim] event queue.
 
    Layout: 4 levels of 256 slots.  Level [l] has slot granularity
    [2^(10 + 8l)] ns (1.024 us at level 0, ~17.2 s at level 3), giving a
@@ -20,8 +20,8 @@
    by (time, seq), so the minimum pops from the end).  Events pushed
    below the cursor (legal: the cursor runs ahead of the sim clock once
    a slot has been drained) insert directly into the ready buffer.
-   The total pop order is exactly (time, then seq) — byte-identical to
-   the heap backend, which the equivalence tests assert.
+   The total pop order is exactly (time, then seq) — identical to the
+   binary heap, which the equivalence tests assert.
 
    Nodes live in a structure-of-arrays pool with an intrusive freelist:
    push and pop allocate nothing in steady state. *)
@@ -323,8 +323,8 @@ let pop t =
     Heap.pop t.ovf
   | _ -> None
 
-(* Single-traversal peek+pop — the event loop's hot path on this
-   backend, mirroring [Heap.pop_if_le]. *)
+(* Single-traversal peek+pop — the event loop's hot path, mirroring
+   [Heap.pop_if_le]. *)
 let pop_if_le t ~until =
   match ensure t with
   | 1 ->

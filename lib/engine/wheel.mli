@@ -1,11 +1,11 @@
 (** Hierarchical timing wheel keyed by [(Time.t, sequence)] over [int]
-    payloads — the second {!Sim} event-queue backend next to {!Heap}.
+    payloads — the {!Sim} event queue.
 
     Four levels of 256 slots with level-0 granularity 1.024 us give a
     ~73 minute in-wheel horizon; later events wait in an overflow heap
     and are pulled in as the cursor crosses top-level slot boundaries.
-    Pop order is exactly (time, then seq) — byte-identical to the heap
-    backend (asserted by the qcheck equivalence suite).
+    Pop order is exactly (time, then seq) — identical to {!Heap}
+    (asserted by the qcheck equivalence suite).
 
     Nodes live in a structure-of-arrays pool with an intrusive freelist:
     {!push}, {!pop} and {!pop_if_le} allocate nothing in steady state

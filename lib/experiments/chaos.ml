@@ -236,18 +236,14 @@ let render_result r =
 
 let render ?mode ?seed () = render_result (run ?mode ?seed ())
 
+let checks r =
+  [
+    Identity.check "clean-bucket LC p95 within SLO" (clean_ok r);
+    Identity.check "retries within the policy budget" (retries_bounded r);
+  ]
+
 let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let base = render ~mode ~seed () in
-  let again = render ~mode ~seed () in
-  let par = Runner.map ~jobs:2 (fun s -> render ~mode ~seed:s ()) [ seed; seed ] in
-  let rerun_ok = String.equal base again in
-  let par_ok = List.for_all (String.equal base) par in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf base;
-  Buffer.add_string buf "determinism:\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  same-seed rerun byte-identical: %b\n" rerun_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  serial vs --jobs 2 byte-identical: %b\n" par_ok);
-  if not (rerun_ok && par_ok) then Buffer.add_string buf "  DETERMINISM FAILURE\n";
-  Buffer.contents buf
+  let r = run ~mode ~seed () in
+  let text = render_result r in
+  Identity.debrief ~text ~acceptance:(checks r)
+    (Identity.verify ~base:text (fun () -> render ~mode ~seed ()))

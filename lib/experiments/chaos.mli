@@ -3,8 +3,8 @@
     with client retries on the LC tenants and the injector's degradation
     reaction armed.  The timeline is reported as 500ms p95 buckets so
     latency visibly climbs inside fault windows and recovers outside
-    them; {!debrief} additionally proves byte-identical determinism
-    (same-seed rerun, and serial vs two-domain parallel). *)
+    them; {!debrief} additionally checks byte-identical determinism
+    (see {!Identity.verify}). *)
 
 open Reflex_telemetry
 open Reflex_client
@@ -39,16 +39,6 @@ type result = {
 (** Quick mode compresses the 10s timeline (and the fault plan) by 10x. *)
 val run : ?mode:Common.mode -> ?seed:int64 -> unit -> result
 
-(** Worst clean-bucket p95 (us) for (LC1, LC2). *)
-val clean_worst : result -> float * float
-
-(** Both LC tenants' worst clean-bucket p95 is within their SLO. *)
-val clean_ok : result -> bool
-
-(** Retry counts respect the policy's budget: at most [max_retries]
-    re-issues and [max_retries + 1] deadline expiries per issued op. *)
-val retries_bounded : result -> bool
-
 val to_table : result -> Reflex_stats.Table.t
 
 (** Plan, bucket table, summary and fault-window report as one string —
@@ -57,7 +47,11 @@ val render_result : result -> string
 
 val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
 
-(** {!render} plus determinism verification: runs the scenario twice
-    serially and twice under {!Runner.map}[ ~jobs:2] and reports whether
-    all four outputs are byte-identical. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> string
+(** The acceptance checks: both LC tenants' worst clean-bucket p95 is
+    within their SLO, and retry counts respect the policy's budget (at
+    most [max_retries] re-issues and [max_retries + 1] deadline expiries
+    per issued op). *)
+val checks : result -> Identity.check list
+
+(** {!render} followed by the {!Identity.verify} checks. *)
+val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

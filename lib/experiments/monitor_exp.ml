@@ -24,9 +24,8 @@ open Reflex_monitor
       bound to capacity re-pricing, demonstrating the opt-in feedback
       loop (the remediation log must be non-empty and deterministic).
 
-   The debrief re-runs the whole scenario with the same seed (serial
-   and under Runner --jobs 2) and asserts the rendered output is
-   byte-identical — the alert timeline is part of that output, so this
+   The debrief adds the Identity rerun and two-domain checks over the
+   rendered output — the alert timeline is part of that output, so this
    is the "bit-reproducible alerts" acceptance check. *)
 
 let scale_of = function Common.Quick -> 0.1 | Common.Full -> 1.0
@@ -225,28 +224,29 @@ let disabled_identical r = String.equal r.digest_none r.digest_disabled
 let observer_identical r = String.equal r.digest_none r.faulted.digest
 let remediation_applied r = Monitor.remediation_log r.remediated.monitor <> []
 
-let ok r =
-  alerts_fired r && alerts_in_windows r && alerts_named r && clean_silent r
-  && disabled_identical r && observer_identical r && remediation_applied r
+let checks r =
+  [
+    Identity.check "alerts fired under faults" (alerts_fired r);
+    Identity.check
+      (Printf.sprintf "all fired alerts inside fault windows (+%.0fms)" (Time.to_float_ms r.pad))
+      (alerts_in_windows r);
+    Identity.check "every fired alert names the overlapping fault" (alerts_named r);
+    Identity.check "clean control run: zero alert events" (clean_silent r);
+    Identity.check "disabled monitor run == no-monitor run" (disabled_identical r);
+    Identity.check "enabled observer run == no-monitor run" (observer_identical r);
+    Identity.check "remediation bindings applied" (remediation_applied r);
+  ]
 
 let render_result r =
   let buf = Buffer.create 8192 in
+  let checks = checks r in
   Buffer.add_string buf (Fault_plan.to_string r.faulted.plan);
   Buffer.add_string buf (Monitor.report r.faulted.monitor);
   Buffer.add_string buf "acceptance:\n";
-  let check name v = Buffer.add_string buf (Printf.sprintf "  %-44s %s\n" name (if v then "PASS" else "FAIL")) in
   Buffer.add_string buf
     (Printf.sprintf "  fault windows injected/recovered: %d/%d; alerts fired: %d\n"
        r.faulted.injected r.faulted.recovered (List.length r.fired));
-  check "alerts fired under faults" (alerts_fired r);
-  check
-    (Printf.sprintf "all fired alerts inside fault windows (+%.0fms)" (Time.to_float_ms r.pad))
-    (alerts_in_windows r);
-  check "every fired alert names the overlapping fault" (alerts_named r);
-  check "clean control run: zero alert events" (clean_silent r);
-  check "disabled monitor run == no-monitor run" (disabled_identical r);
-  check "enabled observer run == no-monitor run" (observer_identical r);
-  check "remediation bindings applied" (remediation_applied r);
+  Buffer.add_string buf (Identity.lines checks);
   Buffer.add_string buf "remediation leg:\n";
   List.iter
     (fun (time, rule, action, outcome) ->
@@ -254,7 +254,7 @@ let render_result r =
         (Printf.sprintf "  %10.3fms %-24s %s -> %s\n" (Time.to_float_ms time) rule
            (Remediate.label action) outcome))
     (Monitor.remediation_log r.remediated.monitor);
-  Buffer.add_string buf (if ok r then "MONITOR OK\n" else "MONITOR FAILED\n");
+  Buffer.add_string buf (if Identity.all_ok checks then "MONITOR OK\n" else "MONITOR FAILED\n");
   Buffer.contents buf
 
 let render ?mode ?seed () = render_result (run ?mode ?seed ())
@@ -267,15 +267,7 @@ let exports r =
     r.faulted.monitor )
 
 let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let base = render ~mode ~seed () in
-  let again = render ~mode ~seed () in
-  let par = Runner.map ~jobs:2 (fun s -> render ~mode ~seed:s ()) [ seed; seed ] in
-  let rerun_ok = String.equal base again in
-  let par_ok = List.for_all (String.equal base) par in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf base;
-  Buffer.add_string buf "determinism:\n";
-  Buffer.add_string buf (Printf.sprintf "  same-seed rerun byte-identical: %b\n" rerun_ok);
-  Buffer.add_string buf (Printf.sprintf "  serial vs --jobs 2 byte-identical: %b\n" par_ok);
-  if not (rerun_ok && par_ok) then Buffer.add_string buf "  DETERMINISM FAILURE\n";
-  Buffer.contents buf
+  let r = run ~mode ~seed () in
+  let text = render_result r in
+  Identity.debrief ~text ~acceptance:(checks r)
+    (Identity.verify ~base:text (fun () -> render ~mode ~seed ()))

@@ -13,10 +13,9 @@
     - an opt-in remediation binding (burn alert → capacity re-pricing)
       actually applies.
 
-    {!debrief} re-renders with the same seed serially and under
-    [Runner --jobs 2] and asserts byte-identical output — the alert
-    timeline is part of the render, so this is the bit-reproducible
-    alerting check. *)
+    {!debrief} adds the {!Identity.verify} checks — the alert timeline
+    is part of the render, so this is the bit-reproducible alerting
+    check. *)
 
 open Reflex_engine
 open Reflex_faults
@@ -57,7 +56,9 @@ val clean_silent : result -> bool
 val disabled_identical : result -> bool
 val observer_identical : result -> bool
 val remediation_applied : result -> bool
-val ok : result -> bool
+
+(** The predicates above as the render's PASS/FAIL lines. *)
+val checks : result -> Identity.check list
 
 val render_result : result -> string
 val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
@@ -66,6 +67,5 @@ val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
     faulted leg, for the CLI's [--prom-out]/[--trace-out]. *)
 val exports : result -> string * string list * Monitor.t
 
-(** {!render} plus same-seed rerun and serial-vs-parallel byte-identity
-    checks. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> string
+(** {!render} followed by the {!Identity.verify} checks. *)
+val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

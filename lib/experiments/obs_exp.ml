@@ -23,10 +23,9 @@ module Profiler = Reflex_obs.Profiler
    strictly out of the render — [profile_report] exposes it separately
    for the CLI.
 
-   [debrief] re-runs the scenario and asserts the first dump (trigger
-   alert, fault windows, every record) is byte-identical across a
-   same-seed rerun, serial vs [Runner --jobs 2], and heap vs wheel
-   event backends, and that a run with a present-but-disarmed recorder
+   [debrief] adds the Identity rerun and two-domain checks over the
+   render and the first dump (trigger alert, fault windows, every
+   record), and checks that a run with a present-but-disarmed recorder
    ([Flight.create ~enabled:false]) renders identically to one with no
    recorder attached at all. *)
 
@@ -181,6 +180,14 @@ let dump_names_fault r =
 
 let links_recorded r = r.retries = 0 || Telemetry.links r.telemetry <> []
 
+let checks r =
+  [
+    Identity.check "alert-triggered flight dump captured" (dump_captured r);
+    Identity.check "dump names its trigger alert" (dump_names_alert r);
+    Identity.check "dump carries the active fault window" (dump_names_fault r);
+    Identity.check "retry attempts linked into span trees" (links_recorded r);
+  ]
+
 (* {1 Render} *)
 
 let render_result r =
@@ -196,73 +203,33 @@ let render_result r =
       (Printf.sprintf "flight dump: %d bytes, md5 %s\n" (String.length j)
          (Digest.to_hex (Digest.string j))));
   Buffer.add_string buf "acceptance:\n";
-  let check name v =
-    Buffer.add_string buf (Printf.sprintf "  %-44s %s\n" name (if v then "PASS" else "FAIL"))
-  in
-  check "alert-triggered flight dump captured" (dump_captured r);
-  check "dump names its trigger alert" (dump_names_alert r);
-  check "dump carries the active fault window" (dump_names_fault r);
-  check "retry attempts linked into span trees" (links_recorded r);
+  Buffer.add_string buf (Identity.lines (checks r));
   Buffer.contents buf
 
 let render ?mode ?seed () = render_result (run ?mode ?seed ())
 
-let ok r = dump_captured r && dump_names_alert r && dump_names_fault r && links_recorded r
-
 (* {1 Determinism debrief} *)
 
-let with_backend b f =
-  let saved = Sim.get_default_backend () in
-  Sim.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Sim.set_default_backend saved) f
-
+(* The identity legs compare the render and the first dump's full JSON
+   debrief (the render only carries its md5). *)
 let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
+  let with_dump r = render_result r ^ Option.value ~default:"" (first_debrief r) in
   let base = run ~mode ~seed () in
-  let base_render = render_result base in
-  let base_dump = Option.value ~default:"" (first_debrief base) in
-  let again = run ~mode ~seed () in
-  let par =
-    Runner.map ~jobs:2
-      (fun s ->
-        let r = run ~mode ~seed:s () in
-        (render_result r, Option.value ~default:"" (first_debrief r)))
-      [ seed; seed ]
-  in
-  let heap = with_backend Sim.Heap (fun () -> run ~mode ~seed ()) in
-  let wheel = with_backend Sim.Wheel (fun () -> run ~mode ~seed ()) in
   let inert = run ~mode ~seed ~flight:`Inert () in
   let bare = run ~mode ~seed ~flight:`None () in
-  let rerun_ok =
-    String.equal base_render (render_result again)
-    && String.equal base_dump (Option.value ~default:"" (first_debrief again))
+  let report =
+    Identity.debrief ~text:(render_result base) ~acceptance:(checks base)
+      (Identity.verify ~base:(with_dump base) (fun () -> with_dump (run ~mode ~seed ()))
+      @ [
+          Identity.check "disarmed recorder render == no recorder"
+            (String.equal (render_result inert) (render_result bare)
+            && String.equal inert.digest bare.digest);
+          Identity.check "armed recorder leaves world digest unchanged"
+            (String.equal base.digest inert.digest);
+        ])
   in
-  let par_ok =
-    List.for_all (fun (rr, dd) -> String.equal base_render rr && String.equal base_dump dd) par
-  in
-  let backend_ok =
-    String.equal (render_result heap) (render_result wheel)
-    && String.equal
-         (Option.value ~default:"" (first_debrief heap))
-         (Option.value ~default:"" (first_debrief wheel))
-  in
-  let inert_ok =
-    String.equal (render_result inert) (render_result bare)
-    && String.equal inert.digest bare.digest
-  in
-  let armed_inert_ok = String.equal base.digest inert.digest in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf base_render;
-  Buffer.add_string buf "determinism:\n";
-  Buffer.add_string buf (Printf.sprintf "  same-seed rerun dump byte-identical: %b\n" rerun_ok);
-  Buffer.add_string buf (Printf.sprintf "  serial vs --jobs 2 dump byte-identical: %b\n" par_ok);
-  Buffer.add_string buf (Printf.sprintf "  heap vs wheel dump byte-identical: %b\n" backend_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  disarmed recorder render == no recorder: %b\n" inert_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  armed recorder leaves world digest unchanged: %b\n" armed_inert_ok);
-  let all = ok base && rerun_ok && par_ok && backend_ok && inert_ok && armed_inert_ok in
-  Buffer.add_string buf (if all then "OBS OK\n" else "OBS FAILED\n");
-  Buffer.contents buf
+  let verdict = if Identity.all_ok report.Identity.checks then "OBS OK\n" else "OBS FAILED\n" in
+  { report with Identity.text = report.Identity.text ^ verdict }
 
 (* {1 Profiler view (host wall time — never part of the render)} *)
 

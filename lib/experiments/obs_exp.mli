@@ -6,8 +6,8 @@
     retry span trees and the digest of the first dump's JSON debrief;
     profiler output (host wall time) is exposed only through
     {!profile_report}.  {!debrief} asserts the dump is byte-identical
-    across a same-seed rerun, serial vs [--jobs 2], and heap vs wheel
-    backends, and that a disarmed recorder perturbs nothing. *)
+    across a same-seed rerun and serial vs [--jobs 2], and that a
+    disarmed recorder perturbs nothing. *)
 
 open Reflex_faults
 open Reflex_monitor
@@ -47,16 +47,19 @@ val dump_captured : result -> bool
 val dump_names_alert : result -> bool
 val dump_names_fault : result -> bool
 val links_recorded : result -> bool
-val ok : result -> bool
+
+(** The predicates above as the render's PASS/FAIL lines. *)
+val checks : result -> Identity.check list
 
 (** Deterministic render (never includes profiler numbers). *)
 val render_result : result -> string
 
 val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
 
-(** Render plus the dump-determinism verification (rerun, --jobs 2,
-    heap vs wheel, disarmed-recorder identity). *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> string
+(** Render plus the {!Identity.verify} checks over render and dump, the
+    disarmed-recorder identity checks, and an [OBS OK]/[OBS FAILED]
+    verdict line. *)
+val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report
 
 (** Host-wall-time profiler table ({!Reflex_obs.Profiler.report}) —
     print separately, never fold into a byte-identity-checked output. *)

@@ -481,10 +481,17 @@ let obs_alert_fired r =
 
 let obs_migrations_stitched r = List.for_all (fun o -> o.o_migrations > 0) r.r_obs
 
-let ok r =
-  po2c_beats_random r && oracle_best r && migrations_applied r && migration_helps r
-  && obs_tiling_exact r && obs_congested_blames_ingress r && obs_alert_fired r
-  && obs_migrations_stitched r
+let checks r =
+  [
+    Identity.check "po2c beats random on p99" (po2c_beats_random r);
+    Identity.check "oracle's SLO compliance is the best" (oracle_best r);
+    Identity.check "skew detector migrated tenants" (migrations_applied r);
+    Identity.check "migration reduced dispatch imbalance" (migration_helps r);
+    Identity.check "hop deltas tile e2e in every traced leg" (obs_tiling_exact r);
+    Identity.check "congested link's dominant hop is ingress" (obs_congested_blames_ingress r);
+    Identity.check "rack burn alert fired on the congested leg" (obs_alert_fired r);
+    Identity.check "migrations stitched into the trace logs" (obs_migrations_stitched r);
+  ]
 
 let render_result r =
   let buf = Buffer.create 4096 in
@@ -552,16 +559,9 @@ let render_result r =
         (Digest.to_hex (Digest.string o.o_stitch))
         (String.length o.o_stitch) o.o_alert_fired o.o_dump_line)
     r.r_obs;
-  let check name v = Printf.bprintf buf "  %-44s %s\n" name (if v then "PASS" else "FAIL") in
-  check "po2c beats random on p99" (po2c_beats_random r);
-  check "oracle's SLO compliance is the best" (oracle_best r);
-  check "skew detector migrated tenants" (migrations_applied r);
-  check "migration reduced dispatch imbalance" (migration_helps r);
-  check "hop deltas tile e2e in every traced leg" (obs_tiling_exact r);
-  check "congested link's dominant hop is ingress" (obs_congested_blames_ingress r);
-  check "rack burn alert fired on the congested leg" (obs_alert_fired r);
-  check "migrations stitched into the trace logs" (obs_migrations_stitched r);
-  Printf.bprintf buf "\n%s\n" (if ok r then "RACK OK" else "RACK FAILED");
+  let checks = checks r in
+  Buffer.add_string buf (Identity.lines checks);
+  Printf.bprintf buf "\n%s\n" (if Identity.all_ok checks then "RACK OK" else "RACK FAILED");
   Buffer.contents buf
 
 let render ?mode ?seed ?jobs ?scale () = render_result (run ?mode ?seed ?jobs ?scale ())
@@ -573,24 +573,11 @@ let export_leg ?(mode = Common.Quick) ?(seed = 42L) () =
   ignore (bakeoff_leg ~sc ~seed ~telemetry Policy.Po2c);
   telemetry
 
+(* The base and every identity leg render with [~jobs:1]: the two-domain
+   leg races two whole renders, so the bakeoff legs stay serial inside
+   each. *)
 let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let buf = Buffer.create 8192 in
-  let base = render ~mode ~seed ~jobs:1 () in
-  Buffer.add_string buf base;
-  let again = render ~mode ~seed ~jobs:1 () in
-  let par = render ~mode ~seed ~jobs:2 () in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
-  let cross =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> render ~mode ~seed ~jobs:1 ())
-  in
-  Printf.bprintf buf "\nDeterminism:\n";
-  Printf.bprintf buf "  same-seed rerun byte-identical: %b\n" (String.equal base again);
-  Printf.bprintf buf "  serial vs --jobs 2 byte-identical: %b\n" (String.equal base par);
-  Printf.bprintf buf "  heap vs wheel backends byte-identical: %b\n" (String.equal base cross);
-  if not (String.equal base again && String.equal base par && String.equal base cross)
-  then Printf.bprintf buf "\nRACK DETERMINISM FAILURE\n";
-  Buffer.contents buf
+  let r = run ~mode ~seed ~jobs:1 () in
+  let text = render_result r in
+  Identity.debrief ~text:(text ^ "\n") ~acceptance:(checks r)
+    (Identity.verify ~base:text (fun () -> render ~mode ~seed ~jobs:1 ()))

@@ -18,8 +18,7 @@
       the heaviest tenants away — the render shows migrations applied
       and the dispatch imbalance before vs after.
 
-    {!debrief} re-renders with the same seed (serial, [--jobs 2], and
-    the other event backend) and asserts byte-identical output. *)
+    {!debrief} adds the {!Identity.verify} byte-identity checks. *)
 
 open Reflex_rack
 open Reflex_engine
@@ -120,7 +119,8 @@ val obs_alert_fired : result -> bool
 (** Both legs logged migrations for [Follows_from] stitching. *)
 val obs_migrations_stitched : result -> bool
 
-val ok : result -> bool
+(** The predicates above as the render's PASS/FAIL lines. *)
+val checks : result -> Identity.check list
 
 val render_result : result -> string
 
@@ -132,6 +132,5 @@ val render :
     [--prom-out]/[--trace-out]. *)
 val export_leg : ?mode:Common.mode -> ?seed:int64 -> unit -> Reflex_telemetry.Telemetry.t
 
-(** {!render} plus same-seed rerun, serial vs [--jobs 2], and heap vs
-    wheel byte-identity checks. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> string
+(** {!render} followed by the {!Identity.verify} checks. *)
+val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

@@ -4,6 +4,7 @@
     EXPERIMENTS.md for paper-vs-measured results. *)
 
 module Runner = Runner
+module Identity = Identity
 module Common = Common
 module Fig1 = Fig1
 module Fig3 = Fig3

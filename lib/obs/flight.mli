@@ -12,8 +12,8 @@
     when a [Monitor.Alerts] alert fires) for rendering by {!Flight_dump}.
 
     Records never influence simulation state and carry only sim time, so a
-    snapshot is byte-for-byte deterministic across same-seed reruns, serial
-    vs. domain-parallel fan-out, and heap vs. wheel event backends.
+    snapshot is byte-for-byte deterministic across same-seed reruns and
+    serial vs. domain-parallel fan-out.
 
     The shared {!disabled} instance is never mutated and is safe to share
     across domains; every record operation on it is a no-op behind one

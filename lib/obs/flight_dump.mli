@@ -4,8 +4,8 @@
     Both renderers are pure functions of the snapshot plus the optional
     trigger cross-references, and both format with fixed-width sim-time
     microseconds only — no wall clock, no host state — so a dump is
-    byte-identical across same-seed reruns, serial vs. parallel fan-out,
-    and heap vs. wheel backends. *)
+    byte-identical across same-seed reruns and serial vs. parallel
+    fan-out. *)
 
 open Reflex_engine
 

@@ -27,30 +27,6 @@ type t =
   | Barrier_resp of { req_id : int64 }
   | Error_resp of { req_id : int64; status : status }
 
-let equal (a : t) b = a = b
-
-let pp fmt = function
-  | Register { tenant; slo } ->
-    Format.fprintf fmt "register(tenant=%d, %s, %d IOPS, %dus, %d%%r)" tenant
-      (if slo.latency_critical then "LC" else "BE")
-      slo.iops slo.latency_us slo.read_pct
-  | Unregister { handle } -> Format.fprintf fmt "unregister(%d)" handle
-  | Read_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "read(h=%d, id=%Ld, lba=%Ld, len=%d)" handle req_id lba len
-  | Write_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "write(h=%d, id=%Ld, lba=%Ld, len=%d)" handle req_id lba len
-  | Registered { handle; status } ->
-    Format.fprintf fmt "registered(h=%d, %s)" handle (status_to_string status)
-  | Unregistered { handle } -> Format.fprintf fmt "unregistered(%d)" handle
-  | Read_resp { req_id; status; len } ->
-    Format.fprintf fmt "read_resp(id=%Ld, %s, len=%d)" req_id (status_to_string status) len
-  | Write_resp { req_id; status } ->
-    Format.fprintf fmt "write_resp(id=%Ld, %s)" req_id (status_to_string status)
-  | Barrier_req { handle; req_id } -> Format.fprintf fmt "barrier(h=%d, id=%Ld)" handle req_id
-  | Barrier_resp { req_id } -> Format.fprintf fmt "barrier_resp(id=%Ld)" req_id
-  | Error_resp { req_id; status } ->
-    Format.fprintf fmt "error(id=%Ld, %s)" req_id (status_to_string status)
-
 let payload_bytes = function
   | Write_req { len; _ } -> len
   | Read_resp { status = Ok; len; _ } -> len

@@ -12,8 +12,7 @@ type status =
   | Out_of_range  (** LBA outside the tenant's namespace *)
   | Timed_out
       (** client-side: the request deadline expired and the retry budget
-          is exhausted (never produced by the server, but encodable so a
-          proxy could relay it) *)
+          is exhausted (never produced by the server) *)
 
 val status_to_string : status -> string
 val equal_status : status -> status -> bool
@@ -42,9 +41,6 @@ type t =
   | Write_resp of { req_id : int64; status : status }
   | Barrier_resp of { req_id : int64 }
   | Error_resp of { req_id : int64; status : status }
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Payload bytes that accompany the message on the wire (write request
     data, read response data); headers themselves are {!Codec.header_size}. *)

@@ -1,6 +1,5 @@
-(** ReFlex wire protocol: message types (paper Table 1), binary codec and
-    incremental stream framing. *)
+(** ReFlex wire protocol: message types (paper Table 1) and their wire
+    sizes. *)
 
 module Message = Message
 module Codec = Codec
-module Framer = Framer

@@ -10,8 +10,8 @@
     choice and not just a queueing one.
 
     Latencies are fixed at construction from the port index alone — no
-    PRNG — so the matrix is deterministic and identical across runs,
-    domains and event backends. *)
+    PRNG — so the matrix is deterministic and identical across runs and
+    domains. *)
 
 open Reflex_engine
 

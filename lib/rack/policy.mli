@@ -14,7 +14,7 @@
     Every policy is deterministic: stochastic ones draw from the PRNG
     stream handed to {!create} (seeded per world), and all argmin scans
     break ties toward the lowest server index, so a bakeoff table is
-    byte-identical across reruns, domains and event backends. *)
+    byte-identical across reruns and domains. *)
 
 open Reflex_engine
 

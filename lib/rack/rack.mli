@@ -27,7 +27,7 @@
     order (every PRNG split happens in a fixed sequence), the policy
     PRNG is derived from the rack seed, and all iteration is over arrays
     or insertion-ordered lists — a rack run is byte-identical across
-    same-seed reruns, [Runner] domains and heap/wheel event backends. *)
+    same-seed reruns and [Runner] domains. *)
 
 open Reflex_engine
 open Reflex_proto

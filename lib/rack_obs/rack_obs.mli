@@ -33,8 +33,8 @@
 
     Everything here is driven by the deterministic simulation clock:
     attribution tables, exemplars, rollups and forensic dumps are
-    byte-identical across same-seed reruns, [Runner --jobs] fan-out and
-    heap/wheel event backends. *)
+    byte-identical across same-seed reruns and [Runner --jobs]
+    fan-out. *)
 
 open Reflex_engine
 module Flight = Reflex_obs.Flight

@@ -5,7 +5,7 @@
     Lanes are fixed — pid 0 is the rack lane, pid [i+1] is server [i] —
     and the merge order is total: records sort by (time, lane, in-lane
     index), so rendering the same snapshots is byte-identical across
-    reruns, [--jobs] fan-out and event backends. *)
+    reruns and [--jobs] fan-out. *)
 
 module Flight = Reflex_obs.Flight
 
@@ -25,7 +25,7 @@ val chrome_trace :
 (** [stitch ~server_snaps ~rack_snap] renders the causal span trees as
     text: every traced rid in ascending order, its [Follows_from]
     migration parent when one precedes the pick, and its hop chain in
-    stamp order — the cross-backend determinism witness used by the test
+    stamp order — the rerun determinism witness used by the test
     suite. *)
 val stitch : server_snaps:Flight.snapshot array -> rack_snap:Flight.snapshot -> string
 

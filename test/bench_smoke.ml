@@ -112,12 +112,11 @@ let run_lint () =
 
 (* The same event-churn workload as `bench/main.exe --only speed`, sized
    down: self-rescheduling chains with prng strides and a cancelled
-   decoy every fourth hop.  Run on both queue backends; they must retire
-   the identical stream, and events/sec is gated against the checked-in
+   decoy every fourth hop.  Events/sec is gated against the checked-in
    BENCH_BASELINE.json floor. *)
-let speed_run backend =
+let speed_run () =
   let chains = 64 and hops = 1000 in
-  let sim = Sim.create ~backend () in
+  let sim = Sim.create () in
   for c = 0 to chains - 1 do
     let prng = Prng.create (Int64.of_int ((c * 7919) + 17)) in
     let remaining = ref hops in
@@ -146,7 +145,7 @@ let speed_run backend =
   let mw = Gc.minor_words () -. mw0 in
   let eps = if wall > 0.0 then float_of_int n /. wall else 0.0 in
   let mwpe = if n > 0 then mw /. float_of_int n else 0.0 in
-  (n, Sim.now sim, eps, mwpe)
+  (n, eps, mwpe)
 
 (* ---------------- Flight-recorder cost and dump determinism ---------------- *)
 
@@ -160,7 +159,7 @@ module Flight_dump = Reflex_obs.Flight_dump
    the marginal cost of actually writing records. *)
 let obs_speed_run recorder =
   let chains = 64 and hops = 1000 in
-  let sim = Sim.create ~backend:Sim.Wheel () in
+  let sim = Sim.create () in
   for c = 0 to chains - 1 do
     let prng = Prng.create (Int64.of_int ((c * 7919) + 17)) in
     let remaining = ref hops in
@@ -194,7 +193,7 @@ let obs_best reps recorder =
 
 (* One full alert-capable world with the recorder armed, run to completion;
    the digest of the rendered forensic debrief must be identical across
-   same-seed reruns and across the heap/wheel event backends. *)
+   same-seed reruns. *)
 let flight_debrief_digest () =
   let telemetry = Telemetry.create () in
   let fl = Flight.create () in
@@ -373,8 +372,7 @@ let baseline_events_per_sec root name =
 
 let write_json path ~rows ~parallel_eq ~wall_parallel ~off_s ~on_s ~overhead_pct
     ~iops_delta_pct ~f_off_s ~f_on_s ~f_overhead_pct ~f_identical ~m_off_s ~m_on_s
-    ~m_overhead_pct ~m_identical ~s_events ~h_eps ~h_mwpe ~w_eps ~w_mwpe ~s_identical
-    ~backend_sweep_eq ~o_inert_eps ~o_armed_eps ~o_churn_pct ~o_ns_per_record ~o_identical
+    ~m_overhead_pct ~m_identical ~s_events ~w_eps ~w_mwpe ~o_inert_eps ~o_armed_eps ~o_churn_pct ~o_ns_per_record ~o_identical
     ~o_on_s ~o_wall_pct ~o_sweep_eq ~o_dump_digest ~o_dump_eq ~rack_n ~rack_eps
     ~rack_migrations ~ro_inert_eps ~ro_armed_eps ~ro_overhead_pct ~ro_ns ~ro_traced
     ~ro_tiling_ok ~(lint : Lint_driver.report) ~lint_wall_s ~lint_jobs_eq =
@@ -404,12 +402,8 @@ let write_json path ~rows ~parallel_eq ~wall_parallel ~off_s ~on_s ~overhead_pct
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"speed\": {\n";
   Printf.fprintf oc "    \"events\": %d,\n" s_events;
-  Printf.fprintf oc "    \"heap_events_per_sec\": %.0f,\n" h_eps;
-  Printf.fprintf oc "    \"heap_minor_words_per_event\": %.3f,\n" h_mwpe;
   Printf.fprintf oc "    \"wheel_events_per_sec\": %.0f,\n" w_eps;
-  Printf.fprintf oc "    \"wheel_minor_words_per_event\": %.3f,\n" w_mwpe;
-  Printf.fprintf oc "    \"backends_identical\": %b,\n" s_identical;
-  Printf.fprintf oc "    \"sweep_digest_identical\": %b\n" backend_sweep_eq;
+  Printf.fprintf oc "    \"wheel_minor_words_per_event\": %.3f\n" w_mwpe;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"obs\": {\n";
   Printf.fprintf oc "    \"inert_recorder_events_per_sec\": %.0f,\n" o_inert_eps;
@@ -551,35 +545,17 @@ let () =
     m_off_s m_on_s reps (List.length rates) m_overhead_pct;
   if m_identical then print_endline "bench smoke OK: armed monitor results == no monitor"
   else print_endline "bench smoke FAILED: the monitor perturbed the simulated results";
-  (* Event-core speed gate: both backends retire the identical event
-     stream, the full sweep renders byte-identically on the wheel, and
-     events/sec stays within 20% of the checked-in baseline floor. *)
-  let h_n, h_now, h_eps, h_mwpe = speed_run Sim.Heap in
-  let w_n, w_now, w_eps, w_mwpe = speed_run Sim.Wheel in
-  let s_identical = h_n = w_n && h_now = w_now in
-  Printf.printf
-    "[speed: heap %.0f events/s (%.2f mw/ev), wheel %.0f events/s (%.2f mw/ev), %d events]\n"
-    h_eps h_mwpe w_eps w_mwpe h_n;
-  if s_identical then print_endline "bench smoke OK: heap and wheel retire identical streams"
-  else print_endline "bench smoke FAILED: heap and wheel event streams diverged";
-  (* `serial` above ran on the process default backend (the wheel, since
-     PR 7); re-run the sweep forced onto the reference heap backend and
-     require the byte-identical table before restoring the default. *)
-  let saved_backend = Sim.get_default_backend () in
-  Sim.set_default_backend Sim.Heap;
-  let heap_serial = table (Runner.map ~jobs:1 point rates) in
-  Sim.set_default_backend saved_backend;
-  let backend_sweep_eq = String.equal serial heap_serial in
-  if backend_sweep_eq then
-    print_endline "bench smoke OK: heap-backend sweep table == wheel-backend (default) table"
-  else print_endline "bench smoke FAILED: sweep tables differ across backends";
+  (* Event-core speed: events/sec is gated against the baseline floor
+     below, next to the rack floors. *)
+  let s_events, w_eps, w_mwpe = speed_run () in
+  Printf.printf "[speed: %.0f events/s (%.2f mw/ev), %d events]\n" w_eps w_mwpe s_events;
   let root = find_lint_root (Sys.getcwd ()) in
   (* Flight-recorder cost, leg 1 — bare event churn: the speed_run chains
      with one ring record per hop, armed vs inert recorder.  An event here
      does almost nothing, so this is the worst case; the per-record
      nanoseconds are reported, and the gate is that the armed run still
-     clears the same BENCH_BASELINE.json wheel floor as the bare backends
-     (ISSUE 7: the recorder may not cost events/sec vs the baseline). *)
+     clears the same BENCH_BASELINE.json wheel floor as the bare event
+     loop (the recorder may not cost events/sec vs the baseline). *)
   let o_reps = 3 in
   let o_in, o_inow, o_inert_eps = obs_best o_reps (Flight.create ~enabled:false ()) in
   let o_an, o_anow, o_armed_eps = obs_best o_reps (Flight.create ()) in
@@ -656,17 +632,13 @@ let () =
     print_endline "bench smoke FAILED: the flight recorder perturbed the simulated results"
   else print_endline "bench smoke FAILED: flight-recorder sweep overhead exceeds the 10% gate";
   (* Dump determinism: the forensic debrief of a monitored run must digest
-     identically across a same-seed rerun and across event backends. *)
+     identically across a same-seed rerun. *)
   let o_dump_digest = flight_debrief_digest () in
   let dump_rerun = flight_debrief_digest () in
-  Sim.set_default_backend Sim.Heap;
-  let dump_heap = flight_debrief_digest () in
-  Sim.set_default_backend saved_backend;
-  let o_dump_eq = String.equal o_dump_digest dump_rerun && String.equal o_dump_digest dump_heap in
-  Printf.printf "[obs: debrief digest %s (rerun %s, heap %s)]\n" o_dump_digest dump_rerun
-    dump_heap;
+  let o_dump_eq = String.equal o_dump_digest dump_rerun in
+  Printf.printf "[obs: debrief digest %s (rerun %s)]\n" o_dump_digest dump_rerun;
   if o_dump_eq then
-    print_endline "bench smoke OK: forensic dump digests identical across reruns and backends"
+    print_endline "bench smoke OK: forensic dump digests identical across reruns"
   else print_endline "bench smoke FAILED: forensic dump is nondeterministic";
   let gate name eps =
     match baseline_events_per_sec root name with
@@ -678,7 +650,7 @@ let () =
       Printf.printf "[speed %s: no baseline floor found, gate skipped]\n" name;
       true
   in
-  let speed_ok = gate "heap" h_eps && gate "wheel" w_eps in
+  let speed_ok = gate "wheel" w_eps in
   if speed_ok then print_endline "bench smoke OK: events/sec within 20% of baseline"
   else print_endline "bench smoke FAILED: events/sec regressed >20% vs BENCH_BASELINE.json";
   (* Rack balancer gate: best-of-3 balanced-requests/sec through the
@@ -782,8 +754,7 @@ let () =
   | Some p ->
     write_json p ~rows ~parallel_eq ~wall_parallel ~off_s ~on_s ~overhead_pct ~iops_delta_pct
       ~f_off_s ~f_on_s ~f_overhead_pct ~f_identical ~m_off_s ~m_on_s ~m_overhead_pct
-      ~m_identical ~s_events:h_n ~h_eps ~h_mwpe ~w_eps ~w_mwpe ~s_identical ~backend_sweep_eq
-      ~o_inert_eps ~o_armed_eps ~o_churn_pct ~o_ns_per_record ~o_identical ~o_on_s ~o_wall_pct
+      ~m_identical ~s_events ~w_eps ~w_mwpe ~o_inert_eps ~o_armed_eps ~o_churn_pct ~o_ns_per_record ~o_identical ~o_on_s ~o_wall_pct
       ~o_sweep_eq ~o_dump_digest ~o_dump_eq ~rack_n ~rack_eps ~rack_migrations
       ~ro_inert_eps ~ro_armed_eps ~ro_overhead_pct ~ro_ns
       ~ro_traced:(Reflex_rack_obs.Rack_obs.traced ro_obs)
@@ -791,7 +762,6 @@ let () =
   | None -> ());
   if
     not
-      (parallel_eq && sim_identical && f_identical && m_identical && s_identical
-     && backend_sweep_eq && speed_ok && o_identical && o_floor_ok && o_sweep_eq && o_wall_ok
+      (parallel_eq && sim_identical && f_identical && m_identical && speed_ok && o_identical && o_floor_ok && o_sweep_eq && o_wall_ok
      && o_dump_eq && rack_ok && rack_obs_ok && lint_clean && lint_jobs_eq)
   then exit 1

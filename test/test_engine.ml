@@ -350,7 +350,7 @@ let test_wheel_clear_reuse () =
 
 (* Heap/wheel equivalence: random interleavings of pushes (times spread
    across every wheel level plus the overflow regimes) and pops must
-   yield identical (time, seq, value) sequences on both backends. *)
+   yield identical (time, seq, value) sequences on both queues. *)
 type qop = QPush of int | QPopLe of int | QPop
 
 let qop_gen =
@@ -533,19 +533,8 @@ let test_sim_live_pending_excludes_cancelled () =
   Alcotest.(check int) "drained" 0 (Sim.live_pending sim);
   Alcotest.(check int) "only the live two fired" 2 (Sim.events_executed sim)
 
-let test_sim_backend_selection () =
-  Alcotest.(check bool) "default is wheel" true (Sim.backend (Sim.create ()) = Sim.Wheel);
-  Alcotest.(check bool) "getter agrees" true (Sim.get_default_backend () = Sim.Wheel);
-  let explicit = Sim.create ~backend:Sim.Heap () in
-  Alcotest.(check bool) "explicit heap" true (Sim.backend explicit = Sim.Heap);
-  let saved = Sim.get_default_backend () in
-  Sim.set_default_backend Sim.Heap;
-  let implicit = Sim.create () in
-  Sim.set_default_backend saved;
-  Alcotest.(check bool) "default follows selection" true (Sim.backend implicit = Sim.Heap)
-
 let test_sim_wheel_backend_runs () =
-  let sim = Sim.create ~backend:Sim.Wheel () in
+  let sim = Sim.create () in
   let log = ref [] in
   ignore (Sim.at sim (Time.us 30) (fun () -> log := 3 :: !log));
   ignore (Sim.at sim (Time.us 10) (fun () -> log := 1 :: !log));
@@ -556,43 +545,87 @@ let test_sim_wheel_backend_runs () =
   Alcotest.(check (list int)) "events in time order" [ 1; 2; 3 ] (List.rev !log);
   Alcotest.(check int64) "clock at last event" (Time.us 30) (Sim.now sim)
 
-(* Full Sim-level backend equivalence: identical schedule / nested
-   schedule / cancel plans must execute the same events at the same
-   times in the same order on both backends. *)
-let prop_sim_backends_equivalent =
-  QCheck.Test.make ~name:"Sim trace identical on heap and wheel backends" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 60) (pair (int_range 0 2_000_000) (int_range 0 9)))
+(* Reference event loop on [Heap], the oracle for Sim-level order:
+   events run in (time, insertion seq) order and cancellation skips an
+   event when it pops. *)
+type ref_loop = {
+  rq : (bool ref * (unit -> unit)) Heap.t;
+  mutable rclock : Time.t;
+  mutable rseq : int;
+  mutable rexecuted : int;
+}
+
+let ref_at l time f =
+  let cancelled = ref false in
+  Heap.push l.rq ~time ~seq:l.rseq (cancelled, f);
+  l.rseq <- l.rseq + 1;
+  cancelled
+
+let rec ref_run l =
+  match Heap.pop l.rq with
+  | None -> ()
+  | Some (time, _, (cancelled, f)) ->
+    l.rclock <- time;
+    if not !cancelled then begin
+      l.rexecuted <- l.rexecuted + 1;
+      f ()
+    end;
+    ref_run l
+
+(* One schedule / nested schedule / cancel plan, driven through either
+   loop's operations. *)
+let plan_trace ~at ~after ~cancel ~now ~run plan =
+  let log = Buffer.create 256 in
+  let evs = ref [] in
+  List.iteri
+    (fun i (t, k) ->
+      if k < 7 then begin
+        let ev =
+          at (Int64.of_int t) (fun () ->
+              Buffer.add_string log (Printf.sprintf "%d@%Ld;" i (now ()));
+              if k mod 3 = 0 then
+                ignore
+                  (after
+                     (Int64.of_int (i mod 4 * 31_250))
+                     (fun () -> Buffer.add_string log (Printf.sprintf "n%d@%Ld;" i (now ())))))
+        in
+        evs := ev :: !evs
+      end
+      else begin
+        match !evs with [] -> () | l -> cancel (List.nth l (t mod List.length l))
+      end)
+    plan;
+  let executed = run () in
+  (Buffer.contents log, executed, now ())
+
+(* Event times: a coarse 2ms grid, so same-time ties (and zero-delay
+   nested schedules) are common, mixed with times spread over every
+   wheel level. *)
+let sim_time_gen =
+  QCheck.Gen.(oneof [ map (fun k -> k * 31_250) (int_range 0 63); int_range 0 (1 lsl 40) ])
+
+(* The wheel-backed Sim must execute the same events at the same times in
+   the same order as the Heap reference loop. *)
+let prop_sim_matches_heap_reference =
+  QCheck.Test.make ~name:"Sim trace identical on heap reference loop" ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 1 60)
+        (pair (make ~print:string_of_int sim_time_gen) (int_range 0 9)))
     (fun plan ->
-      let trace backend =
-        let sim = Sim.create ~backend () in
-        let log = Buffer.create 256 in
-        let evs = ref [] in
-        List.iteri
-          (fun i (t, k) ->
-            if k < 7 then begin
-              let ev =
-                Sim.at sim (Int64.of_int t) (fun () ->
-                    Buffer.add_string log (Printf.sprintf "%d@%Ld;" i (Sim.now sim));
-                    if k mod 3 = 0 then
-                      ignore
-                        (Sim.after sim
-                           (Int64.of_int ((i * 17) + 1))
-                           (fun () ->
-                             Buffer.add_string log
-                               (Printf.sprintf "n%d@%Ld;" i (Sim.now sim)))))
-              in
-              evs := ev :: !evs
-            end
-            else begin
-              match !evs with
-              | [] -> ()
-              | l -> Sim.cancel sim (List.nth l (t mod List.length l))
-            end)
-          plan;
-        ignore (Sim.run sim);
-        (Buffer.contents log, Sim.events_executed sim, Sim.now sim)
-      in
-      trace Sim.Heap = trace Sim.Wheel)
+      let sim = Sim.create () in
+      let l = { rq = Heap.create (); rclock = Time.zero; rseq = 0; rexecuted = 0 } in
+      plan_trace ~at:(Sim.at sim) ~after:(Sim.after sim) ~cancel:(Sim.cancel sim)
+        ~now:(fun () -> Sim.now sim)
+        ~run:(fun () -> Sim.run sim)
+        plan
+      = plan_trace ~at:(ref_at l)
+          ~after:(fun d f -> ref_at l (Time.add l.rclock d) f)
+          ~cancel:(fun c -> c := true)
+          ~now:(fun () -> l.rclock)
+          ~run:(fun () ->
+            ref_run l;
+            l.rexecuted)
+          plan)
 
 (* ------------------------------------------------------------------ *)
 (* Resource                                                           *)
@@ -746,9 +779,8 @@ let suite =
         Alcotest.test_case "every overflow guard" `Quick test_sim_every_overflow_guard;
         Alcotest.test_case "live_pending excludes cancelled" `Quick
           test_sim_live_pending_excludes_cancelled;
-        Alcotest.test_case "backend selection" `Quick test_sim_backend_selection;
         Alcotest.test_case "wheel backend runs" `Quick test_sim_wheel_backend_runs;
-        qcheck prop_sim_backends_equivalent;
+        qcheck prop_sim_matches_heap_reference;
       ] );
     ( "resource",
       [

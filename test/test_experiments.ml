@@ -81,21 +81,35 @@ let test_runner_parallel_matches_serial () =
   Alcotest.(check string) "rendered table cells identical" (mini_table serial)
     (mini_table parallel)
 
-(* The wheel backend must reproduce a full sweep byte-for-byte: scenario
-   worlds reach [Sim.create] without an explicit backend, so flipping the
-   process default is exactly what `--backend wheel` does, and the
-   rendered tables must not change by a single byte. *)
-let test_backend_sweep_identical () =
-  let rates = [ 50e3; 150e3; 250e3 ] in
-  let saved = Sim.get_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      Sim.set_default_backend Sim.Heap;
-      let heap = mini_table (Runner.map ~jobs:1 mini_point rates) in
-      Sim.set_default_backend Sim.Wheel;
-      let wheel = mini_table (Runner.map ~jobs:1 mini_point rates) in
-      Alcotest.(check string) "wheel sweep table == heap sweep table" heap wheel)
+(* ------------------------------------------------------------------ *)
+(* Identity: the shared acceptance mechanism                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A render that counts its calls differs on every rerun: both identity
+   legs must fail, and a failing check must make the exit code non-zero. *)
+let test_identity_catches_nondeterminism () =
+  let calls = Atomic.make 0 in
+  let render () = string_of_int (Atomic.fetch_and_add calls 1) in
+  let checks = Identity.verify ~base:(render ()) render in
+  Alcotest.(check (list (pair string bool)))
+    "rerun and two-domain legs fail"
+    [ ("same-seed rerun byte-identical", false); ("serial vs --jobs 2 byte-identical", false) ]
+    (List.map (fun c -> (c.Identity.name, c.Identity.ok)) checks);
+  Alcotest.(check int) "non-zero exit" 1 (Identity.exit_code checks)
+
+let test_identity_all_pass () =
+  let render () = "same bytes" in
+  let rep =
+    Identity.debrief ~text:"render\n"
+      ~acceptance:[ Identity.check "predicate holds" true ]
+      (Identity.verify ~base:(render ()) render)
+  in
+  Alcotest.(check bool) "all pass" true (Identity.all_ok rep.Identity.checks);
+  Alcotest.(check int) "zero exit" 0 (Identity.exit_code rep.Identity.checks);
+  Alcotest.(check string) "render then determinism block"
+    (Printf.sprintf "render\ndeterminism:\n  %-44s PASS\n  %-44s PASS\n"
+       "same-seed rerun byte-identical" "serial vs --jobs 2 byte-identical")
+    rep.Identity.text
 
 (* ------------------------------------------------------------------ *)
 (* Table 2                                                            *)
@@ -210,8 +224,12 @@ let suite =
         Alcotest.test_case "exception propagation" `Quick test_runner_exception_propagates;
         Alcotest.test_case "parallel = serial (bit-identical)" `Quick
           test_runner_parallel_matches_serial;
-        Alcotest.test_case "wheel backend = heap backend (bit-identical)" `Quick
-          test_backend_sweep_identical;
+      ] );
+    ( "identity",
+      [
+        Alcotest.test_case "nondeterministic render fails" `Quick
+          test_identity_catches_nondeterminism;
+        Alcotest.test_case "all-pass checks succeed" `Quick test_identity_all_pass;
       ] );
     ("table2", [ Alcotest.test_case "access-path ordering & +21us" `Slow test_table2_ordering ]);
     ("fig5", [ Alcotest.test_case "isolation claims" `Slow test_fig5_claims ]);

@@ -339,31 +339,13 @@ let test_clean_runs_silent () =
         (List.length (Monitor.events leg.Monitor_exp.monitor)))
     [ 3L; 19L; 1234L ]
 
-(* The full monitored scenario on the timing-wheel backend must render
-   byte-identically to the heap backend at the same seed — the monitor's
-   daemon ticks ride the same event queue as the workload, so any order
-   divergence between backends would show up here. *)
-let test_backend_equivalence () =
-  let seed = 11L in
-  let saved = Sim.get_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      Sim.set_default_backend Sim.Heap;
-      let heap = Monitor_exp.render ~mode:Common.Quick ~seed () in
-      Sim.set_default_backend Sim.Wheel;
-      let wheel = Monitor_exp.render ~mode:Common.Quick ~seed () in
-      Alcotest.(check bool) "wheel monitor render == heap" true (String.equal heap wheel))
-
-(* Same-seed monitor reports must be byte-identical serial vs --jobs 2. *)
+(* Same-seed monitor reports must be byte-identical on rerun and serial
+   vs --jobs 2. *)
 let test_parallel_determinism () =
-  let seed = 11L in
-  let serial = Monitor_exp.render ~mode:Common.Quick ~seed () in
-  match Runner.map ~jobs:2 (fun s -> Monitor_exp.render ~mode:Common.Quick ~seed:s ()) [ seed; seed ] with
-  | [ a; b ] ->
-    Alcotest.(check bool) "domain A == serial" true (String.equal serial a);
-    Alcotest.(check bool) "domain B == serial" true (String.equal serial b)
-  | _ -> Alcotest.fail "Runner.map arity"
+  let render () = Monitor_exp.render ~mode:Common.Quick ~seed:11L () in
+  List.iter
+    (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok)
+    (Identity.verify ~base:(render ()) render)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -418,6 +400,5 @@ let suite =
         Alcotest.test_case "clean runs are silent" `Quick test_clean_runs_silent;
         Alcotest.test_case "serial vs --jobs 2 reports identical" `Quick
           test_parallel_determinism;
-        Alcotest.test_case "wheel backend renders identically" `Quick test_backend_equivalence;
       ] );
   ]

@@ -1,13 +1,14 @@
 (* Tests for the rack-scale scheduler: link latency table, balancing
    policies (unit + qcheck invariants), the skew detector, the rack
    request/migration path on a small world, and a small end-to-end
-   bakeoff checked for byte-identical determinism across serial vs
-   two-domain runs and heap vs wheel event backends. *)
+   bakeoff checked for byte-identical determinism across same-seed
+   reruns and serial vs two-domain runs. *)
 
 open Reflex_engine
 open Reflex_rack
 module Common = Reflex_experiments.Common
 module Rack_exp = Reflex_experiments.Rack_exp
+module Identity = Reflex_experiments.Identity
 module Global_control = Reflex_core.Global_control
 
 (* ------------------------------------------------------------------ *)
@@ -366,24 +367,12 @@ let test_exp_small_result () =
   Alcotest.(check bool) "skew detector migrated tenants" true
     (Rack_exp.migrations_applied r);
   Alcotest.(check bool) "migration reduced imbalance" true (Rack_exp.migration_helps r);
-  Alcotest.(check bool) "all checks" true (Rack_exp.ok r)
+  Alcotest.(check bool) "all checks" true (Identity.all_ok (Rack_exp.checks r))
 
 let test_exp_serial_vs_jobs2 () =
   let base = Lazy.force small_render in
   let par = Rack_exp.render ~scale:small_scale ~jobs:2 () in
   Alcotest.(check string) "serial vs --jobs 2 byte-identical" base par
-
-let test_exp_heap_vs_wheel () =
-  let base = Lazy.force small_render in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
-  let cross =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> Rack_exp.render ~scale:small_scale ~jobs:1 ())
-  in
-  Alcotest.(check string) "heap vs wheel byte-identical" base cross
 
 let test_exp_same_seed_rerun () =
   let base = Lazy.force small_render in
@@ -431,6 +420,5 @@ let suite =
         Alcotest.test_case "small bakeoff result" `Slow test_exp_small_result;
         Alcotest.test_case "same-seed rerun" `Slow test_exp_same_seed_rerun;
         Alcotest.test_case "serial vs jobs2" `Slow test_exp_serial_vs_jobs2;
-        Alcotest.test_case "heap vs wheel" `Slow test_exp_heap_vs_wheel;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* Tests for the rack-scale distributed tracer: hop-delta tiling over
    random small worlds (qcheck), per-kind flight wraparound accounting,
    the probe-age/dispatch gauges, Follows_from stitching, and byte
-   identity of the stitched span trees and merged rollup across heap vs
-   wheel event backends. *)
+   identity of the stitched span trees and merged rollup across
+   same-seed reruns. *)
 
 open Reflex_engine
 open Reflex_rack
@@ -193,21 +193,6 @@ let test_follows_from_stitched () =
   Alcotest.(check bool) "rollup names the lanes" true
     (contains chrome "\"name\":\"rack-02\"")
 
-let test_stitch_deterministic_across_backends () =
-  let base_stitch, base_chrome, _ = artifacts ~seed:31L in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
-  let cross_stitch, cross_chrome, _ =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> artifacts ~seed:31L)
-  in
-  Alcotest.(check string) "stitched span trees byte-identical across backends"
-    base_stitch cross_stitch;
-  Alcotest.(check string) "merged rollup byte-identical across backends" base_chrome
-    cross_chrome
-
 let test_stitch_same_seed_rerun () =
   let base_stitch, base_chrome, _ = artifacts ~seed:17L in
   let again_stitch, again_chrome, _ = artifacts ~seed:17L in
@@ -239,8 +224,6 @@ let suite =
     ( "rollup",
       [
         Alcotest.test_case "Follows_from stitched" `Quick test_follows_from_stitched;
-        Alcotest.test_case "heap vs wheel byte-identical" `Quick
-          test_stitch_deterministic_across_backends;
         Alcotest.test_case "same-seed rerun byte-identical" `Quick
           test_stitch_same_seed_rerun;
       ] );
