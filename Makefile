@@ -33,13 +33,17 @@ bench-smoke: build
 # dump names its alert and fault) and rack (policy bakeoff, migration,
 # hop-delta tiling, ingress blamed on the congested link), each verified
 # byte-identical across a same-seed rerun and serial vs --jobs 2.
-# reflex_sim exits non-zero when any check fails.
+# reflex_sim exits non-zero when any check fails.  The same runs also
+# write every exporter's output under _build/ (request traces, the flight
+# dump's Chrome view and JSON debrief, the rack trace) so each writer runs
+# on every check.
 smoke: build
 	dune exec bin/reflex_sim.exe -- chaos > _build/smoke_chaos.out
-	dune exec bin/reflex_sim.exe -- monitor > _build/smoke_monitor.out
-	dune exec bin/reflex_sim.exe -- obs > _build/smoke_obs.out
-	dune exec bin/reflex_sim.exe -- rack > _build/smoke_rack.out
-	@echo "smoke OK: chaos, monitor, obs and rack checks pass"
+	dune exec bin/reflex_sim.exe -- monitor --trace-out _build/smoke_monitor_trace.json > _build/smoke_monitor.out
+	dune exec bin/reflex_sim.exe -- obs --flight-dump _build/smoke_obs_flight.json --dump-json _build/smoke_obs_dump.json > _build/smoke_obs.out
+	dune exec bin/reflex_sim.exe -- rack --trace-out _build/smoke_rack_trace.json > _build/smoke_rack.out
+	dune exec bin/reflex_sim.exe -- trace --out _build/smoke_trace.json > _build/smoke_trace.out
+	@echo "smoke OK: chaos, monitor, obs and rack checks pass; trace writers ran"
 
 check: build
 	$(MAKE) lint

@@ -200,9 +200,10 @@ let run_cmd =
   let run id full telemetry (prom_out, trace_out) =
     let telemetry = telemetry || trace_out <> None || prom_out <> None in
     if telemetry then Common.set_default_telemetry true;
-    (* Exports read the *last* world's telemetry, so force a serial run
-       (jobs=1) to make "last" well defined. *)
-    if trace_out <> None || prom_out <> None then Runner.set_default_jobs 1;
+    (* The reports and exports read the *last* world's telemetry, which
+       every armed world writes: force a serial run (jobs=1) so "last" is
+       well defined and no two domains write it. *)
+    if telemetry then Runner.set_default_jobs 1;
     let mode = if full then Common.Full else Common.Quick in
     let finish () =
       if telemetry then

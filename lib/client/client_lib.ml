@@ -39,6 +39,7 @@ type t = {
      off. *)
   tel : Telemetry.t;
   tel_on : bool;
+  lane : int; (* the server host's fabric id: the span key's lane *)
   c_retries : Telemetry.counter; (* client/retries *)
   c_timeouts : Telemetry.counter; (* client/timeouts *)
 }
@@ -51,7 +52,7 @@ let complete t req_id status =
     (if t.tel_on && p.op <> Op_barrier then
        match t.handle with
        | Some tenant ->
-         Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant ~req_id
+         Telemetry.span t.tel ~now:(Sim.now t.sim) ~lane:t.lane ~tenant ~req_id
            Telemetry.Stage.Client_complete
        | None -> ());
     p.pk status ~latency:(Time.diff (Sim.now t.sim) p.t0)
@@ -111,6 +112,7 @@ let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?ret
       timeouts = 0;
       tel = telemetry;
       tel_on = Telemetry.enabled telemetry;
+      lane = Fabric.host_id server_host;
       c_retries = Telemetry.counter telemetry "client/retries";
       c_timeouts = Telemetry.counter telemetry "client/timeouts";
     }
@@ -160,7 +162,7 @@ let rec issue ?prev t ~handle ~t0 ~attempt ~op pk =
   in
   Hashtbl.replace t.outstanding req_id { t0; pk; op; attempt; timer };
   if t.tel_on && op <> Op_barrier then begin
-    Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:handle ~req_id
+    Telemetry.span t.tel ~now:(Sim.now t.sim) ~lane:t.lane ~tenant:handle ~req_id
       Telemetry.Stage.Client_submit;
     match prev with
     | Some prev_id ->

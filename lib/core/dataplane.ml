@@ -2,6 +2,7 @@ open Reflex_engine
 open Reflex_flash
 open Reflex_qos
 open Reflex_telemetry
+module Stage = Reflex_obs.Stage
 
 type 'a done_req = { payload : 'a; kind : Io_op.kind; nvme_latency : Time.t }
 
@@ -29,26 +30,22 @@ type 'a t = {
   mutable completed : int;
   mutable tokens_spent : float;
   mutable rounds : int;
-  (* Observability.  [tel_on] copies the telemetry instance's immutable
-     enabled bit: with telemetry off every span site below costs exactly
-     one boolean test and allocates nothing, preserving the
-     allocation-free hot cycle.  [trace_id] projects the opaque payload
-     to the request id used for span identity. *)
-  tel : Telemetry.t;
-  tel_on : bool;
+  (* Observability.  [stages] is the server's one stage sink: every
+     stage of a request is stamped through it once, behind one mask test
+     ([Stage.armed]) that keeps the unarmed cycle allocation-free.
+     [trace_id] projects the opaque payload to the request id of the
+     stamp. *)
+  stages : Stage.sink;
+  trace_id : 'a -> int64;
   (* Always-on flight recorder, cached off the telemetry instance at
      creation; one queue-depth record per cycle frames every forensic
      dump with what the rx ring and SQ looked like. *)
   fl : Reflex_obs.Flight.t;
   fl_on : bool;
-  trace_id : 'a -> int64;
-  (* Rack-trace hop sink: stamps the NVMe submit/complete instants for a
-     (tenant, request) so a rack-level tracer can attribute server-queue
-     vs flash-service time.  [hops_on] mirrors the sink's bool so the
-     disarmed cost is one test per site, like [tel_on]/[fl_on]. *)
-  mutable hops : Reflex_obs.Hopsink.t;
-  mutable hops_on : bool;
 }
+
+let stamp t ~tenant payload stage =
+  Stage.stamp t.stages ~tenant ~req:(t.trace_id payload) ~now:(Sim.now t.sim) stage
 
 let thread_id t = t.thread_id
 
@@ -117,9 +114,8 @@ and run_cycle t =
               ~read_only:(Nvme_model.read_only_mode t.device)
           in
           Scheduler.enqueue t.scheduler ~tenant_id:p.p_tenant ~cost p;
-          if t.tel_on then
-            Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:p.p_tenant
-              ~req_id:(t.trace_id p.p_payload) Telemetry.Stage.Sched_enqueue
+          if Stage.armed t.stages Stage.Sched_enqueue then
+            stamp t ~tenant:p.p_tenant p.p_payload Stage.Sched_enqueue
         | None -> t.reroute ~tenant_id:p.p_tenant ~kind:p.p_kind ~bytes:p.p_bytes p.p_payload
       done;
       let submissions = ref 0 in
@@ -132,22 +128,17 @@ and run_cycle t =
           Hashtbl.replace t.outstanding cookie pend;
           t.tokens_spent <- t.tokens_spent +. s.Scheduler.cost;
           incr submissions;
-          if t.tel_on then
-            Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-              ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_submit;
-          if t.hops_on then
-            Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant
-              ~req:(t.trace_id pend.p_payload) ~hop:2 ~now:(Sim.now t.sim);
+          if Stage.armed t.stages Stage.Nvme_submit then
+            stamp t ~tenant:pend.p_tenant pend.p_payload Stage.Nvme_submit;
           true
         | `Full -> false
       in
       let submit_to_qp s =
         (* The scheduler released this request: its tokens are granted
            and spent, whether or not the SQ has room right now. *)
-        if t.tel_on then begin
+        if Stage.armed t.stages Stage.Granted then begin
           let pend = s.Scheduler.payload in
-          Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-            ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Granted
+          stamp t ~tenant:pend.p_tenant pend.p_payload Stage.Granted
         end;
         if not (try_submit s) then Queue.add s t.deferred
       in
@@ -185,12 +176,8 @@ and run_step2 t =
             | Some pend ->
               Hashtbl.remove t.outstanding cookie;
               t.completed <- t.completed + 1;
-              if t.tel_on then
-                Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-                  ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_complete;
-              if t.hops_on then
-                Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant
-                  ~req:(t.trace_id pend.p_payload) ~hop:3 ~now:(Sim.now t.sim);
+              if Stage.armed t.stages Stage.Nvme_complete then
+                stamp t ~tenant:pend.p_tenant pend.p_payload Stage.Nvme_complete;
               t.respond { payload = pend.p_payload; kind; nvme_latency = latency }
             | None -> ())
       in
@@ -217,7 +204,7 @@ and finish_cycle t =
 let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.default)
     ?neg_limit ?donate_fraction ?notify_control_plane
     ?(reroute = fun ~tenant_id ~kind:_ ~bytes:_ _ -> ignore tenant_id; raise Not_found)
-    ?(telemetry = Telemetry.disabled) ?(trace_id = fun _ -> 0L) ~respond () =
+    ?(telemetry = Telemetry.disabled) ~stages ?(trace_id = fun _ -> 0L) ~respond () =
   let scheduler =
     Scheduler.create ?neg_limit ?donate_fraction ~global ~thread_id ?notify_control_plane
       ~telemetry ()
@@ -245,16 +232,13 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       completed = 0;
       tokens_spent = 0.0;
       rounds = 0;
-      tel = telemetry;
-      tel_on = Telemetry.enabled telemetry;
+      stages;
+      trace_id;
       fl = Telemetry.flight telemetry;
       fl_on = Reflex_obs.Flight.enabled (Telemetry.flight telemetry);
-      trace_id;
-      hops = Reflex_obs.Hopsink.null;
-      hops_on = false;
     }
   in
-  if t.tel_on then begin
+  if Telemetry.enabled telemetry then begin
     let p = Printf.sprintf "core/thread%d/" thread_id in
     Telemetry.register_gauge telemetry (p ^ "rx_ring") (fun () ->
         float_of_int (Queue.length t.rx_ring));
@@ -289,9 +273,7 @@ let detach_tenant t ~id =
 
 let receive t ~tenant_id ~kind ~bytes payload =
   if not (has_tenant t ~id:tenant_id) then raise Not_found;
-  if t.tel_on then
-    Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:tenant_id ~req_id:(t.trace_id payload)
-      Telemetry.Stage.Server_rx;
+  if Stage.armed t.stages Stage.Server_rx then stamp t ~tenant:tenant_id payload Stage.Server_rx;
   Queue.add { p_payload = payload; p_kind = kind; p_bytes = bytes; p_tenant = tenant_id }
     t.rx_ring;
   kick t
@@ -309,10 +291,6 @@ let inject_stall t ~duration =
   if Time.(duration <= Time.zero) then invalid_arg "Dataplane.inject_stall: duration";
   Resource.submit t.core ~priority:Resource.High ~service:duration
     (fun ~started:_ ~finished:_ -> ())
-
-let set_hopsink t sink =
-  t.hops <- sink;
-  t.hops_on <- Reflex_obs.Hopsink.enabled sink
 
 let set_conn_count t n = t.conns <- n
 let utilization t = Resource.utilization t.core

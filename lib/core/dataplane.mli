@@ -45,11 +45,15 @@ val create :
      away before they were parsed (paper §3.1: rebalancing must not drop
      requests); default re-raises [Not_found] *)
   ?telemetry:Reflex_telemetry.Telemetry.t ->
-  (* observability sink, default disabled: every span/gauge site then
-     costs a single boolean test and the cycle stays allocation-free *)
+  (* gauges, scheduler decisions and the flight recorder; default
+     disabled *)
+  stages:Reflex_obs.Stage.sink ->
+  (* the server's stage sink: the thread stamps [Server_rx],
+     [Sched_enqueue], [Granted], [Nvme_submit] and [Nvme_complete]
+     through it; a stage no consumer wants costs one mask test *)
   ?trace_id:('a -> int64) ->
-  (* projects the opaque payload to the request id used for lifecycle
-     spans (identity is the (tenant, req_id) pair); default [fun _ -> 0L] *)
+  (* projects the opaque payload to the request id of a stamp; default
+     [fun _ -> 0L] *)
   respond:('a done_req -> unit) ->
   unit ->
   'a t
@@ -83,12 +87,6 @@ val receive : 'a t -> tenant_id:int -> kind:Io_op.kind -> bytes:int -> 'a -> uni
 (** Connections currently served by this thread (for the LLC pressure
     model). *)
 val set_conn_count : 'a t -> int -> unit
-
-(** [set_hopsink t sink] arms (or, with [Hopsink.null], disarms) the
-    rack-trace hop sink: the thread stamps hop 2 (NVMe submit) and hop 3
-    (NVMe complete) for each request as [(tenant, trace_id payload)].
-    Disarmed cost is one bool test per site. *)
-val set_hopsink : 'a t -> Reflex_obs.Hopsink.t -> unit
 
 (** {1 Fault injection}
 

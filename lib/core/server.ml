@@ -44,6 +44,7 @@ type t = {
   mutable completed : int;
   tel : Telemetry.t;
   tel_on : bool;
+  stages : Reflex_obs.Stage.sink;
 }
 
 let gate_of t tenant =
@@ -86,11 +87,11 @@ let respond t done_req =
     | Io_op.Write -> Message.Write_resp { req_id; status = Message.Ok }
   in
   Tcp_conn.send_to_client conn ~size:(Codec.encoded_size msg) msg;
-  if t.tel_on then begin
-    let now = Sim.now t.sim in
-    Telemetry.span t.tel ~now ~tenant ~req_id Telemetry.Stage.Tx_resp;
-    Telemetry.record_tenant_latency t.tel ~tenant (Time.diff now t_arrive)
-  end;
+  if Reflex_obs.Stage.armed t.stages Reflex_obs.Stage.Tx_resp then
+    Reflex_obs.Stage.stamp t.stages ~tenant ~req:req_id ~now:(Sim.now t.sim)
+      Reflex_obs.Stage.Tx_resp;
+  if t.tel_on then
+    Telemetry.record_tenant_latency t.tel ~tenant (Time.diff (Sim.now t.sim) t_arrive);
   let g = gate_of t tenant in
   g.outstanding <- g.outstanding - 1;
   release_gate g
@@ -125,6 +126,8 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
   let acl = match acl with Some a -> a | None -> Acl.create_permissive () in
   let global = Global_bucket.create ~n_threads:max_threads in
   let host = Fabric.add_host fabric ~name:"reflex-server" ~stack:Stack_model.dataplane_server in
+  let stages = Reflex_obs.Stage.sink ~lane:(Fabric.host_id host) in
+  Telemetry.attach_stages telemetry stages;
   let rec t =
     lazy
       {
@@ -142,7 +145,7 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
                 ~notify_control_plane:(fun tenant -> note_deficit (Lazy.force t) ~tenant)
                 ~reroute:(fun ~tenant_id ~kind ~bytes payload ->
                   reroute (Lazy.force t) ~tenant_id ~kind ~bytes payload)
-                ~telemetry
+                ~telemetry ~stages
                 ~trace_id:(fun p -> p.req_id)
                 ~respond:(fun d -> respond (Lazy.force t) d)
                 ());
@@ -158,6 +161,7 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
         completed = 0;
         tel = telemetry;
         tel_on = Telemetry.enabled telemetry;
+        stages;
       }
   in
   let t = Lazy.force t in
@@ -486,10 +490,10 @@ let queue_depth t =
 
 let registered_tenants t = Control_plane.registered_count t.control_plane
 
-(* Rack tracing: fan the hop sink out to every dataplane thread, so NVMe
-   submit/complete instants reach the rack-level tracer regardless of
-   which thread a tenant lands on (or migrates to). *)
-let set_hopsink t sink = Array.iter (fun dp -> Dataplane.set_hopsink dp sink) t.threads
+(* Every dataplane thread stamps through this one sink, so a rack tracer
+   that attaches here sees a tenant's stages whichever thread it lands on
+   (or migrates to). *)
+let stages t = t.stages
 
 (* ---------------- resilience hooks (lib/faults) ---------------- *)
 

@@ -108,10 +108,10 @@ val registered_tenants : t -> int
     ([lib/rack]), not a per-cycle counter. *)
 val queue_depth : t -> int
 
-(** [set_hopsink t sink] arms the rack-trace hop sink on every dataplane
-    thread (see [Dataplane.set_hopsink]); [Reflex_obs.Hopsink.null]
-    disarms. *)
-val set_hopsink : t -> Reflex_obs.Hopsink.t -> unit
+(** The server's one stage sink (lane = its host's fabric id), shared by
+    every dataplane thread.  Telemetry is attached at creation when
+    enabled; a rack tracer attaches with [Reflex_obs.Stage.attach]. *)
+val stages : t -> Reflex_obs.Stage.sink
 
 (** {1 Resilience hooks}
 

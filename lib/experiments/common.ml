@@ -23,17 +23,18 @@ type reflex_world = {
 let default_telemetry = ref false
 let set_default_telemetry v = default_telemetry := v
 
-(* The most recent telemetry-enabled world built by [make_reflex], for
-   trace export after a run.  Only meaningful in serial runs (the trace
-   exporter forces jobs=1). *)
+(* The most recent world [make_reflex] armed through [default_telemetry],
+   for the reports and exports after a run.  Only those worlds write it,
+   and the CLI runs them serially (jobs=1), so no two domains race on it. *)
 let last_telemetry : Telemetry.t option ref = ref None
 
 let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
     ?donate_fraction ?seed ?telemetry () =
+  let stash = telemetry = None && !default_telemetry in
   let telemetry =
     match telemetry with
     | Some t -> t
-    | None -> if !default_telemetry then Telemetry.create () else Telemetry.disabled
+    | None -> if stash then Telemetry.create () else Telemetry.disabled
   in
   let sim = Sim.create () in
   let fabric = Fabric.create sim () in
@@ -45,7 +46,7 @@ let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
     (* Daemon tick: samples while real work is pending, never keeps the
        simulation alive, never perturbs simulation state. *)
     Telemetry.start_sampler telemetry sim ();
-    last_telemetry := Some telemetry
+    if stash then last_telemetry := Some telemetry
   end;
   { sim; fabric; server; telemetry }
 

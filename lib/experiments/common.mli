@@ -33,8 +33,10 @@ type reflex_world = {
     Driven by the [--telemetry]/[--trace-out] CLI flags. *)
 val set_default_telemetry : bool -> unit
 
-(** The telemetry of the most recent enabled world ({e serial} runs only
-    — the trace exporter forces [jobs=1]). *)
+(** The telemetry of the most recent world armed by
+    {!set_default_telemetry} (worlds given an explicit [?telemetry] never
+    write it).  Meaningful in {e serial} runs only: the CLI forces
+    [jobs=1] whenever telemetry is on. *)
 val last_telemetry : Reflex_telemetry.Telemetry.t option ref
 
 val make_reflex :

@@ -384,14 +384,9 @@ let obs_leg ~sc ~seed ~congested =
   let now = Sim.now sim in
   let server_snaps = Rack_obs.snapshot_servers obs ~now ~window:span in
   let rack_snap = Rack_obs.snapshot_rack obs ~now ~window:span in
-  let viol = Rack_obs.violations obs in
   let dominant =
     if Rack_obs.violation_total obs = 0 then None
-    else begin
-      let dom = ref 0 in
-      Array.iteri (fun i v -> if v > viol.(!dom) then dom := i) viol;
-      Some !dom
-    end
+    else Some (Reflex_obs.Stage.dominant (Rack_obs.violations obs))
   in
   let dump_line =
     match Rack_obs.dump obs with

@@ -414,13 +414,13 @@ let to_dot ?(hot = fun _ -> false) t =
 
 let to_json ?(hot = fun _ -> false) t =
   let buf = Buffer.create 8192 in
-  let esc = Lint_diagnostic.json_escape in
+  let esc = Reflex_obs.Trace_event.quote in
   Buffer.add_string buf "{\n  \"nodes\": [";
   List.iteri
     (fun i n ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
-        (Printf.sprintf {|{"id":"%s","file":"%s","line":%d%s}|} (esc n.n_id) (esc n.n_file)
+        (Printf.sprintf {|{"id":%s,"file":%s,"line":%d%s}|} (esc n.n_id) (esc n.n_file)
            n.n_line
            (if hot n.n_id then {|,"hot":true|} else "")))
     t.nodes;
@@ -429,7 +429,7 @@ let to_json ?(hot = fun _ -> false) t =
     (fun i e ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
-        (Printf.sprintf {|{"from":"%s","to":"%s","file":"%s","line":%d,"app":%b,"guarded":%b}|}
+        (Printf.sprintf {|{"from":%s,"to":%s,"file":%s,"line":%d,"app":%b,"guarded":%b}|}
            (esc e.e_from) (esc e.e_to) (esc e.e_file) e.e_site.p_line e.e_site.p_app
            e.e_site.p_guarded))
     t.edges;

@@ -36,36 +36,14 @@ let compare a b =
 
 let to_string d = Printf.sprintf "%s:%d:%d: error [%s] %s" d.file d.line d.col d.rule d.message
 
-(* Minimal JSON string escaping: the repo policy is hand-rolled JSON
-   emitters (no external dependency), mirroring lib/telemetry. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The chain is emitted only when present so per-file findings keep the
    PR 5 rendering byte-for-byte. *)
 let to_json d =
-  let base =
-    Printf.sprintf {|"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"|}
-      (json_escape d.file) d.line d.col (json_escape d.rule) (json_escape d.message)
-  in
-  if d.chain = [] then "{" ^ base ^ "}"
-  else
-    Printf.sprintf {|{%s,"chain":[%s]}|} base
-      (String.concat ","
-         (List.map
-            (fun s ->
-              Printf.sprintf {|{"fn":"%s","file":"%s","line":%d}|} (json_escape s.st_name)
-                (json_escape s.st_file) s.st_line)
-            d.chain))
+  let module Te = Reflex_obs.Trace_event in
+  let step s = Te.Obj [ ("fn", Str s.st_name); ("file", Str s.st_file); ("line", Int s.st_line) ] in
+  let buf = Buffer.create 160 in
+  Te.add_object buf
+    ([ ("file", Te.Str d.file); ("line", Int d.line); ("col", Int d.col); ("rule", Str d.rule);
+       ("message", Str d.message) ]
+    @ if d.chain = [] then [] else [ ("chain", Arr (List.map step d.chain)) ]);
+  Buffer.contents buf

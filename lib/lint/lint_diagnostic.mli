@@ -30,7 +30,3 @@ val to_string : t -> string
 
 (** One JSON object; strings escaped. *)
 val to_json : t -> string
-
-(**/**)
-
-val json_escape : string -> string

@@ -218,7 +218,7 @@ let to_json r =
   Buffer.add_string buf (Printf.sprintf "  \"rule_count\": %d,\n" (List.length r.rules));
   Buffer.add_string buf
     (Printf.sprintf "  \"rules\": [%s],\n"
-       (String.concat ", " (List.map (fun s -> "\"" ^ Lint_diagnostic.json_escape s ^ "\"") r.rules)));
+       (String.concat ", " (List.map Reflex_obs.Trace_event.quote r.rules)));
   Buffer.add_string buf (Printf.sprintf "  \"waivers_used\": %d,\n" r.waivers_used);
   (match r.gstats with
   | None -> ()

@@ -353,36 +353,22 @@ let budgets t =
 
 (* {1 Exports} *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* Alert timeline as Chrome-trace instant events, ready for
    Trace_export.to_chrome_json ~extra. *)
 let chrome_instants t =
+  let module Te = Reflex_obs.Trace_event in
   List.map
     (fun (e : Alerts.event) ->
-      let buf = Buffer.create 160 in
-      Buffer.add_string buf "{\"name\":";
-      add_json_string buf ("alert:" ^ e.e_rule);
-      Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"alert\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"g\",\"pid\":0,\"tid\":0,\"args\":{\"kind\":\"%s\",\"severity\":\"%s\",\"detail\":"
-           (Time.to_float_us e.e_time)
-           (Alerts.kind_label e.e_kind)
-           (Alerts.severity_label e.e_severity));
-      add_json_string buf e.e_detail;
-      Buffer.add_string buf "}}";
-      Buffer.contents buf)
+      Te.to_string (fun q ->
+          Te.event q ~name:("alert:" ^ e.e_rule) ~cat:"alert" ~ph:"i" ~s:"g" ~ts:e.e_time ~pid:0
+            ~tid:0
+            ~args:
+              [
+                ("kind", Te.Str (Alerts.kind_label e.e_kind));
+                ("severity", Te.Str (Alerts.severity_label e.e_severity));
+                ("detail", Te.Str e.e_detail);
+              ]
+            ()))
     (events t)
 
 let prometheus t =

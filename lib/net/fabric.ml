@@ -1,6 +1,7 @@
 open Reflex_engine
 
 type host = {
+  id : int; (* order of [add_host] on this fabric *)
   name : string;
   stack : Stack_model.t;
   tx_link : Resource.t;
@@ -30,6 +31,7 @@ type t = {
   mutable losses : int;
   mutable dups : int;
   mutable flap_stalls : int;
+  mutable n_hosts : int;
 }
 
 let create sim ?(bandwidth_gbps = 10.0) ?(switch_latency = Time.of_float_us 1.2)
@@ -49,12 +51,16 @@ let create sim ?(bandwidth_gbps = 10.0) ?(switch_latency = Time.of_float_us 1.2)
     losses = 0;
     dups = 0;
     flap_stalls = 0;
+    n_hosts = 0;
   }
 
 let sim t = t.sim
 
 let add_host t ~name ~stack =
+  let id = t.n_hosts in
+  t.n_hosts <- id + 1;
   {
+    id;
     name;
     stack;
     tx_link = Resource.create t.sim ~servers:1;
@@ -64,6 +70,7 @@ let add_host t ~name ~stack =
     rx_bytes = 0;
   }
 
+let host_id h = h.id
 let host_name h = h.name
 let host_stack h = h.stack
 

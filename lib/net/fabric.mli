@@ -23,6 +23,11 @@ val create :
 val sim : t -> Sim.t
 
 val add_host : t -> name:string -> stack:Stack_model.t -> host
+
+(** The host's index in [add_host] order on its fabric: the request-trace
+    lane of the server it runs (see [Reflex_obs.Stage]). *)
+val host_id : host -> int
+
 val host_name : host -> string
 val host_stack : host -> Stack_model.t
 

@@ -1,4 +1,5 @@
 open Reflex_engine
+open Trace_event
 
 (* Renderers for an alert-triggered flight dump.  Everything here is a pure
    function of the snapshot plus the trigger cross-references; timestamps
@@ -7,21 +8,6 @@ open Reflex_engine
 
 type trigger = string * Time.t * string
 type fault_window = string * Time.t * Time.t option
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
 
 let us t = Printf.sprintf "%.3f" (Time.to_float_us t)
 
@@ -58,63 +44,51 @@ let relevant_faults ?alert ~(snap : Flight.snapshot) faults =
 let debrief ?alert ?(faults = []) (snap : Flight.snapshot) =
   let buf = Buffer.create 4096 in
   let n = Flight.snap_length snap in
-  Buffer.add_string buf "{\"flight_dump\":{";
-  Buffer.add_string buf (Printf.sprintf "\"snapshot_at_us\":%s," (us snap.Flight.snap_now));
-  Buffer.add_string buf (Printf.sprintf "\"window_us\":%s," (us snap.Flight.snap_window));
-  Buffer.add_string buf (Printf.sprintf "\"records_in_window\":%d," n);
-  Buffer.add_string buf (Printf.sprintf "\"ring_total\":%d," snap.Flight.snap_total);
-  Buffer.add_string buf (Printf.sprintf "\"ring_dropped\":%d," snap.Flight.snap_dropped);
+  Printf.bprintf buf
+    "{\"flight_dump\":{\"snapshot_at_us\":%s,\"window_us\":%s,\"records_in_window\":%d,\"ring_total\":%d,\"ring_dropped\":%d,"
+    (us snap.Flight.snap_now) (us snap.Flight.snap_window) n snap.Flight.snap_total
+    snap.Flight.snap_dropped;
   (* Trigger cross-reference: which alert fired and what it said. *)
   Buffer.add_string buf "\"trigger\":";
-  (match alert with
-  | None -> Buffer.add_string buf "null"
-  | Some (rule, at, detail) ->
-      Buffer.add_string buf "{\"alert\":";
-      add_json_string buf rule;
-      Buffer.add_string buf (Printf.sprintf ",\"at_us\":%s,\"detail\":" (us at));
-      add_json_string buf detail;
-      Buffer.add_char buf '}');
+  add_value buf
+    (match alert with
+    | None -> Null
+    | Some (rule, at, detail) -> Obj [ ("alert", Str rule); ("at_us", Us at); ("detail", Str detail) ]);
   Buffer.add_string buf ",\n\"fault_windows\":[";
   List.iteri
     (fun i (label, t0, t1, active) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n {\"label\":";
-      add_json_string buf label;
-      Buffer.add_string buf (Printf.sprintf ",\"start_us\":%s,\"end_us\":" (us t0));
-      (match t1 with
-      | None -> Buffer.add_string buf "null"
-      | Some t1 -> Buffer.add_string buf (us t1));
-      Buffer.add_string buf (Printf.sprintf ",\"active_at_trigger\":%b}" active))
+      Buffer.add_string buf (if i > 0 then ",\n " else "\n ");
+      add_object buf
+        [
+          ("label", Str label);
+          ("start_us", Us t0);
+          ("end_us", match t1 with None -> Null | Some t1 -> Us t1);
+          ("active_at_trigger", Bool active);
+        ])
     (relevant_faults ?alert ~snap faults);
-  Buffer.add_string buf "],\n\"counts\":{";
+  Buffer.add_string buf "],\n\"counts\":";
   let counts = Array.make Flight.Kind.count 0 in
   Array.iter (fun k -> counts.(k) <- counts.(k) + 1) snap.Flight.s_kinds;
-  let first = ref true in
-  Array.iteri
-    (fun k c ->
-      if c > 0 then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        add_json_string buf (Flight.Kind.name (Flight.Kind.of_int k));
-        Buffer.add_string buf (Printf.sprintf ":%d" c)
-      end)
-    counts;
-  Buffer.add_string buf "},\n\"records\":[";
+  add_object buf
+    (List.filter_map
+       (fun k ->
+         if counts.(k) > 0 then Some (Flight.Kind.name (Flight.Kind.of_int k), Int counts.(k))
+         else None)
+       (List.init Flight.Kind.count Fun.id));
+  Buffer.add_string buf ",\n\"records\":[";
   for i = 0 to n - 1 do
-    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_string buf (if i > 0 then ",\n " else "\n ");
     let kind = Flight.Kind.of_int snap.Flight.s_kinds.(i) in
-    Buffer.add_string buf "\n {\"t_us\":";
-    Buffer.add_string buf (us snap.Flight.s_times.(i));
-    Buffer.add_string buf ",\"kind\":";
-    add_json_string buf (Flight.Kind.name kind);
-    Buffer.add_string buf
-      (Printf.sprintf ",\"a\":%d,\"b\":%d,\"v\":%g" snap.Flight.s_a.(i) snap.Flight.s_b.(i)
-         snap.Flight.s_v.(i));
-    if Flight.Kind.a_is_label kind then begin
-      Buffer.add_string buf ",\"label\":";
-      add_json_string buf (snap_label snap snap.Flight.s_a.(i))
-    end;
-    Buffer.add_char buf '}'
+    let a = snap.Flight.s_a.(i) in
+    add_object buf
+      ([
+         ("t_us", Us snap.Flight.s_times.(i));
+         ("kind", Str (Flight.Kind.name kind));
+         ("a", Int a);
+         ("b", Int snap.Flight.s_b.(i));
+         ("v", Num snap.Flight.s_v.(i));
+       ]
+      @ if Flight.Kind.a_is_label kind then [ ("label", Str (snap_label snap a)) ] else [])
   done;
   Buffer.add_string buf "]}}\n";
   Buffer.contents buf
@@ -129,86 +103,54 @@ let debrief ?alert ?(faults = []) (snap : Flight.snapshot) =
 let to_chrome_json ?alert ?(faults = []) (snap : Flight.snapshot) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  let sep = ref "" in
-  let emit s =
-    Buffer.add_string buf !sep;
-    sep := ",\n";
-    Buffer.add_string buf s
-  in
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"flight recorder\"}}";
+  let q = seq buf ~sep:",\n" in
+  event q ~name:"process_name" ~ph:"M" ~pid:0 ~args:[ ("name", Str "flight recorder") ] ();
   (* Fault windows as duration slices; still-open windows close at the
      snapshot instant. *)
   List.iter
     (fun (label, t0, t1, active) ->
       let t1 = match t1 with Some t -> t | None -> snap.Flight.snap_now in
-      let b = Buffer.create 128 in
-      Buffer.add_string b "{\"name\":";
-      add_json_string b label;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"cat\":\"fault\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":0,\"args\":{\"active_at_trigger\":%b}}"
-           (us t0)
-           (us (Time.diff t1 t0))
-           active);
-      emit (Buffer.contents b))
+      event q ~name:label ~cat:"fault" ~ph:"X" ~ts:t0 ~dur:(Time.diff t1 t0) ~pid:0 ~tid:0
+        ~args:[ ("active_at_trigger", Bool active) ]
+        ())
     (relevant_faults ?alert ~snap faults);
   (* The triggering alert edge as a global instant. *)
   (match alert with
   | None -> ()
   | Some (rule, at, detail) ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b "{\"name\":";
-      add_json_string b ("ALERT " ^ rule);
-      Buffer.add_string b
-        (Printf.sprintf ",\"cat\":\"alert\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%s,\"pid\":0,\"tid\":0,\"args\":{\"detail\":"
-           (us at));
-      add_json_string b detail;
-      Buffer.add_string b "}}";
-      emit (Buffer.contents b));
-  let n = Flight.snap_length snap in
-  for i = 0 to n - 1 do
+    event q ~name:("ALERT " ^ rule) ~cat:"alert" ~ph:"i" ~s:"g" ~ts:at ~pid:0 ~tid:0
+      ~args:[ ("detail", Str detail) ]
+      ());
+  for i = 0 to Flight.snap_length snap - 1 do
     let kind = Flight.Kind.of_int snap.Flight.s_kinds.(i) in
-    let t = us snap.Flight.s_times.(i) in
-    let a = snap.Flight.s_a.(i) and bb = snap.Flight.s_b.(i) and v = snap.Flight.s_v.(i) in
-    let b = Buffer.create 128 in
-    (match kind with
+    let ts = snap.Flight.s_times.(i) in
+    let a = snap.Flight.s_a.(i) and b = snap.Flight.s_b.(i) and v = snap.Flight.s_v.(i) in
+    match kind with
     | Flight.Kind.Queue_depth ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"rx_depth/thread%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"args\":{\"depth\":%g,\"outstanding\":%d}}"
-             a t v bb)
+      event q ~name:(Printf.sprintf "rx_depth/thread%d" a) ~ph:"C" ~ts ~pid:0
+        ~args:[ ("depth", Num v); ("outstanding", Int b) ]
+        ()
     | Flight.Kind.Grant ->
-        (* Token level after the grant as a per-tenant counter. *)
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"tokens/t%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"args\":{\"tokens\":%g}}" a
-             t v)
+      (* Token level after the grant as a per-tenant counter. *)
+      event q ~name:(Printf.sprintf "tokens/t%d" a) ~ph:"C" ~ts ~pid:0 ~args:[ ("tokens", Num v) ] ()
     | Flight.Kind.Refill ->
-        (* Per-round refill amount as a per-tenant counter track. *)
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"refill/t%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"args\":{\"grant\":%g}}" a
-             t v)
+      (* Per-round refill amount as a per-tenant counter track. *)
+      event q ~name:(Printf.sprintf "refill/t%d" a) ~ph:"C" ~ts ~pid:0 ~args:[ ("grant", Num v) ] ()
     | _ ->
-        let name =
-          if Flight.Kind.a_is_label kind then
-            Flight.Kind.name kind ^ " " ^ snap_label snap a
-          else Flight.Kind.name kind
-        in
-        Buffer.add_string b "{\"name\":";
-        add_json_string b name;
-        Buffer.add_string b
-          (Printf.sprintf
-             ",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d,\"v\":%g}}"
-             t
-             (match kind with
-             | Flight.Kind.Throttle | Flight.Kind.Deficit | Flight.Kind.Donate
-             | Flight.Kind.Bucket_take | Flight.Kind.Idle_drain | Flight.Kind.Bucket_reset ->
-                 bb
-             | _ -> 0)
-             a bb v));
-    emit (Buffer.contents b)
+      let name =
+        if Flight.Kind.a_is_label kind then Flight.Kind.name kind ^ " " ^ snap_label snap a
+        else Flight.Kind.name kind
+      in
+      let tid =
+        match kind with
+        | Flight.Kind.Throttle | Flight.Kind.Deficit | Flight.Kind.Donate | Flight.Kind.Bucket_take
+        | Flight.Kind.Idle_drain | Flight.Kind.Bucket_reset ->
+          b
+        | _ -> 0
+      in
+      event q ~name ~cat:"flight" ~ph:"i" ~s:"t" ~ts ~pid:0 ~tid
+        ~args:[ ("a", Int a); ("b", Int b); ("v", Num v) ]
+        ()
   done;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf

@@ -1,6 +1,8 @@
-(* Re-export umbrella for the observability forensics library. *)
+(* Re-export umbrella for the observability library. *)
 
+module Corr = Corr
 module Flight = Flight
 module Flight_dump = Flight_dump
-module Hopsink = Hopsink
 module Profiler = Profiler
+module Stage = Stage
+module Trace_event = Trace_event

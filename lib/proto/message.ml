@@ -8,8 +8,6 @@ let status_to_string = function
   | Out_of_range -> "out-of-range"
   | Timed_out -> "timed-out"
 
-let equal_status (a : status) b = a = b
-
 type slo = { latency_us : int; iops : int; read_pct : int; latency_critical : bool }
 
 let best_effort_slo = { latency_us = 0; iops = 0; read_pct = 100; latency_critical = false }

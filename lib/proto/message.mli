@@ -15,7 +15,6 @@ type status =
           is exhausted (never produced by the server) *)
 
 val status_to_string : status -> string
-val equal_status : status -> status -> bool
 
 (** Service-level objective carried in a register message. *)
 type slo = {

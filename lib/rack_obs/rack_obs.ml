@@ -3,43 +3,25 @@ module Rack = Reflex_rack.Rack
 module Policy = Reflex_rack.Policy
 module Server = Reflex_core.Server
 module Flight = Reflex_obs.Flight
-module Hopsink = Reflex_obs.Hopsink
+module Stage = Reflex_obs.Stage
+module Corr = Reflex_obs.Corr
 module Hdr = Reflex_stats.Hdr_histogram
 module Table = Reflex_stats.Table
 module Tsdb = Reflex_monitor.Tsdb
 module Alerts = Reflex_monitor.Alerts
 
-(* Rack-scale distributed tracing.
+(* Rack-scale distributed tracing (the stamp table and the tiling rule are
+   in rack_obs.mli).  The live context is a preallocated SoA slot table:
+   tr_dispatch pops a slot off a freelist and every later stamp indexes
+   arrays, so the armed hot path allocates nothing beyond the shared
+   correlation entry.  Pick is charged zero (the balancer is synchronous
+   today; the column exists so an async/centralized scheduler has
+   somewhere to put its decision latency). *)
 
-   A trace context is (rid, hop): [rid] is a rack-unique monotone request
-   id minted at the balancing instant, [hop] indexes the five stamp
-   points of a rack read —
-
-     0 pick     the balancing decision (Rack tr_dispatch)
-     1 issue    ingress-link charge elapsed, read leaves the client
-     2 submit   NVMe submission on the chosen server (Dataplane hop sink)
-     3 complete NVMe completion on the chosen server (Dataplane hop sink)
-     4 reply    the response reaches the rack completion path
-
-   The live context is a preallocated SoA slot table — tr_dispatch pops a
-   slot off a freelist and every later stamp indexes arrays, so the armed
-   hot path allocates nothing beyond the per-server correlation entry.
-   Each stamp also writes a [Flight.Kind.Hop] record into the chosen
-   server's flight ring (a=rid, b=(tenant lsl 3) lor hop, v=the hop's
-   delta in us), and every pick writes a [Balance] record into the rack
-   ring — the raw material for {!Rack_rollup}.
-
-   Hop deltas tile the end-to-end latency exactly (the PR 2 discipline):
-   pick = 0 by construction (the balancer is synchronous today; the
-   column exists so an async/centralized scheduler has somewhere to put
-   its decision latency), ingress = t1-t0, queue = t2-t1 (wire + rx +
-   scheduler queueing on the server), service = t3-t2 (flash), egress =
-   t4-t3 (tx + fabric return).  When the server-side stamps are missing
-   (error replies that never reached the NVMe path) the queue component
-   absorbs t4-t1 and service/egress are zero — the telescoping sum still
-   equals t4-t0, so the tiling invariant is universal. *)
-
-let n_components = 5
+let capacity = 4096
+let ring_capacity = 1 lsl 14
+let n_stamps = Array.length Stage.rack_path
+let n_components = n_stamps
 
 let component_name = function
   | 0 -> "pick"
@@ -57,6 +39,12 @@ let stamp_name = function
   | 4 -> "reply"
   | _ -> "?"
 
+(* Slot times are plain-int nanoseconds: stores stay unboxed and skip the
+   write barrier.  [missing] marks a stamp not seen yet. *)
+let missing = -1
+let ns time = Int64.to_int time
+let us_of_ns d = float_of_int d /. 1e3
+
 (* One of the K worst latency-critical requests, frozen at completion. *)
 type exemplar = {
   ex_rid : int;
@@ -65,11 +53,7 @@ type exemplar = {
   ex_t0 : Time.t;
   ex_sampled : int;
   ex_bound : Time.t;
-  ex_pick : Time.t;
-  ex_ingress : Time.t;
-  ex_queue : Time.t;
-  ex_service : Time.t;
-  ex_egress : Time.t;
+  ex_comps : Time.t array;
   ex_e2e : Time.t;
 }
 
@@ -82,95 +66,33 @@ type dump = {
   d_rack_snap : Flight.snapshot;
 }
 
-(* Flat open-addressing (tenant, req) -> slot correlation table: linear
-   probing with backward-shift deletion, no allocation on put/find/remove
-   (a Hashtbl here costs a bucket cons per insert and an option box per
-   lookup, five such ops per traced request).  Keys are non-negative;
-   [-1] marks an empty cell.  Sized at 2x the slot capacity so the load
-   factor stays below 1/2 even with every slot in flight on one server. *)
-type corr = { c_mask : int; c_keys : int array; c_slots : int array }
-
-let corr_hash key mask = (key * 0x9E37_79B1) lsr 8 land mask
-
-let corr_create cap =
-  let size = ref 16 in
-  while !size < 2 * cap do size := !size * 2 done;
-  { c_mask = !size - 1; c_keys = Array.make !size (-1); c_slots = Array.make !size 0 }
-
-(* The probe loops live at toplevel (parameters threaded explicitly, no
-   environment capture) so the per-request trace path allocates nothing:
-   a local [let rec] inside the function would build a closure on every
-   call. *)
-let rec corr_put_from keys slots mask key slot i =
-  let k = keys.(i) in
-  if k = -1 || k = key then begin
-    keys.(i) <- key;
-    slots.(i) <- slot
-  end
-  else corr_put_from keys slots mask key slot ((i + 1) land mask)
-
-let corr_put c key slot =
-  corr_put_from c.c_keys c.c_slots c.c_mask key slot (corr_hash key c.c_mask)
-
-let rec corr_find_from keys slots mask key i =
-  let k = keys.(i) in
-  if k = key then slots.(i) else if k = -1 then -1 else corr_find_from keys slots mask key ((i + 1) land mask)
-
-(* [-1] when absent. *)
-let corr_find c key = corr_find_from c.c_keys c.c_slots c.c_mask key (corr_hash key c.c_mask)
-
-let rec corr_index_of keys mask key i =
-  let k = keys.(i) in
-  if k = key then i else if k = -1 then -1 else corr_index_of keys mask key ((i + 1) land mask)
-
-(* Backward-shift deletion: pull every displaced successor over the hole
-   so probe chains never need tombstones. *)
-let rec corr_shift keys slots mask hole j =
-  let k = keys.(j) in
-  if k = -1 then keys.(hole) <- -1
-  else begin
-    let ideal = corr_hash k mask in
-    if (j - ideal) land mask >= (j - hole) land mask then begin
-      keys.(hole) <- k;
-      slots.(hole) <- slots.(j);
-      corr_shift keys slots mask j ((j + 1) land mask)
-    end
-    else corr_shift keys slots mask hole ((j + 1) land mask)
-  end
-
-let corr_remove c key =
-  let mask = c.c_mask in
-  let i = corr_index_of c.c_keys mask key (corr_hash key mask) in
-  if i >= 0 then corr_shift c.c_keys c.c_slots mask i ((i + 1) land mask)
-
 type t = {
   sim : Sim.t;
   rack : Rack.t;
   n_servers : int;
   policy_index : int;
   k_exemplars : int;
+  lanes : int array;  (* server index -> its stage-sink lane *)
   (* live trace contexts: SoA slot table + freelist *)
-  cap : int;
   sl_rid : int array;
   sl_tenant : int array;
   sl_server : int array;
-  sl_key : int array;
+  sl_req : int array;  (* the correlated request id; [missing] once retired *)
   sl_sampled : int array;
-  sl_bound : Time.t array;
-  sl_t0 : Time.t array;
-  sl_t1 : Time.t array;
-  sl_t2 : Time.t array;
-  sl_t3 : Time.t array;
-  sl_stamps : int array;  (* bitmask over stamp points 0..3 *)
+  sl_bound : int array;  (* SLO bound, ns; 0 for best-effort *)
+  sl_at : int array;  (* stamps 0..3 of slot i at [i * 4 + k], ns *)
   free : int array;
   mutable n_free : int;
   mutable next_rid : int;
-  (* per-server (tenant, req) -> slot correlation for the hop sink *)
-  pending : corr array;
+  (* (lane, tenant, req) -> slot for the server-side stamps *)
+  pending : Corr.t;
+  (* tiling scratch: one request's rack-path stamps and its components *)
+  stamps : int array;
+  comps : int array;
   (* flight rings: one per server lane plus the rack lane *)
   rings : Flight.t array;
   rack_ring : Flight.t;
-  (* per-hop attribution, latency-critical completions only *)
+  (* per-component attribution, latency-critical completions only *)
   h_comp : Hdr.t array;  (* indexed by component *)
   h_e2e : Hdr.t;
   viol : int array;  (* SLO violations whose dominant component is [i] *)
@@ -184,7 +106,7 @@ type t = {
   (* tail exemplars, sorted worst-first (desc e2e, asc rid on ties) *)
   mutable exemplars : exemplar list;
   mutable n_exemplars : int;
-  mutable ex_floor : Time.t;  (* e2e of the current K-th worst, once full *)
+  mutable ex_floor : int;  (* e2e (ns) of the current K-th worst, once full *)
   (* migration log (cold), newest first *)
   mutable migs : migration list;
   (* cumulative charged ingress-link busy time per server port, us *)
@@ -193,9 +115,11 @@ type t = {
   mutable dump : dump option;
 }
 
-let corr_key ~tenant ~req = (tenant * 0x1_000_000) + (Int64.to_int req land 0xFF_FFFF)
-
 (* ---------------- hot stamp points ---------------- *)
+
+let hop t ~server ~slot ~tenant ~k ~now v =
+  Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:t.sl_rid.(slot)
+    ~b:((tenant lsl 3) lor k) ~v
 
 let on_dispatch t ~tenant ~server ~sampled ~slo_bound ~now =
   if t.n_free = 0 then begin
@@ -210,77 +134,64 @@ let on_dispatch t ~tenant ~server ~sampled ~slo_bound ~now =
     t.sl_rid.(slot) <- rid;
     t.sl_tenant.(slot) <- tenant;
     t.sl_server.(slot) <- server;
-    t.sl_key.(slot) <- -1;
+    t.sl_req.(slot) <- missing;
     t.sl_sampled.(slot) <- sampled;
-    t.sl_bound.(slot) <- slo_bound;
-    t.sl_t0.(slot) <- now;
-    t.sl_stamps.(slot) <- 1;
-    Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:rid
-      ~b:((tenant lsl 3) lor 0)
-      ~v:(float_of_int sampled);
+    t.sl_bound.(slot) <- ns slo_bound;
+    let base = slot * 4 in
+    t.sl_at.(base) <- ns now;
+    t.sl_at.(base + 1) <- missing;
+    t.sl_at.(base + 2) <- missing;
+    t.sl_at.(base + 3) <- missing;
+    hop t ~server ~slot ~tenant ~k:0 ~now (float_of_int sampled);
     Flight.record t.rack_ring ~now ~kind:Flight.Kind.Balance ~a:server ~b:t.policy_index
       ~v:(float_of_int sampled);
     slot
   end
 
 let on_issue t ~slot ~server ~tenant ~req ~now =
-  let d = Time.diff now t.sl_t0.(slot) in
-  t.sl_t1.(slot) <- now;
-  t.sl_stamps.(slot) <- t.sl_stamps.(slot) lor 2;
-  let key = corr_key ~tenant ~req in
-  t.sl_key.(slot) <- key;
-  corr_put t.pending.(server) key slot;
-  t.link_busy_us.(server) <- t.link_busy_us.(server) +. Time.to_float_us d;
-  Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:t.sl_rid.(slot)
-    ~b:((tenant lsl 3) lor 1)
-    ~v:(Time.to_float_us d)
+  let d = ns now - t.sl_at.(slot * 4) in
+  t.sl_at.((slot * 4) + 1) <- ns now;
+  let req = Int64.to_int req in
+  t.sl_req.(slot) <- req;
+  Corr.put t.pending ~lane:t.lanes.(server) ~tenant ~req slot;
+  t.link_busy_us.(server) <- t.link_busy_us.(server) +. us_of_ns d;
+  hop t ~server ~slot ~tenant ~k:1 ~now (us_of_ns d)
 
-(* Server-side stamps arrive through the per-server [Hopsink]; lookups
+(* Server-side stamps arrive through each server's stage sink; lookups
    that miss are foreign traffic (requests the rack did not dispatch, or
    slots the table declined) and are ignored. *)
-let on_server_stamp t server ~tenant ~req ~hop ~now =
-  let key = corr_key ~tenant ~req in
-  let slot = corr_find t.pending.(server) key in
-  if slot >= 0 then begin
-    if hop = 2 then begin
-      let d = Time.diff now t.sl_t1.(slot) in
-      t.sl_t2.(slot) <- now;
-      t.sl_stamps.(slot) <- t.sl_stamps.(slot) lor 4;
-      Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:t.sl_rid.(slot)
-        ~b:((tenant lsl 3) lor 2)
-        ~v:(Time.to_float_us d)
-    end
-    else if hop = 3 then begin
-      let d = Time.diff now t.sl_t2.(slot) in
-      t.sl_t3.(slot) <- now;
-      t.sl_stamps.(slot) <- t.sl_stamps.(slot) lor 8;
-      (* The NVMe path is done with this request: retire the correlation
-         entry now so the table tracks only in-flight commands. *)
-      corr_remove t.pending.(server) key;
-      t.sl_key.(slot) <- -1;
-      Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:t.sl_rid.(slot)
-        ~b:((tenant lsl 3) lor 3)
-        ~v:(Time.to_float_us d)
+let on_stage t ~lane ~tenant ~req ~now stage =
+  let k = match stage with Stage.Nvme_submit -> 2 | Stage.Nvme_complete -> 3 | _ -> 0 in
+  if k > 0 then begin
+    let req = Int64.to_int req in
+    let slot = Corr.find t.pending ~lane ~tenant ~req in
+    if slot >= 0 then begin
+      let base = slot * 4 in
+      let d = ns now - t.sl_at.(base + k - 1) in
+      t.sl_at.(base + k) <- ns now;
+      if k = 3 then begin
+        (* The NVMe path is done with this request: retire the correlation
+           entry now so the table tracks only in-flight commands. *)
+        Corr.remove t.pending ~lane ~tenant ~req;
+        t.sl_req.(slot) <- missing
+      end;
+      hop t ~server:t.sl_server.(slot) ~slot ~tenant ~k ~now (us_of_ns d)
     end
   end
 
 (* Cold: admit a completed LC request into the worst-K exemplar set.
    Strictly-greater e2e replaces; on equal e2e the earlier rid stays. *)
-let consider_exemplar t ~slot ~pick ~ingress ~queue ~service ~egress ~e2e =
+let consider_exemplar t ~slot ~e2e =
   let ex =
     {
       ex_rid = t.sl_rid.(slot);
       ex_tenant = t.sl_tenant.(slot);
       ex_server = t.sl_server.(slot);
-      ex_t0 = t.sl_t0.(slot);
+      ex_t0 = Int64.of_int t.sl_at.(slot * 4);
       ex_sampled = t.sl_sampled.(slot);
-      ex_bound = t.sl_bound.(slot);
-      ex_pick = pick;
-      ex_ingress = ingress;
-      ex_queue = queue;
-      ex_service = service;
-      ex_egress = egress;
-      ex_e2e = e2e;
+      ex_bound = Int64.of_int t.sl_bound.(slot);
+      ex_comps = Array.map Int64.of_int t.comps;
+      ex_e2e = Int64.of_int e2e;
     }
   in
   let rec insert = function
@@ -296,54 +207,40 @@ let consider_exemplar t ~slot ~pick ~ingress ~queue ~service ~egress ~e2e =
   t.exemplars <- xs;
   t.n_exemplars <- List.length xs;
   (match List.rev xs with
-  | last :: _ when t.n_exemplars = t.k_exemplars -> t.ex_floor <- last.ex_e2e
+  | last :: _ when t.n_exemplars = t.k_exemplars -> t.ex_floor <- ns last.ex_e2e
   | _ -> ())
 
 let on_complete t ~slot ~ok ~now =
   ignore ok;
   let server = t.sl_server.(slot) in
   let tenant = t.sl_tenant.(slot) in
-  let stamps = t.sl_stamps.(slot) in
-  let t0 = t.sl_t0.(slot) in
-  let e2e = Time.diff now t0 in
-  Flight.record t.rings.(server) ~now ~kind:Flight.Kind.Hop ~a:t.sl_rid.(slot)
-    ~b:((tenant lsl 3) lor 4)
-    ~v:(Time.to_float_us e2e);
-  (* Error paths can complete without ever reaching the NVMe submit; the
-     correlation entry may still be live. *)
-  if t.sl_key.(slot) >= 0 then corr_remove t.pending.(server) t.sl_key.(slot);
-  let pick = Time.zero in
-  let ingress = if stamps land 2 <> 0 then Time.diff t.sl_t1.(slot) t0 else Time.zero in
-  let base = if stamps land 2 <> 0 then t.sl_t1.(slot) else t0 in
-  let full = stamps land 12 = 12 in
-  let queue = if full then Time.diff t.sl_t2.(slot) base else Time.diff now base in
-  let service = if full then Time.diff t.sl_t3.(slot) t.sl_t2.(slot) else Time.zero in
-  let egress = if full then Time.diff now t.sl_t3.(slot) else Time.zero in
-  if not full then t.fallbacks <- t.fallbacks + 1;
-  let sum = Time.add pick (Time.add ingress (Time.add queue (Time.add service egress))) in
-  if not (Time.equal sum e2e) then t.untiled <- t.untiled + 1;
+  let base = slot * 4 in
+  let e2e = ns now - t.sl_at.(base) in
+  hop t ~server ~slot ~tenant ~k:4 ~now (us_of_ns e2e);
+  (* Error paths can complete without ever reaching the NVMe complete;
+     the correlation entry may still be live. *)
+  let req = t.sl_req.(slot) in
+  if req >= 0 then Corr.remove t.pending ~lane:t.lanes.(server) ~tenant ~req;
+  let stamps = t.stamps and c = t.comps in
+  Array.blit t.sl_at base stamps 0 4;
+  stamps.(4) <- ns now;
+  if Stage.tile ~stamps ~comps:c ~off:1 > 0 then t.fallbacks <- t.fallbacks + 1;
+  if c.(0) + c.(1) + c.(2) + c.(3) + c.(4) <> e2e then t.untiled <- t.untiled + 1;
   t.traced <- t.traced + 1;
   let bound = t.sl_bound.(slot) in
-  if Time.(bound > Time.zero) then begin
+  if bound > 0 then begin
     t.lc_traced <- t.lc_traced + 1;
-    Hdr.record t.h_comp.(0) pick;
-    Hdr.record t.h_comp.(1) ingress;
-    Hdr.record t.h_comp.(2) queue;
-    Hdr.record t.h_comp.(3) service;
-    Hdr.record t.h_comp.(4) egress;
-    Hdr.record t.h_e2e e2e;
-    if Time.(e2e > bound) then begin
+    for i = 0 to Array.length c - 1 do
+      Hdr.record t.h_comp.(i) (Int64.of_int c.(i))
+    done;
+    Hdr.record t.h_e2e (Int64.of_int e2e);
+    if e2e > bound then begin
       t.viol_total <- t.viol_total + 1;
-      (* dominant component, ties toward the earlier hop *)
-      let dom = ref 0 and best = ref pick in
-      if Time.(ingress > !best) then begin dom := 1; best := ingress end;
-      if Time.(queue > !best) then begin dom := 2; best := queue end;
-      if Time.(service > !best) then begin dom := 3; best := service end;
-      if Time.(egress > !best) then begin dom := 4; best := egress end;
-      t.viol.(!dom) <- t.viol.(!dom) + 1
+      let dom = Stage.dominant c in
+      t.viol.(dom) <- t.viol.(dom) + 1
     end;
-    if t.n_exemplars < t.k_exemplars || Time.(e2e > t.ex_floor) then
-      consider_exemplar t ~slot ~pick ~ingress ~queue ~service ~egress ~e2e
+    if t.n_exemplars < t.k_exemplars || e2e > t.ex_floor then
+      consider_exemplar t ~slot ~e2e
   end;
   t.free.(t.n_free) <- slot;
   t.n_free <- t.n_free + 1
@@ -355,8 +252,7 @@ let on_migrate t ~tenant ~src ~dst ~now =
 
 (* ---------------- creation / arming ---------------- *)
 
-let create ?(capacity = 4096) ?(ring_capacity = 1 lsl 14) ?(exemplars = 4) rack =
-  if capacity < 1 then invalid_arg "Rack_obs.create: capacity < 1";
+let create ?(exemplars = 4) rack =
   if exemplars < 1 then invalid_arg "Rack_obs.create: exemplars < 1";
   let n = Rack.n_servers rack in
   let t =
@@ -366,22 +262,20 @@ let create ?(capacity = 4096) ?(ring_capacity = 1 lsl 14) ?(exemplars = 4) rack 
       n_servers = n;
       policy_index = Policy.kind_index (Rack.policy_kind rack);
       k_exemplars = exemplars;
-      cap = capacity;
+      lanes = Array.init n (fun i -> Stage.lane (Server.stages (Rack.server rack i)));
       sl_rid = Array.make capacity 0;
       sl_tenant = Array.make capacity 0;
       sl_server = Array.make capacity 0;
-      sl_key = Array.make capacity (-1);
+      sl_req = Array.make capacity missing;
       sl_sampled = Array.make capacity 0;
-      sl_bound = Array.make capacity Time.zero;
-      sl_t0 = Array.make capacity Time.zero;
-      sl_t1 = Array.make capacity Time.zero;
-      sl_t2 = Array.make capacity Time.zero;
-      sl_t3 = Array.make capacity Time.zero;
-      sl_stamps = Array.make capacity 0;
+      sl_bound = Array.make capacity 0;
+      sl_at = Array.make (capacity * 4) missing;
       free = Array.init capacity (fun i -> i);
       n_free = capacity;
       next_rid = 0;
-      pending = Array.init n (fun _ -> corr_create capacity);
+      pending = Corr.create capacity;
+      stamps = Array.make n_stamps missing;
+      comps = Array.make n_components 0;
       rings = Array.init n (fun _ -> Flight.create ~capacity:ring_capacity ());
       rack_ring = Flight.create ~capacity:ring_capacity ();
       h_comp = Array.init n_components (fun _ -> Hdr.create ());
@@ -395,15 +289,16 @@ let create ?(capacity = 4096) ?(ring_capacity = 1 lsl 14) ?(exemplars = 4) rack 
       lc_traced = 0;
       exemplars = [];
       n_exemplars = 0;
-      ex_floor = Time.zero;
+      ex_floor = 0;
       migs = [];
       link_busy_us = Array.make n 0.0;
       dump = None;
     }
   in
   for i = 0 to n - 1 do
-    Server.set_hopsink (Rack.server rack i)
-      (Hopsink.make (fun ~tenant ~req ~hop ~now -> on_server_stamp t i ~tenant ~req ~hop ~now))
+    Stage.attach (Server.stages (Rack.server rack i))
+      ~stages:[ Stage.Nvme_submit; Stage.Nvme_complete ]
+      (on_stage t)
   done;
   Rack.set_tracer rack
     {
@@ -426,13 +321,10 @@ let slot_overflow t = t.slot_overflow
 let lc_traced t = t.lc_traced
 let violations t = Array.copy t.viol
 let violation_total t = t.viol_total
-let component_hist t i = t.h_comp.(i)
-let e2e_hist t = t.h_e2e
 let exemplars t = t.exemplars
 let migrations t = List.rev t.migs
 let server_ring t i = t.rings.(i)
 let rack_ring t = t.rack_ring
-let link_busy_us t = Array.copy t.link_busy_us
 
 let tiling_ok t = t.traced > 0 && t.untiled = 0
 
@@ -487,19 +379,17 @@ let start_monitor t ~tsdb ~alerts ?(every = Time.ms 1) ?(dump_window = Time.ms 4
       let now = Sim.now t.sim in
       Tsdb.tick tsdb ~now;
       let events = Alerts.step alerts tsdb ~now in
-      if t.dump = None then
-        List.iter
-          (fun (e : Alerts.event) ->
-            if e.Alerts.e_kind = Alerts.Fired && t.dump = None then
-              t.dump <-
-                Some
-                  {
-                    d_time = now;
-                    d_rule = e.Alerts.e_rule;
-                    d_server_snaps = snapshot_servers t ~now ~window:dump_window;
-                    d_rack_snap = snapshot_rack t ~now ~window:dump_window;
-                  })
-          events)
+      match List.find_opt (fun (e : Alerts.event) -> e.e_kind = Alerts.Fired) events with
+      | Some e when t.dump = None ->
+        t.dump <-
+          Some
+            {
+              d_time = now;
+              d_rule = e.e_rule;
+              d_server_snaps = snapshot_servers t ~now ~window:dump_window;
+              d_rack_snap = snapshot_rack t ~now ~window:dump_window;
+            }
+      | _ -> ())
 
 let dump t = t.dump
 
@@ -571,10 +461,10 @@ let render_exemplars t =
           Printf.bprintf buf "       follows_from migrate %s -> %s @ %.1f us\n"
             (Rack.server_name m.mg_src) (Rack.server_name m.mg_dst) (us m.mg_time)
         | None -> ());
-        Printf.bprintf buf
-          "       pick +%.1f | ingress +%.1f | queue +%.1f | service +%.1f | egress +%.1f us\n"
-          (us ex.ex_pick) (us ex.ex_ingress) (us ex.ex_queue) (us ex.ex_service)
-          (us ex.ex_egress))
+        Printf.bprintf buf "       %s us\n"
+          (String.concat " | "
+             (List.init n_components (fun i ->
+                  Printf.sprintf "%s +%.1f" (component_name i) (us ex.ex_comps.(i))))))
       t.exemplars
   end;
   Buffer.contents buf

@@ -2,34 +2,36 @@
     latency attribution, and tail exemplars.
 
     {!create} arms a {!Reflex_rack.Rack} world: it installs the rack
-    {!Reflex_rack.Rack.tracer} hooks and a per-server
-    {!Reflex_obs.Hopsink} on every server's dataplane threads.  From
-    then on every dispatched read carries a trace context — a
-    rack-unique request id ([rid]) minted at the balancing instant plus
-    a hop sequence — recorded allocation-free into per-server flight
-    rings:
+    {!Reflex_rack.Rack.tracer} hooks and attaches to every server's
+    {!Reflex_obs.Stage} sink.  From then on every dispatched read
+    carries a trace context — a rack-unique request id ([rid]) minted at
+    the balancing instant plus its position on
+    {!Reflex_obs.Stage.rack_path} — recorded allocation-free into
+    per-server flight rings:
 
     {v
-      hop 0  pick      balancing decision      (rack, tr_dispatch)
-      hop 1  issue     ingress charge elapsed  (rack, tr_issue)
-      hop 2  submit    NVMe submission         (server, hop sink)
-      hop 3  complete  NVMe completion         (server, hop sink)
-      hop 4  reply     response delivered      (rack, tr_complete)
+      stamp 0  pick      Pick             balancing decision      (rack, tr_dispatch)
+      stamp 1  issue     Client_submit    ingress charge elapsed  (rack, tr_issue)
+      stamp 2  submit    Nvme_submit      NVMe submission         (server, stage sink)
+      stamp 3  complete  Nvme_complete    NVMe completion         (server, stage sink)
+      stamp 4  reply     Client_complete  response delivered      (rack, tr_complete)
     v}
 
-    Each stamp is a [Flight.Kind.Hop] record with [a = rid],
-    [b = (tenant lsl 3) lor hop] and [v] the hop's delta in us; picks
-    additionally write a [Balance] record and migrations a [Migrate]
-    record into a rack-lane ring.  {!Rack_rollup} merges those rings
-    into one timeline.
+    Server stamps correlate back to their slot through one
+    {!Reflex_obs.Corr} table keyed [(lane, tenant, req)].  Each stamp is
+    a [Flight.Kind.Hop] record with [a = rid],
+    [b = (tenant lsl 3) lor stamp] and [v] the stamp's delta in us;
+    picks additionally write a [Balance] record and migrations a
+    [Migrate] record into a rack-lane ring.  {!Rack_rollup} merges those
+    rings into one timeline.
 
-    Per-hop deltas {e tile} the end-to-end latency exactly: with stamp
-    times [t0..t4],
+    The components {e tile} the end-to-end latency exactly
+    ({!Reflex_obs.Stage.tile}): with stamp times [t0..t4],
     [pick (0) + ingress (t1-t0) + queue (t2-t1) + service (t3-t2) +
-    egress (t4-t3) = t4-t0].  Requests that complete without reaching
-    the NVMe path (error replies) fall back to charging the remainder to
-    [queue], so the telescoping identity is universal — {!untiled} stays
-    0 by construction and the qcheck suite proves it.
+    egress (t4-t3) = t4-t0].  A missing server stamp (an error reply
+    that never reached the NVMe path) takes the reply's time, charging
+    the gap to [queue], so the telescoping identity is universal —
+    {!untiled} stays 0 by construction and the qcheck suite proves it.
 
     Everything here is driven by the deterministic simulation clock:
     attribution tables, exemplars, rollups and forensic dumps are
@@ -38,15 +40,9 @@
 
 open Reflex_engine
 module Flight = Reflex_obs.Flight
-module Hdr = Reflex_stats.Hdr_histogram
 
-(** Number of latency components (pick/ingress/queue/service/egress). *)
-val n_components : int
-
-(** Component index -> name ([0..4] = pick/ingress/queue/service/egress). *)
-val component_name : int -> string
-
-(** Stamp-point index -> name ([0..4] = pick/issue/submit/complete/reply). *)
+(** Stamp index on {!Reflex_obs.Stage.rack_path} -> name
+    ([0..4] = pick/issue/submit/complete/reply). *)
 val stamp_name : int -> string
 
 (** One of the K worst latency-critical requests, frozen at reply time
@@ -58,11 +54,7 @@ type exemplar = {
   ex_t0 : Time.t;  (** pick instant *)
   ex_sampled : int;  (** probe-aged depth the policy saw for the pick *)
   ex_bound : Time.t;  (** the tenant's SLO latency bound *)
-  ex_pick : Time.t;
-  ex_ingress : Time.t;
-  ex_queue : Time.t;
-  ex_service : Time.t;
-  ex_egress : Time.t;
+  ex_comps : Time.t array;  (** pick, ingress, queue, service, egress *)
   ex_e2e : Time.t;
 }
 
@@ -79,13 +71,12 @@ type dump = {
 type t
 
 (** [create rack] builds the recorder and arms the rack + every server.
-    [capacity] bounds concurrently traced requests (default 4096;
-    overflow declines cleanly, counted in {!slot_overflow}).
-    [ring_capacity] sizes each per-server/rack flight ring (default
-    [1 lsl 14] records).  [exemplars] is K, the worst-request set size
-    (default 4).
-    @raise Invalid_argument when [capacity < 1] or [exemplars < 1]. *)
-val create : ?capacity:int -> ?ring_capacity:int -> ?exemplars:int -> Reflex_rack.Rack.t -> t
+    At most 4096 requests are traced concurrently (overflow declines
+    cleanly, counted in {!slot_overflow}); each per-server/rack flight
+    ring holds [1 lsl 14] records.  [exemplars] is K, the worst-request
+    set size (default 4).
+    @raise Invalid_argument when [exemplars < 1]. *)
+val create : ?exemplars:int -> Reflex_rack.Rack.t -> t
 
 (** {1 Counters} *)
 
@@ -111,31 +102,17 @@ val tiling_ok : t -> bool
 
 (** {1 Attribution} *)
 
-(** Per-component SLO-violation counts (dominant component per
-    violation, ties toward the earlier hop); a copy. *)
+(** Per-component SLO-violation counts ({!Reflex_obs.Stage.dominant}
+    per violation, ties toward the earlier component); a copy. *)
 val violations : t -> int array
 
 val violation_total : t -> int
-
-(** Per-component latency histogram over LC completions (live). *)
-val component_hist : t -> int -> Hdr.t
-
-(** End-to-end histogram over LC completions (live). *)
-val e2e_hist : t -> Hdr.t
 
 (** Worst-K exemplars, worst first. *)
 val exemplars : t -> exemplar list
 
 (** Completed migration log, oldest first. *)
 val migrations : t -> migration list
-
-(** The latest migration of [tenant] at or before [time] — the
-    [Follows_from] causal parent of a dispatch picked at [time]. *)
-val follows_from : t -> tenant:int -> time:Time.t -> migration option
-
-(** Cumulative charged ingress-link busy time per server port (us); a
-    copy. *)
-val link_busy_us : t -> float array
 
 (** {1 Rings and snapshots} *)
 
@@ -146,15 +123,11 @@ val snapshot_rack : t -> now:Time.t -> window:Time.t -> Flight.snapshot
 
 (** {1 Monitor wiring} *)
 
-(** Name of the rack-level burn-rate alert rule registered by
-    {!wire_monitor}. *)
-val burn_rule_name : string
-
 (** [wire_monitor t ~tsdb ~alerts ()] registers the rack series —
     [rack/slo_good]/[rack/slo_bad] cumulatives, the [rack/e2e] delta
     histogram, the [rack/imbalance] gauge (max-over-mean in-flight) and
     per-server [rack/link/s%02d/busy_us] cumulatives — and adds the
-    {!burn_rule_name} multi-window burn-rate rule (availability [target],
+    [rack/slo_burn] multi-window burn-rate rule (availability [target],
     default 0.95; 1 window at 8x AND 3 windows at 4x). *)
 val wire_monitor : t -> tsdb:Reflex_monitor.Tsdb.t -> alerts:Reflex_monitor.Alerts.t -> ?target:float -> unit -> unit
 

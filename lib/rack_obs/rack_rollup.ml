@@ -1,5 +1,7 @@
 open Reflex_engine
 module Flight = Reflex_obs.Flight
+module Te = Reflex_obs.Trace_event
+open Te
 
 (* Rack timeline rollup: merge N per-server flight-ring snapshots plus
    the rack ring (Balance/Migrate records) into one time-ordered view.
@@ -53,26 +55,20 @@ let collect ~server_snaps ~rack_snap =
 (* Chrome trace event for one record.  Hop records become instants in
    their server lane (tid = stamp index, so the five stamp points of a
    request stack as five tracks); Balance/Migrate live in the rack lane. *)
-let render_ev buf e =
-  let kind = Flight.Kind.of_int e.e_kind in
-  match kind with
+let render_ev q e =
+  let instant ~name ?(s = "t") ?(tid = 0) args =
+    Te.event q ~name ~cat:"rack" ~ph:"i" ~s ~ts:e.e_time ~pid:e.e_lane ~tid ~args ()
+  in
+  match Flight.Kind.of_int e.e_kind with
   | Flight.Kind.Hop ->
-    Printf.bprintf buf
-      "{\"name\":\"hop/%s\",\"cat\":\"rack\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"args\":{\"rid\":%d,\"tenant\":%d,\"v_us\":%g}}"
-      (Rack_obs.stamp_name (hop_of_b e.e_b))
-      (ts e.e_time) e.e_lane (hop_of_b e.e_b) e.e_a (tenant_of_b e.e_b) e.e_v
+    let k = hop_of_b e.e_b in
+    instant ~name:("hop/" ^ Rack_obs.stamp_name k) ~tid:k
+      [ ("rid", Int e.e_a); ("tenant", Int (tenant_of_b e.e_b)); ("v_us", Num e.e_v) ]
   | Flight.Kind.Balance ->
-    Printf.bprintf buf
-      "{\"name\":\"balance\",\"cat\":\"rack\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"args\":{\"server\":%d,\"policy\":%d,\"depth\":%g}}"
-      (ts e.e_time) e.e_lane e.e_a e.e_b e.e_v
+    instant ~name:"balance" [ ("server", Int e.e_a); ("policy", Int e.e_b); ("depth", Num e.e_v) ]
   | Flight.Kind.Migrate ->
-    Printf.bprintf buf
-      "{\"name\":\"migrate\",\"cat\":\"rack\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"args\":{\"tenant\":%d,\"dst\":%d,\"src\":%g}}"
-      (ts e.e_time) e.e_lane e.e_a e.e_b e.e_v
-  | _ ->
-    Printf.bprintf buf
-      "{\"name\":\"%s\",\"cat\":\"rack\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"args\":{\"a\":%d,\"b\":%d,\"v\":%g}}"
-      (Flight.Kind.name kind) (ts e.e_time) e.e_lane e.e_a e.e_b e.e_v
+    instant ~name:"migrate" ~s:"g" [ ("tenant", Int e.e_a); ("dst", Int e.e_b); ("src", Num e.e_v) ]
+  | kind -> instant ~name:(Flight.Kind.name kind) [ ("a", Int e.e_a); ("b", Int e.e_b); ("v", Num e.e_v) ]
 
 (* Follows_from flow arrows: every Migrate record in the rack lane links
    to the first post-migration pick (hop 0) of that tenant in the
@@ -89,19 +85,18 @@ let flows ~server_snaps ~rack_snap =
       let dst = rack_snap.Flight.s_b.(i) in
       if dst >= 0 && dst < Array.length server_snaps then begin
         let snap = server_snaps.(dst) in
-        let m = Flight.snap_length snap in
-        let target = ref None in
-        (let j = ref 0 in
-         while !target = None && !j < m do
-           let b = snap.Flight.s_b.(!j) in
-           if
-             Flight.Kind.of_int snap.Flight.s_kinds.(!j) = Flight.Kind.Hop
-             && hop_of_b b = 0 && tenant_of_b b = tenant
-             && Time.(snap.Flight.s_times.(!j) >= mt)
-           then target := Some !j;
-           incr j
-         done);
-        match !target with
+        let rec first j =
+          if j >= Flight.snap_length snap then None
+          else
+            let b = snap.Flight.s_b.(j) in
+            if
+              Flight.Kind.of_int snap.Flight.s_kinds.(j) = Flight.Kind.Hop
+              && hop_of_b b = 0 && tenant_of_b b = tenant
+              && Time.(snap.Flight.s_times.(j) >= mt)
+            then Some j
+            else first (j + 1)
+        in
+        match first 0 with
         | Some j ->
           incr flow_id;
           out :=
@@ -116,50 +111,38 @@ let flows ~server_snaps ~rack_snap =
 let chrome_trace ~server_snaps ~rack_snap =
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  let emit render =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    render buf
-  in
+  let q = Te.seq buf ~sep:",\n" in
   (* lane naming metadata *)
   for lane = 0 to Array.length server_snaps do
-    emit (fun buf ->
-        Printf.bprintf buf
-          "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}" lane
-          (lane_name lane))
+    Te.event q ~name:"process_name" ~ph:"M" ~pid:lane ~args:[ ("name", Str (lane_name lane)) ] ()
   done;
-  List.iter (fun e -> emit (fun buf -> render_ev buf e)) (collect ~server_snaps ~rack_snap);
+  List.iter (render_ev q) (collect ~server_snaps ~rack_snap);
   List.iter
     (fun (id, mt, dst_lane, pt, rid, tenant) ->
-      emit (fun buf ->
-          Printf.bprintf buf
-            "{\"name\":\"follows_from\",\"cat\":\"rack\",\"ph\":\"s\",\"id\":%d,\"ts\":%s,\"pid\":0,\"tid\":0,\"args\":{\"tenant\":%d}}"
-            id (ts mt) tenant);
-      emit (fun buf ->
-          Printf.bprintf buf
-            "{\"name\":\"follows_from\",\"cat\":\"rack\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":0,\"args\":{\"rid\":%d}}"
-            id (ts pt) dst_lane rid))
+      Te.event q ~name:"follows_from" ~cat:"rack" ~ph:"s" ~id ~ts:mt ~pid:0 ~tid:0
+        ~args:[ ("tenant", Int tenant) ] ();
+      Te.event q ~name:"follows_from" ~cat:"rack" ~ph:"f" ~bp:"e" ~id ~ts:pt ~pid:dst_lane ~tid:0
+        ~args:[ ("rid", Int rid) ] ())
     (flows ~server_snaps ~rack_snap);
   Buffer.add_string buf "\n],\n\"lanes\":[\n";
   (* Per-lane loss accounting off the per-kind snapshot counters
      (wraparound names exactly what each lane lost). *)
-  let lane_entry buf lane (snap : Flight.snapshot) =
-    Printf.bprintf buf
-      "{\"lane\":\"%s\",\"events\":%d,\"total\":%d,\"dropped\":%d,\"hop_written\":%d,\"hop_dropped\":%d,\"balance_written\":%d,\"migrate_written\":%d}"
-      (lane_name lane) (Flight.snap_length snap) snap.Flight.snap_total
-      snap.Flight.snap_dropped
-      (Flight.snap_kind_written snap Flight.Kind.Hop)
-      (Flight.snap_kind_dropped snap Flight.Kind.Hop)
-      (Flight.snap_kind_written snap Flight.Kind.Balance)
-      (Flight.snap_kind_written snap Flight.Kind.Migrate)
+  let lanes = Te.seq buf ~sep:",\n" in
+  let lane_entry lane (snap : Flight.snapshot) =
+    Te.obj lanes
+      [
+        ("lane", Str (lane_name lane));
+        ("events", Int (Flight.snap_length snap));
+        ("total", Int snap.Flight.snap_total);
+        ("dropped", Int snap.Flight.snap_dropped);
+        ("hop_written", Int (Flight.snap_kind_written snap Flight.Kind.Hop));
+        ("hop_dropped", Int (Flight.snap_kind_dropped snap Flight.Kind.Hop));
+        ("balance_written", Int (Flight.snap_kind_written snap Flight.Kind.Balance));
+        ("migrate_written", Int (Flight.snap_kind_written snap Flight.Kind.Migrate));
+      ]
   in
-  lane_entry buf 0 rack_snap;
-  Array.iteri
-    (fun i snap ->
-      Buffer.add_string buf ",\n";
-      lane_entry buf (i + 1) snap)
-    server_snaps;
+  lane_entry 0 rack_snap;
+  Array.iteri (fun i snap -> lane_entry (i + 1) snap) server_snaps;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 

@@ -9,9 +9,6 @@
 
 module Flight = Reflex_obs.Flight
 
-(** Lane index -> display name ([0] = ["rack"], [i+1] = ["rack-%02d"]). *)
-val lane_name : int -> string
-
 (** [chrome_trace ~server_snaps ~rack_snap] renders a Chrome
     [chrome://tracing] / Perfetto JSON document: one process lane per
     server plus the rack lane, hop stamps as instant events (tid = stamp

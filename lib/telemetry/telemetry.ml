@@ -9,111 +9,73 @@ module Profiler = Reflex_obs.Profiler
    every hot-path hook in the dataplane is guarded by a read of the
    immutable [enabled] bit.  The enabled path may allocate freely. *)
 
-module Stage = struct
-  type t =
-    | Client_submit
-    | Server_rx
-    | Sched_enqueue
-    | Granted
-    | Nvme_submit
-    | Nvme_complete
-    | Tx_resp
-    | Client_complete
+module Stage = Reflex_obs.Stage
 
-  let count = 8
+(* ------------------------------------------------------------------ *)
+(* Fixed-capacity rings                                               *)
+(* ------------------------------------------------------------------ *)
 
-  let to_int = function
-    | Client_submit -> 0
-    | Server_rx -> 1
-    | Sched_enqueue -> 2
-    | Granted -> 3
-    | Nvme_submit -> 4
-    | Nvme_complete -> 5
-    | Tx_resp -> 6
-    | Client_complete -> 7
+(* The bookkeeping both rings share.  Records live in parallel arrays
+   (no per-record boxing); wraparound overwrites the oldest, keeping the
+   newest [capacity]. *)
+module Cursor = struct
+  type t = { capacity : int; mutable next : int; mutable total : int }
 
-  let of_int = function
-    | 0 -> Client_submit
-    | 1 -> Server_rx
-    | 2 -> Sched_enqueue
-    | 3 -> Granted
-    | 4 -> Nvme_submit
-    | 5 -> Nvme_complete
-    | 6 -> Tx_resp
-    | 7 -> Client_complete
-    | n -> invalid_arg (Printf.sprintf "Stage.of_int: %d" n)
+  let create name capacity =
+    if capacity < 1 then invalid_arg (name ^ ".create: capacity < 1");
+    { capacity; next = 0; total = 0 }
 
-  let name = function
-    | Client_submit -> "client_submit"
-    | Server_rx -> "server_rx"
-    | Sched_enqueue -> "sched_enqueue"
-    | Granted -> "token_grant"
-    | Nvme_submit -> "nvme_submit"
-    | Nvme_complete -> "nvme_complete"
-    | Tx_resp -> "tx_resp"
-    | Client_complete -> "client_complete"
+  (* The slot to write next; advances the cursor. *)
+  let advance c =
+    let i = c.next in
+    let j = i + 1 in
+    c.next <- (if j = c.capacity then 0 else j);
+    c.total <- c.total + 1;
+    i
 
-  (* Name of the latency component that ends at stage [i+1]; the seven
-     components tile [client_submit, client_complete] exactly, so their
-     sum telescopes to the end-to-end latency. *)
-  let component_names =
-    [| "net_in"; "parse_enqueue"; "sched_wait"; "sq_submit"; "nvme"; "cq_tx"; "net_out" |]
+  let length c = if c.total < c.capacity then c.total else c.capacity
+  let dropped c = if c.total > c.capacity then c.total - c.capacity else 0
 
-  let component_count = Array.length component_names
+  (* Oldest-first over the retained slots. *)
+  let iter c f =
+    let start = if c.total <= c.capacity then 0 else c.next in
+    for k = 0 to length c - 1 do
+      let i = start + k in
+      f (if i >= c.capacity then i - c.capacity else i)
+    done
 end
 
-(* ------------------------------------------------------------------ *)
-(* Fixed-capacity span ring                                           *)
-(* ------------------------------------------------------------------ *)
-
 module Span_ring = struct
-  (* Parallel arrays (no per-record boxing); wraparound overwrites the
-     oldest events, keeping the newest [capacity] spans. *)
+  (* [stages] packs the lane above the 4-bit stage code. *)
   type t = {
-    capacity : int;
+    cur : Cursor.t;
     times : int64 array;
     tenants : int array;
     req_ids : int64 array;
     stages : int array;
-    mutable next : int;
-    mutable total : int;
   }
 
   let create capacity =
-    if capacity < 1 then invalid_arg "Span_ring.create: capacity < 1";
     {
-      capacity;
+      cur = Cursor.create "Span_ring" capacity;
       times = Array.make capacity 0L;
       tenants = Array.make capacity 0;
       req_ids = Array.make capacity 0L;
       stages = Array.make capacity 0;
-      next = 0;
-      total = 0;
     }
 
   let record t ~time ~tenant ~req_id ~stage =
-    let i = t.next in
+    let i = Cursor.advance t.cur in
     t.times.(i) <- time;
     t.tenants.(i) <- tenant;
     t.req_ids.(i) <- req_id;
-    t.stages.(i) <- stage;
-    let j = i + 1 in
-    t.next <- (if j = t.capacity then 0 else j);
-    t.total <- t.total + 1
+    t.stages.(i) <- stage
 
-  let length t = if t.total < t.capacity then t.total else t.capacity
-  let total t = t.total
-  let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
-
-  (* Oldest-first iteration over the retained window. *)
   let iter t f =
-    let n = length t in
-    let start = if t.total <= t.capacity then 0 else t.next in
-    for k = 0 to n - 1 do
-      let i = start + k in
-      let i = if i >= t.capacity then i - t.capacity else i in
-      f ~time:t.times.(i) ~tenant:t.tenants.(i) ~req_id:t.req_ids.(i) ~stage:t.stages.(i)
-    done
+    Cursor.iter t.cur (fun i ->
+        let code = t.stages.(i) in
+        f ~time:t.times.(i) ~lane:(code lsr 4) ~tenant:t.tenants.(i) ~req_id:t.req_ids.(i)
+          ~stage:(code land 15))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -161,55 +123,39 @@ end
 
 module Decision_ring = struct
   type t = {
-    capacity : int;
+    cur : Cursor.t;
     times : int64 array;
     threads : int array;
     tenants : int array;
     kinds : int array;
     amounts : float array;
     tokens_after : float array;
-    mutable next : int;
-    mutable total : int;
   }
 
   let create capacity =
-    if capacity < 1 then invalid_arg "Decision_ring.create: capacity < 1";
     {
-      capacity;
+      cur = Cursor.create "Decision_ring" capacity;
       times = Array.make capacity 0L;
       threads = Array.make capacity 0;
       tenants = Array.make capacity 0;
       kinds = Array.make capacity 0;
       amounts = Array.make capacity 0.0;
       tokens_after = Array.make capacity 0.0;
-      next = 0;
-      total = 0;
     }
 
   let record t ~time ~thread ~tenant ~kind ~amount ~tokens_after =
-    let i = t.next in
+    let i = Cursor.advance t.cur in
     t.times.(i) <- time;
     t.threads.(i) <- thread;
     t.tenants.(i) <- tenant;
     t.kinds.(i) <- kind;
     t.amounts.(i) <- amount;
-    t.tokens_after.(i) <- tokens_after;
-    let j = i + 1 in
-    t.next <- (if j = t.capacity then 0 else j);
-    t.total <- t.total + 1
-
-  let length t = if t.total < t.capacity then t.total else t.capacity
-  let total t = t.total
+    t.tokens_after.(i) <- tokens_after
 
   let iter t f =
-    let n = length t in
-    let start = if t.total <= t.capacity then 0 else t.next in
-    for k = 0 to n - 1 do
-      let i = start + k in
-      let i = if i >= t.capacity then i - t.capacity else i in
-      f ~time:t.times.(i) ~thread:t.threads.(i) ~tenant:t.tenants.(i) ~kind:t.kinds.(i)
-        ~amount:t.amounts.(i) ~tokens_after:t.tokens_after.(i)
-    done
+    Cursor.iter t.cur (fun i ->
+        f ~time:t.times.(i) ~thread:t.threads.(i) ~tenant:t.tenants.(i) ~kind:t.kinds.(i)
+          ~amount:t.amounts.(i) ~tokens_after:t.tokens_after.(i))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -225,22 +171,11 @@ type metric =
 
 type sample = { s_time : Time.t; s_values : (string * float) array }
 
-type slo_target = { st_latency_critical : bool; st_latency_us : int }
-
-type fault_event = { f_time : Time.t; f_label : string; f_active : bool }
-
 (* Causal edges between spans: [Follows_from] chains retry attempts of one
    logical operation (distinct req_ids), [Child_of] hangs a derived span
    under its parent.  Links are rare (retries, remediations), so a list is
    fine — the hot request path never touches them. *)
 type link_kind = Follows_from | Child_of
-
-type link = {
-  l_time : Time.t;
-  l_kind : link_kind;
-  l_src : int * int64; (* (tenant, req_id) *)
-  l_dst : int * int64;
-}
 
 type t = {
   enabled : bool;
@@ -263,19 +198,20 @@ type t = {
   mutable frozen_rev : sample list; (* ticks from earlier registry layouts *)
   mutable sample_count : int;
   mutable sampler_running : bool;
-  tenant_slos : (int, slo_target) Hashtbl.t;
+  tenant_slos : (int, bool * int) Hashtbl.t; (* (latency_critical, latency_us) *)
   (* Per-tenant latency histograms, indexed by tenant id; [dummy_hist]
      marks unset slots.  The per-request record path is a bounds check
      and an array load — the former Hashtbl lookup allocated an option
      per request. *)
   mutable tlat : Hdr_histogram.t array;
-  mutable faults_rev : fault_event list; (* injected-fault marks, newest first *)
+  mutable faults_rev : (Time.t * string * bool) list; (* (time, label, active), newest first *)
   (* lib/obs attachments: the always-on flight recorder rides on the
      telemetry instance so every layer that already threads a [t] can
      reach it; both default to the shared disabled instances. *)
   mutable flight : Flight.t;
   mutable profiler : Profiler.t;
-  mutable links_rev : link list; (* causal span links, newest first *)
+  mutable links_rev : (Time.t * link_kind * (int * int64) * (int * int64)) list;
+      (* causal span links (time, kind, src, dst), newest first *)
   mutable remediations_rev : (Time.t * string * string) list; (* (time, rule, outcome) *)
 }
 
@@ -327,17 +263,22 @@ let profiler t = t.profiler [@@inline]
 
 (* ---------------- spans ---------------- *)
 
-let span t ~now ~tenant ~req_id stage =
+let span t ~now ~lane ~tenant ~req_id stage =
   if t.enabled then
-    Span_ring.record t.spans ~time:now ~tenant ~req_id ~stage:(Stage.to_int stage)
+    Span_ring.record t.spans ~time:now ~tenant ~req_id ~stage:((lane lsl 4) lor Stage.to_int stage)
 
-let span_count t = Span_ring.length t.spans
-let spans_recorded t = Span_ring.total t.spans
-let spans_dropped t = Span_ring.dropped t.spans
+let attach_stages t sink =
+  if t.enabled then
+    Stage.attach sink ~stages:(Array.to_list Stage.request_path)
+      (fun ~lane ~tenant ~req ~now stage -> span t ~now ~lane ~tenant ~req_id:req stage)
+
+let span_count t = Cursor.length t.spans.cur
+let spans_recorded t = t.spans.cur.total
+let spans_dropped t = Cursor.dropped t.spans.cur
 
 let iter_spans t f =
-  Span_ring.iter t.spans (fun ~time ~tenant ~req_id ~stage ->
-      f ~time ~tenant ~req_id ~stage:(Stage.of_int stage))
+  Span_ring.iter t.spans (fun ~time ~lane ~tenant ~req_id ~stage ->
+      f ~time ~lane ~tenant ~req_id ~stage:(Stage.of_int stage))
 
 (* ---------------- decisions ---------------- *)
 
@@ -346,8 +287,8 @@ let decision t ~now ~thread ~tenant kind ~amount ~tokens_after =
     Decision_ring.record t.decisions ~time:now ~thread ~tenant
       ~kind:(Decision.to_int kind) ~amount ~tokens_after
 
-let decision_count t = Decision_ring.length t.decisions
-let decisions_recorded t = Decision_ring.total t.decisions
+let decision_count t = Cursor.length t.decisions.cur
+let decisions_recorded t = t.decisions.cur.total
 
 let iter_decisions t f =
   Decision_ring.iter t.decisions (fun ~time ~thread ~tenant ~kind ~amount ~tokens_after ->
@@ -436,14 +377,9 @@ let find_metric t name =
 (* ---------------- tenant dimensions ---------------- *)
 
 let set_tenant_slo t ~tenant ~latency_critical ~latency_us =
-  if t.enabled then
-    Hashtbl.replace t.tenant_slos tenant
-      { st_latency_critical = latency_critical; st_latency_us = latency_us }
+  if t.enabled then Hashtbl.replace t.tenant_slos tenant (latency_critical, latency_us)
 
-let tenant_slo t ~tenant =
-  match Hashtbl.find_opt t.tenant_slos tenant with
-  | Some { st_latency_critical; st_latency_us } -> Some (st_latency_critical, st_latency_us)
-  | None -> None
+let tenant_slo t ~tenant = Hashtbl.find_opt t.tenant_slos tenant
 
 let tenants_with_slo t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tenant_slos [])
@@ -483,11 +419,9 @@ let record_tenant_latency t ~tenant lat =
 
 let link t ~now ~kind ~src_tenant ~src_req ~dst_tenant ~dst_req =
   if t.enabled then
-    t.links_rev <-
-      { l_time = now; l_kind = kind; l_src = (src_tenant, src_req); l_dst = (dst_tenant, dst_req) }
-      :: t.links_rev
+    t.links_rev <- (now, kind, (src_tenant, src_req), (dst_tenant, dst_req)) :: t.links_rev
 
-let links t = List.rev_map (fun l -> (l.l_time, l.l_kind, l.l_src, l.l_dst)) t.links_rev
+let links t = List.rev t.links_rev
 
 let remediation_mark t ~now ~rule ~outcome =
   if t.enabled then begin
@@ -503,7 +437,7 @@ let remediation_log t = List.rev t.remediations_rev
 
 let fault_mark t ~now ~label ~active =
   if t.enabled then begin
-    t.faults_rev <- { f_time = now; f_label = label; f_active = active } :: t.faults_rev;
+    t.faults_rev <- (now, label, active) :: t.faults_rev;
     (* Mirror the transition into the flight ring so a forensic dump can
        frame the fault window without consulting telemetry. *)
     if Flight.enabled t.flight then
@@ -512,8 +446,7 @@ let fault_mark t ~now ~label ~active =
         ~a:(Flight.intern t.flight label) ~b:0 ~v:0.0
   end
 
-let fault_log t =
-  List.rev_map (fun e -> (e.f_time, e.f_label, e.f_active)) t.faults_rev
+let fault_log t = List.rev t.faults_rev
 
 (* Pair start/stop marks into windows, oldest-first.  A start without a
    matching stop yields an open window ([None] end); a stop without a
@@ -645,26 +578,8 @@ let metrics_report t =
     (metric_names t);
   Buffer.contents buf
 
-let timeseries_report ?prefix t =
-  let keep name =
-    match prefix with None -> true | Some p -> String.length name >= String.length p
-                                               && String.sub name 0 (String.length p) = p
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "== telemetry time series (t_ms metric value) ==\n";
-  List.iter
-    (fun { s_time; s_values } ->
-      Array.iter
-        (fun (name, v) ->
-          if keep name then
-            Buffer.add_string buf
-              (Printf.sprintf "%10.3f %-34s %14.3f\n" (Time.to_float_ms s_time) name v))
-        s_values)
-    (samples t);
-  Buffer.contents buf
-
 let decisions_report ?(limit = 40) t =
-  let total = Decision_ring.length t.decisions in
+  let total = decision_count t in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== scheduler decision log (%d retained, showing last %d) ==\n" total

@@ -12,31 +12,8 @@
 open Reflex_engine
 open Reflex_stats
 
-(** Request lifecycle stages, in hop order along the ReFlex request path. *)
-module Stage : sig
-  type t =
-    | Client_submit  (** client library issued the request *)
-    | Server_rx  (** dataplane pulled it off the rx ring *)
-    | Sched_enqueue  (** parsed and enqueued with the QoS scheduler *)
-    | Granted  (** token grant: scheduler released it for submission *)
-    | Nvme_submit  (** accepted by the NVMe submission queue *)
-    | Nvme_complete  (** flash completion observed on the CQ *)
-    | Tx_resp  (** response handed to the NIC/TCP layer *)
-    | Client_complete  (** response delivered back to the client *)
-
-  val count : int
-  val to_int : t -> int
-  val of_int : int -> t
-  val name : t -> string
-
-  (** [component_names.(i)] names the latency component ending at stage
-      [i+1].  The seven components tile [client_submit, client_complete]
-      exactly, so a complete request's components sum to its end-to-end
-      latency by construction. *)
-  val component_names : string array
-
-  val component_count : int
-end
+(** Request lifecycle stages: the shared vocabulary of [lib/obs]. *)
+module Stage = Reflex_obs.Stage
 
 (** Why the Algorithm-1 scheduler made a throttling/token decision. *)
 module Decision : sig
@@ -49,8 +26,6 @@ module Decision : sig
     | Be_idle_drain  (** idle BE tenant's balance returned to the bucket *)
     | Bucket_reset  (** this thread's round marked the global-bucket reset *)
 
-  val to_int : kind -> int
-  val of_int : int -> kind
   val name : kind -> string
 end
 
@@ -99,9 +74,15 @@ val set_profiler : t -> Reflex_obs.Profiler.t -> unit
 
 (** {1 Lifecycle spans} *)
 
-(** [span t ~now ~tenant ~req_id stage] records one hop.  Request identity
-    is the (tenant, req_id) pair — req_ids are only unique per tenant. *)
-val span : t -> now:Time.t -> tenant:int -> req_id:int64 -> Stage.t -> unit
+(** [span t ~now ~lane ~tenant ~req_id stage] records one stage of one
+    request.  Request identity is [(lane, tenant, req_id)]: [lane] is the
+    serving host's fabric id, since req_ids are only unique per
+    connection. *)
+val span : t -> now:Time.t -> lane:int -> tenant:int -> req_id:int64 -> Stage.t -> unit
+
+(** [attach_stages t sink] makes an enabled [t] record every stage stamped
+    through [sink] as a span; a no-op on a disabled instance. *)
+val attach_stages : t -> Stage.sink -> unit
 
 (** Spans currently retained (<= capacity). *)
 val span_count : t -> int
@@ -114,7 +95,7 @@ val spans_dropped : t -> int
 
 (** Oldest-first over the retained window. *)
 val iter_spans :
-  t -> (time:Time.t -> tenant:int -> req_id:int64 -> stage:Stage.t -> unit) -> unit
+  t -> (time:Time.t -> lane:int -> tenant:int -> req_id:int64 -> stage:Stage.t -> unit) -> unit
 
 (** {1 Scheduler decision log} *)
 
@@ -262,10 +243,6 @@ val sample_count : t -> int
 
 (** Final value of every metric (histograms: n/mean/p95/p99 in µs). *)
 val metrics_report : t -> string
-
-(** One line per (tick, metric): [t_ms name value].  [prefix] filters by
-    metric-name prefix. *)
-val timeseries_report : ?prefix:string -> t -> string
 
 (** Last [limit] (default 40) scheduler decisions. *)
 val decisions_report : ?limit:int -> t -> string

@@ -1,56 +1,65 @@
 open Reflex_engine
 
+module Stage = Telemetry.Stage
+module Corr = Reflex_obs.Corr
+module Te = Reflex_obs.Trace_event
+
 (* Turn the raw span ring into per-request views:
    - Chrome trace_event JSON (load in about://tracing or Perfetto);
    - a per-request latency breakdown whose seven components telescope
      exactly to the end-to-end latency;
    - an aggregate per-component summary.
 
-   Requests are keyed by the (tenant, req_id) pair — req_ids are only
-   unique per tenant/connection. *)
+   Requests are keyed by (lane, tenant, req_id) in the shared correlation
+   table — req_ids are only unique per connection, and a tenant holds one
+   connection per server it is placed on. *)
 
 type request = {
+  r_lane : int;
   r_tenant : int;
   r_req_id : int64;
-  r_stamps : int64 array; (* Stage.count entries; -1L = stage not seen *)
+  r_stamps : int array; (* ns, one per request-path stage; -1 = stage not seen *)
 }
 
-(* Insertion-ordered collection: ring iteration is oldest-first, so the
-   resulting request list is ordered by first-seen stage, which makes all
-   downstream reports deterministic. *)
+let n_stages = Array.length Stage.request_path
+let no_request = { r_lane = -1; r_tenant = 0; r_req_id = 0L; r_stamps = [||] }
+
+(* First-seen order: ring iteration is oldest-first, so the request list
+   is ordered by first-seen stage, which makes all downstream reports
+   deterministic.  A window of [n] spans holds at most [n] requests. *)
 let requests tel =
-  let order : (int * int64) list ref = ref [] in
-  let by_key : (int * int64, request) Hashtbl.t = Hashtbl.create 1024 in
-  Telemetry.iter_spans tel (fun ~time ~tenant ~req_id ~stage ->
-      let key = (tenant, req_id) in
+  let cap = Telemetry.span_count tel in
+  let index = Corr.create cap in
+  let found = Array.make cap no_request and n = ref 0 in
+  Telemetry.iter_spans tel (fun ~time ~lane ~tenant ~req_id ~stage ->
+      let req = Int64.to_int req_id in
+      let i = Corr.find index ~lane ~tenant ~req in
       let r =
-        match Hashtbl.find_opt by_key key with
-        | Some r -> r
-        | None ->
+        if i >= 0 then found.(i)
+        else begin
           let r =
-            { r_tenant = tenant; r_req_id = req_id;
-              r_stamps = Array.make Telemetry.Stage.count (-1L) }
+            { r_lane = lane; r_tenant = tenant; r_req_id = req_id;
+              r_stamps = Array.make n_stages (-1) }
           in
-          Hashtbl.replace by_key key r;
-          order := key :: !order;
+          Corr.put index ~lane ~tenant ~req !n;
+          found.(!n) <- r;
+          incr n;
           r
+        end
       in
-      r.r_stamps.(Telemetry.Stage.to_int stage) <- time);
-  List.rev_map (Hashtbl.find by_key) !order
+      r.r_stamps.(Stage.to_int stage) <- Int64.to_int time);
+  Array.to_list (Array.sub found 0 !n)
 
 (* A request is usable for breakdowns when every stage was stamped and the
    stamps are monotone (a request whose early spans were overwritten by
    ring wraparound fails the first check). *)
 let complete r =
   let ok = ref true in
-  Array.iter (fun s -> if s < 0L then ok := false) r.r_stamps;
-  if !ok then
-    for i = 0 to Telemetry.Stage.count - 2 do
-      if r.r_stamps.(i + 1) < r.r_stamps.(i) then ok := false
-    done;
+  Array.iteri (fun i s -> if s < 0 || (i > 0 && s < r.r_stamps.(i - 1)) then ok := false) r.r_stamps;
   !ok
 
 type breakdown = {
+  b_lane : int;
   b_tenant : int;
   b_req_id : int64;
   b_start : Time.t;
@@ -59,17 +68,15 @@ type breakdown = {
 }
 
 let breakdown_of_request r =
-  let n = Telemetry.Stage.component_count in
-  let comps = Array.make n 0L in
-  for i = 0 to n - 1 do
-    comps.(i) <- Time.diff r.r_stamps.(i + 1) r.r_stamps.(i)
-  done;
+  let comps = Array.make Stage.component_count 0 in
+  let _filled : int = Stage.tile ~stamps:r.r_stamps ~comps ~off:0 in
   {
+    b_lane = r.r_lane;
     b_tenant = r.r_tenant;
     b_req_id = r.r_req_id;
-    b_start = r.r_stamps.(0);
-    b_total = Time.diff r.r_stamps.(Telemetry.Stage.count - 1) r.r_stamps.(0);
-    b_components = comps;
+    b_start = Int64.of_int r.r_stamps.(0);
+    b_total = Int64.of_int (r.r_stamps.(n_stages - 1) - r.r_stamps.(0));
+    b_components = Array.map Int64.of_int comps;
   }
 
 let breakdowns tel = List.filter complete (requests tel) |> List.map breakdown_of_request
@@ -88,7 +95,7 @@ let breakdown_report ?(top = 10) tel =
   Buffer.add_string buf (Printf.sprintf "%-8s %-10s %10s |" "tenant" "req" "total_us");
   Array.iter
     (fun c -> Buffer.add_string buf (Printf.sprintf " %12s" c))
-    Telemetry.Stage.component_names;
+    Stage.component_names;
   Buffer.add_char buf '\n';
   let worst =
     List.sort (fun a b -> compare b.b_total a.b_total) bds |> fun l ->
@@ -105,21 +112,11 @@ let breakdown_report ?(top = 10) tel =
     worst;
   Buffer.contents buf
 
-type component_stat = {
-  cs_name : string;
-  cs_mean_us : float;
-  cs_p95_us : float;
-  cs_max_us : float;
-  cs_share : float; (* fraction of total end-to-end time spent here *)
-}
-
-let component_summary tel =
+let component_report tel =
   let bds = breakdowns tel in
-  let n = Telemetry.Stage.component_count in
-  let sums = Array.make n 0.0 in
-  let maxs = Array.make n 0.0 in
+  let n = Stage.component_count in
+  let sums = Array.make n 0.0 and maxs = Array.make n 0.0 and total = ref 0.0 in
   let hists = Array.init n (fun _ -> Reflex_stats.Hdr_histogram.create ()) in
-  let total = ref 0.0 in
   List.iter
     (fun b ->
       total := !total +. Time.to_float_us b.b_total;
@@ -132,27 +129,16 @@ let component_summary tel =
         b.b_components)
     bds;
   let count = List.length bds in
-  Array.init n (fun i ->
-      {
-        cs_name = Telemetry.Stage.component_names.(i);
-        cs_mean_us = (if count = 0 then 0.0 else sums.(i) /. float_of_int count);
-        cs_p95_us = Reflex_stats.Hdr_histogram.percentile_us hists.(i) 95.0;
-        cs_max_us = maxs.(i);
-        cs_share = (if !total <= 0.0 then 0.0 else sums.(i) /. !total);
-      })
-
-let component_report tel =
-  let stats = component_summary tel in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "== latency component summary (complete requests) ==\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-14s %12s %12s %12s %8s\n" "component" "mean_us" "p95_us" "max_us" "share");
-  Array.iter
-    (fun cs ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-14s %12.2f %12.2f %12.2f %7.1f%%\n" cs.cs_name cs.cs_mean_us cs.cs_p95_us
-           cs.cs_max_us (100.0 *. cs.cs_share)))
-    stats;
+  Printf.bprintf buf "%-14s %12s %12s %12s %8s\n" "component" "mean_us" "p95_us" "max_us" "share";
+  for i = 0 to n - 1 do
+    let share = if !total <= 0.0 then 0.0 else sums.(i) /. !total in
+    Printf.bprintf buf "%-14s %12.2f %12.2f %12.2f %7.1f%%\n" Stage.component_names.(i)
+      (if count = 0 then 0.0 else sums.(i) /. float_of_int count)
+      (Reflex_stats.Hdr_histogram.percentile_us hists.(i) 95.0)
+      maxs.(i) (100.0 *. share)
+  done;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -210,28 +196,14 @@ let retry_tree_report ?(top = 20) tel =
 
 (* One complete "X" (duration) event per latency component, plus an
    instant event per raw span so incomplete requests still show up.
-   pid = tenant id, tid = dataplane-visible request id.  Chrome expects
-   [ts]/[dur] in microseconds (floats allowed). *)
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+   pid = tenant id, tid = dataplane-visible request id. *)
 
 (* Latest timestamp observed anywhere in the telemetry — closes fault
    windows that are still open when the trace is exported. *)
 let last_time tel =
   let t = ref 0L in
   let see x = if Time.(x > !t) then t := x in
-  Telemetry.iter_spans tel (fun ~time ~tenant:_ ~req_id:_ ~stage:_ -> see time);
+  Telemetry.iter_spans tel (fun ~time ~lane:_ ~tenant:_ ~req_id:_ ~stage:_ -> see time);
   List.iter (fun (time, _, _) -> see time) (Telemetry.fault_log tel);
   List.iter (fun s -> see s.Telemetry.s_time) (Telemetry.samples tel);
   !t
@@ -239,38 +211,24 @@ let last_time tel =
 let to_chrome_json ?(extra = []) tel =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char buf ','
-  in
+  let q = Te.seq buf ~sep:"," in
   (* Duration events: one per component of each complete request. *)
   List.iter
     (fun b ->
+      let req = Int64.to_int b.b_req_id in
       let t = ref b.b_start in
       Array.iteri
         (fun i c ->
-          sep ();
-          Buffer.add_string buf "{\"name\":";
-          add_json_string buf Telemetry.Stage.component_names.(i);
-          Buffer.add_string buf ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":";
-          Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us !t));
-          Buffer.add_string buf ",\"dur\":";
-          Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us c));
-          Buffer.add_string buf
-            (Printf.sprintf ",\"pid\":%d,\"tid\":%Ld,\"args\":{\"req\":%Ld}}" b.b_tenant b.b_req_id
-               b.b_req_id);
+          Te.event q ~name:Stage.component_names.(i) ~cat:"request" ~ph:"X" ~ts:!t ~dur:c
+            ~pid:b.b_tenant ~tid:req ~args:[ ("req", Te.Int req) ] ();
           t := Time.add !t c)
         b.b_components)
     (breakdowns tel);
   (* Instant events: every raw span, so wrap-truncated requests are still
      visible on the timeline. *)
-  Telemetry.iter_spans tel (fun ~time ~tenant ~req_id ~stage ->
-      sep ();
-      Buffer.add_string buf "{\"name\":";
-      add_json_string buf (Telemetry.Stage.name stage);
-      Buffer.add_string buf ",\"cat\":\"span\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-      Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us time));
-      Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%Ld}" tenant req_id));
+  Telemetry.iter_spans tel (fun ~time ~lane:_ ~tenant ~req_id ~stage ->
+      Te.event q ~name:(Stage.name stage) ~cat:"span" ~ph:"i" ~s:"t" ~ts:time ~pid:tenant
+        ~tid:(Int64.to_int req_id) ());
   (* Injected-fault windows as duration events on a dedicated row
      (pid 0 / tid 0, cat "fault"), so latency spikes in the viewer line
      up visually with the fault that caused them.  A window still open at
@@ -282,64 +240,29 @@ let to_chrome_json ?(extra = []) tel =
     List.iter
       (fun (label, t0, t1) ->
         let t1 = match t1 with Some t1 -> t1 | None -> Time.max t0 close in
-        sep ();
-        Buffer.add_string buf "{\"name\":";
-        add_json_string buf label;
-        Buffer.add_string buf ",\"cat\":\"fault\",\"ph\":\"X\",\"ts\":";
-        Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us t0));
-        Buffer.add_string buf ",\"dur\":";
-        Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us (Time.diff t1 t0)));
-        Buffer.add_string buf ",\"pid\":0,\"tid\":0,\"args\":{\"fault\":";
-        add_json_string buf label;
-        Buffer.add_string buf "}}")
+        Te.event q ~name:label ~cat:"fault" ~ph:"X" ~ts:t0 ~dur:(Time.diff t1 t0) ~pid:0 ~tid:0
+          ~args:[ ("fault", Te.Str label) ] ())
       windows);
   (* Causal links as Chrome flow events: a ["ph":"s"] start anchored at
      the source request's row and a matching ["ph":"f"] finish on the
      destination's, sharing one flow id, so retry chains and remediation
      causality render as arrows between the linked spans. *)
   List.iteri
-    (fun id (time, kind, src, dst) ->
-      let name =
-        match kind with
-        | Telemetry.Follows_from -> "retry"
-        | Telemetry.Child_of -> "child"
-      in
-      let src_tenant, src_req = src in
-      let dst_tenant, dst_req = dst in
-      let ts = Printf.sprintf "%.3f" (Time.to_float_us time) in
-      sep ();
-      Buffer.add_string buf "{\"name\":";
-      add_json_string buf name;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"link\",\"ph\":\"s\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%Ld}"
-           id ts src_tenant src_req);
-      sep ();
-      Buffer.add_string buf "{\"name\":";
-      add_json_string buf name;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"cat\":\"link\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%Ld}"
-           id ts dst_tenant dst_req))
+    (fun id (ts, kind, (src_tenant, src_req), (dst_tenant, dst_req)) ->
+      let name = match kind with Telemetry.Follows_from -> "retry" | Telemetry.Child_of -> "child" in
+      Te.event q ~name ~cat:"link" ~ph:"s" ~id ~ts ~pid:src_tenant ~tid:(Int64.to_int src_req) ();
+      Te.event q ~name ~cat:"link" ~ph:"f" ~bp:"e" ~id ~ts ~pid:dst_tenant
+        ~tid:(Int64.to_int dst_req) ())
     (Telemetry.links tel);
   (* Remediation applications as instants on the fault/alert row. *)
   List.iter
-    (fun (time, rule, outcome) ->
-      sep ();
-      Buffer.add_string buf "{\"name\":";
-      add_json_string buf ("remediate:" ^ rule);
-      Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"remediation\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\"args\":{\"outcome\":"
-           (Time.to_float_us time));
-      add_json_string buf outcome;
-      Buffer.add_string buf "}}")
+    (fun (ts, rule, outcome) ->
+      Te.event q ~name:("remediate:" ^ rule) ~cat:"remediation" ~ph:"i" ~s:"g" ~ts ~pid:0 ~tid:0
+        ~args:[ ("outcome", Te.Str outcome) ] ())
     (Telemetry.remediation_log tel);
   (* Caller-supplied events (e.g. lib/monitor's alert-timeline instants):
      each element must be one complete JSON trace_event object. *)
-  List.iter
-    (fun frag ->
-      sep ();
-      Buffer.add_string buf frag)
-    extra;
+  List.iter (Te.raw q) extra;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 

@@ -1,8 +1,9 @@
 (* Tests for the rack-scale distributed tracer: hop-delta tiling over
-   random small worlds (qcheck), per-kind flight wraparound accounting,
-   the probe-age/dispatch gauges, Follows_from stitching, and byte
-   identity of the stitched span trees and merged rollup across
-   same-seed reruns. *)
+   random small worlds (qcheck), slot-table overflow, lane-keyed spans in
+   a rack sharing one telemetry, per-kind flight wraparound accounting,
+   the probe-age/dispatch gauges, Follows_from stitching, the rollup's
+   JSON, and byte identity of the stitched span trees and merged rollup
+   across same-seed reruns. *)
 
 open Reflex_engine
 open Reflex_rack
@@ -11,6 +12,8 @@ module Rack_obs = Reflex_rack_obs.Rack_obs
 module Rack_rollup = Reflex_rack_obs.Rack_rollup
 module Flight = Reflex_obs.Flight
 module Telemetry = Reflex_telemetry.Telemetry
+module Trace_export = Reflex_telemetry.Trace_export
+module Stage = Reflex_obs.Stage
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -90,11 +93,7 @@ let test_tiling_components_in_exemplars () =
   Alcotest.(check bool) "exemplars captured" true (Rack_obs.exemplars obs <> []);
   List.iter
     (fun (ex : Rack_obs.exemplar) ->
-      let sum =
-        Time.add ex.ex_pick
-          (Time.add ex.ex_ingress
-             (Time.add ex.ex_queue (Time.add ex.ex_service ex.ex_egress)))
-      in
+      let sum = Array.fold_left Time.add Time.zero ex.ex_comps in
       Alcotest.(check bool) "exemplar components tile e2e" true
         (Time.equal sum ex.ex_e2e))
     (Rack_obs.exemplars obs)
@@ -111,6 +110,96 @@ let test_counters_and_attribution () =
   let att = Rack_obs.attribution obs in
   Alcotest.(check bool) "attribution reports exact tiling" true
     (contains att "tiling EXACT")
+
+(* More reads at one instant than the 4096-slot table holds: the excess
+   is declined and counted, every read still completes, and the traced
+   ones tile. *)
+let test_slot_overflow () =
+  let sim = Sim.create ~seed:9L () in
+  let rack = Rack.create sim ~n_servers:2 ~policy:Policy.Po2c ~seed:11L () in
+  let obs = Rack_obs.create rack in
+  (match Rack.add_tenant rack ~id:1 ~slo:(Common.be_slo ()) ~replicas:2 with
+  | `Placed _ -> ()
+  | `Rejected -> Alcotest.fail "placement rejected");
+  let excess = 500 in
+  let n = 4096 + excess in
+  let completed = ref 0 in
+  for i = 0 to n - 1 do
+    Rack.dispatch_read rack ~tenant:1
+      ~lba:(Int64.of_int (i mod 4096 * 8))
+      ~len:1024
+      ~on_complete:(fun _ -> incr completed)
+      ()
+  done;
+  ignore (Sim.run ~until:(Time.add (Sim.now sim) (Time.ms 500)) sim);
+  Alcotest.(check int) "excess counted" excess (Rack_obs.slot_overflow obs);
+  Alcotest.(check int) "every read completed" n !completed;
+  Alcotest.(check int) "slots traced" 4096 (Rack_obs.traced obs);
+  Alcotest.(check int) "untiled" 0 (Rack_obs.untiled obs)
+
+(* A tenant holds one connection per replica and every connection numbers
+   its requests from 1, so (tenant, req) repeats across servers.  In a
+   rack whose servers share one telemetry, the lane keeps them apart: no
+   (lane, tenant, req, stage) is stamped twice, and every breakdown is
+   built from exactly one request's eight stamps. *)
+let test_shared_telemetry_lanes () =
+  let sim = Sim.create ~seed:13L () in
+  let telemetry = Telemetry.create () in
+  let rack = Rack.create sim ~n_servers:3 ~policy:Policy.Po2c ~seed:17L ~telemetry () in
+  let _ : Rack_obs.t = Rack_obs.create rack in
+  let tenants = [ 1; 2; 3; 4 ] in
+  List.iter
+    (fun id ->
+      match
+        Rack.add_tenant rack ~id ~slo:(Common.lc_slo ~latency_us:300 ~iops:2000 ~read_pct:100)
+          ~replicas:2
+      with
+      | `Placed _ -> ()
+      | `Rejected -> Alcotest.fail "placement rejected")
+    tenants;
+  let t_end = Time.add (Sim.now sim) (Time.ms 3) in
+  Sim.every sim ~every:(Time.us 250) ~until:t_end (fun _ -> Rack.sample_probes rack);
+  List.iter
+    (fun id ->
+      Sim.every sim ~every:(Time.us 50) ~until:t_end (fun _ ->
+          Rack.dispatch_read rack ~tenant:id ~lba:0L ~len:1024 ()))
+    tenants;
+  ignore (Sim.run ~until:(Time.add t_end (Time.ms 2)) sim);
+  let per_stage = Hashtbl.create 4096 and per_req = Hashtbl.create 1024 in
+  let lanes_of = Hashtbl.create 1024 in
+  Telemetry.iter_spans telemetry (fun ~time ~lane ~tenant ~req_id ~stage ->
+      let k = (lane, tenant, req_id, Stage.to_int stage) in
+      Hashtbl.replace per_stage k (1 + Option.value (Hashtbl.find_opt per_stage k) ~default:0);
+      let r = (lane, tenant, req_id) in
+      Hashtbl.replace per_req r ((stage, time) :: Option.value (Hashtbl.find_opt per_req r) ~default:[]);
+      Hashtbl.replace lanes_of (tenant, req_id) lane);
+  let shared = ref 0 in
+  Hashtbl.iter
+    (fun (lane, tenant, req_id) _ ->
+      if Hashtbl.find lanes_of (tenant, req_id) <> lane then incr shared)
+    per_req;
+  Alcotest.(check bool) "(tenant, req) repeats across lanes" true (!shared > 0);
+  Hashtbl.iter
+    (fun (lane, tenant, req, stage) n ->
+      if n > 1 then
+        Alcotest.failf "lane %d tenant %d req %Ld stage %s stamped %d times" lane tenant req
+          (Stage.name (Stage.of_int stage)) n)
+    per_stage;
+  let bds = Trace_export.breakdowns telemetry in
+  Alcotest.(check bool) "complete breakdowns" true (List.length bds > 100);
+  List.iter
+    (fun (b : Trace_export.breakdown) ->
+      let stamps =
+        match Hashtbl.find_opt per_req (b.b_lane, b.b_tenant, b.b_req_id) with
+        | Some l -> l
+        | None -> Alcotest.fail "breakdown without spans"
+      in
+      Alcotest.(check int) "one request's eight stamps" 8 (List.length stamps);
+      let at i = List.assoc Stage.request_path.(i) stamps in
+      Array.iteri
+        (fun i c -> Alcotest.(check int64) "component is its own stamps' delta" (Time.diff (at (i + 1)) (at i)) c)
+        b.b_components)
+    bds
 
 (* ------------------------------------------------------------------ *)
 (* Per-kind wraparound accounting (Flight)                            *)
@@ -191,7 +280,13 @@ let test_follows_from_stitched () =
   Alcotest.(check bool) "rollup carries the flow arrows" true
     (contains chrome "\"ph\":\"s\"" && contains chrome "\"ph\":\"f\"");
   Alcotest.(check bool) "rollup names the lanes" true
-    (contains chrome "\"name\":\"rack-02\"")
+    (contains chrome "\"name\":\"rack-02\"");
+  match Json.parse chrome with
+  | exception Json.Bad e -> Alcotest.failf "rollup JSON did not parse: %s" e
+  | v ->
+    let count k = match Json.mem k v with Some (Json.List l) -> List.length l | _ -> 0 in
+    Alcotest.(check bool) "rollup events" true (count "traceEvents" > 0);
+    Alcotest.(check int) "one accounting entry per lane" 4 (count "lanes")
 
 let test_stitch_same_seed_rerun () =
   let base_stitch, base_chrome, _ = artifacts ~seed:17L in
@@ -213,6 +308,9 @@ let suite =
         Alcotest.test_case "exemplar components tile" `Quick
           test_tiling_components_in_exemplars;
         Alcotest.test_case "counters + attribution" `Quick test_counters_and_attribution;
+        Alcotest.test_case "slot overflow declined and counted" `Quick test_slot_overflow;
+        Alcotest.test_case "shared telemetry keys spans by lane" `Quick
+          test_shared_telemetry_lanes;
       ] );
     ( "flight",
       [

@@ -1,6 +1,7 @@
 (* Tests for the telemetry layer: ring wraparound, disabled-path no-ops,
-   Chrome trace JSON well-formedness (via a minimal JSON parser), the
-   components-tile-end-to-end invariant, and byte-identical telemetry
+   Chrome trace JSON well-formedness (via the shared minimal JSON
+   parser), the escaper round-trip through every single-server exporter,
+   the components-tile-end-to-end invariant, and byte-identical telemetry
    reports under Runner domain parallelism. *)
 
 open Reflex_engine
@@ -15,7 +16,7 @@ open Reflex_experiments
 let test_span_ring_wraparound () =
   let t = Telemetry.create ~span_capacity:8 () in
   for i = 0 to 19 do
-    Telemetry.span t ~now:(Int64.of_int (i * 10)) ~tenant:1 ~req_id:(Int64.of_int i)
+    Telemetry.span t ~now:(Int64.of_int (i * 10)) ~lane:0 ~tenant:1 ~req_id:(Int64.of_int i)
       Telemetry.Stage.Client_submit
   done;
   Alcotest.(check int) "retained" 8 (Telemetry.span_count t);
@@ -24,7 +25,7 @@ let test_span_ring_wraparound () =
   (* Oldest-first iteration over the retained window must yield exactly
      the 8 newest spans: req_ids 12..19. *)
   let seen = ref [] in
-  Telemetry.iter_spans t (fun ~time:_ ~tenant:_ ~req_id ~stage:_ ->
+  Telemetry.iter_spans t (fun ~time:_ ~lane:_ ~tenant:_ ~req_id ~stage:_ ->
       seen := Int64.to_int req_id :: !seen);
   Alcotest.(check (list int)) "newest kept, oldest-first" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
     (List.rev !seen)
@@ -45,7 +46,7 @@ let test_decision_ring_wraparound () =
 
 let test_disabled_noop () =
   let t = Telemetry.disabled in
-  Telemetry.span t ~now:0L ~tenant:1 ~req_id:1L Telemetry.Stage.Server_rx;
+  Telemetry.span t ~now:0L ~lane:0 ~tenant:1 ~req_id:1L Telemetry.Stage.Server_rx;
   Telemetry.decision t ~now:0L ~thread:0 ~tenant:1 Telemetry.Decision.Donated ~amount:1.0
     ~tokens_after:1.0;
   let c = Telemetry.counter t "x/y" in
@@ -113,131 +114,6 @@ let test_components_tile () =
         b.Trace_export.b_components)
     bds
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON parser (validation only)                              *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      if !pos < n then
-        match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-    in
-    let expect c =
-      if peek () <> c then raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-      advance ()
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string");
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; advance ()
-          | '\\' -> Buffer.add_char b '\\'; advance ()
-          | '/' -> Buffer.add_char b '/'; advance ()
-          | 'n' -> Buffer.add_char b '\n'; advance ()
-          | 't' -> Buffer.add_char b '\t'; advance ()
-          | 'r' -> Buffer.add_char b '\r'; advance ()
-          | 'b' -> Buffer.add_char b '\b'; advance ()
-          | 'f' -> Buffer.add_char b '\012'; advance ()
-          | 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              (match peek () with
-              | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-              | _ -> raise (Bad "bad \\u escape"));
-              advance ()
-            done;
-            Buffer.add_char b '?'
-          | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-          go ()
-        | c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let sub = String.sub s start (!pos - start) in
-      match float_of_string_opt sub with
-      | Some f -> f
-      | None -> raise (Bad ("bad number: " ^ sub))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); members ((k, v) :: acc)
-            | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | c -> raise (Bad (Printf.sprintf "bad object char %c" c))
-          in
-          members []
-      | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); items (v :: acc)
-            | ']' -> advance (); List (List.rev (v :: acc))
-            | c -> raise (Bad (Printf.sprintf "bad array char %c" c))
-          in
-          items []
-      | 't' -> pos := !pos + 4; Bool true
-      | 'f' -> pos := !pos + 5; Bool false
-      | 'n' -> pos := !pos + 4; Null
-      | _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad (Printf.sprintf "trailing garbage at %d" !pos));
-    v
-
-  let mem k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-end
-
 let test_chrome_json_roundtrip () =
   let tel = traced_world () in
   let json = Trace_export.to_chrome_json tel in
@@ -295,6 +171,77 @@ let test_chrome_json_roundtrip () =
     tbl
 
 (* ------------------------------------------------------------------ *)
+(* One escaper, every exporter                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Monitor = Reflex_monitor.Monitor
+module Alerts = Reflex_monitor.Alerts
+module Te = Reflex_obs.Trace_event
+
+let nasty = "q\"b\\s\tt\rr\001."
+
+let str_at path v =
+  match List.fold_left (fun v k -> Option.bind v (Json.mem k)) (Some v) path with
+  | Some (Json.Str s) -> s
+  | _ -> Alcotest.failf "no string at %s" (String.concat "." path)
+
+let events_of v =
+  match Json.mem "traceEvents" v with
+  | Some (Json.List l) -> l
+  | _ -> Alcotest.fail "missing traceEvents array"
+
+let find_event cat evs =
+  match List.find_opt (fun e -> Json.mem "cat" e = Some (Json.Str cat)) evs with
+  | Some e -> e
+  | None -> Alcotest.failf "no %s event" cat
+
+(* A fault label and an alert detail carrying a quote, a backslash, a
+   tab, a carriage return and a raw control byte go through the request
+   trace (with the monitor's alert instants), the flight dump's Chrome
+   view and its JSON debrief; every output parses and gives the strings
+   back unchanged. *)
+let test_exporters_escape () =
+  Alcotest.(check string) "escaped form" {|"q\"b\\s\tt\rr\u0001."|} (Te.quote nasty);
+  let telemetry = Telemetry.create () in
+  Telemetry.set_flight telemetry (Reflex_obs.Flight.create ());
+  let w = Common.make_reflex ~telemetry ~seed:5L () in
+  let m = Monitor.create ~server:w.Common.server ~telemetry () in
+  Alerts.add (Monitor.alerts m) (Alerts.rule ~name:"r" (fun _ _ -> Some nasty));
+  let label = "fault " ^ nasty in
+  Telemetry.fault_mark telemetry ~now:(Time.ms 1) ~label ~active:true;
+  for i = 1 to 3 do
+    Monitor.tick m ~now:(Time.ms i)
+  done;
+  let parse what s = try Json.parse s with Json.Bad e -> Alcotest.failf "%s: %s" what e in
+  let trace =
+    events_of
+      (parse "request trace"
+         (Trace_export.to_chrome_json ~extra:(Monitor.chrome_instants m) telemetry))
+  in
+  Alcotest.(check string) "trace fault label" label (str_at [ "args"; "fault" ] (find_event "fault" trace));
+  let detail =
+    match Monitor.events m with e :: _ -> e.Alerts.e_detail | [] -> Alcotest.fail "no alert"
+  in
+  Alcotest.(check bool) "detail carries the string" true
+    (String.length detail >= String.length nasty
+     && String.sub detail 0 (String.length nasty) = nasty);
+  Alcotest.(check string) "alert instant detail" detail
+    (str_at [ "args"; "detail" ] (find_event "alert" trace));
+  let d =
+    match Monitor.flight_dumps m with d :: _ -> d | [] -> Alcotest.fail "no flight dump"
+  in
+  let chrome = events_of (parse "flight dump" (Monitor.dump_chrome_json d)) in
+  Alcotest.(check string) "dump fault name" label (str_at [ "name" ] (find_event "fault" chrome));
+  Alcotest.(check string) "dump alert detail" detail
+    (str_at [ "args"; "detail" ] (find_event "alert" chrome));
+  let debrief = parse "debrief" (Monitor.dump_debrief d) in
+  Alcotest.(check string) "debrief trigger detail" detail
+    (str_at [ "flight_dump"; "trigger"; "detail" ] debrief);
+  match Option.bind (Json.mem "flight_dump" debrief) (Json.mem "fault_windows") with
+  | Some (Json.List (fw :: _)) -> Alcotest.(check string) "debrief fault label" label (str_at [ "label" ] fw)
+  | _ -> Alcotest.fail "debrief lists no fault window"
+
+(* ------------------------------------------------------------------ *)
 (* Determinism under Runner parallelism                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -325,6 +272,8 @@ let suite =
         Alcotest.test_case "samples are name-sorted" `Quick test_sample_sorted;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
+        Alcotest.test_case "exporters parse and keep escaped strings" `Quick
+          test_exporters_escape;
         Alcotest.test_case "parallel runs byte-identical to serial" `Slow
           test_parallel_determinism;
       ] );
