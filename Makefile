@@ -1,13 +1,15 @@
 # Developer entry points.  `make check` is the CI gate: full build, the
 # reflex-lint static-analysis pass (determinism, domain-safety,
 # guard-discipline, hot-path allocations, interface hygiene — zero
-# findings required), the whole alcotest suite, the bench smoke (parallel-runner sanity +
-# telemetry, faults and monitor on/off overhead) with its numbers
-# recorded in BENCH_SMOKE.json for trend tracking, and the scenario
-# smoke (chaos, monitor, obs and rack acceptance checks plus their
-# same-seed rerun and --jobs 2 byte-identity checks).
+# findings required), `dune runtest` (the whole alcotest suite plus one
+# bench smoke run: parallel-runner sanity, observer bit-identity and the
+# BENCH_BASELINE.json floors, its numbers copied to BENCH_SMOKE.json for
+# trend tracking), and the scenario smoke (chaos, monitor, obs and rack
+# acceptance checks plus their same-seed rerun and --jobs 2 byte-identity
+# checks).  Figures are `reflex_sim run <id>|all`; host-cost measurement
+# is `bash perfbench/run.sh`.
 
-.PHONY: all build test lint bench-smoke smoke check trace chaos monitor obs rack bench clean
+.PHONY: all build test lint bench-smoke smoke check trace chaos monitor obs rack clean
 
 all: build
 
@@ -18,7 +20,7 @@ test: build
 	dune runtest
 
 # Determinism / domain-safety / hot-path-allocation gate: reflex-lint
-# scans lib/, bin/ and bench/ against lint.manifest, runs the
+# scans lib/ and bin/ against lint.manifest, runs the
 # interprocedural passes over the cross-module call graph, and fails on
 # any finding.  The JSON report and the call graph are kept for the CI
 # artifacts.
@@ -26,7 +28,8 @@ lint: build
 	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json --callgraph-out _build/callgraph.json
 
 bench-smoke: build
-	dune exec test/bench_smoke.exe -- --json BENCH_SMOKE.json
+	dune build ./test/bench_smoke.json
+	install -m 644 _build/default/test/bench_smoke.json BENCH_SMOKE.json
 
 # Scenario acceptance: chaos (SLO held, retries bounded), monitor (alerts
 # inside fault windows, clean runs silent), obs (alert-triggered forensic
@@ -48,7 +51,7 @@ smoke: build
 check: build
 	$(MAKE) lint
 	dune runtest
-	dune exec test/bench_smoke.exe -- --json BENCH_SMOKE.json
+	install -m 644 _build/default/test/bench_smoke.json BENCH_SMOKE.json
 	$(MAKE) smoke
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO
@@ -72,10 +75,6 @@ obs: build
 # Rack-scale scenario: policy bakeoff, migration leg, determinism debrief.
 rack: build
 	dune exec bin/reflex_sim.exe -- rack
-
-# Full figure reproduction + microbenchmarks (quick mode).
-bench: build
-	dune exec bench/main.exe -- --json BENCH_$$(date +%F).json
 
 clean:
 	dune clean

@@ -4,7 +4,7 @@
                  [--jobs N] [--callgraph-out PATH] [--explain RULE-ID]
                  [PATHS...]
 
-   Scans lib/ bin/ bench/ under --root (default: cwd) unless explicit
+   Scans lib/ and bin/ under --root (default: cwd) unless explicit
    PATHS are given.  Prints compiler-style findings to stdout; exits 1
    when there are findings, 0 on a clean tree.  --json writes the
    machine-readable report (use "-" for stdout).  --jobs fans the

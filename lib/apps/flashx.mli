@@ -19,9 +19,7 @@ type bench = { name : string; phases : Workload.phase list }
     completes in simulable time); relative I/O structure is preserved. *)
 val wcc : bench
 
-val pagerank : bench
 val bfs : bench
-val scc : bench
 val all : bench list
 
 (** [run sim path bench k] — [k ~elapsed] with end-to-end runtime. *)

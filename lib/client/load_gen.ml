@@ -142,7 +142,6 @@ let set_burst_factor t f =
   if f <= 0.0 then invalid_arg "Load_gen.set_burst_factor: factor";
   t.burst_factor <- f
 
-let burst_factor t = t.burst_factor
 let reads t = t.reads
 let writes t = t.writes
 let issued t = t.issued

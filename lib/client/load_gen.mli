@@ -77,8 +77,6 @@ val timeout_errors : t -> int
     @raise Invalid_argument if [factor <= 0]. *)
 val set_burst_factor : t -> float -> unit
 
-val burst_factor : t -> float
-
 (** Completed IOPS over the measured window (since the last
     {!mark_measurement_start}, or creation). *)
 val achieved_iops : t -> float

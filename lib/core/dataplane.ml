@@ -309,8 +309,6 @@ let tenant_tokens_submitted t ~id =
   | Some tenant -> Some (Tenant.submitted_cost_total tenant)
   | None -> None
 
-let scheduling_rounds t = t.rounds
-
 (* Requests inside this thread, wherever they sit: unparsed receive-ring
    entries, software-queued tenant requests, and in-flight NVMe
    commands.  Probe-path metric for the rack-level load balancers. *)

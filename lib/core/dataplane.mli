@@ -65,7 +65,6 @@ val thread_id : 'a t -> int
 val add_tenant : 'a t -> id:int -> slo:Slo.t -> token_rate:float -> unit
 val remove_tenant : 'a t -> id:int -> unit
 val set_token_rate : 'a t -> id:int -> float -> unit
-val has_tenant : 'a t -> id:int -> bool
 val tenant_count : 'a t -> int
 
 (** Detach a tenant for rebalancing, returning its SLO, token rate, and
@@ -110,8 +109,6 @@ val token_usage_rate : 'a t -> float
     layer takes windowed deltas of this to place a tenant's operating
     point on the device's latency-vs-weighted-IOPS curve. *)
 val tenant_tokens_submitted : 'a t -> id:int -> float option
-
-val scheduling_rounds : 'a t -> int
 
 (** Requests inside this thread: unparsed receive-ring entries, queued
     tenant requests awaiting tokens, and in-flight NVMe commands.

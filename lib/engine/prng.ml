@@ -52,11 +52,6 @@ let normal t ~mean ~stddev =
 let lognormal t ~median ~sigma =
   median *. exp (normal t ~mean:0.0 ~stddev:sigma)
 
-let pareto t ~alpha ~lo ~hi =
-  let u = float t in
-  let la = lo ** alpha and ha = hi ** alpha in
-  (-.((u *. ha) -. (u *. la) -. ha) /. (ha *. la)) ** (-1.0 /. alpha)
-
 (* Zipf sampling by inverting the generalized harmonic CDF with binary
    search over a lazily cached prefix table.  One cache slot per stream:
    a given workload stream samples one (n, theta) shape, and keeping the

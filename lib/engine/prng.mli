@@ -42,9 +42,6 @@ val normal : t -> mean:float -> stddev:float -> float
     shape parameter is [sigma] (stddev of the underlying normal). *)
 val lognormal : t -> median:float -> sigma:float -> float
 
-(** Bounded Pareto on [lo, hi] with shape [alpha]. *)
-val pareto : t -> alpha:float -> lo:float -> hi:float -> float
-
 (** Zipf-distributed integer in [0, n-1] with exponent [theta].
     Uses the rejection-inversion-free harmonic CDF (O(1) amortized via
     precomputation is not needed at our scales; this is O(log n)). *)

@@ -61,7 +61,6 @@ let submit t ?(priority = High) ~service callback =
 
 let busy t = t.busy
 let queued t = (Queue.length t.high, Queue.length t.low)
-let busy_time t = t.busy_time
 
 let utilization t =
   let elapsed = Time.diff (Sim.now t.sim) t.created_at in

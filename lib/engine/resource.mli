@@ -26,9 +26,6 @@ val busy : t -> int
 (** Jobs waiting in the two queues (high, low). *)
 val queued : t -> int * int
 
-(** Cumulative busy server-time, for utilization accounting. *)
-val busy_time : t -> Time.t
-
 (** Utilization in [0, 1] over the interval since creation. *)
 val utilization : t -> float
 

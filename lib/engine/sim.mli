@@ -13,9 +13,7 @@ type t
     counter so stale handles are harmless. *)
 type event_id
 
-(** Root seed used by {!create} when none is given — recorded in the
-    bench harness's JSON metadata so archived results name the exact
-    simulations they ran. *)
+(** Root seed used by {!create} when none is given. *)
 val default_seed : int64
 
 (** [create ?seed ()] — a fresh simulation at time zero whose event
@@ -30,13 +28,6 @@ val prng : t -> Prng.t
 
 (** [at t time f] schedules [f] at absolute [time] (must be >= now). *)
 val at : t -> Time.t -> (unit -> unit) -> event_id
-
-(** [at_daemon t time f] schedules a {e daemon} event: it runs like a
-    normal event while other work is pending, but {!run} stops as soon as
-    only daemon events remain, so daemons (telemetry samplers, monitors)
-    never keep the simulation alive on their own.  A daemon skipped at the
-    end of one [run] stays scheduled and resumes if new work arrives. *)
-val at_daemon : t -> Time.t -> (unit -> unit) -> event_id
 
 (** [after t delay f] schedules [f] at [now + delay]. *)
 val after : t -> Time.t -> (unit -> unit) -> event_id
@@ -74,9 +65,11 @@ val live_pending : t -> int
 (** Run [f now] every [every] until [until]. *)
 val every : t -> every:Time.t -> until:Time.t -> (Time.t -> unit) -> unit
 
-(** Periodic daemon tick (see {!at_daemon}): runs [f now] every [every]
-    for as long as non-daemon work remains, without ever keeping the
-    simulation alive by itself.  At most one long-lived periodic daemon
-    per simulation is recommended (two daemons would keep each other
-    alive across one extra tick after the workload drains). *)
+(** Periodic daemon tick: runs [f now] every [every] for as long as
+    non-daemon work remains, without ever keeping the simulation alive by
+    itself ({!run} stops as soon as only daemon events remain; a daemon
+    skipped at the end of one [run] resumes if new work arrives).  At
+    most one long-lived periodic daemon per simulation is recommended
+    (two daemons would keep each other alive across one extra tick after
+    the workload drains). *)
 val every_daemon : t -> every:Time.t -> (Time.t -> unit) -> unit

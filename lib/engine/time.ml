@@ -8,7 +8,6 @@ let ms x = Int64.mul (Int64.of_int x) 1_000_000L
 let sec x = Int64.mul (Int64.of_int x) 1_000_000_000L
 let of_float_ns x = Int64.of_float (Float.round x)
 let of_float_us x = of_float_ns (x *. 1e3)
-let of_float_sec x = of_float_ns (x *. 1e9)
 let to_float_ns t = Int64.to_float t
 let to_float_us t = Int64.to_float t /. 1e3
 let to_float_ms t = Int64.to_float t /. 1e6

@@ -21,7 +21,6 @@ val sec : int -> t
 val of_float_us : float -> t
 
 val of_float_ns : float -> t
-val of_float_sec : float -> t
 
 (** {1 Conversions} *)
 

@@ -114,7 +114,7 @@ let client_of_baseline w ?(stack = Stack_model.ix_client) ~tenant () =
   client
 
 (* Current git commit, read straight from [.git] (no subprocess — the
-   bench harness embeds this in every --json output so results are
+   bench smoke embeds this in its JSON output so results are
    attributable).  Walks up from the cwd; "unknown" when not in a
    checkout. *)
 let git_sha () =

@@ -78,20 +78,9 @@ val client_of :
 val client_of_baseline :
   baseline_world -> ?stack:Stack_model.t -> tenant:int -> unit -> Client_lib.t
 
-(** Try to register an LC tenant; [Ok client] or [Error status]. *)
-val try_client_of :
-  reflex_world ->
-  ?stack:Stack_model.t ->
-  ?slo:Reflex_proto.Message.slo ->
-  ?retry:Retry.policy ->
-  ?retry_seed:int64 ->
-  tenant:int ->
-  unit ->
-  (Client_lib.t, Reflex_proto.Message.status) result
-
 (** Current git commit hash, read directly from [.git/HEAD] (no
     subprocess); ["unknown"] outside a checkout.  Embedded in the bench
-    harness's JSON outputs. *)
+    smoke's JSON output. *)
 val git_sha : unit -> string
 
 (** [measure_generators sim gens ~warmup ~window] runs warmup, marks all

@@ -52,7 +52,6 @@ val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> leg
 val alerts_fired : result -> bool
 val alerts_in_windows : result -> bool
 val alerts_named : result -> bool
-val clean_silent : result -> bool
 val disabled_identical : result -> bool
 val observer_identical : result -> bool
 val remediation_applied : result -> bool

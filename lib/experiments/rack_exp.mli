@@ -24,7 +24,7 @@ open Reflex_rack
 open Reflex_engine
 
 (** Scenario scale — overridable via [run ~scale] so tests can drive a
-    small coherent world (the defaults come from {!scale_of_mode}). *)
+    small coherent world (the defaults depend on the mode). *)
 type scale = {
   s_servers : int;
   s_tenants : int;
@@ -36,8 +36,6 @@ type scale = {
   s_hot_tenants : int;  (** migration leg: pinned heavy tenants *)
   s_hot_iops : int;  (** each heavy tenant's declared = offered rate *)
 }
-
-val scale_of_mode : Common.mode -> scale
 
 (** One bakeoff row: windowed measurements for one policy. *)
 type policy_row = {
@@ -101,23 +99,8 @@ val po2c_beats_random : result -> bool
 (** The oracle's SLO compliance is >= every other policy's. *)
 val oracle_best : result -> bool
 
-(** po2c p99 / oracle p99 — the reported price of probe staleness. *)
-val oracle_gap : result -> float
-
 val migrations_applied : result -> bool
 val migration_helps : result -> bool
-
-(** Every tracing leg tiled exactly with no slot overflow. *)
-val obs_tiling_exact : result -> bool
-
-(** The congested-link leg's dominant SLO-violation hop is ingress. *)
-val obs_congested_blames_ingress : result -> bool
-
-(** The rack burn-rate alert fired on the congested leg. *)
-val obs_alert_fired : result -> bool
-
-(** Both legs logged migrations for [Follows_from] stitching. *)
-val obs_migrations_stitched : result -> bool
 
 (** The predicates above as the render's PASS/FAIL lines. *)
 val checks : result -> Identity.check list

@@ -17,7 +17,6 @@
 
 let default = Atomic.make (Domain.recommended_domain_count ())
 
-let recommended_jobs () = Domain.recommended_domain_count ()
 let default_jobs () = Atomic.get default
 let set_default_jobs n = Atomic.set default (max 1 n)
 

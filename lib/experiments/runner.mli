@@ -8,20 +8,14 @@
     regardless of the job count (determinism is per-point, ordering is
     ours).
 
-    The default job count is process-wide ({!set_default_jobs}); the
-    bench harness sets it from [--jobs N] / [--serial].  A worker that
+    The default job count is process-wide ({!set_default_jobs}) and
+    starts at [Domain.recommended_domain_count ()].  A worker that
     raises aborts the sweep: remaining points are skipped and the first
     exception is re-raised on the caller after all domains join. *)
 
-(** Number of domains used when [?jobs] is omitted.  Initially
-    {!recommended_jobs}. *)
-val default_jobs : unit -> int
-
-(** Set the process-wide default job count (clamped to >= 1). *)
+(** Set the process-wide default job count (clamped to >= 1), used when
+    [?jobs] is omitted. *)
 val set_default_jobs : int -> unit
-
-(** [Domain.recommended_domain_count ()]. *)
-val recommended_jobs : unit -> int
 
 (** [map ?jobs f xs] is [List.map f xs], computed on up to [jobs]
     domains (the caller participates), results in input order. *)

@@ -73,9 +73,6 @@ let measure ?(config = default_config) profile ~read_ratio ~bytes ~rate =
     p95_write_us = pct writes 95.0;
   }
 
-let latency_curve ?config profile ~read_ratio ~bytes ~rates =
-  List.map (fun rate -> measure ?config profile ~read_ratio ~bytes ~rate) rates
-
 (* A point "meets" the SLO when p95 read latency is under target AND the
    device actually kept up with the offered load (otherwise the open-loop
    backlog makes the measured latency an artifact of the horizon). *)

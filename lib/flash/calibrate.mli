@@ -31,15 +31,6 @@ val default_config : config
 val measure :
   ?config:config -> Device_profile.t -> read_ratio:float -> bytes:int -> rate:float -> point
 
-(** Latency-throughput sweep (a Figure 1 curve). *)
-val latency_curve :
-  ?config:config ->
-  Device_profile.t ->
-  read_ratio:float ->
-  bytes:int ->
-  rates:float list ->
-  point list
-
 (** Max raw IOPS such that p95 read latency stays under the target, found
     by binary search between 0 and the profile's nominal ceiling. *)
 val max_rate_for_slo :

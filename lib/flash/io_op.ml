@@ -1,7 +1,5 @@
 type kind = Read | Write
 
-let kind_to_string = function Read -> "read" | Write -> "write"
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 let equal_kind a b = match (a, b) with Read, Read | Write, Write -> true | _ -> false
 
 let lba_size = 4096

@@ -3,8 +3,6 @@
 
 type kind = Read | Write
 
-val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 val equal_kind : kind -> kind -> bool
 
 (** Logical-block size used for cost accounting: the paper's devices

@@ -215,8 +215,6 @@ let write_buffer_used t = t.wbuf_used
 
 (* ---- Fault-injection API (driven by Reflex_faults.Injector) ---------- *)
 
-let die_count t = Array.length t.dies
-
 let check_die t die =
   if die < 0 || die >= Array.length t.dies then
     invalid_arg (Printf.sprintf "Nvme_model: die %d out of range" die)
@@ -241,8 +239,6 @@ let set_die_slowdown t ~die ~factor =
   if factor < 1.0 then invalid_arg "Nvme_model.set_die_slowdown: factor < 1.0";
   t.die_slowdown.(die) <- factor;
   if factor <> 1.0 then t.faulty <- true
-
-let clear_die_slowdowns t = Array.fill t.die_slowdown 0 (Array.length t.die_slowdown) 1.0
 
 (* A GC storm queues [bursts_per_die] extra low-priority erase jobs on
    every die, spread evenly over [duration].  The erase service time is

@@ -55,9 +55,6 @@ val utilization : t -> float
     device without fault support, so fault-free runs reproduce pre-fault
     results exactly. *)
 
-(** Number of dies (targets for [fail_die] / [set_die_slowdown]). *)
-val die_count : t -> int
-
 (** Mark a die failed: it is excluded from routing (requests remap to the
     next healthy die, as a controller remapping to spare blocks would).
     Idempotent. @raise Invalid_argument if [die] is out of range. *)
@@ -70,9 +67,6 @@ val restore_die : t -> die:int -> unit
     throttling, firmware pauses).  [factor = 1.0] restores normal speed.
     @raise Invalid_argument if [factor < 1.0]. *)
 val set_die_slowdown : t -> die:int -> factor:float -> unit
-
-(** Reset all per-die slowdowns to 1.0. *)
-val clear_die_slowdowns : t -> unit
 
 (** [gc_storm t ~duration ~bursts_per_die] queues [bursts_per_die] extra
     low-priority erase bursts on every healthy die, evenly spaced over

@@ -16,7 +16,7 @@
         telemetry sites).
 
    Resolution leans on a repo invariant the driver checks implicitly:
-   compilation-unit basenames are unique across lib/ bin/ bench/, so a
+   compilation-unit basenames are unique across lib/ and bin/, so a
    qualified head like [Sim] or [Telemetry] names exactly one file.
    Library umbrella modules ([Reflex_obs] etc.) are handled by one
    alias hop through the umbrella's own [module X = X] re-exports, so

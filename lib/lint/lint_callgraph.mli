@@ -43,9 +43,6 @@ type t = {
 (** Per-file scan result; pure, safe to compute in parallel workers. *)
 type file_facts
 
-(** ["lib/qos/scheduler.ml"] -> ["Scheduler"]. *)
-val module_of_file : string -> string
-
 val scan_file : rel:string -> Parsetree.structure -> file_facts
 val build : file_facts list -> t
 

@@ -124,7 +124,7 @@ let stale_waivers ctx scans =
 
 (* ---------------- entry points ---------------- *)
 
-let default_paths = [ "lib"; "bin"; "bench" ]
+let default_paths = [ "lib"; "bin" ]
 
 let run_full ?(paths = default_paths) ?(jobs = 1) ~root ~manifest_path () =
   let manifest, manifest_diags = Lint_manifest.load manifest_path in

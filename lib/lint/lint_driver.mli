@@ -14,7 +14,7 @@ type report = {
 
 val clean : report -> bool
 
-(** Lint every [.ml] under [paths] (default [lib bin bench], resolved
+(** Lint every [.ml] under [paths] (default [lib bin], resolved
     against [root]).  The manifest is loaded from [manifest_path]; a
     missing or malformed manifest yields [lint/manifest] findings.
     [jobs] (default 1) fans the per-file stage across domains. *)

@@ -165,7 +165,6 @@ let allowed t ~rule ~path =
   List.exists (fun (r, prefix, _) -> r = rule && is_prefix ~prefix path) t.allows
 
 let hot_path_funcs t ~path = List.filter (fun h -> h.h_file = path) t.hot_paths
-let cold_path_funcs t ~path = List.filter_map (fun f -> if f.f_file = path then Some f.f_func else None) t.cold_paths
 
 let domain_safe_idents t ~path =
   List.filter_map (fun (f, id, _) -> if f = path then Some id else None) t.domain_safe

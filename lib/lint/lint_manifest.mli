@@ -37,7 +37,6 @@ val load : string -> t * Lint_diagnostic.t list
 val allowed : t -> rule:string -> path:string -> bool
 
 val hot_path_funcs : t -> path:string -> hot_entry list
-val cold_path_funcs : t -> path:string -> string list
 val domain_safe_idents : t -> path:string -> string list
 val iface_exempted : t -> path:string -> bool
 

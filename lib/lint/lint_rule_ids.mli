@@ -1,7 +1,6 @@
 (** The closed set of reflex-lint rule identifiers. *)
 
 val determinism : string list
-val domain_safety : string list
 val guards : string list
 val hot_path : string list
 val interface : string list

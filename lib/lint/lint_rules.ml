@@ -323,15 +323,6 @@ let alloc_construct e =
     else None
   | _ -> None
 
-(* Strip the leading parameter chain of a toplevel [let f a b = ...] —
-   those [Pexp_fun] nodes are the function itself, not closures it
-   allocates. *)
-let rec strip_params e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> strip_params body
-  | Pexp_newtype (_, body) -> strip_params body
-  | _ -> e
-
 (* The body expressions of a definition: [let f a b = e] yields [e];
    [let f = function A -> e1 | B -> e2] yields the case bodies (and
    when-guards) — the [function] node is the function itself, not a

@@ -17,16 +17,12 @@ val check_iface : manifest:Lint_manifest.t -> rel:string -> has_mli:bool -> Lint
     rules do. *)
 
 val lid_parts : Longident.t -> string list
-val lid_head : Longident.t -> string
-val lid_last : Longident.t -> string
-val lid_string : Longident.t -> string
 val pos_of : Location.t -> int * int
 
 (** Wall-clock read paths recognised by [det/clock] (and as taint
     sources). *)
 val clock_paths : string list
 
-val is_hashtbl_iter : Longident.t -> bool
 val is_sort_name : string -> bool
 
 (** Is this conditional's condition an enabled/armed/[*_on] guard? *)
@@ -40,12 +36,10 @@ val effectful_telemetry_path : string list -> bool
     [(construct, loc, detail)]. *)
 val alloc_construct : Parsetree.expression -> (string * Location.t * string) option
 
-(** Strip the leading parameter chain of a [let f a b = ...] body. *)
-val strip_params : Parsetree.expression -> Parsetree.expression
-
-(** Like {!strip_params}, but a definition written [let f = function ...]
-    yields all case bodies (the [function] node is the function itself,
-    not a per-call closure). *)
+(** The body expressions of a definition: [let f a b = e] yields [e]
+    (the parameter chain is the function itself), and [let f = function
+    ...] yields all case bodies (the [function] node is not a per-call
+    closure). *)
 val def_bodies : Parsetree.expression -> Parsetree.expression list
 
 (** [raise]/[failwith]/[invalid_arg]: argument subtrees evaluate only on

@@ -89,10 +89,7 @@ val firing : t -> string list
 (** Full timeline, oldest first. *)
 val events : t -> event list
 
-val event_count : t -> int
-
 (** Fired transitions ever (resolves not counted). *)
 val fired_total : t -> int
 
-val pp_event : Format.formatter -> event -> unit
 val report : t -> string

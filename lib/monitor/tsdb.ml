@@ -258,9 +258,6 @@ let hist w name = assoc_of name w.w_hists
 let p95_us w name =
   match hist w name with Some h -> Some (Hdr_histogram.percentile_us h 95.0) | None -> None
 
-let p99_us w name =
-  match hist w name with Some h -> Some (Hdr_histogram.percentile_us h 99.0) | None -> None
-
 (* Sum of a value series over the newest [k] windows (missing names count
    as 0 — a source registered mid-run simply contributes nothing to
    earlier windows). *)

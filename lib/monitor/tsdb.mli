@@ -74,13 +74,9 @@ val windows_closed : t -> int
 
 val last : t -> window option
 
-(** Newest [k] windows, oldest first. *)
-val last_n : t -> int -> window list
-
 val value : window -> string -> float option
 val hist : window -> string -> Hdr_histogram.t option
 val p95_us : window -> string -> float option
-val p99_us : window -> string -> float option
 
 (** Sum of a value series over the newest [k] windows (missing names
     contribute 0). *)

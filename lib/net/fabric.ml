@@ -28,9 +28,7 @@ type t = {
   mutable loss_prob : float; (* per-message retransmission probability *)
   mutable dup_prob : float; (* per-message duplicate-delivery probability *)
   mutable rto : Time.t; (* retransmission delay charged per loss *)
-  mutable losses : int;
   mutable dups : int;
-  mutable flap_stalls : int;
   mutable n_hosts : int;
 }
 
@@ -48,9 +46,7 @@ let create sim ?(bandwidth_gbps = 10.0) ?(switch_latency = Time.of_float_us 1.2)
     loss_prob = 0.0;
     dup_prob = 0.0;
     rto = Time.ms 1;
-    losses = 0;
     dups = 0;
-    flap_stalls = 0;
     n_hosts = 0;
   }
 
@@ -88,18 +84,10 @@ let fault_penalties t =
   | Some prng ->
     let now = Sim.now t.sim in
     let stall =
-      if Time.(now < t.link_down_until) then begin
-        t.flap_stalls <- t.flap_stalls + 1;
-        Time.diff t.link_down_until now
-      end
-      else Time.zero
+      if Time.(now < t.link_down_until) then Time.diff t.link_down_until now else Time.zero
     in
     let stall =
-      if t.loss_prob > 0.0 && Prng.bool prng t.loss_prob then begin
-        t.losses <- t.losses + 1;
-        Time.add stall t.rto
-      end
-      else stall
+      if t.loss_prob > 0.0 && Prng.bool prng t.loss_prob then Time.add stall t.rto else stall
     in
     let dup = t.dup_prob > 0.0 && Prng.bool prng t.dup_prob in
     if dup then t.dups <- t.dups + 1;
@@ -153,6 +141,4 @@ let set_dup t ~prob =
   check_prob "set_dup" prob;
   t.dup_prob <- prob
 
-let losses t = t.losses
 let duplicates t = t.dups
-let flap_stalls t = t.flap_stalls

@@ -75,8 +75,4 @@ val set_loss : t -> prob:float -> rto:Time.t -> unit
     @raise Invalid_argument unless [0 <= prob < 1]. *)
 val set_dup : t -> prob:float -> unit
 
-(** Fault-path counters (observability). *)
-val losses : t -> int
-
 val duplicates : t -> int
-val flap_stalls : t -> int

@@ -7,8 +7,8 @@
     question the ROADMAP's 100K-tenant item needs answered).  The numbers
     are therefore nondeterministic by design and must never feed back into
     simulation state or into any byte-identity-checked report — they are
-    exported only through gauges, Prometheus, and the bench ["profile"]
-    JSON section.  The [det/clock] waiver for [lib/obs/] in [lint.manifest]
+    exported only through gauges, Prometheus, and the [reflex_sim obs]
+    cost table.  The [det/clock] waiver for [lib/obs/] in [lint.manifest]
     records this contract.
 
     Scopes are coarse and non-reentrant per subsystem: [enter]/[leave]

@@ -31,7 +31,6 @@ type 'a t = {
   by_id : (int, 'a Tenant.t) Hashtbl.t; (* O(1) lookup on the request path *)
   mutable be_cursor : int; (* round-robin start for fairness *)
   mutable prev_sched_time : Time.t option;
-  mutable lc_generated : float;
   (* Incrementally maintained sum of every member tenant's demand, so
      [backlog] is O(1) and allocation-free on the per-cycle path (the
      dataplane consults it every finish_cycle).  Updated via each
@@ -69,7 +68,6 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
     by_id = Hashtbl.create 64;
     be_cursor = 0;
     prev_sched_time = None;
-    lc_generated = 0.0;
     backlog_agg = 0.0;
   }
 
@@ -193,8 +191,6 @@ let queue_depth t =
   done;
   !n
 
-let lc_tokens_generated t = t.lc_generated
-
 (* Submit requests off [tenant]'s queue while there is demand and the
    balance stays above [floor]; returns the count submitted. *)
 let submit_while tenant ~floor ~submit =
@@ -254,7 +250,6 @@ let schedule t ~now ~submit =
     let grant = Tenant.token_rate tenant *. time_delta in
     Tenant.add_tokens tenant grant;
     Tenant.record_grant tenant grant;
-    t.lc_generated <- t.lc_generated +. grant;
     if fl_on then
       Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:(Tenant.id tenant) ~b:t.thread_id
         ~v:grant;

@@ -62,6 +62,3 @@ val backlog : 'a t -> float
     rack-level load balancers, not a per-cycle one ({!backlog} is the
     O(1) per-cycle aggregate). *)
 val queue_depth : 'a t -> int
-
-(** Tokens generated for LC tenants since creation (observability). *)
-val lc_tokens_generated : 'a t -> float

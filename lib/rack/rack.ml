@@ -205,8 +205,6 @@ let sample_probes t =
       t.last_probe.(i) <- now)
     (Global_control.probes t.control)
 
-let probe_age t ~server = Time.diff (Sim.now t.sim) t.last_probe.(server)
-
 let find_tenant t id =
   match Hashtbl.find_opt t.tenants id with
   | Some ten -> ten

@@ -117,12 +117,6 @@ val dispatch_read :
     tick, so policy staleness equals the tick period. *)
 val sample_probes : t -> unit
 
-(** Age of the probe-cached depth for [server]: now minus the last
-    {!sample_probes} instant (creation time before the first sample).
-    Also exported as the [rack/s%02d/probe_age_us] / [rack/probe_age_us]
-    telemetry gauges when telemetry is armed. *)
-val probe_age : t -> server:int -> Time.t
-
 (** Probe-aged per-server queue depths (what JSQ/po2c see); a copy. *)
 val sampled_depths : t -> int array
 

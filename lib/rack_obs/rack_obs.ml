@@ -328,15 +328,6 @@ let rack_ring t = t.rack_ring
 
 let tiling_ok t = t.traced > 0 && t.untiled = 0
 
-(* Bench probe: the cost of one hop record on a server ring — the exact
-   write the armed trace path performs per stamp. *)
-let bench_hop_records t n =
-  let ring = t.rings.(0) in
-  let now = Sim.now t.sim in
-  for i = 1 to n do
-    Flight.record ring ~now ~kind:Flight.Kind.Hop ~a:i ~b:((i land 0xFF) lsl 3) ~v:1.0
-  done
-
 (* ---------------- snapshots ---------------- *)
 
 let snapshot_servers t ~now ~window =

@@ -156,9 +156,3 @@ val attribution : t -> string
 (** Worst-K exemplar report with [follows_from] migration parents and
     full hop decomposition. *)
 val render_exemplars : t -> string
-
-(** {1 Bench probe} *)
-
-(** [bench_hop_records t n] performs [n] hop-record ring writes — the
-    exact store sequence the armed trace path performs per stamp. *)
-val bench_hop_records : t -> int -> unit

@@ -16,10 +16,6 @@ let mark t ?(n = 1) () =
   t.total <- t.total +. float_of_int n;
   t.window <- t.window +. float_of_int n
 
-let mark_f t x =
-  t.total <- t.total +. x;
-  t.window <- t.window +. x
-
 let count t = t.total
 
 let rate t =

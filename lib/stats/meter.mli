@@ -12,9 +12,6 @@ val create : Sim.t -> t
 (** [mark t ?n ()] counts [n] (default 1) events now. *)
 val mark : t -> ?n:int -> unit -> unit
 
-(** [mark_f t x] accumulates a float quantity (e.g. tokens, bytes). *)
-val mark_f : t -> float -> unit
-
 val count : t -> float
 
 (** Events per second since creation. *)

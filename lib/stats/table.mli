@@ -1,4 +1,4 @@
-(** Aligned plain-text table rendering for the benchmark harness, so every
+(** Aligned plain-text table rendering for the experiment renders, so every
     reproduced paper table/figure prints as readable rows. *)
 
 type t

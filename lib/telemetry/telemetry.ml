@@ -169,8 +169,6 @@ type metric =
   | Gauge of (unit -> float)
   | Hist of Hdr_histogram.t
 
-type sample = { s_time : Time.t; s_values : (string * float) array }
-
 (* Causal edges between spans: [Follows_from] chains retry attempts of one
    logical operation (distinct req_ids), [Child_of] hangs a derived span
    under its parent.  Links are rare (retries, remediations), so a list is
@@ -182,21 +180,10 @@ type t = {
   spans : Span_ring.t;
   decisions : Decision_ring.t;
   metrics : (string, metric) Hashtbl.t;
-  (* Sampler datapath: a name-sorted snapshot of the registry plus a
-     preallocated (tick x metric) value matrix.  A sampler tick writes
-     one float per metric into the matrix — no per-tick array, tuples or
-     sort.  When the registry changes between ticks ([reg_dirty]), rows
-     recorded so far are materialized into [frozen_rev] under the old
-     layout and the matrix restarts with the new stride.  [sample]
-     records are only built on demand (see [samples]). *)
-  mutable reg_dirty : bool;
-  mutable reg_names : string array; (* sorted metric names *)
-  mutable reg_metrics : metric array; (* parallel to reg_names *)
-  mutable samp_times : Time.t array; (* one per retained tick *)
-  mutable samp_vals : float array; (* samp_len x stride, row-major *)
-  mutable samp_len : int;
-  mutable frozen_rev : sample list; (* ticks from earlier registry layouts *)
+  (* Sampler ticks only count and timestamp: gauges are read on demand
+     by the reports and exporters. *)
   mutable sample_count : int;
+  mutable last_sample : Time.t;
   mutable sampler_running : bool;
   tenant_slos : (int, bool * int) Hashtbl.t; (* (latency_critical, latency_us) *)
   (* Per-tenant latency histograms, indexed by tenant id; [dummy_hist]
@@ -226,14 +213,8 @@ let make ~enabled ~span_capacity ~decision_capacity =
     spans = Span_ring.create span_capacity;
     decisions = Decision_ring.create decision_capacity;
     metrics = Hashtbl.create 64;
-    reg_dirty = false;
-    reg_names = [||];
-    reg_metrics = [||];
-    samp_times = [||];
-    samp_vals = [||];
-    samp_len = 0;
-    frozen_rev = [];
     sample_count = 0;
+    last_sample = Time.zero;
     sampler_running = false;
     tenant_slos = Hashtbl.create 16;
     tlat = [||];
@@ -305,30 +286,20 @@ let counter t name =
     | None ->
       let c = { value = 0.0 } in
       Hashtbl.replace t.metrics name (Counter c);
-      t.reg_dirty <- true;
       c
 
 let add c x = c.value <- c.value +. x
 let incr c = add c 1.0
 let counter_value c = c.value
 
-let register_gauge t name f =
-  if t.enabled then begin
-    Hashtbl.replace t.metrics name (Gauge f);
-    t.reg_dirty <- true
-  end
-
-let unregister t name =
-  if t.enabled && Hashtbl.mem t.metrics name then begin
-    Hashtbl.remove t.metrics name;
-    t.reg_dirty <- true
-  end
+let register_gauge t name f = if t.enabled then Hashtbl.replace t.metrics name (Gauge f)
+let unregister t name = if t.enabled then Hashtbl.remove t.metrics name
 
 (* Attaching a profiler also publishes its accumulators as gauges, so the
-   per-subsystem cost shares flow through the regular sampler into the
-   Tsdb/Prometheus exporters with no extra plumbing.  The values are host
-   wall time — nondeterministic by design (see Profiler's contract); they
-   are only present when a profiler is explicitly attached. *)
+   per-subsystem cost shares reach the Prometheus export with no extra
+   plumbing.  The values are host wall time — nondeterministic by design
+   (see Profiler's contract); they are only present when a profiler is
+   explicitly attached. *)
 let set_profiler t p =
   if not t.enabled then invalid_arg "Telemetry.set_profiler: disabled instance";
   t.profiler <- p;
@@ -353,20 +324,13 @@ let histogram t name =
     | None ->
       let h = Hdr_histogram.create () in
       Hashtbl.replace t.metrics name (Hist h);
-      t.reg_dirty <- true;
       h
-
-let metric_value = function
-  | Counter c -> c.value
-  | Gauge g -> g ()
-  | Hist h -> float_of_int (Hdr_histogram.count h)
 
 let metric_names t =
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) t.metrics [] in
   List.sort compare names
 
-(* Typed read-only view of one registered metric (exporters need the
-   kind, not just the scalar [metric_value] projection). *)
+(* Typed read-only view of one registered metric, read on demand. *)
 let find_metric t name =
   match Hashtbl.find_opt t.metrics name with
   | None -> None
@@ -494,53 +458,11 @@ let faults_report t =
 
 (* ---------------- sampling ---------------- *)
 
-(* Build the [sample] record for matrix row [k] under the current
-   registry layout.  Report-time only. *)
-let row_sample t k =
-  let stride = Array.length t.reg_names in
-  {
-    s_time = t.samp_times.(k);
-    s_values = Array.init stride (fun i -> (t.reg_names.(i), t.samp_vals.((k * stride) + i)));
-  }
-
-(* Cold path: the registry changed since the last tick.  Materialize the
-   rows recorded so far under the old layout, then rebuild the sorted
-   name/metric snapshot and restart the matrix with the new stride. *)
-let refresh_registry t =
-  for k = 0 to t.samp_len - 1 do
-    t.frozen_rev <- row_sample t k :: t.frozen_rev
-  done;
-  t.samp_len <- 0;
-  t.reg_names <- Array.of_list (metric_names t);
-  t.reg_metrics <- Array.map (fun name -> Hashtbl.find t.metrics name) t.reg_names;
-  t.samp_vals <- Array.make (Array.length t.samp_times * Array.length t.reg_names) 0.0;
-  t.reg_dirty <- false
-
-(* Cold path: double the matrix (tick capacity). *)
-let grow_samples t =
-  let cap = Array.length t.samp_times in
-  let ncap = if cap = 0 then 256 else cap * 2 in
-  let stride = Array.length t.reg_names in
-  let nt = Array.make ncap Time.zero in
-  Array.blit t.samp_times 0 nt 0 t.samp_len;
-  t.samp_times <- nt;
-  let nv = Array.make (ncap * stride) 0.0 in
-  Array.blit t.samp_vals 0 nv 0 (t.samp_len * stride);
-  t.samp_vals <- nv
-
 let sample t ~now =
   if t.enabled then begin
     Profiler.enter t.profiler Profiler.Subsystem.Telemetry;
-    if t.reg_dirty then refresh_registry t;
-    if t.samp_len = Array.length t.samp_times then grow_samples t;
-    let stride = Array.length t.reg_names in
-    t.samp_times.(t.samp_len) <- now;
-    let base = t.samp_len * stride in
-    for i = 0 to stride - 1 do
-      t.samp_vals.(base + i) <- metric_value t.reg_metrics.(i)
-    done;
-    t.samp_len <- t.samp_len + 1;
     t.sample_count <- t.sample_count + 1;
+    t.last_sample <- now;
     Profiler.leave t.profiler Profiler.Subsystem.Telemetry
   end
 
@@ -550,11 +472,8 @@ let start_sampler t sim ?(interval = Time.ms 1) () =
     Sim.every_daemon sim ~every:interval (fun now -> sample t ~now)
   end
 
-let samples t =
-  let tail = List.init t.samp_len (fun k -> row_sample t k) in
-  List.rev_append t.frozen_rev tail
-
 let sample_count t = t.sample_count
+let last_sample t = t.last_sample
 
 (* ---------------- reports ---------------- *)
 

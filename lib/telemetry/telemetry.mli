@@ -1,5 +1,5 @@
 (** Observability core: lifecycle span ring, scheduler decision log, and a
-    named-metrics registry with sim-time sampling.
+    named-metrics registry with a sim-time sampler tick.
 
     One {!t} per simulated world.  The defining contract is
     {e zero overhead when disabled}: every record operation first reads the
@@ -35,10 +35,6 @@ type t
     disabled instance is a silent no-op sink. *)
 type counter
 
-(** One sampler tick: all registered metrics read at [s_time], sorted by
-    metric name (deterministic across runs and domains). *)
-type sample = private { s_time : Time.t; s_values : (string * float) array }
-
 (** The shared always-disabled instance.  All record operations on it are
     no-ops; it is never mutated, hence domain-safe. *)
 val disabled : t
@@ -68,8 +64,8 @@ val set_flight : t -> Reflex_obs.Flight.t -> unit
 val profiler : t -> Reflex_obs.Profiler.t
 
 (** Attach a cost profiler and publish its per-subsystem wall/minor-words
-    accumulators as [obs/prof/...] gauges (sampled on daemon ticks, hence
-    visible to the Tsdb and Prometheus exporters).  Raises on {!disabled}. *)
+    accumulators as [obs/prof/...] gauges (read on demand by the metrics
+    report and the Prometheus export).  Raises on {!disabled}. *)
 val set_profiler : t -> Reflex_obs.Profiler.t -> unit
 
 (** {1 Lifecycle spans} *)
@@ -136,7 +132,8 @@ val add : counter -> float -> unit
 val incr : counter -> unit
 val counter_value : counter -> float
 
-(** [register_gauge t name f] samples [f ()] at each sampler tick. *)
+(** [register_gauge t name f] registers [f] under [name]; it is read on
+    demand by {!metrics_report} and {!find_metric}. *)
 val register_gauge : t -> string -> (unit -> float) -> unit
 
 val unregister : t -> string -> unit
@@ -224,20 +221,22 @@ val faults_report : t -> string
 
 (** {1 Sampling} *)
 
-(** Snapshot every registered metric now. *)
+(** Record one sampler tick at [now]: bumps {!sample_count} and sets
+    {!last_sample}.  Metric values are not copied; gauges are read on
+    demand. *)
 val sample : t -> now:Time.t -> unit
 
-(** [start_sampler t sim ()] snapshots all metrics every [interval]
-    (default 1ms) of sim time, as a {e daemon} event ({!Sim.every_daemon}):
-    the sampler never keeps the simulation alive on its own and does not
+(** [start_sampler t sim ()] ticks {!sample} every [interval] (default
+    1ms) of sim time, as a {e daemon} event ({!Sim.every_daemon}): the
+    sampler never keeps the simulation alive on its own and does not
     perturb simulation state, so telemetry-on results equal telemetry-off
     results bit for bit.  Idempotent per instance. *)
 val start_sampler : t -> Sim.t -> ?interval:Time.t -> unit -> unit
 
-(** Chronological samples. *)
-val samples : t -> sample list
-
 val sample_count : t -> int
+
+(** Time of the latest sampler tick ([Time.zero] before the first). *)
+val last_sample : t -> Time.t
 
 (** {1 Plain-text reports} *)
 

@@ -205,7 +205,7 @@ let last_time tel =
   let see x = if Time.(x > !t) then t := x in
   Telemetry.iter_spans tel (fun ~time ~lane:_ ~tenant:_ ~req_id:_ ~stage:_ -> see time);
   List.iter (fun (time, _, _) -> see time) (Telemetry.fault_log tel);
-  List.iter (fun s -> see s.Telemetry.s_time) (Telemetry.samples tel);
+  see (Telemetry.last_sample tel);
   !t
 
 let to_chrome_json ?(extra = []) tel =

@@ -58,18 +58,47 @@ let test_disabled_noop () =
   Alcotest.(check int) "no samples" 0 (Telemetry.sample_count t);
   Alcotest.(check (list string)) "no metrics" [] (Telemetry.metric_names t)
 
-let test_sample_sorted () =
+let test_sample_count_and_names () =
   let t = Telemetry.create () in
-  (* Register in non-sorted order; samples must come out name-sorted. *)
+  (* Register in non-sorted order; names must come out sorted. *)
   List.iter
     (fun n -> Telemetry.register_gauge t n (fun () -> 1.0))
     [ "z/last"; "a/first"; "m/mid" ];
-  Telemetry.sample t ~now:0L;
-  match Telemetry.samples t with
-  | [ s ] ->
-    let names = Array.to_list (Array.map fst s.Telemetry.s_values) in
-    Alcotest.(check (list string)) "sorted" [ "a/first"; "m/mid"; "z/last" ] names
-  | l -> Alcotest.failf "expected 1 sample, got %d" (List.length l)
+  Telemetry.sample t ~now:(Time.us 1);
+  Telemetry.sample t ~now:(Time.us 2);
+  Alcotest.(check int) "two ticks" 2 (Telemetry.sample_count t);
+  Alcotest.(check int64) "last tick" (Time.us 2) (Telemetry.last_sample t);
+  Alcotest.(check (list string)) "sorted" [ "a/first"; "m/mid"; "z/last" ]
+    (Telemetry.metric_names t)
+
+(* A fault window still open at export is closed at the latest span,
+   fault-mark or sampler-tick time.  Each case makes a different one the
+   latest; the sampler-tick case is a world idling past its last span. *)
+let test_open_fault_closes_at_last_time () =
+  let case ~span ~mark ~tick =
+    let t = Telemetry.create () in
+    Telemetry.span t ~now:(Time.us span) ~lane:0 ~tenant:1 ~req_id:1L Telemetry.Stage.Client_submit;
+    Telemetry.fault_mark t ~now:(Time.us 5) ~label:"open" ~active:true;
+    Telemetry.fault_mark t ~now:(Time.us mark) ~label:"closed" ~active:true;
+    Telemetry.fault_mark t ~now:(Time.us mark) ~label:"closed" ~active:false;
+    Telemetry.sample t ~now:(Time.us tick);
+    let events =
+      match Json.mem "traceEvents" (Json.parse (Trace_export.to_chrome_json t)) with
+      | Some (Json.List l) -> l
+      | _ -> Alcotest.fail "missing traceEvents array"
+    in
+    match List.find_opt (fun e -> Json.mem "name" e = Some (Json.Str "open")) events with
+    | Some e -> ( match Json.mem "dur" e with Some (Json.Num dur) -> dur | _ -> nan)
+    | None -> Alcotest.fail "open fault window not exported"
+  in
+  let check name ~span ~mark ~tick =
+    Alcotest.(check (float 1e-9)) name
+      (float_of_int (max span (max mark tick) - 5))
+      (case ~span ~mark ~tick)
+  in
+  check "sampler tick latest" ~span:10 ~mark:20 ~tick:50;
+  check "span latest" ~span:40 ~mark:20 ~tick:30;
+  check "fault mark latest" ~span:10 ~mark:60 ~tick:30
 
 (* ------------------------------------------------------------------ *)
 (* A small traced world                                               *)
@@ -269,7 +298,10 @@ let suite =
         Alcotest.test_case "decision ring wraparound keeps newest" `Quick
           test_decision_ring_wraparound;
         Alcotest.test_case "disabled instance is inert" `Quick test_disabled_noop;
-        Alcotest.test_case "samples are name-sorted" `Quick test_sample_sorted;
+        Alcotest.test_case "sample counts ticks; names sorted" `Quick
+          test_sample_count_and_names;
+        Alcotest.test_case "open fault closes at latest time" `Quick
+          test_open_fault_closes_at_last_time;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
         Alcotest.test_case "exporters parse and keep escaped strings" `Quick
