@@ -39,14 +39,18 @@ bench-smoke: build
 # reflex_sim exits non-zero when any check fails.  The same runs also
 # write every exporter's output under _build/ (request traces, the flight
 # dump's Chrome view and JSON debrief, the rack trace) so each writer runs
-# on every check.
+# on every check, and `md5sum -c smoke.md5` holds those five JSON exports
+# to their checked-in digests, so a writer change that moves one byte fails
+# here.  A change that alters an export on purpose regenerates smoke.md5.
+# smoke_obs.out is not pinned: it ends with host wall-time measurements.
 smoke: build
 	dune exec bin/reflex_sim.exe -- chaos > _build/smoke_chaos.out
 	dune exec bin/reflex_sim.exe -- monitor --trace-out _build/smoke_monitor_trace.json > _build/smoke_monitor.out
 	dune exec bin/reflex_sim.exe -- obs --flight-dump _build/smoke_obs_flight.json --dump-json _build/smoke_obs_dump.json > _build/smoke_obs.out
 	dune exec bin/reflex_sim.exe -- rack --trace-out _build/smoke_rack_trace.json > _build/smoke_rack.out
 	dune exec bin/reflex_sim.exe -- trace --out _build/smoke_trace.json > _build/smoke_trace.out
-	@echo "smoke OK: chaos, monitor, obs and rack checks pass; trace writers ran"
+	md5sum -c smoke.md5
+	@echo "smoke OK: chaos, monitor, obs and rack checks pass; trace exports match smoke.md5"
 
 check: build
 	$(MAKE) lint

@@ -3,13 +3,11 @@ open Trace_event
 
 (* Renderers for an alert-triggered flight dump.  Everything here is a pure
    function of the snapshot plus the trigger cross-references; timestamps
-   are sim-time microseconds formatted with a fixed width, so dumps are
-   byte-identical wherever the same seed ran. *)
+   are sim-time microseconds with exactly three decimals ([us]), so dumps
+   are byte-identical wherever the same seed ran. *)
 
 type trigger = string * Time.t * string
 type fault_window = string * Time.t * Time.t option
-
-let us t = Printf.sprintf "%.3f" (Time.to_float_us t)
 
 let snap_label (s : Flight.snapshot) id =
   if id >= 0 && id < Array.length s.Flight.s_labels then s.Flight.s_labels.(id) else "?"

@@ -18,8 +18,6 @@ let lane_name lane = if lane = 0 then "rack" else Printf.sprintf "rack-%02d" (la
 let hop_of_b b = b land 7
 let tenant_of_b b = b lsr 3
 
-let ts time = Printf.sprintf "%.3f" (Time.to_float_us time)
-
 (* One merged record: (time, lane, in-lane index, record fields). *)
 type ev = { e_time : Time.t; e_lane : int; e_idx : int; e_kind : int; e_a : int; e_b : int; e_v : float }
 
@@ -148,9 +146,10 @@ let chrome_trace ~server_snaps ~rack_snap =
 
 (* Text stitching of the causal span trees: every traced request id seen
    in the server lanes, its hop chain in stamp order, and the
-   Follows_from migration parent when one precedes the pick.  The
-   ordering is (rid asc), so two runs agree byte-for-byte exactly when
-   they traced the same requests the same way. *)
+   Follows_from migration parent when one precedes the pick: the
+   tenant's oldest migration at or before it.  The ordering is (rid
+   asc), so two runs agree byte-for-byte exactly when they traced the
+   same requests the same way. *)
 let stitch ~server_snaps ~rack_snap =
   let buf = Buffer.create 4096 in
   (* rid -> (lane, tenant, hops as (stamp, time, v) in record order) *)
@@ -172,45 +171,60 @@ let stitch ~server_snaps ~rack_snap =
         end
       done)
     server_snaps;
-  let rids = List.sort compare !rids in
-  (* migration list from the rack lane, oldest first *)
-  let migs = ref [] in
-  (let n = Flight.snap_length rack_snap in
-   for i = n - 1 downto 0 do
-     if Flight.Kind.of_int rack_snap.Flight.s_kinds.(i) = Flight.Kind.Migrate then
-       migs :=
-         ( rack_snap.Flight.s_times.(i),
-           rack_snap.Flight.s_a.(i),
+  let rids = List.sort Int.compare !rids in
+  (* tenant -> its migrations (time, src, dst) from the rack lane, oldest
+     first *)
+  let migs = Hashtbl.create 16 in
+  for i = Flight.snap_length rack_snap - 1 downto 0 do
+    if Flight.Kind.of_int rack_snap.Flight.s_kinds.(i) = Flight.Kind.Migrate then begin
+      let tenant = rack_snap.Flight.s_a.(i) in
+      let older = Option.value (Hashtbl.find_opt migs tenant) ~default:[] in
+      Hashtbl.replace migs tenant
+        (( rack_snap.Flight.s_times.(i),
            int_of_float rack_snap.Flight.s_v.(i),
            rack_snap.Flight.s_b.(i) )
-         :: !migs
-   done);
+        :: older)
+    end
+  done;
+  let lanes = Array.init (Array.length server_snaps + 1) lane_name in
   List.iter
     (fun rid ->
       let srv, tenant, hops = Hashtbl.find tbl rid in
       let hops = List.rev !hops in
-      let pick_time =
-        match hops with (_, time, _) :: _ -> Some time | [] -> None
+      Buffer.add_string buf "rid ";
+      add_int buf rid;
+      Buffer.add_string buf " tenant ";
+      add_int buf tenant;
+      Buffer.add_string buf " lane ";
+      Buffer.add_string buf lanes.(srv + 1);
+      Buffer.add_char buf '\n';
+      let parent =
+        match hops with
+        | (_, pt, _) :: _ ->
+          List.find_opt
+            (fun (mt, _, _) -> Time.(mt <= pt))
+            (Option.value (Hashtbl.find_opt migs tenant) ~default:[])
+        | [] -> None
       in
-      Printf.bprintf buf "rid %d tenant %d lane %s\n" rid tenant (lane_name (srv + 1));
-      (match pick_time with
-      | Some pt -> (
-        (* latest migration of this tenant at or before the pick *)
-        match
-          List.fold_left
-            (fun acc (mt, mten, msrc, mdst) ->
-              if mten = tenant && Time.(mt <= pt) then Some (mt, msrc, mdst) else acc)
-            None (List.rev !migs)
-        with
-        | Some (mt, msrc, mdst) ->
-          Printf.bprintf buf "  follows_from migrate %s -> %s @ %s us\n" (lane_name (msrc + 1))
-            (lane_name (mdst + 1)) (ts mt)
-        | None -> ())
-      | None -> ());
+      Option.iter
+        (fun (mt, msrc, mdst) ->
+          Buffer.add_string buf "  follows_from migrate ";
+          Buffer.add_string buf (lane_name (msrc + 1));
+          Buffer.add_string buf " -> ";
+          Buffer.add_string buf (lane_name (mdst + 1));
+          Buffer.add_string buf " @ ";
+          add_us buf mt;
+          Buffer.add_string buf " us\n")
+        parent;
       List.iter
         (fun (stamp, time, v) ->
-          Printf.bprintf buf "  child_of %s @ %s us (+%g us)\n" (Rack_obs.stamp_name stamp)
-            (ts time) v)
+          Buffer.add_string buf "  child_of ";
+          Buffer.add_string buf (Rack_obs.stamp_name stamp);
+          Buffer.add_string buf " @ ";
+          add_us buf time;
+          Buffer.add_string buf " us (+";
+          add_value buf (Num v);
+          Buffer.add_string buf " us)\n")
         hops)
     rids;
   Buffer.contents buf

@@ -31,23 +31,28 @@ let requests tel =
   let cap = Telemetry.span_count tel in
   let index = Corr.create cap in
   let found = Array.make cap no_request and n = ref 0 in
+  (* Only request-path stages tile a request; a rack [Pick] span is an
+     instant on the timeline and nothing more. *)
   Telemetry.iter_spans tel (fun ~time ~lane ~tenant ~req_id ~stage ->
-      let req = Int64.to_int req_id in
-      let i = Corr.find index ~lane ~tenant ~req in
-      let r =
-        if i >= 0 then found.(i)
-        else begin
-          let r =
-            { r_lane = lane; r_tenant = tenant; r_req_id = req_id;
-              r_stamps = Array.make n_stages (-1) }
-          in
-          Corr.put index ~lane ~tenant ~req !n;
-          found.(!n) <- r;
-          incr n;
-          r
-        end
-      in
-      r.r_stamps.(Stage.to_int stage) <- Int64.to_int time);
+      let code = Stage.to_int stage in
+      if code < n_stages then begin
+        let req = Int64.to_int req_id in
+        let i = Corr.find index ~lane ~tenant ~req in
+        let r =
+          if i >= 0 then found.(i)
+          else begin
+            let r =
+              { r_lane = lane; r_tenant = tenant; r_req_id = req_id;
+                r_stamps = Array.make n_stages (-1) }
+            in
+            Corr.put index ~lane ~tenant ~req !n;
+            found.(!n) <- r;
+            incr n;
+            r
+          end
+        in
+        r.r_stamps.(code) <- Int64.to_int time
+      end);
   Array.to_list (Array.sub found 0 !n)
 
 (* A request is usable for breakdowns when every stage was stamped and the
@@ -208,26 +213,43 @@ let last_time tel =
   see (Telemetry.last_sample tel);
   !t
 
-let to_chrome_json ?(extra = []) tel =
-  let buf = Buffer.create 65536 in
+(* The whole trace in one buffer.  Rendered sizes run ~125 B per
+   component event and ~75 B per instant; sizing above that lets the
+   buffer fill without regrowing. *)
+let chrome_buffer ?(extra = []) tel =
+  let bds = breakdowns tel in
+  let size =
+    (160 * Stage.component_count * List.length bds) + (96 * Telemetry.span_count tel) + 4096
+  in
+  let buf = Buffer.create (min size Sys.max_string_length) in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   let q = Te.seq buf ~sep:"," in
+  (* The two bulk event kinds differ per event only from [ts] on; their
+     heads are rendered once per component and per stage code. *)
+  let component_heads =
+    Array.map (fun name -> Te.head ~name ~cat:"request" ~ph:"X" ()) Stage.component_names
+  in
+  let span_heads =
+    Array.init
+      (Stage.to_int Stage.Pick + 1)
+      (fun code -> Te.head ~name:(Stage.name (Stage.of_int code)) ~cat:"span" ~ph:"i" ~s:"t" ())
+  in
   (* Duration events: one per component of each complete request. *)
   List.iter
     (fun b ->
-      let req = Int64.to_int b.b_req_id in
+      let tid = Int64.to_int b.b_req_id in
       let t = ref b.b_start in
-      Array.iteri
-        (fun i c ->
-          Te.event q ~name:Stage.component_names.(i) ~cat:"request" ~ph:"X" ~ts:!t ~dur:c
-            ~pid:b.b_tenant ~tid:req ~args:[ ("req", Te.Int req) ] ();
-          t := Time.add !t c)
-        b.b_components)
-    (breakdowns tel);
+      for comp = 0 to Stage.component_count - 1 do
+        let dur = b.b_components.(comp) in
+        Te.event_from q component_heads.(comp) ~ts:!t ~dur ~pid:b.b_tenant ~tid
+          ~args:[ ("req", Te.Int tid) ] ();
+        t := Time.add !t dur
+      done)
+    bds;
   (* Instant events: every raw span, so wrap-truncated requests are still
      visible on the timeline. *)
   Telemetry.iter_spans tel (fun ~time ~lane:_ ~tenant ~req_id ~stage ->
-      Te.event q ~name:(Stage.name stage) ~cat:"span" ~ph:"i" ~s:"t" ~ts:time ~pid:tenant
+      Te.event_from q span_heads.(Stage.to_int stage) ~ts:time ~pid:tenant
         ~tid:(Int64.to_int req_id) ());
   (* Injected-fault windows as duration events on a dedicated row
      (pid 0 / tid 0, cat "fault"), so latency spikes in the viewer line
@@ -264,10 +286,12 @@ let to_chrome_json ?(extra = []) tel =
      each element must be one complete JSON trace_event object. *)
   List.iter (Te.raw q) extra;
   Buffer.add_string buf "]}";
-  Buffer.contents buf
+  buf
+
+let to_chrome_json ?extra tel = Buffer.contents (chrome_buffer ?extra tel)
 
 let write_chrome_json ?extra tel path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json ?extra tel))
+    (fun () -> Buffer.output_buffer oc (chrome_buffer ?extra tel))

@@ -50,4 +50,6 @@ val retry_tree_report : ?top:int -> Telemetry.t -> string
     alert-timeline instants. *)
 val to_chrome_json : ?extra:string list -> Telemetry.t -> string
 
+(** Write {!to_chrome_json}'s bytes to a file, straight from the render
+    buffer. *)
 val write_chrome_json : ?extra:string list -> Telemetry.t -> string -> unit

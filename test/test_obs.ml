@@ -1,7 +1,8 @@
 (* Tests for the observability stack (lib/obs): the always-on flight
    recorder ring, snapshot windowing, the intern table, the cost
-   profiler's accounting, and the end-to-end alert-triggered forensic
-   dump determinism exercised through Obs_exp. *)
+   profiler's accounting, the trace writer's integer µs formatter, and
+   the end-to-end alert-triggered forensic dump determinism exercised
+   through Obs_exp. *)
 
 open Reflex_engine
 open Reflex_obs
@@ -139,6 +140,29 @@ let test_profiler_accounting () =
     (Profiler.calls Profiler.disabled Profiler.Subsystem.Qos)
 
 (* ------------------------------------------------------------------ *)
+(* Trace_event.us: exact integer µs                                   *)
+(* ------------------------------------------------------------------ *)
+
+let float_us t = Printf.sprintf "%.3f" (Time.to_float_us t)
+let below_2_50 = (1 lsl 50) - 1
+
+let test_us_edges () =
+  List.iter
+    (fun ns ->
+      Alcotest.(check string) (string_of_int ns) (float_us (Time.ns ns)) (Trace_event.us (Time.ns ns)))
+    [ 0; 1; 999; 1000; 1001; -1; -999; -1000; -1001; below_2_50; -below_2_50 ]
+
+(* Magnitudes spread over every bit width up to 2^50, so small, sub-µs
+   and near-limit values all turn up. *)
+let prop_us_matches_float =
+  let gen =
+    QCheck.Gen.(int_range 0 50 >>= fun k -> int_range (-((1 lsl k) - 1)) ((1 lsl k) - 1))
+  in
+  QCheck.Test.make ~name:"us = %.3f of to_float_us for |ns| < 2^50" ~count:5000
+    (QCheck.make ~print:string_of_int gen)
+    (fun ns -> Trace_event.us (Time.ns ns) = float_us (Time.ns ns))
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: alert-triggered dumps through Obs_exp                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -186,6 +210,11 @@ let suite =
       ] );
     ( "profiler",
       [ Alcotest.test_case "scope accounting" `Quick test_profiler_accounting ] );
+    ( "trace_event",
+      [
+        Alcotest.test_case "us edge cases" `Quick test_us_edges;
+        QCheck_alcotest.to_alcotest prop_us_matches_float;
+      ] );
     ( "dump",
       [
         Alcotest.test_case "alert-triggered forensic dump" `Quick test_obs_scenario;

@@ -100,6 +100,25 @@ let test_open_fault_closes_at_last_time () =
   check "span latest" ~span:40 ~mark:20 ~tick:30;
   check "fault mark latest" ~span:10 ~mark:60 ~tick:30
 
+(* A rack [Pick] span exports as an instant and leaves the request it
+   precedes to tile over the request path alone. *)
+let test_pick_span_exports () =
+  let t = Telemetry.create () in
+  Telemetry.span t ~now:(Time.us 5) ~lane:0 ~tenant:1 ~req_id:1L Telemetry.Stage.Pick;
+  Array.iteri
+    (fun i stage -> Telemetry.span t ~now:(Time.us (10 * (i + 1))) ~lane:0 ~tenant:1 ~req_id:1L stage)
+    Telemetry.Stage.request_path;
+  Alcotest.(check int) "one complete request" 1 (List.length (Trace_export.breakdowns t));
+  let events =
+    match Json.mem "traceEvents" (Json.parse (Trace_export.to_chrome_json t)) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "missing traceEvents array"
+  in
+  Alcotest.(check bool) "pick instant exported" true
+    (List.exists
+       (fun e -> Json.mem "name" e = Some (Json.Str "pick") && Json.mem "ph" e = Some (Json.Str "i"))
+       events)
+
 (* ------------------------------------------------------------------ *)
 (* A small traced world                                               *)
 (* ------------------------------------------------------------------ *)
@@ -302,6 +321,7 @@ let suite =
           test_sample_count_and_names;
         Alcotest.test_case "open fault closes at latest time" `Quick
           test_open_fault_closes_at_last_time;
+        Alcotest.test_case "pick span exports as an instant" `Quick test_pick_span_exports;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
         Alcotest.test_case "exporters parse and keep escaped strings" `Quick
