@@ -40,8 +40,9 @@ bench-smoke: build
 # write every exporter's output under _build/ (request traces, the flight
 # dump's Chrome view and JSON debrief, the rack trace) so each writer runs
 # on every check, and `md5sum -c smoke.md5` holds those five JSON exports
-# to their checked-in digests, so a writer change that moves one byte fails
-# here.  A change that alters an export on purpose regenerates smoke.md5.
+# and the four deterministic text renders (chaos, monitor, rack and trace
+# stdout) to their checked-in digests, so a change that moves one byte
+# fails here.  A change that alters one on purpose regenerates smoke.md5.
 # smoke_obs.out is not pinned: it ends with host wall-time measurements.
 smoke: build
 	dune exec bin/reflex_sim.exe -- chaos > _build/smoke_chaos.out
@@ -50,7 +51,7 @@ smoke: build
 	dune exec bin/reflex_sim.exe -- rack --trace-out _build/smoke_rack_trace.json > _build/smoke_rack.out
 	dune exec bin/reflex_sim.exe -- trace --out _build/smoke_trace.json > _build/smoke_trace.out
 	md5sum -c smoke.md5
-	@echo "smoke OK: chaos, monitor, obs and rack checks pass; trace exports match smoke.md5"
+	@echo "smoke OK: chaos, monitor, obs and rack checks pass; exports and renders match smoke.md5"
 
 check: build
 	$(MAKE) lint
@@ -59,7 +60,8 @@ check: build
 	$(MAKE) smoke
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO
-# audit, scheduler decision log, Chrome trace JSON.
+# audit, scheduler decision log (read off the flight ring), Chrome trace
+# JSON.
 trace: build
 	dune exec bin/reflex_sim.exe -- trace
 

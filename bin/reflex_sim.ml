@@ -193,9 +193,9 @@ let run_cmd =
       value & flag
       & info [ "telemetry" ]
           ~doc:
-            "enable the telemetry layer (lifecycle tracing, metrics sampling, scheduler \
-             decision log) on every simulated world and print the observability reports \
-             for the last world after the run")
+            "enable the telemetry layer (lifecycle tracing, metrics sampling, and a flight \
+             recorder whose ring is the scheduler decision log) on every simulated world and \
+             print the observability reports for the last world after the run")
   in
   let run id full telemetry (prom_out, trace_out) =
     let telemetry = telemetry || trace_out <> None || prom_out <> None in

@@ -34,7 +34,12 @@ let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
   let telemetry =
     match telemetry with
     | Some t -> t
-    | None -> if stash then Telemetry.create () else Telemetry.disabled
+    | None when stash ->
+      (* The reports read the scheduler decision log off the flight ring. *)
+      let t = Telemetry.create () in
+      Telemetry.set_flight t (Reflex_obs.Flight.create ());
+      t
+    | None -> Telemetry.disabled
   in
   let sim = Sim.create () in
   let fabric = Fabric.create sim () in

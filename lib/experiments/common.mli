@@ -29,8 +29,9 @@ type reflex_world = {
 
 (** When set, worlds built by {!make_reflex} without an explicit
     [?telemetry] get a fresh enabled instance (one per world — safe under
-    {!Runner} domain parallelism) with the metrics sampler started.
-    Driven by the [--telemetry]/[--trace-out] CLI flags. *)
+    {!Runner} domain parallelism) with the metrics sampler started and a
+    flight recorder attached (the scheduler decision log).  Driven by the
+    [--telemetry]/[--trace-out] CLI flags. *)
 val set_default_telemetry : bool -> unit
 
 (** The telemetry of the most recent world armed by

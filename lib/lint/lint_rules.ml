@@ -99,7 +99,15 @@ let iter_sub_exprs expr f =
 (* ---------------- determinism ---------------- *)
 
 let clock_paths =
-  [ "Unix.gettimeofday"; "Unix.time"; "Unix.localtime"; "Unix.gmtime"; "Unix.mktime"; "Sys.time" ]
+  [
+    "Unix.gettimeofday";
+    "Unix.time";
+    "Unix.localtime";
+    "Unix.gmtime";
+    "Unix.mktime";
+    "Sys.time";
+    "Monotonic_clock.now";
+  ]
 
 let check_idents ~file str =
   let out = ref [] in
@@ -242,8 +250,7 @@ let effectful_telemetry_path parts =
   let head = match parts with h :: _ -> h | [] -> "" in
   let last = match List.rev parts with l :: _ -> l | [] -> "" in
   match (head, last) with
-  | "Telemetry", ("span" | "decision" | "incr" | "add" | "record_tenant_latency" | "fault_mark" | "sample")
-    ->
+  | "Telemetry", ("span" | "incr" | "add" | "record_tenant_latency" | "fault_mark" | "sample") ->
     true
   | "Monitor", "tick" -> true
   | _ -> false

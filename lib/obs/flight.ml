@@ -1,7 +1,7 @@
 open Reflex_engine
 
 (* Always-on flight recorder.  The write path is the whole point: five
-   array stores and a cursor bump into preallocated parallel arrays, no
+   array stores and a {!Cursor} bump into preallocated parallel arrays, no
    boxing, no branches beyond the single [on] check — cheap enough to run
    unconditionally under the scheduler round and the dataplane cycle.
    Everything stringy (fault labels, alert rule names) goes through the
@@ -104,7 +104,7 @@ end
 
 type t = {
   on : bool;
-  capacity : int;
+  cur : Cursor.t;
   times : int64 array;
   kinds : int array;
   aa : int array;
@@ -114,8 +114,6 @@ type t = {
      store on the hot path so {!snapshot} can report exactly which record
      kinds the wraparound window lost, not just a lump total. *)
   kind_written : int array;
-  mutable next : int;
-  mutable total : int;
   (* Cold-path label interning: ids are handed out in first-use order
      (deterministic); [names] is the id -> string view. *)
   ids : (string, int) Hashtbl.t;
@@ -124,18 +122,15 @@ type t = {
 }
 
 let make ~enabled ~capacity =
-  if capacity < 1 then invalid_arg "Flight.create: capacity < 1";
   {
     on = enabled;
-    capacity;
+    cur = Cursor.create "Flight" capacity;
     times = Array.make capacity 0L;
     kinds = Array.make capacity 0;
     aa = Array.make capacity 0;
     bb = Array.make capacity 0;
     vv = Array.make capacity 0.0;
     kind_written = Array.make Kind.count 0;
-    next = 0;
-    total = 0;
     ids = Hashtbl.create 16;
     names = Array.make 8 "";
     n_labels = 0;
@@ -144,24 +139,21 @@ let make ~enabled ~capacity =
 let disabled = make ~enabled:false ~capacity:1
 let create ?(enabled = true) ?(capacity = 1 lsl 15) () = make ~enabled ~capacity
 let enabled t = t.on [@@inline]
-let capacity t = t.capacity
-let total t = t.total
-let retained t = if t.total < t.capacity then t.total else t.capacity
-let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
+let capacity t = Cursor.capacity t.cur
+let total t = Cursor.total t.cur
+let retained t = Cursor.length t.cur
+let dropped t = Cursor.dropped t.cur
 
 let record t ~now ~kind ~a ~b ~v =
   if t.on then begin
-    let i = t.next in
+    let i = Cursor.advance t.cur in
     let k = Kind.to_int kind in
     t.times.(i) <- now;
     t.kinds.(i) <- k;
     t.aa.(i) <- a;
     t.bb.(i) <- b;
     t.vv.(i) <- v;
-    t.kind_written.(k) <- t.kind_written.(k) + 1;
-    let j = i + 1 in
-    t.next <- (if j = t.capacity then 0 else j);
-    t.total <- t.total + 1
+    t.kind_written.(k) <- t.kind_written.(k) + 1
   end
 [@@inline]
 
@@ -186,14 +178,9 @@ let intern t label =
 let label t id = if id >= 0 && id < t.n_labels then t.names.(id) else "?"
 
 let iter t f =
-  let n = retained t in
-  let start = if t.total <= t.capacity then 0 else t.next in
-  for k = 0 to n - 1 do
-    let i = start + k in
-    let i = if i >= t.capacity then i - t.capacity else i in
-    f ~time:t.times.(i) ~kind:(Kind.of_int t.kinds.(i)) ~a:t.aa.(i) ~b:t.bb.(i)
-      ~v:t.vv.(i)
-  done
+  Cursor.iter t.cur (fun i ->
+      f ~time:t.times.(i) ~kind:(Kind.of_int t.kinds.(i)) ~a:t.aa.(i) ~b:t.bb.(i)
+        ~v:t.vv.(i))
 
 type snapshot = {
   snap_now : Time.t;
@@ -243,7 +230,7 @@ let snapshot t ~now ~window =
   {
     snap_now = now;
     snap_window = window;
-    snap_total = t.total;
+    snap_total = total t;
     snap_dropped = dropped t;
     snap_kind_written = Array.copy t.kind_written;
     snap_kind_retained = kind_retained;

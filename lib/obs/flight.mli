@@ -1,15 +1,17 @@
 (** Always-on flight recorder: a fixed-size, allocation-free binary ring of
     compact dataplane records.
 
-    Unlike the span/decision rings in [lib/telemetry] — which exist only when
+    Unlike the span ring in [lib/telemetry] — which exists only when
     telemetry is armed — the flight recorder is designed to stay enabled in
-    every run: one record is five array stores and a cursor bump, cheap
+    every run: one record is five array stores and a {!Cursor} bump, cheap
     enough to write unconditionally from the scheduler round and the
-    dataplane cycle.  The ring holds the most recent [capacity] records;
-    wraparound silently overwrites the oldest, so at any instant the ring is
-    a sliding forensic window over the last few hundred microseconds of
-    dataplane behaviour.  {!snapshot} freezes the tail of that window (e.g.
-    when a [Monitor.Alerts] alert fires) for rendering by {!Flight_dump}.
+    dataplane cycle.  Its scheduler kinds are the one log of Algorithm-1
+    decisions ([Telemetry.decisions_report] prints them).  The ring holds
+    the most recent [capacity] records; wraparound silently overwrites the
+    oldest, so at any instant the ring is a sliding forensic window over
+    the last few hundred microseconds of dataplane behaviour.  {!snapshot}
+    freezes the tail of that window (e.g. when a [Monitor.Alerts] alert
+    fires) for rendering by {!Flight_dump}.
 
     Records never influence simulation state and carry only sim time, so a
     snapshot is byte-for-byte deterministic across same-seed reruns and

@@ -1,7 +1,7 @@
-(* Host-cost attribution.  Wall clock and Gc.minor_words are read only
-   inside enter/leave scopes on an enabled instance; the numbers never
-   touch simulation state (see the .mli contract and the det/clock waiver
-   for lib/obs/ in lint.manifest). *)
+(* Host-cost attribution.  The monotonic ns clock and Gc.minor_words are
+   read only inside enter/leave scopes on an enabled instance; the numbers
+   never touch simulation state (see the .mli contract and the det/clock
+   waiver for lib/obs/ in lint.manifest). *)
 
 module Subsystem = struct
   type t = Engine | Qos | Flash | Net | Telemetry | Monitor | Other
@@ -31,10 +31,10 @@ end
 
 type t = {
   on : bool;
-  wall : float array; (* accumulated seconds per subsystem *)
+  wall : int array; (* accumulated ns per subsystem *)
   minor : float array; (* accumulated minor words per subsystem *)
   n_calls : int array;
-  t0 : float array; (* open-scope start stamps *)
+  t0 : int array; (* open-scope start stamps, ns *)
   w0 : float array;
 }
 
@@ -42,12 +42,14 @@ let make ~enabled =
   let n = Subsystem.count in
   {
     on = enabled;
-    wall = Array.make n 0.0;
+    wall = Array.make n 0;
     minor = Array.make n 0.0;
     n_calls = Array.make n 0;
-    t0 = Array.make n 0.0;
+    t0 = Array.make n 0;
     w0 = Array.make n 0.0;
   }
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ()) [@@inline]
 
 let disabled = make ~enabled:false
 let create () = make ~enabled:true
@@ -56,7 +58,7 @@ let enabled t = t.on [@@inline]
 let enter t sub =
   if t.on then begin
     let i = Subsystem.to_int sub in
-    t.t0.(i) <- Unix.gettimeofday ();
+    t.t0.(i) <- now_ns ();
     t.w0.(i) <- Gc.minor_words ()
   end
 [@@inline]
@@ -64,13 +66,13 @@ let enter t sub =
 let leave t sub =
   if t.on then begin
     let i = Subsystem.to_int sub in
-    t.wall.(i) <- t.wall.(i) +. (Unix.gettimeofday () -. t.t0.(i));
+    t.wall.(i) <- t.wall.(i) + (now_ns () - t.t0.(i));
     t.minor.(i) <- t.minor.(i) +. (Gc.minor_words () -. t.w0.(i));
     t.n_calls.(i) <- t.n_calls.(i) + 1
   end
 [@@inline]
 
-let wall_s t sub = t.wall.(Subsystem.to_int sub)
+let wall_s t sub = float_of_int t.wall.(Subsystem.to_int sub) *. 1e-9
 let minor_words t sub = t.minor.(Subsystem.to_int sub)
 let calls t sub = t.n_calls.(Subsystem.to_int sub)
 
@@ -79,11 +81,10 @@ let calls t sub = t.n_calls.(Subsystem.to_int sub)
    are subtracted.  When no Engine scope was taken, shares normalise over
    the sum of the independent buckets instead. *)
 let shares t =
-  let engine = t.wall.(Subsystem.to_int Subsystem.Engine) in
+  let engine = wall_s t Subsystem.Engine in
   let nested =
     List.fold_left
-      (fun acc sub ->
-        if sub = Subsystem.Engine then acc else acc +. t.wall.(Subsystem.to_int sub))
+      (fun acc sub -> if sub = Subsystem.Engine then acc else acc +. wall_s t sub)
       0.0 Subsystem.all
   in
   let engine_self = if engine > 0.0 then Float.max 0.0 (engine -. nested) else 0.0 in
@@ -92,7 +93,7 @@ let shares t =
   List.map
     (fun sub ->
       let i = Subsystem.to_int sub in
-      let w = if sub = Subsystem.Engine then engine_self else t.wall.(i) in
+      let w = if sub = Subsystem.Engine then engine_self else wall_s t sub in
       (Subsystem.name sub, w, w /. total, t.minor.(i)))
     Subsystem.all
 

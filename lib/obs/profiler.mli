@@ -36,8 +36,8 @@ val disabled : t
 val create : unit -> t
 val enabled : t -> bool
 
-(** Open a scope.  One clock read and one minor-words read; no allocation
-    beyond the boxed float [Unix.gettimeofday] returns. *)
+(** Open a scope.  One monotonic ns clock read and one minor-words read;
+    no allocation. *)
 val enter : t -> Subsystem.t -> unit
 
 (** Close the matching scope and accumulate. *)

@@ -147,7 +147,7 @@ let chrome_trace ~server_snaps ~rack_snap =
 (* Text stitching of the causal span trees: every traced request id seen
    in the server lanes, its hop chain in stamp order, and the
    Follows_from migration parent when one precedes the pick: the
-   tenant's oldest migration at or before it.  The ordering is (rid
+   tenant's latest migration at or before it.  The ordering is (rid
    asc), so two runs agree byte-for-byte exactly when they traced the
    same requests the same way. *)
 let stitch ~server_snaps ~rack_snap =
@@ -172,10 +172,10 @@ let stitch ~server_snaps ~rack_snap =
       done)
     server_snaps;
   let rids = List.sort Int.compare !rids in
-  (* tenant -> its migrations (time, src, dst) from the rack lane, oldest
+  (* tenant -> its migrations (time, src, dst) from the rack lane, newest
      first *)
   let migs = Hashtbl.create 16 in
-  for i = Flight.snap_length rack_snap - 1 downto 0 do
+  for i = 0 to Flight.snap_length rack_snap - 1 do
     if Flight.Kind.of_int rack_snap.Flight.s_kinds.(i) = Flight.Kind.Migrate then begin
       let tenant = rack_snap.Flight.s_a.(i) in
       let older = Option.value (Hashtbl.find_opt migs tenant) ~default:[] in

@@ -1,5 +1,6 @@
 (** Observability layer: request lifecycle tracing, metrics registry,
-    scheduler decision log, Chrome trace export and SLO audit.
+    the scheduler decision report (over the attached flight ring), Chrome
+    trace export and SLO audit.
 
     - {!Telemetry}: the per-world recording core (zero overhead when disabled)
     - {!Trace_export}: Chrome [trace_event] JSON + latency breakdowns

@@ -1,5 +1,6 @@
 open Reflex_engine
 open Reflex_stats
+module Cursor = Reflex_obs.Cursor
 module Flight = Reflex_obs.Flight
 module Profiler = Reflex_obs.Profiler
 
@@ -12,38 +13,8 @@ module Profiler = Reflex_obs.Profiler
 module Stage = Reflex_obs.Stage
 
 (* ------------------------------------------------------------------ *)
-(* Fixed-capacity rings                                               *)
+(* Span ring                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* The bookkeeping both rings share.  Records live in parallel arrays
-   (no per-record boxing); wraparound overwrites the oldest, keeping the
-   newest [capacity]. *)
-module Cursor = struct
-  type t = { capacity : int; mutable next : int; mutable total : int }
-
-  let create name capacity =
-    if capacity < 1 then invalid_arg (name ^ ".create: capacity < 1");
-    { capacity; next = 0; total = 0 }
-
-  (* The slot to write next; advances the cursor. *)
-  let advance c =
-    let i = c.next in
-    let j = i + 1 in
-    c.next <- (if j = c.capacity then 0 else j);
-    c.total <- c.total + 1;
-    i
-
-  let length c = if c.total < c.capacity then c.total else c.capacity
-  let dropped c = if c.total > c.capacity then c.total - c.capacity else 0
-
-  (* Oldest-first over the retained slots. *)
-  let iter c f =
-    let start = if c.total <= c.capacity then 0 else c.next in
-    for k = 0 to length c - 1 do
-      let i = start + k in
-      f (if i >= c.capacity then i - c.capacity else i)
-    done
-end
 
 module Span_ring = struct
   (* [stages] packs the lane above the 4-bit stage code. *)
@@ -79,86 +50,6 @@ module Span_ring = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler decision log                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Decision = struct
-  type kind =
-    | Throttled (* LC tenant left demand queued: token balance at floor *)
-    | Deficit_limit (* LC balance below NEG_LIMIT: control plane notified *)
-    | Donated (* LC balance above POS_LIMIT donated to the global bucket *)
-    | Be_bucket_take (* BE tenant claimed tokens from the global bucket *)
-    | Be_starved (* BE tenant left demand queued: could not fully pay *)
-    | Be_idle_drain (* idle BE tenant's balance returned to the bucket *)
-    | Bucket_reset (* this thread's round marked the global-bucket reset *)
-
-  let to_int = function
-    | Throttled -> 0
-    | Deficit_limit -> 1
-    | Donated -> 2
-    | Be_bucket_take -> 3
-    | Be_starved -> 4
-    | Be_idle_drain -> 5
-    | Bucket_reset -> 6
-
-  let of_int = function
-    | 0 -> Throttled
-    | 1 -> Deficit_limit
-    | 2 -> Donated
-    | 3 -> Be_bucket_take
-    | 4 -> Be_starved
-    | 5 -> Be_idle_drain
-    | 6 -> Bucket_reset
-    | n -> invalid_arg (Printf.sprintf "Decision.of_int: %d" n)
-
-  let name = function
-    | Throttled -> "throttled"
-    | Deficit_limit -> "deficit_limit"
-    | Donated -> "donated"
-    | Be_bucket_take -> "bucket_take"
-    | Be_starved -> "be_starved"
-    | Be_idle_drain -> "idle_drain"
-    | Bucket_reset -> "bucket_reset"
-end
-
-module Decision_ring = struct
-  type t = {
-    cur : Cursor.t;
-    times : int64 array;
-    threads : int array;
-    tenants : int array;
-    kinds : int array;
-    amounts : float array;
-    tokens_after : float array;
-  }
-
-  let create capacity =
-    {
-      cur = Cursor.create "Decision_ring" capacity;
-      times = Array.make capacity 0L;
-      threads = Array.make capacity 0;
-      tenants = Array.make capacity 0;
-      kinds = Array.make capacity 0;
-      amounts = Array.make capacity 0.0;
-      tokens_after = Array.make capacity 0.0;
-    }
-
-  let record t ~time ~thread ~tenant ~kind ~amount ~tokens_after =
-    let i = Cursor.advance t.cur in
-    t.times.(i) <- time;
-    t.threads.(i) <- thread;
-    t.tenants.(i) <- tenant;
-    t.kinds.(i) <- kind;
-    t.amounts.(i) <- amount;
-    t.tokens_after.(i) <- tokens_after
-
-  let iter t f =
-    Cursor.iter t.cur (fun i ->
-        f ~time:t.times.(i) ~thread:t.threads.(i) ~tenant:t.tenants.(i) ~kind:t.kinds.(i)
-          ~amount:t.amounts.(i) ~tokens_after:t.tokens_after.(i))
-end
-
-(* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -178,7 +69,6 @@ type link_kind = Follows_from | Child_of
 type t = {
   enabled : bool;
   spans : Span_ring.t;
-  decisions : Decision_ring.t;
   metrics : (string, metric) Hashtbl.t;
   (* Sampler ticks only count and timestamp: gauges are read on demand
      by the reports and exporters. *)
@@ -207,11 +97,10 @@ type t = {
 let dummy_counter = { value = 0.0 }
 let dummy_hist = Hdr_histogram.create ()
 
-let make ~enabled ~span_capacity ~decision_capacity =
+let make ~enabled ~span_capacity =
   {
     enabled;
     spans = Span_ring.create span_capacity;
-    decisions = Decision_ring.create decision_capacity;
     metrics = Hashtbl.create 64;
     sample_count = 0;
     last_sample = Time.zero;
@@ -225,10 +114,8 @@ let make ~enabled ~span_capacity ~decision_capacity =
     remediations_rev = [];
   }
 
-let disabled = make ~enabled:false ~span_capacity:1 ~decision_capacity:1
-
-let create ?(span_capacity = 1 lsl 16) ?(decision_capacity = 4096) () =
-  make ~enabled:true ~span_capacity ~decision_capacity
+let disabled = make ~enabled:false ~span_capacity:1
+let create ?(span_capacity = 1 lsl 16) () = make ~enabled:true ~span_capacity
 
 let enabled t = t.enabled [@@inline]
 
@@ -254,26 +141,12 @@ let attach_stages t sink =
       (fun ~lane ~tenant ~req ~now stage -> span t ~now ~lane ~tenant ~req_id:req stage)
 
 let span_count t = Cursor.length t.spans.cur
-let spans_recorded t = t.spans.cur.total
+let spans_recorded t = Cursor.total t.spans.cur
 let spans_dropped t = Cursor.dropped t.spans.cur
 
 let iter_spans t f =
   Span_ring.iter t.spans (fun ~time ~lane ~tenant ~req_id ~stage ->
       f ~time ~lane ~tenant ~req_id ~stage:(Stage.of_int stage))
-
-(* ---------------- decisions ---------------- *)
-
-let decision t ~now ~thread ~tenant kind ~amount ~tokens_after =
-  if t.enabled then
-    Decision_ring.record t.decisions ~time:now ~thread ~tenant
-      ~kind:(Decision.to_int kind) ~amount ~tokens_after
-
-let decision_count t = Cursor.length t.decisions.cur
-let decisions_recorded t = t.decisions.cur.total
-
-let iter_decisions t f =
-  Decision_ring.iter t.decisions (fun ~time ~thread ~tenant ~kind ~amount ~tokens_after ->
-      f ~time ~thread ~tenant ~kind:(Decision.of_int kind) ~amount ~tokens_after)
 
 (* ---------------- metrics ---------------- *)
 
@@ -497,18 +370,42 @@ let metrics_report t =
     (metric_names t);
   Buffer.contents buf
 
-let decisions_report ?(limit = 40) t =
-  let total = decision_count t in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "== scheduler decision log (%d retained, showing last %d) ==\n" total
-       (min limit total));
-  let skip = if total > limit then total - limit else 0 in
-  let i = ref 0 in
-  iter_decisions t (fun ~time ~thread ~tenant ~kind ~amount ~tokens_after ->
-      if !i >= skip then
-        Buffer.add_string buf
-          (Printf.sprintf "%10.3fms thread%d tenant%-5d %-12s amount=%10.1f tokens=%10.1f\n"
-             (Time.to_float_ms time) thread tenant (Decision.name kind) amount tokens_after);
-      Stdlib.incr i);
-  Buffer.contents buf
+(* The scheduler's Algorithm-1 decisions are the flight ring's token
+   kinds other than the per-round Refill and Grant bookkeeping.  A
+   Throttle of a best-effort tenant is a BE tenant starved of tokens. *)
+let decision_name t ~tenant : Flight.Kind.t -> string option = function
+  | Throttle -> (
+    match tenant_slo t ~tenant with Some (false, _) -> Some "be_starved" | _ -> Some "throttled")
+  | Deficit -> Some "deficit_limit"
+  | Donate -> Some "donated"
+  | Bucket_take -> Some "bucket_take"
+  | Idle_drain -> Some "idle_drain"
+  | Bucket_reset -> Some "bucket_reset"
+  | _ -> None
+
+let decisions_report t =
+  let fl = t.flight in
+  if not (Flight.enabled fl) then "== scheduler decision log (flight recorder not armed) ==\n"
+  else begin
+    let limit = 40 in
+    let total = ref 0 in
+    Flight.iter fl (fun ~time:_ ~kind ~a ~b:_ ~v:_ ->
+        if decision_name t ~tenant:a kind <> None then Stdlib.incr total);
+    let total = !total in
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf
+      (Printf.sprintf "== scheduler decision log (%d retained, showing last %d) ==\n" total
+         (min limit total));
+    let skip = total - limit in
+    let i = ref 0 in
+    Flight.iter fl (fun ~time ~kind ~a ~b ~v ->
+        match decision_name t ~tenant:a kind with
+        | None -> ()
+        | Some name ->
+          if !i >= skip then
+            Buffer.add_string buf
+              (Printf.sprintf "%10.3fms thread%d tenant%-5d %-12s v=%10.1f\n"
+                 (Time.to_float_ms time) b a name v);
+          Stdlib.incr i);
+    Buffer.contents buf
+  end

@@ -1,5 +1,6 @@
-(** Observability core: lifecycle span ring, scheduler decision log, and a
-    named-metrics registry with a sim-time sampler tick.
+(** Observability core: lifecycle span ring and a named-metrics registry
+    with a sim-time sampler tick.  The scheduler's decision log is the
+    attached flight recorder (see {!decisions_report}).
 
     One {!t} per simulated world.  The defining contract is
     {e zero overhead when disabled}: every record operation first reads the
@@ -15,20 +16,6 @@ open Reflex_stats
 (** Request lifecycle stages: the shared vocabulary of [lib/obs]. *)
 module Stage = Reflex_obs.Stage
 
-(** Why the Algorithm-1 scheduler made a throttling/token decision. *)
-module Decision : sig
-  type kind =
-    | Throttled  (** LC tenant left demand queued: token balance at floor *)
-    | Deficit_limit  (** LC balance below NEG_LIMIT: control plane notified *)
-    | Donated  (** LC balance above POS_LIMIT donated to the global bucket *)
-    | Be_bucket_take  (** BE tenant claimed tokens from the global bucket *)
-    | Be_starved  (** BE tenant left demand queued: could not fully pay *)
-    | Be_idle_drain  (** idle BE tenant's balance returned to the bucket *)
-    | Bucket_reset  (** this thread's round marked the global-bucket reset *)
-
-  val name : kind -> string
-end
-
 type t
 
 (** Handle to a registered counter.  Mutating a handle obtained from a
@@ -39,10 +26,9 @@ type counter
     no-ops; it is never mutated, hence domain-safe. *)
 val disabled : t
 
-(** [create ()] makes an enabled instance.  [span_capacity] and
-    [decision_capacity] bound the ring buffers (oldest entries are
-    overwritten on wraparound). *)
-val create : ?span_capacity:int -> ?decision_capacity:int -> unit -> t
+(** [create ()] makes an enabled instance.  [span_capacity] bounds the
+    span ring (oldest entries are overwritten on wraparound). *)
+val create : ?span_capacity:int -> unit -> t
 
 val enabled : t -> bool
 
@@ -92,32 +78,6 @@ val spans_dropped : t -> int
 (** Oldest-first over the retained window. *)
 val iter_spans :
   t -> (time:Time.t -> lane:int -> tenant:int -> req_id:int64 -> stage:Stage.t -> unit) -> unit
-
-(** {1 Scheduler decision log} *)
-
-val decision :
-  t ->
-  now:Time.t ->
-  thread:int ->
-  tenant:int ->
-  Decision.kind ->
-  amount:float ->
-  tokens_after:float ->
-  unit
-
-val decision_count : t -> int
-val decisions_recorded : t -> int
-
-val iter_decisions :
-  t ->
-  (time:Time.t ->
-  thread:int ->
-  tenant:int ->
-  kind:Decision.kind ->
-  amount:float ->
-  tokens_after:float ->
-  unit) ->
-  unit
 
 (** {1 Metrics registry}
 
@@ -243,5 +203,9 @@ val last_sample : t -> Time.t
 (** Final value of every metric (histograms: n/mean/p95/p99 in µs). *)
 val metrics_report : t -> string
 
-(** Last [limit] (default 40) scheduler decisions. *)
-val decisions_report : ?limit:int -> t -> string
+(** The last 40 Algorithm-1 decisions in the attached flight ring, one
+    line each: time, thread, tenant, kind and the record's one value [v]
+    (see {!Reflex_obs.Flight.Kind}).  A Throttle of a best-effort tenant
+    prints as [be_starved].  Without an armed flight recorder it prints a
+    one-line "not armed" header. *)
+val decisions_report : t -> string

@@ -172,15 +172,18 @@ let test_rack_rollup () =
   let trace = Rack_rollup.chrome_trace ~server_snaps ~rack_snap in
   let stitch = Rack_rollup.stitch ~server_snaps ~rack_snap in
   covers "rack trace" trace [ {|"name":"migrate"|}; {|"name":"follows_from"|}; {|"name":"mark"|} ];
-  (* The stitch pin holds a known defect, not the intended rule: stitch
-     names a tenant's oldest migration at or before a pick where the
-     latest is the causal parent, so tenant 2's second migration (rack-01
-     -> rack-02) never appears.  Fixing it (ROADMAP item 3) re-records
-     this digest and these needles. *)
+  (* A pick's follows_from parent is its tenant's latest migration at or
+     before it: tenant 2's picks between its two migrations name the
+     first (rack-00 -> rack-01), and its picks after the second name the
+     second (rack-01 -> rack-02). *)
   covers "stitch" stitch
-    [ "follows_from migrate rack-00 -> rack-01"; "follows_from migrate rack-02 -> rack-00" ];
+    [
+      "follows_from migrate rack-00 -> rack-01";
+      "follows_from migrate rack-01 -> rack-02";
+      "follows_from migrate rack-02 -> rack-00";
+    ];
   pin "Rack_rollup.chrome_trace" "67edeff9a32fe53192eed76c51e1fe68" trace;
-  pin "Rack_rollup.stitch" "20a92e56ddd3a730931d089681334025" stitch
+  pin "Rack_rollup.stitch" "e4808e8d7b552e9f6f4389ae5fa055df" stitch
 
 (* One event with every optional field set, a name that needs escaping
    and every value form in its args, written whole and from a head. *)

@@ -34,7 +34,7 @@ let test_det_random () =
   check_findings "clean silent" [] "lint_fixtures/clean_det_random.ml"
 
 let test_det_clock () =
-  check_findings "bad fires" [ ("det/clock", 3) ] "lint_fixtures/bad_det_clock.ml";
+  check_findings "bad fires" [ ("det/clock", 3); ("det/clock", 5) ] "lint_fixtures/bad_det_clock.ml";
   check_findings "clean silent" [] "lint_fixtures/clean_det_clock.ml"
 
 let test_det_marshal () =

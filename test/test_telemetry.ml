@@ -1,4 +1,5 @@
 (* Tests for the telemetry layer: ring wraparound, disabled-path no-ops,
+   the scheduler decision log read off the flight ring,
    Chrome trace JSON well-formedness (via the shared minimal JSON
    parser), the escaper round-trip through every single-server exporter,
    the components-tile-end-to-end invariant, and byte-identical telemetry
@@ -10,7 +11,7 @@ open Reflex_telemetry
 open Reflex_experiments
 
 (* ------------------------------------------------------------------ *)
-(* Span / decision ring wraparound                                    *)
+(* Span ring wraparound                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_span_ring_wraparound () =
@@ -30,31 +31,14 @@ let test_span_ring_wraparound () =
   Alcotest.(check (list int)) "newest kept, oldest-first" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
     (List.rev !seen)
 
-let test_decision_ring_wraparound () =
-  let t = Telemetry.create ~decision_capacity:4 () in
-  for i = 0 to 9 do
-    Telemetry.decision t ~now:(Int64.of_int i) ~thread:0 ~tenant:i Telemetry.Decision.Throttled
-      ~amount:(float_of_int i) ~tokens_after:0.0
-  done;
-  Alcotest.(check int) "retained" 4 (Telemetry.decision_count t);
-  Alcotest.(check int) "recorded" 10 (Telemetry.decisions_recorded t);
-  let seen = ref [] in
-  Telemetry.iter_decisions t
-    (fun ~time:_ ~thread:_ ~tenant ~kind:_ ~amount:_ ~tokens_after:_ ->
-      seen := tenant :: !seen);
-  Alcotest.(check (list int)) "newest kept" [ 6; 7; 8; 9 ] (List.rev !seen)
-
 let test_disabled_noop () =
   let t = Telemetry.disabled in
   Telemetry.span t ~now:0L ~lane:0 ~tenant:1 ~req_id:1L Telemetry.Stage.Server_rx;
-  Telemetry.decision t ~now:0L ~thread:0 ~tenant:1 Telemetry.Decision.Donated ~amount:1.0
-    ~tokens_after:1.0;
   let c = Telemetry.counter t "x/y" in
   Telemetry.incr c;
   Telemetry.sample t ~now:0L;
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
   Alcotest.(check int) "no spans" 0 (Telemetry.span_count t);
-  Alcotest.(check int) "no decisions" 0 (Telemetry.decision_count t);
   Alcotest.(check int) "no samples" 0 (Telemetry.sample_count t);
   Alcotest.(check (list string)) "no metrics" [] (Telemetry.metric_names t)
 
@@ -126,8 +110,9 @@ let test_pick_span_exports () =
 (* One LC tenant + one BE write flood on one core, traced end to end.
    Small enough for unit tests, busy enough that queueing and grants
    actually happen. *)
-let traced_world ?(rate = 30_000.0) () =
+let traced_world ?(rate = 30_000.0) ?flight () =
   let telemetry = Telemetry.create () in
+  Option.iter (Telemetry.set_flight telemetry) flight;
   let w = Common.make_reflex ~n_threads:1 ~telemetry () in
   let sim = w.Common.sim in
   Telemetry.start_sampler telemetry sim ();
@@ -145,6 +130,60 @@ let traced_world ?(rate = 30_000.0) () =
   in
   Common.measure_generators sim [ g_lc; g_be ] ~warmup:(Time.ms 20) ~window:(Time.ms 60);
   telemetry
+
+(* ------------------------------------------------------------------ *)
+(* Scheduler decision log                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Flight = Reflex_obs.Flight
+
+let report_rows report =
+  match String.split_on_char '\n' report with
+  | _header :: rows -> List.filter (( <> ) "") rows
+  | [] -> []
+
+(* The report's rows are the last 40 decision-kind records of the flight
+   ring, in ring order, and the BE flood's throttles read as starvation. *)
+let test_decisions_from_flight () =
+  let fl = Flight.create () in
+  let tel = traced_world ~flight:fl () in
+  let name ~tenant : Flight.Kind.t -> string option = function
+    | Throttle -> Some (if tenant = 101 then "be_starved" else "throttled")
+    | Deficit -> Some "deficit_limit"
+    | Donate -> Some "donated"
+    | Bucket_take -> Some "bucket_take"
+    | Idle_drain -> Some "idle_drain"
+    | Bucket_reset -> Some "bucket_reset"
+    | _ -> None
+  in
+  let rows = ref [] in
+  Flight.iter fl (fun ~time ~kind ~a ~b ~v ->
+      Option.iter
+        (fun n ->
+          rows :=
+            Printf.sprintf "%10.3fms thread%d tenant%-5d %-12s v=%10.1f" (Time.to_float_ms time)
+              b a n v
+            :: !rows)
+        (name ~tenant:a kind));
+  let all = List.rev !rows in
+  let n = List.length all in
+  Alcotest.(check bool) "more decisions than the report shows" true (n > 40);
+  let tail = List.filteri (fun i _ -> i >= n - 40) all in
+  let report = Telemetry.decisions_report tel in
+  Alcotest.(check (list string)) "rows are the flight tail" tail (report_rows report);
+  Alcotest.(check bool) "header counts the retained decisions" true
+    (String.starts_with report
+       ~prefix:(Printf.sprintf "== scheduler decision log (%d retained, showing last 40) ==" n));
+  Alcotest.(check bool) "BE throttle prints be_starved" true
+    (List.exists (fun r -> List.mem "be_starved" (String.split_on_char ' ' r)) tail)
+
+(* Telemetry alone keeps no decision log: nothing is written and the
+   report says the flight recorder is not armed. *)
+let test_decisions_need_flight () =
+  let tel = traced_world () in
+  Alcotest.(check int) "no flight records" 0 (Flight.total (Telemetry.flight tel));
+  Alcotest.(check string) "not armed" "== scheduler decision log (flight recorder not armed) ==\n"
+    (Telemetry.decisions_report tel)
 
 let test_components_tile () =
   let tel = traced_world () in
@@ -314,14 +353,16 @@ let suite =
     ( "telemetry",
       [
         Alcotest.test_case "span ring wraparound keeps newest" `Quick test_span_ring_wraparound;
-        Alcotest.test_case "decision ring wraparound keeps newest" `Quick
-          test_decision_ring_wraparound;
         Alcotest.test_case "disabled instance is inert" `Quick test_disabled_noop;
         Alcotest.test_case "sample counts ticks; names sorted" `Quick
           test_sample_count_and_names;
         Alcotest.test_case "open fault closes at latest time" `Quick
           test_open_fault_closes_at_last_time;
         Alcotest.test_case "pick span exports as an instant" `Quick test_pick_span_exports;
+        Alcotest.test_case "decision log is the flight ring's tail" `Slow
+          test_decisions_from_flight;
+        Alcotest.test_case "decision log needs an armed flight" `Slow
+          test_decisions_need_flight;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
         Alcotest.test_case "exporters parse and keep escaped strings" `Quick
