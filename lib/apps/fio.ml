@@ -6,8 +6,10 @@ type result = { iops : float; mbps : float; mean_us : float; p95_us : float; com
 (* Each FIO worker is a Linux thread: submission and reaping cost CPU on
    its core (~7us per I/O round trip), capping a thread near 140K IOPS —
    which is why the paper needs 5-6 threads to reach peak (§5.6). *)
-let run sim path ~threads ~qd ?(bytes = 4096) ?(read_ratio = 1.0) ?(per_io_cpu = Time.of_float_us 7.0)
-    ~duration ?(seed = 0xF10_0001L) () k =
+let per_io_cpu = Time.of_float_us 7.0
+
+let run sim path ~threads ~qd ?(bytes = 4096) ?(read_ratio = 1.0) ~duration
+    ?(seed = 0xF10_0001L) () k =
   if threads < 1 || qd < 1 then invalid_arg "Fio.run: threads/qd";
   let prng = Prng.create seed in
   let cores = Array.init threads (fun _ -> Resource.create sim ~servers:1) in

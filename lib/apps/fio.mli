@@ -13,8 +13,8 @@ type result = {
 
 (** [run sim path ~threads ~qd ~bytes ~duration k] — [k result] fires once
     the run (plus drain) ends.  A warmup of 20%% of [duration] is
-    discarded.  Each worker thread charges [per_io_cpu] (default 7us,
-    ~140K IOPS/thread — the Linux submission-path cost that makes FIO
+    discarded.  Each worker thread charges 7us of CPU per I/O
+    (~140K IOPS/thread — the Linux submission-path cost that makes FIO
     need 5-6 threads to reach peak throughput, §5.6). *)
 val run :
   Sim.t ->
@@ -23,7 +23,6 @@ val run :
   qd:int ->
   ?bytes:int ->
   ?read_ratio:float ->
-  ?per_io_cpu:Time.t ->
   duration:Time.t ->
   ?seed:int64 ->
   unit ->

@@ -5,22 +5,20 @@ type t = {
   sim : Sim.t;
   dev : Nvme_model.t;
   cores : Resource.t array;
-  submit_cpu : Time.t;
-  complete_cpu : Time.t;
   mutable rr : int;
   mutable completed : int;
 }
 
 (* 1.15us per I/O across submission and completion: 870K IOPS/core. *)
-let create sim ?(profile = Device_profile.device_a) ?(n_threads = 1)
-    ?(submit_cpu = Time.ns 500) ?(complete_cpu = Time.ns 650) ?(seed = 0x10CA1_5EEDL) () =
+let submit_cpu = Time.ns 500
+let complete_cpu = Time.ns 650
+
+let create sim ?(profile = Device_profile.device_a) ?(n_threads = 1) ?(seed = 0x10CA1_5EEDL) () =
   if n_threads < 1 then invalid_arg "Local.create: n_threads";
   {
     sim;
     dev = Nvme_model.create sim ~profile ~prng:(Prng.create seed);
     cores = Array.init n_threads (fun _ -> Resource.create sim ~servers:1);
-    submit_cpu;
-    complete_cpu;
     rr = 0;
     completed = 0;
   }
@@ -31,9 +29,9 @@ let submit t ~kind ~bytes k =
   let core = t.cores.(t.rr) in
   t.rr <- (t.rr + 1) mod Array.length t.cores;
   let issued_at = Sim.now t.sim in
-  Resource.submit core ~service:t.submit_cpu (fun ~started:_ ~finished:_ ->
+  Resource.submit core ~service:submit_cpu (fun ~started:_ ~finished:_ ->
       Nvme_model.submit t.dev ~kind ~bytes (fun ~latency:_ ->
-          Resource.submit core ~service:t.complete_cpu (fun ~started:_ ~finished:_ ->
+          Resource.submit core ~service:complete_cpu (fun ~started:_ ~finished:_ ->
               t.completed <- t.completed + 1;
               k ~latency:(Time.diff (Sim.now t.sim) issued_at))))
 

@@ -1,7 +1,8 @@
 (** Local Flash access through SPDK (the paper's best-case baseline,
     §5.1): the application maps NVMe queues directly — no network, no
     filesystem, no block layer.  Per-I/O CPU on the submitting thread is
-    what limits a single core to ~870K IOPS (§5.3). *)
+    what limits a single core to ~870K IOPS (§5.3): 0.5us to submit and
+    0.65us to complete each I/O. *)
 
 open Reflex_engine
 open Reflex_flash
@@ -12,8 +13,6 @@ val create :
   Sim.t ->
   ?profile:Device_profile.t ->
   ?n_threads:int ->
-  ?submit_cpu:Time.t ->
-  ?complete_cpu:Time.t ->
   ?seed:int64 ->
   unit ->
   t

@@ -8,8 +8,10 @@ let default_token_rate_fn profile ~latency_us =
   let f = 0.55 +. (0.1 *. (log (latency_us /. 100.0) /. log 2.0)) in
   cap *. Float.max 0.3 (Float.min 1.0 f)
 
+(* Admit LC tenants only up to this fraction of the sustainable rate. *)
+let admission_margin = 0.85
+
 type t = {
-  admission_margin : float;
   token_rate_fn : latency_us:float -> float;
   cost_model : Cost_model.t;
   tenants : (int, Slo.t) Hashtbl.t;
@@ -25,14 +27,11 @@ type t = {
           (die failures, GC storms) and restored on recovery *)
 }
 
-let create ?(admission_margin = 0.85) ?token_rate_fn ~profile ~cost_model () =
-  if admission_margin <= 0.0 || admission_margin > 1.0 then
-    invalid_arg "Control_plane.create: admission_margin in (0,1]";
+let create ?token_rate_fn ~profile ~cost_model () =
   let token_rate_fn =
     match token_rate_fn with Some f -> f | None -> default_token_rate_fn profile
   in
   {
-    admission_margin;
     token_rate_fn;
     cost_model;
     tenants = Hashtbl.create 64;
@@ -129,7 +128,7 @@ let admit t ~id ~slo =
   end
   else begin
     let strictest = strictest_latency_us_with t (Some slo) in
-    let capacity = total_rate_at t strictest *. t.admission_margin in
+    let capacity = total_rate_at t strictest *. admission_margin in
     let reserved = lc_reserved_with t (Some slo) in
     if reserved <= capacity then begin
       record t ~id ~slo;
@@ -142,13 +141,13 @@ let can_admit t ~slo =
   if not (Slo.is_latency_critical slo) then true
   else begin
     let strictest = strictest_latency_us_with t (Some slo) in
-    let capacity = total_rate_at t strictest *. t.admission_margin in
+    let capacity = total_rate_at t strictest *. admission_margin in
     lc_reserved_with t (Some slo) <= capacity
   end
 
 let headroom_with t ~candidate =
   let strictest = strictest_latency_us_with t (Some candidate) in
-  let capacity = total_rate_at t strictest *. t.admission_margin in
+  let capacity = total_rate_at t strictest *. admission_margin in
   capacity -. lc_reserved_with t (Some candidate)
 
 let forget t ~id =
@@ -159,9 +158,12 @@ let forget t ~id =
     if slo.Slo.read_pct <> 100 then t.non_ro_tenants <- t.non_ro_tenants - 1;
     if Slo.is_latency_critical slo then begin
       t.lc_reserved_mixed <- Float.max 0.0 (t.lc_reserved_mixed -. mixed_rate t slo);
-      (* Recompute the cached strictest SLO (rare path). *)
+      (* Recompute the cached strictest SLO (rare path).  With no LC
+         tenant left the reservation is exactly zero, not the float
+         residue of the subtractions. *)
       t.strictest <-
-        fold_lc t (fun _ s acc -> min_opt acc (float_of_int s.Slo.latency_us)) None
+        fold_lc t (fun _ s acc -> min_opt acc (float_of_int s.Slo.latency_us)) None;
+      if t.strictest = None then t.lc_reserved_mixed <- 0.0
     end
     else t.be_tenants <- t.be_tenants - 1
 let is_registered t ~id = Hashtbl.mem t.tenants id

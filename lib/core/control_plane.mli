@@ -15,10 +15,9 @@ type t
     weighted tokens/sec the device sustains — normally obtained from
     {!Reflex_flash.Calibrate.max_token_rate}.  The default is an analytic
     curve matching the bundled device profiles (device A: ~429K tokens/s
-    at 500us, ~539K at 2ms; see DESIGN.md). *)
+    at 500us, ~539K at 2ms; see DESIGN.md).  LC admission fills at most
+    0.85 of that rate. *)
 val create :
-  ?admission_margin:float ->
-  (* default 0.85 *)
   ?token_rate_fn:(latency_us:float -> float) ->
   profile:Reflex_flash.Device_profile.t ->
   cost_model:Cost_model.t ->

@@ -54,10 +54,14 @@ let add_tenant t ~id ~slo ~token_rate =
 
 let remove_tenant t ~id = Scheduler.remove_tenant t.scheduler id
 
-let set_token_rate t ~id rate =
-  match Scheduler.find_tenant t.scheduler id with
-  | Some tenant -> Tenant.set_token_rate tenant rate
-  | None -> raise Not_found
+let set_be_rate t rate =
+  Scheduler.iter_be t.scheduler (fun tenant -> Tenant.set_token_rate tenant rate)
+
+let set_lc_rates t rate_of =
+  Scheduler.iter_lc t.scheduler (fun tenant ->
+      match rate_of (Tenant.id tenant) with
+      | Some rate -> Tenant.set_token_rate tenant rate
+      | None -> ())
 
 let has_tenant t ~id = Scheduler.find_tenant t.scheduler id <> None
 let tenant_count t = Scheduler.tenant_count t.scheduler
@@ -292,7 +296,7 @@ let inject_stall t ~duration =
   Resource.submit t.core ~priority:Resource.High ~service:duration
     (fun ~started:_ ~finished:_ -> ())
 
-let set_conn_count t n = t.conns <- n
+let add_conns t n = t.conns <- t.conns + n
 let utilization t = Resource.utilization t.core
 let requests_completed t = t.completed
 let tokens_spent t = t.tokens_spent

@@ -64,7 +64,15 @@ val thread_id : 'a t -> int
 
 val add_tenant : 'a t -> id:int -> slo:Slo.t -> token_rate:float -> unit
 val remove_tenant : 'a t -> id:int -> unit
-val set_token_rate : 'a t -> id:int -> float -> unit
+
+(** Set every best-effort tenant on this thread to one rate (the BE fair
+    share). *)
+val set_be_rate : 'a t -> float -> unit
+
+(** Re-price every latency-critical tenant on this thread: [rate_of id]
+    gives its new rate ([None] leaves it unchanged). *)
+val set_lc_rates : 'a t -> (int -> float option) -> unit
+
 val tenant_count : 'a t -> int
 
 (** Detach a tenant for rebalancing, returning its SLO, token rate, and
@@ -83,9 +91,10 @@ val attach_tenant :
     unknown tenant. *)
 val receive : 'a t -> tenant_id:int -> kind:Io_op.kind -> bytes:int -> 'a -> unit
 
-(** Connections currently served by this thread (for the LLC pressure
-    model). *)
-val set_conn_count : 'a t -> int -> unit
+(** [add_conns t n] changes the count of connections this thread serves
+    by [n] (the LLC pressure model); the server calls it for exactly the
+    threads a register, join, unregister or rebalance move touches. *)
+val add_conns : 'a t -> int -> unit
 
 (** {1 Fault injection}
 

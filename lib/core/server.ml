@@ -5,14 +5,6 @@ open Reflex_proto
 open Reflex_qos
 open Reflex_telemetry
 
-type inflight = {
-  conn : Message.t Tcp_conn.t;
-  req_id : int64;
-  bytes : int;
-  tenant : int;
-  t_arrive : Time.t; (* server-side arrival, for per-tenant latency *)
-}
-
 (* Barrier state (§4.1 extension).  Per tenant: the number of I/Os inside
    the server, the armed barrier (if any), and the FIFO of work buffered
    behind it.  A barrier completes once everything before it has; work
@@ -21,6 +13,30 @@ type gate = {
   mutable outstanding : int;
   mutable armed : (Message.t Tcp_conn.t * int64) option;
   buffered : (unit -> unit) Queue.t;
+}
+
+let fresh_gate () = { outstanding = 0; armed = None; buffered = Queue.create () }
+
+(* Everything the server knows about one tenant id.  [thread] (-1 when
+   unplaced) and [conns] hold while the tenant is registered; unregister
+   clears them and installs a fresh [gate].  [completed] and [deficits]
+   outlive an unregister: a migrated tenant's old home still reports
+   what it served. *)
+type tenant = {
+  id : int;
+  mutable thread : int;
+  mutable conns : int;
+  mutable completed : int;
+  mutable deficits : int; (* NEG_LIMIT hits *)
+  mutable gate : gate;
+}
+
+type inflight = {
+  conn : Message.t Tcp_conn.t;
+  req_id : int64;
+  bytes : int;
+  tenant : tenant;
+  t_arrive : Time.t; (* server-side arrival, for per-tenant latency *)
 }
 
 type t = {
@@ -34,12 +50,7 @@ type t = {
   threads : inflight Dataplane.t array;
   global : Global_bucket.t;
   mutable active : int;
-  tenant_thread : (int, int) Hashtbl.t; (* tenant id -> thread index *)
-  be_tenants : (int, unit) Hashtbl.t;
-  tenant_conns : (int, int) Hashtbl.t; (* tenant id -> connection count *)
-  tenant_done : (int, int ref) Hashtbl.t;
-  gates : (int, gate) Hashtbl.t;
-  deficit_notes : (int, int ref) Hashtbl.t; (* NEG_LIMIT hits per tenant *)
+  tenants : (int, tenant) Hashtbl.t;
   mutable fleet_ro : bool;
   mutable completed : int;
   tel : Telemetry.t;
@@ -47,13 +58,13 @@ type t = {
   stages : Reflex_obs.Stage.sink;
 }
 
-let gate_of t tenant =
-  match Hashtbl.find_opt t.gates tenant with
-  | Some g -> g
+let tenant_of t id =
+  match Hashtbl.find_opt t.tenants id with
+  | Some r -> r
   | None ->
-    let g = { outstanding = 0; armed = None; buffered = Queue.create () } in
-    Hashtbl.replace t.gates tenant g;
-    g
+    let r = { id; thread = -1; conns = 0; completed = 0; deficits = 0; gate = fresh_gate () } in
+    Hashtbl.replace t.tenants id r;
+    r
 
 (* An armed barrier fires once the tenant's in-server I/O count drains to
    zero; buffered work then replays in order until the next barrier
@@ -78,9 +89,7 @@ let release_gate g =
 let respond t done_req =
   let { conn; req_id; bytes; tenant; t_arrive } = done_req.Dataplane.payload in
   t.completed <- t.completed + 1;
-  (match Hashtbl.find_opt t.tenant_done tenant with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.tenant_done tenant (ref 1));
+  tenant.completed <- tenant.completed + 1;
   let msg =
     match done_req.Dataplane.kind with
     | Io_op.Read -> Message.Read_resp { req_id; status = Message.Ok; len = bytes }
@@ -88,11 +97,11 @@ let respond t done_req =
   in
   Tcp_conn.send_to_client conn ~size:(Codec.encoded_size msg) msg;
   if Reflex_obs.Stage.armed t.stages Reflex_obs.Stage.Tx_resp then
-    Reflex_obs.Stage.stamp t.stages ~tenant ~req:req_id ~now:(Sim.now t.sim)
+    Reflex_obs.Stage.stamp t.stages ~tenant:tenant.id ~req:req_id ~now:(Sim.now t.sim)
       Reflex_obs.Stage.Tx_resp;
   if t.tel_on then
-    Telemetry.record_tenant_latency t.tel ~tenant (Time.diff (Sim.now t.sim) t_arrive);
-  let g = gate_of t tenant in
+    Telemetry.record_tenant_latency t.tel ~tenant:tenant.id (Time.diff (Sim.now t.sim) t_arrive);
+  let g = tenant.gate in
   g.outstanding <- g.outstanding - 1;
   release_gate g
 
@@ -100,17 +109,16 @@ let respond t done_req =
    deficit limit — consistent bursting above the reserved rate means the
    SLO is wrong and needs renegotiation (paper §3.2.2/§4.3). *)
 let note_deficit t ~tenant =
-  match Hashtbl.find_opt t.deficit_notes tenant with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.deficit_notes tenant (ref 1)
+  let r = tenant_of t tenant in
+  r.deficits <- r.deficits + 1
 
 (* A request parsed on a thread its tenant just left follows the tenant
    to its new thread; if the tenant is gone entirely, the client gets an
    error instead of silence. *)
 let reroute t ~tenant_id ~kind ~bytes payload =
-  match Hashtbl.find_opt t.tenant_thread tenant_id with
-  | Some thread -> Dataplane.receive t.threads.(thread) ~tenant_id ~kind ~bytes payload
-  | None ->
+  let thread = payload.tenant.thread in
+  if thread >= 0 then Dataplane.receive t.threads.(thread) ~tenant_id ~kind ~bytes payload
+  else
     let msg = Message.Error_resp { req_id = payload.req_id; status = Message.Bad_request } in
     Tcp_conn.send_to_client payload.conn ~size:(Codec.encoded_size msg) msg
 
@@ -151,12 +159,7 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
                 ());
         global;
         active = n_threads;
-        tenant_thread = Hashtbl.create 64;
-        be_tenants = Hashtbl.create 64;
-        tenant_conns = Hashtbl.create 64;
-        tenant_done = Hashtbl.create 64;
-        gates = Hashtbl.create 16;
-        deficit_notes = Hashtbl.create 16;
+        tenants = Hashtbl.create 64;
         fleet_ro = true;
         completed = 0;
         tel = telemetry;
@@ -188,33 +191,24 @@ let least_loaded_thread t =
 (* Push control-plane token rates to dataplane threads.  LC rates depend
    only on the tenant's own SLO; the BE fair share (and hence every BE
    tenant's rate) moves whenever registrations change, so those are
-   re-pushed on each change.  With QoS disabled (Figure 5's "I/O sched
-   disabled" configuration) every tenant gets an unbounded rate: requests
-   flow straight to the device. *)
+   re-pushed on each change.  Each thread's scheduler holds its own LC and
+   BE sets, so a push walks those.  With QoS disabled (Figure 5's "I/O
+   sched disabled" configuration) every tenant gets an unbounded rate:
+   requests flow straight to the device. *)
 let effective_rate t rate = if t.qos then rate else 1e15
 
 let push_be_rates t =
   let share = effective_rate t (Control_plane.be_share t.control_plane) in
-  (* reflex-lint: allow det/hashtbl-order — per-tenant rate pushes are independent writes to disjoint scheduler entries; no output depends on visit order *)
-  Hashtbl.iter
-    (fun id () ->
-      match Hashtbl.find_opt t.tenant_thread id with
-      | Some thread -> Dataplane.set_token_rate t.threads.(thread) ~id share
-      | None -> ())
-    t.be_tenants
+  Array.iter (fun dp -> Dataplane.set_be_rate dp share) t.threads
 
-(* After a registration change: the affected tenant's own rate, plus every
-   BE tenant's share. *)
+(* Every tenant's rate: the BE share, and each LC tenant's own reservation
+   under the current pricing. *)
 let push_rates t =
   push_be_rates t;
-  (* reflex-lint: allow det/hashtbl-order — per-tenant rate pushes are independent writes to disjoint scheduler entries; no output depends on visit order *)
-  Hashtbl.iter
-    (fun id thread ->
-      if not (Hashtbl.mem t.be_tenants id) then
-        match Control_plane.token_rate_for t.control_plane ~id with
-        | Some rate -> Dataplane.set_token_rate t.threads.(thread) ~id (effective_rate t rate)
-        | None -> ())
-    t.tenant_thread
+  let lc_rate id =
+    Option.map (effective_rate t) (Control_plane.token_rate_for t.control_plane ~id)
+  in
+  Array.iter (fun dp -> Dataplane.set_lc_rates dp lc_rate) t.threads
 
 (* LC rates depend only on their own SLO — except that they are all
    repriced when the fleet's read-only status flips; BE shares move on
@@ -226,17 +220,6 @@ let refresh_rates t =
     push_rates t
   end
   else push_be_rates t
-
-let refresh_conn_counts t =
-  let counts = Array.make (Array.length t.threads) 0 in
-  (* reflex-lint: allow det/hashtbl-order — commutative += accumulation into per-thread counters; any visit order yields the same counts *)
-  Hashtbl.iter
-    (fun tenant conns ->
-      match Hashtbl.find_opt t.tenant_thread tenant with
-      | Some thread -> counts.(thread) <- counts.(thread) + conns
-      | None -> ())
-    t.tenant_conns;
-  Array.iteri (fun i dp -> Dataplane.set_conn_count dp counts.(i)) t.threads
 
 let slo_of_message (m : Message.slo) =
   if m.Message.latency_critical then
@@ -250,9 +233,9 @@ let handle_register t ~tenant ~(slo : Message.slo) ~registered_handle =
   else if Control_plane.is_registered t.control_plane ~id:tenant then begin
     (* Another connection joins an existing tenant. *)
     registered_handle := Some tenant;
-    Hashtbl.replace t.tenant_conns tenant
-      (1 + Option.value (Hashtbl.find_opt t.tenant_conns tenant) ~default:0);
-    refresh_conn_counts t;
+    let r = tenant_of t tenant in
+    r.conns <- r.conns + 1;
+    Dataplane.add_conns t.threads.(r.thread) 1;
     Some (Message.Registered { handle = tenant; status = Message.Ok })
   end
   else begin
@@ -281,30 +264,31 @@ let handle_register t ~tenant ~(slo : Message.slo) ~registered_handle =
           (Printf.sprintf "qos/t%d/slo_headroom_us" tenant)
           (fun () -> target -. Reflex_stats.Hdr_histogram.percentile_us hist 95.0)
       end;
-      Hashtbl.replace t.tenant_thread tenant thread;
-      if not (Slo.is_latency_critical slo) then Hashtbl.replace t.be_tenants tenant ();
-      Hashtbl.replace t.tenant_conns tenant
-        (1 + Option.value (Hashtbl.find_opt t.tenant_conns tenant) ~default:0);
+      let r = tenant_of t tenant in
+      r.thread <- thread;
+      r.conns <- 1;
+      Dataplane.add_conns t.threads.(thread) 1;
       (* A new LC reservation (or a new BE peer) moves every BE share; LC
          rates change only if the fleet's read-only pricing flipped. *)
       refresh_rates t;
-      refresh_conn_counts t;
       registered_handle := Some tenant;
       Some (Message.Registered { handle = tenant; status = Message.Ok })
   end
 
 let handle_unregister t ~handle =
-  (match Hashtbl.find_opt t.tenant_thread handle with
-  | Some thread -> Dataplane.remove_tenant t.threads.(thread) ~id:handle
+  (match Hashtbl.find_opt t.tenants handle with
+  | Some r ->
+    if r.thread >= 0 then begin
+      Dataplane.remove_tenant t.threads.(r.thread) ~id:handle;
+      Dataplane.add_conns t.threads.(r.thread) (-r.conns)
+    end;
+    r.thread <- -1;
+    r.conns <- 0;
+    r.gate <- fresh_gate ()
   | None -> ());
-  Hashtbl.remove t.tenant_thread handle;
-  Hashtbl.remove t.tenant_conns handle;
-  Hashtbl.remove t.be_tenants handle;
-  Hashtbl.remove t.gates handle;
   if t.tel_on then Telemetry.unregister t.tel (Printf.sprintf "qos/t%d/slo_headroom_us" handle);
   Control_plane.forget t.control_plane ~id:handle;
   refresh_rates t;
-  refresh_conn_counts t;
   Some (Message.Unregistered { handle })
 
 let send_reply conn msg = Tcp_conn.send_to_client conn ~size:(Codec.encoded_size msg) msg
@@ -312,7 +296,8 @@ let send_reply conn msg = Tcp_conn.send_to_client conn ~size:(Codec.encoded_size
 let rec handle_io t conn ~handle ~kind ~req_id ~lba ~len ~registered_handle =
   match !registered_handle with
   | Some h when h = handle -> (
-    let g = gate_of t handle in
+    let r = tenant_of t handle in
+    let g = r.gate in
     if g.armed <> None then begin
       (* Behind a barrier: replay in arrival order once it fires. *)
       Queue.add
@@ -328,20 +313,20 @@ let rec handle_io t conn ~handle ~kind ~req_id ~lba ~len ~registered_handle =
       match Acl.check t.acl ~tenant:handle ~kind ~lba ~lba_count with
       | Acl.Denied_permission -> Some (Message.Error_resp { req_id; status = Message.Denied })
       | Acl.Denied_range -> Some (Message.Error_resp { req_id; status = Message.Out_of_range })
-      | Acl.Allowed -> (
-        match Hashtbl.find_opt t.tenant_thread handle with
-        | None -> Some (Message.Error_resp { req_id; status = Message.Bad_request })
-        | Some thread ->
+      | Acl.Allowed ->
+        if r.thread < 0 then Some (Message.Error_resp { req_id; status = Message.Bad_request })
+        else begin
           g.outstanding <- g.outstanding + 1;
-          Dataplane.receive t.threads.(thread) ~tenant_id:handle ~kind ~bytes:len
-            { conn; req_id; bytes = len; tenant = handle; t_arrive = Sim.now t.sim };
-          None))
+          Dataplane.receive t.threads.(r.thread) ~tenant_id:handle ~kind ~bytes:len
+            { conn; req_id; bytes = len; tenant = r; t_arrive = Sim.now t.sim };
+          None
+        end)
   | _ -> Some (Message.Error_resp { req_id; status = Message.Denied })
 
 let rec handle_barrier t conn ~handle ~req_id ~registered_handle =
   match !registered_handle with
   | Some h when h = handle ->
-    let g = gate_of t handle in
+    let g = (tenant_of t handle).gate in
     if g.armed <> None then begin
       Queue.add
         (fun () ->
@@ -386,37 +371,50 @@ let accept t conn =
 
 let rebalance t =
   (* Even out tenant counts across active threads by moving tenants off
-     overloaded threads; queued requests migrate with them. *)
-  let total = Hashtbl.length t.tenant_thread in
+     overloaded threads; queued requests migrate with them, and so do
+     their connections' share of the per-thread counts. *)
+  let placed =
+    Hashtbl.fold (fun _ r acc -> if r.thread >= 0 then r :: acc else acc) t.tenants []
+  in
+  let total = List.length placed in
   if t.active > 0 && total > 0 then begin
     let target = (total + t.active - 1) / t.active in
-    let moves = ref [] in
-    Hashtbl.iter
-      (fun tenant thread ->
-        if thread >= t.active || Dataplane.tenant_count t.threads.(thread) > target then
-          moves := (tenant, thread) :: !moves)
-      t.tenant_thread;
+    let moves =
+      List.filter
+        (fun r -> r.thread >= t.active || Dataplane.tenant_count t.threads.(r.thread) > target)
+        placed
+    in
     (* Placement depends on the order moves are applied (each move
        re-evaluates the least-loaded thread): sort by tenant id so
        rebalancing is deterministic regardless of Hashtbl layout. *)
-    let moves = List.sort compare !moves in
+    let moves = List.sort (fun a b -> compare a.id b.id) moves in
+    let moved =
+      List.filter_map
+        (fun r ->
+          let thread = r.thread in
+          let dest = least_loaded_thread t in
+          if
+            dest <> thread
+            && (thread >= t.active
+               || Dataplane.tenant_count t.threads.(thread)
+                  > 1 + Dataplane.tenant_count t.threads.(dest))
+          then
+            match Dataplane.detach_tenant t.threads.(thread) ~id:r.id with
+            | Some (slo, rate, backlog) ->
+              Dataplane.attach_tenant t.threads.(dest) ~id:r.id ~slo ~token_rate:rate ~backlog;
+              r.thread <- dest;
+              Some (r, thread)
+            | None -> None
+          else None)
+        moves
+    in
+    (* The counts change once every move has landed, so a backlog replayed
+       by one move is charged at the pre-rebalance counts. *)
     List.iter
-      (fun (tenant, thread) ->
-        let dest = least_loaded_thread t in
-        if
-          dest <> thread
-          && (thread >= t.active
-             || Dataplane.tenant_count t.threads.(thread)
-                > 1 + Dataplane.tenant_count t.threads.(dest))
-        then begin
-          match Dataplane.detach_tenant t.threads.(thread) ~id:tenant with
-          | Some (slo, rate, backlog) ->
-            Dataplane.attach_tenant t.threads.(dest) ~id:tenant ~slo ~token_rate:rate ~backlog;
-            Hashtbl.replace t.tenant_thread tenant dest
-          | None -> ()
-        end)
-      moves;
-    refresh_conn_counts t
+      (fun (r, from) ->
+        Dataplane.add_conns t.threads.(from) (-r.conns);
+        Dataplane.add_conns t.threads.(r.thread) r.conns)
+      moved
   end
 
 let scale_threads t n =
@@ -427,8 +425,10 @@ let scale_threads t n =
     rebalance t
   end
 
-let enable_autoscaling t ?(period = Time.ms 10) ?(high_watermark = 0.85) ?(low_watermark = 0.3)
-    () =
+let high_watermark = 0.85
+let low_watermark = 0.3
+
+let enable_autoscaling t ?(period = Time.ms 10) () =
   let rec monitor () =
     ignore
       (Sim.after t.sim period (fun () ->
@@ -447,7 +447,7 @@ let enable_autoscaling t ?(period = Time.ms 10) ?(high_watermark = 0.85) ?(low_w
 let requests_completed t = t.completed
 
 let deficit_notifications t ~tenant =
-  match Hashtbl.find_opt t.deficit_notes tenant with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.tenants tenant with Some r -> r.deficits | None -> 0
 
 (* Paper §4.3: the control plane flags tenants that consistently burst
    above their allocation for SLO renegotiation. *)
@@ -455,7 +455,7 @@ let needs_renegotiation ?(threshold = 100) t ~tenant =
   deficit_notifications t ~tenant >= threshold
 
 let tenant_completed t ~tenant =
-  match Hashtbl.find_opt t.tenant_done tenant with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.tenants tenant with Some r -> r.completed | None -> 0
 
 let tokens_spent t =
   Array.fold_left (fun acc dp -> acc +. Dataplane.tokens_spent dp) 0.0 t.threads
@@ -515,9 +515,10 @@ let reprice t ~capacity_factor =
    than being cut off — its queued requests migrate with it.  Returns
    [true] if the tenant was LC and is now BE. *)
 let demote_tenant t ~tenant =
-  match Hashtbl.find_opt t.tenant_thread tenant with
+  match Hashtbl.find_opt t.tenants tenant with
   | None -> false
-  | Some thread -> (
+  | Some { thread; _ } when thread < 0 -> false
+  | Some { thread; _ } -> (
     match Dataplane.detach_tenant t.threads.(thread) ~id:tenant with
     | None -> false
     | Some (slo, rate, backlog) ->
@@ -534,7 +535,6 @@ let demote_tenant t ~tenant =
         | Control_plane.Rejected_no_capacity | Control_plane.Rejected_duplicate ->
           (* BE admission cannot fail; defensive only. *)
           ());
-        Hashtbl.replace t.be_tenants tenant ();
         let be_rate =
           effective_rate t
             (Option.value (Control_plane.token_rate_for t.control_plane ~id:tenant) ~default:0.0)

@@ -6,8 +6,17 @@
     the fabric, register tenants with SLOs (Table 1's [register] call),
     then issue logical-block reads and writes; responses flow back over
     the same connection.  Each tenant is served by exactly one thread
-    (paper §4.1 limitation); connections are counted per thread for the
-    LLC-pressure model. *)
+    (paper §4.1 limitation).
+
+    The server keeps one record per tenant id: its thread, its
+    connection count, its completions, its NEG_LIMIT notifications and
+    its barrier gate; an in-flight request carries the record, so a
+    response needs no lookup.  Connections are counted per thread for
+    the LLC-pressure model, kept incrementally: a register, join,
+    unregister or rebalance move adjusts only the threads it touches.
+    Token rates are pushed through each thread's own scheduler sets (the
+    BE share to its BE tenants, LC repricing to its LC tenants), so no
+    registration walks the server's tenant table. *)
 
 open Reflex_engine
 open Reflex_net
@@ -66,11 +75,12 @@ val active_threads : t -> int
     Clamped to [1, max_threads]. *)
 val scale_threads : t -> int -> unit
 
-(** Enable periodic utilization-driven right-sizing.  Note: the monitor
+(** Enable periodic utilization-driven right-sizing: every [period]
+    (default 10 ms) add a thread when mean active-thread utilization is
+    above 0.85, drop one when it is below 0.3.  Note: the monitor
     reschedules itself forever, so once enabled the simulation's event
     queue never drains — drive the simulation with [Sim.run ~until]. *)
-val enable_autoscaling :
-  t -> ?period:Time.t -> ?high_watermark:float -> ?low_watermark:float -> unit -> unit
+val enable_autoscaling : t -> ?period:Time.t -> unit -> unit
 
 (** {1 Observability} *)
 

@@ -4,8 +4,8 @@
     When the device loses capacity — a die fails, or slows down — the
     control plane must shed reserved rate before latency SLOs collapse.
     These helpers implement the reaction policies; the {!Injector}
-    invokes {!reprice_for_device} automatically when armed with
-    [~degrade:true], and experiments may layer demotion or re-placement
+    invokes {!reprice_for_device} automatically when its target has a
+    server and a device, and experiments may layer demotion or re-placement
     on top. *)
 
 open Reflex_core

@@ -30,7 +30,6 @@ let target ~sim ?device ?fabric ?server ?(gens = [||]) ?(telemetry = Telemetry.d
 type t = {
   tgt : target;
   prng : Prng.t;
-  degrade : bool;
   mutable injected : int;
   mutable recovered : int;
   mutable active : int;
@@ -51,14 +50,13 @@ let gen t i =
 (* Degradation re-pricing: after any change to die health, the control
    plane's usable capacity follows the device's effective capacity (with
    a floor, so a fully-failed device degrades rather than divides by
-   zero).  Only when the control-plane reaction is enabled. *)
+   zero).  Only when the target has both a server and a device. *)
 let reprice_from_device t =
-  if t.degrade then
-    match (t.tgt.server, t.tgt.device) with
-    | Some srv, Some dev ->
-      Reflex_core.Server.reprice srv
-        ~capacity_factor:(Float.max 0.05 (Reflex_flash.Nvme_model.effective_capacity dev))
-    | _ -> ()
+  match (t.tgt.server, t.tgt.device) with
+  | Some srv, Some dev ->
+    Reflex_core.Server.reprice srv
+      ~capacity_factor:(Float.max 0.05 (Reflex_flash.Nvme_model.effective_capacity dev))
+  | _ -> ()
 
 let start t (w : Fault_plan.window) =
   (match w.fault with
@@ -116,13 +114,12 @@ let needs_fabric = function
   | Fault_plan.Thread_stall _ | Fault_plan.Tenant_burst _ ->
     false
 
-let arm ?(seed = 0xFA_175EEDL) ?(degrade = true) tgt ~plan =
+let arm ?(seed = 0xFA_175EEDL) tgt ~plan =
   let plan = Fault_plan.validate plan in
   let t =
     {
       tgt;
       prng = Prng.create seed;
-      degrade;
       injected = 0;
       recovered = 0;
       active = 0;

@@ -33,11 +33,10 @@ type t
 
 (** [arm tgt ~plan] validates [plan] and schedules every window.
     [seed] (default [0xFA175EED]) feeds the injector's private PRNG.
-    When [degrade] is true (the default) and the target has both a
-    server and a device, die failures and slowdowns re-price the
+    When the target has both a server and a device, die failures and slowdowns re-price the
     control plane from the device's effective capacity (floored at
     0.05) on activation and recovery. *)
-val arm : ?seed:int64 -> ?degrade:bool -> target -> plan:Fault_plan.t -> t
+val arm : ?seed:int64 -> target -> plan:Fault_plan.t -> t
 
 (** Windows activated so far. *)
 val injected : t -> int

@@ -47,16 +47,13 @@ type t = {
   flight : Flight.t; (* cached off telemetry at create time *)
   profiler : Profiler.t;
   dump_window : Time.t;
-  max_dumps : int;
   mutable dumps_rev : flight_dump list;
   budgets : (int, Budget.t) Hashtbl.t;
   tracked : (int, unit) Hashtbl.t;
   target : float;
   burn_short : int * float;
   burn_long : int * float;
-  budget_period : Time.t;
   z_thresh : float;
-  anomaly_floor : float;
   knee_rate : float;
   interval : Time.t;
   cooldown : Time.t;
@@ -82,10 +79,17 @@ let fault_annotation telemetry ~lookback now =
   | [] -> None
   | l -> Some ("faults: " ^ String.concat "," l)
 
+(* Fixed policy: SLO budgets reset every second, an anomaly needs at
+   least a quarter of a window violating, the load knee sits at 0.8 of
+   device token capacity, and a run keeps at most four forensic dumps. *)
+let budget_period = Time.sec 1
+let anomaly_floor = 0.25
+let knee_frac = 0.8
+let max_dumps = 4
+
 let create ?(enabled = true) ?(interval = Time.ms 1) ?(capacity = 512) ?(target = 0.999)
-    ?(burn_short = (1, 14.0)) ?(burn_long = (10, 6.0)) ?(budget_period = Time.sec 1)
-    ?(z_thresh = 3.0) ?(anomaly_floor = 0.25) ?(knee_frac = 0.8) ?(cooldown = Time.ms 5)
-    ?fault_lookback ?(dump_window = Time.ms 5) ?(max_dumps = 4) ~server ~telemetry () =
+    ?(burn_short = (1, 14.0)) ?(burn_long = (10, 6.0)) ?(z_thresh = 3.0)
+    ?(cooldown = Time.ms 5) ?fault_lookback ?(dump_window = Time.ms 5) ~server ~telemetry () =
   let enabled = enabled && Telemetry.enabled telemetry in
   let tsdb = if enabled then Tsdb.create ~capacity ~interval () else Tsdb.disabled in
   let lookback =
@@ -108,16 +112,13 @@ let create ?(enabled = true) ?(interval = Time.ms 1) ?(capacity = 512) ?(target 
       flight = Telemetry.flight telemetry;
       profiler = Telemetry.profiler telemetry;
       dump_window;
-      max_dumps;
       dumps_rev = [];
       budgets = Hashtbl.create 8;
       tracked = Hashtbl.create 8;
       target;
       burn_short;
       burn_long;
-      budget_period;
       z_thresh;
-      anomaly_floor;
       knee_rate;
       interval;
       cooldown;
@@ -192,7 +193,7 @@ let track_tenant t id ~slo_us =
       | Some h when Hdr_histogram.count h > 0 -> Detect.Ewma.observe ewma (bad_fraction h)
       | _ -> 0.0);
   Hashtbl.replace t.budgets id
-    (Budget.create ~tenant:id ~target:t.target ~period:t.budget_period);
+    (Budget.create ~tenant:id ~target:t.target ~period:budget_period);
   (* Rule 1: SRE multi-window burn rate on the SLO error budget. *)
   Alerts.add t.alerts
     (Alerts.burn_rule ~severity:Alerts.Page ~name:(pfx ^ "/burn") ~target:t.target
@@ -227,7 +228,7 @@ let track_tenant t id ~slo_us =
          match Tsdb.hist w latency with
          | Some h when Hdr_histogram.count h > 0 ->
            let frac = bad_fraction h in
-           if z >= t.z_thresh && frac >= t.anomaly_floor then
+           if z >= t.z_thresh && frac >= anomaly_floor then
              Some
                (Printf.sprintf "%.0f%% of window over %dus SLO, z=%.1f vs baseline %.0f%%"
                   (100.0 *. frac) slo_us z (100.0 *. Detect.Ewma.mean ewma))
@@ -284,7 +285,7 @@ let maybe_dump t (e : Alerts.event) =
   if
     e.e_kind = Alerts.Fired
     && Flight.enabled t.flight
-    && List.length t.dumps_rev < t.max_dumps
+    && List.length t.dumps_rev < max_dumps
   then
     t.dumps_rev <-
       {

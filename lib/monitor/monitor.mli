@@ -42,18 +42,17 @@ type flight_dump = private {
 
 (** Defaults: sampling [interval] 1ms, ring [capacity] 512 windows,
     SLO [target] 0.999, burn windows [burn_short = (1, 14.0)] and
-    [burn_long = (10, 6.0)] (windows, factor), [budget_period] 1s,
-    anomaly [z_thresh] 3.0 with [anomaly_floor] 0.25 (minimum windowed
-    violating fraction), [knee_frac] 0.8 of device token capacity,
-    remediation [cooldown] 5ms per rule.  [fault_lookback] bounds how
+    [burn_long = (10, 6.0)] (windows, factor), anomaly [z_thresh] 3.0,
+    remediation [cooldown] 5ms per rule.  Fixed: SLO budgets reset every
+    1s, an anomaly also needs a windowed violating fraction of at least
+    0.25, and the load knee sits at 0.8 of device token capacity.  [fault_lookback] bounds how
     far back a fired alert searches for fault windows to name in its
     detail (default: the long burn window).
 
     When the telemetry carries an armed flight recorder
     ([Telemetry.set_flight]), every alert edge is mirrored into the ring
     and each {e fired} edge freezes the last [dump_window] (default 5ms)
-    of flight records as a forensic dump, capped at [max_dumps]
-    (default 4) per run.  When the telemetry carries an armed profiler
+    of flight records as a forensic dump, at most 4 per run.  When the telemetry carries an armed profiler
     ([Telemetry.set_profiler]), per-subsystem [obs/prof/<sub>/wall_ms]
     and [.../minor_words] sources are sampled into the Tsdb on every
     window close — host wall-clock values, for export only, never fed to
@@ -65,14 +64,10 @@ val create :
   ?target:float ->
   ?burn_short:int * float ->
   ?burn_long:int * float ->
-  ?budget_period:Time.t ->
   ?z_thresh:float ->
-  ?anomaly_floor:float ->
-  ?knee_frac:float ->
   ?cooldown:Time.t ->
   ?fault_lookback:Time.t ->
   ?dump_window:Time.t ->
-  ?max_dumps:int ->
   server:Server.t ->
   telemetry:Telemetry.t ->
   unit ->

@@ -268,12 +268,12 @@ let sum_last t ~k name =
 
 let span_us w = Time.to_float_us (Time.diff w.w_stop w.w_start)
 
-let report ?(limit = 8) t =
+let report t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== tsdb (%d windows closed, %d retained, %.1fms interval) ==\n"
        t.closed_total t.ring_len (Time.to_float_ms t.interval));
-  let ws = last_n t limit in
+  let ws = last_n t 8 in
   List.iter
     (fun w ->
       Buffer.add_string buf

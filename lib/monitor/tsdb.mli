@@ -83,4 +83,6 @@ val p95_us : window -> string -> float option
 val sum_last : t -> k:int -> string -> float
 
 val span_us : window -> float
-val report : ?limit:int -> t -> string
+
+(** The header and the newest 8 windows, one block each. *)
+val report : t -> string

@@ -14,8 +14,6 @@ type host = {
 type t = {
   sim : Sim.t;
   ns_per_byte : float;
-  switch_latency : Time.t;
-  nic_latency : Time.t;
   (* ---- fault-injection state (lib/faults) ----
      [faulty] is the single guard [transmit] reads; while false (the
      default) the pre-fault code path runs unchanged and no extra PRNG
@@ -32,14 +30,15 @@ type t = {
   mutable n_hosts : int;
 }
 
-let create sim ?(bandwidth_gbps = 10.0) ?(switch_latency = Time.of_float_us 1.2)
-    ?(nic_latency = Time.of_float_us 0.7) () =
+(* Fixed propagation delays: one switch traversal, 0.7us per NIC crossing. *)
+let switch_latency = Time.of_float_us 1.2
+let nic_latency = Time.of_float_us 0.7
+
+let create sim ?(bandwidth_gbps = 10.0) () =
   if bandwidth_gbps <= 0.0 then invalid_arg "Fabric.create: bandwidth";
   {
     sim;
     ns_per_byte = 8.0 /. bandwidth_gbps;
-    switch_latency;
-    nic_latency;
     faulty = false;
     fault_prng = None;
     link_down_until = Time.zero;
@@ -101,7 +100,7 @@ let transmit t ~src ~dst ~bytes k =
   let start_tx () =
     Resource.submit src.tx_link ~service:ser (fun ~started:_ ~finished:_ ->
         (* NIC -> switch -> NIC propagation. *)
-        let wire = Time.add t.switch_latency (Time.scale t.nic_latency 2.0) in
+        let wire = Time.add switch_latency (Time.scale nic_latency 2.0) in
         ignore
           (Sim.after t.sim wire (fun () ->
                Resource.submit dst.rx_link ~service:ser (fun ~started:_ ~finished:_ ->
@@ -113,7 +112,7 @@ let transmit t ~src ~dst ~bytes k =
                         same payload, same continuation; dedup is the
                         receiver's job (see Tcp_conn.arrive). *)
                      ignore
-                       (Sim.after t.sim (Time.add stack_delay t.nic_latency) k)))))
+                       (Sim.after t.sim (Time.add stack_delay nic_latency) k)))))
   in
   if Time.(stall > Time.zero) then ignore (Sim.after t.sim stall start_tx) else start_tx ()
 

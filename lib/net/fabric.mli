@@ -12,13 +12,10 @@ open Reflex_engine
 type t
 type host
 
-val create :
-  Sim.t ->
-  ?bandwidth_gbps:float ->
-  ?switch_latency:Time.t ->
-  ?nic_latency:Time.t ->
-  unit ->
-  t
+(** [create sim ?bandwidth_gbps ()] (default 10 Gb/s).  Fixed delays
+    (1.2us through the switch, 0.7us per NIC crossing) add to link
+    serialization and the endpoints' stack costs. *)
+val create : Sim.t -> ?bandwidth_gbps:float -> unit -> t
 
 val sim : t -> Sim.t
 

@@ -165,6 +165,16 @@ let remove_tenant t tenant_id =
 let tenants t =
   List.init t.lc_n (fun i -> t.lc.(i)) @ List.init t.be_n (fun i -> t.be.(i))
 
+let iter_lc t f =
+  for i = 0 to t.lc_n - 1 do
+    f t.lc.(i)
+  done
+
+let iter_be t f =
+  for i = 0 to t.be_n - 1 do
+    f t.be.(i)
+  done
+
 let find_tenant t tenant_id = Hashtbl.find_opt t.by_id tenant_id
 let tenant_count t = Hashtbl.length t.by_id
 

@@ -40,6 +40,14 @@ val remove_tenant : 'a t -> int -> unit
 
 val find_tenant : 'a t -> int -> 'a Tenant.t option
 val tenants : 'a t -> 'a Tenant.t list
+
+(** Visit the latency-critical members in insertion order, without
+    building a list. *)
+val iter_lc : 'a t -> ('a Tenant.t -> unit) -> unit
+
+(** Visit the best-effort members in insertion order. *)
+val iter_be : 'a t -> ('a Tenant.t -> unit) -> unit
+
 val tenant_count : 'a t -> int
 
 (** [enqueue t ~tenant_id ~cost req] places a request on the tenant's

@@ -100,7 +100,7 @@ let init_ordered n f =
   Array.of_list (go 0 [])
 
 let create sim ~n_servers ?(n_threads = 1) ?profile ?(policy = Policy.Po2c)
-    ?(n_client_hosts = 16) ?link ?(seed = 0xBACC5EEDL) ?(telemetry = Telemetry.disabled)
+    ?link ?(seed = 0xBACC5EEDL) ?(telemetry = Telemetry.disabled)
     () =
   if n_servers < 1 then invalid_arg "Rack.create: n_servers < 1";
   let fabric = Fabric.create sim () in
@@ -115,7 +115,7 @@ let create sim ~n_servers ?(n_threads = 1) ?profile ?(policy = Policy.Po2c)
   in
   Array.iteri (fun i srv -> Global_control.add_server control ~name:(server_name i) srv) servers;
   let hosts =
-    init_ordered n_client_hosts (fun i ->
+    init_ordered 16 (fun i ->
         Fabric.add_host fabric ~name:(Printf.sprintf "rack-lg%02d" i)
           ~stack:Stack_model.ix_client)
   in

@@ -35,8 +35,8 @@ open Reflex_proto
 type t
 
 (** [create sim ~n_servers ()] builds the rack: servers named
-    ["rack-00"].., one shared fabric, [n_client_hosts] load-generator
-    hosts (default 16) that tenant connections round-robin over, and the
+    ["rack-00"].., one shared fabric, 16 load-generator
+    hosts that tenant connections round-robin over, and the
     balancing policy (default {!Policy.Po2c}).  [seed] (default
     [0xBACC5EEDL]) derives every per-server and policy PRNG stream.
     @raise Invalid_argument when [n_servers < 1]. *)
@@ -46,7 +46,6 @@ val create :
   ?n_threads:int ->
   ?profile:Reflex_flash.Device_profile.t ->
   ?policy:Policy.kind ->
-  ?n_client_hosts:int ->
   ?link:Link.t ->
   ?seed:int64 ->
   ?telemetry:Reflex_telemetry.Telemetry.t ->

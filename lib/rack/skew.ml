@@ -3,20 +3,19 @@ module Detect = Reflex_monitor.Detect
 
 type t = {
   ratio : Detect.Ewma.t;  (* smoothed max/mean depth ratio *)
-  threshold : float;
-  min_ratio : float;
   cooldown : Time.t;
   mutable last_fire : Time.t option;
   mutable fires : int;
 }
 
-let create ?(alpha = 0.3) ?(threshold = 1.0) ?(min_ratio = 2.0)
-    ?(cooldown = Time.ms 2) () =
-  if min_ratio < 1.0 then invalid_arg "Skew.create: min_ratio < 1.0";
+(* Firing needs the hottest server [threshold] sigmas above the rack
+   mean and a smoothed max/mean ratio of at least [min_ratio]. *)
+let threshold = 1.0
+let min_ratio = 2.0
+
+let create ?(alpha = 0.3) ?(cooldown = Time.ms 2) () =
   {
     ratio = Detect.Ewma.create ~alpha ();
-    threshold;
-    min_ratio;
     cooldown;
     last_fire = None;
     fires = 0;
@@ -54,8 +53,8 @@ let observe t ~now ~depths =
     in
     if
       Detect.Ewma.warmed_up t.ratio
-      && smoothed >= t.min_ratio
-      && cross_z >= t.threshold
+      && smoothed >= min_ratio
+      && cross_z >= threshold
       && cooled
     then begin
       t.last_fire <- Some now;

@@ -6,12 +6,12 @@
     conditions must hold simultaneously:
 
     - {e cross-sectional} outlier: the hottest server's depth sits
-      [threshold] standard deviations above the rack mean {e right now}
+      one standard deviation above the rack mean {e right now}
       (spread computed across servers, floored at one request so an
       idle rack never divides by ~0);
     - {e persistent} imbalance: the max/mean depth ratio, smoothed
       through a {!Reflex_monitor.Detect.Ewma} baseline, exceeds
-      [min_ratio] — one spiky probe is not skew, and the EWMA's warmup
+      2.0 — one spiky probe is not skew, and the EWMA's warmup
       also keeps the detector quiet for the first few ticks.
 
     Firings are rate-limited by [cooldown] so a migration gets time to
@@ -23,11 +23,8 @@ open Reflex_engine
 
 type t
 
-(** Defaults: [alpha = 0.3] (EWMA smoothing), [threshold = 1.0] sigmas,
-    [min_ratio = 2.0], [cooldown = 2ms].
-    @raise Invalid_argument when [min_ratio < 1.0]. *)
-val create :
-  ?alpha:float -> ?threshold:float -> ?min_ratio:float -> ?cooldown:Time.t -> unit -> t
+(** Defaults: [alpha = 0.3] (EWMA smoothing), [cooldown = 2ms]. *)
+val create : ?alpha:float -> ?cooldown:Time.t -> unit -> t
 
 (** [observe t ~now ~depths] folds one probe vector in and returns
     [Some hot_server] when skew is detected (and the cooldown has

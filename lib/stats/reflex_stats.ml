@@ -1,9 +1,7 @@
-(** Measurement toolkit: histograms, rate meters, summaries, fitting and
+(** Measurement toolkit: histograms, reservoir samples, fitting and
     table rendering used across experiments. *)
 
 module Hdr_histogram = Hdr_histogram
 module Reservoir = Reservoir
-module Summary = Summary
-module Meter = Meter
 module Linear_fit = Linear_fit
 module Table = Table

@@ -339,10 +339,10 @@ let sample t ~now =
     Profiler.leave t.profiler Profiler.Subsystem.Telemetry
   end
 
-let start_sampler t sim ?(interval = Time.ms 1) () =
+let start_sampler t sim () =
   if t.enabled && not t.sampler_running then begin
     t.sampler_running <- true;
-    Sim.every_daemon sim ~every:interval (fun now -> sample t ~now)
+    Sim.every_daemon sim ~every:(Time.ms 1) (fun now -> sample t ~now)
   end
 
 let sample_count t = t.sample_count

@@ -186,12 +186,11 @@ val faults_report : t -> string
     demand. *)
 val sample : t -> now:Time.t -> unit
 
-(** [start_sampler t sim ()] ticks {!sample} every [interval] (default
-    1ms) of sim time, as a {e daemon} event ({!Sim.every_daemon}): the
+(** [start_sampler t sim ()] ticks {!sample} every 1ms of sim time, as a {e daemon} event ({!Sim.every_daemon}): the
     sampler never keeps the simulation alive on its own and does not
     perturb simulation state, so telemetry-on results equal telemetry-off
     results bit for bit.  Idempotent per instance. *)
-val start_sampler : t -> Sim.t -> ?interval:Time.t -> unit -> unit
+val start_sampler : t -> Sim.t -> unit -> unit
 
 val sample_count : t -> int
 

@@ -90,7 +90,8 @@ let breakdowns tel = List.filter complete (requests tel) |> List.map breakdown_o
 (* Plain-text reports                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let breakdown_report ?(top = 10) tel =
+let breakdown_report tel =
+  let top = 10 in
   let bds = breakdowns tel in
   let n = List.length bds in
   let buf = Buffer.create 2048 in
@@ -178,7 +179,8 @@ let retry_chains tel =
            let tenant, root = src in
            Some (tenant, follow src [ root ]))
 
-let retry_tree_report ?(top = 20) tel =
+let retry_tree_report tel =
+  let top = 20 in
   let chains = retry_chains tel in
   let n = List.length chains in
   let longest = List.fold_left (fun acc (_, reqs) -> max acc (List.length reqs)) 0 chains in

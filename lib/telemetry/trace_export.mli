@@ -22,9 +22,9 @@ type breakdown = {
 (** Breakdowns of the complete requests, first-seen order. *)
 val breakdowns : Telemetry.t -> breakdown list
 
-(** Top [top] (default 10) requests by end-to-end latency, one line each
+(** The top 10 requests by end-to-end latency, one line each
     with all seven components in µs. *)
-val breakdown_report : ?top:int -> Telemetry.t -> string
+val breakdown_report : Telemetry.t -> string
 
 (** Mean / p95 / max / share per latency component over complete
     requests. *)
@@ -32,9 +32,9 @@ val component_report : Telemetry.t -> string
 
 (** [Follows_from] links (recorded by the client when a timed-out attempt
     is re-issued under a fresh req_id) chained into per-root attempt
-    sequences, capped at [top] (default 20) with total/longest counts in
+    sequences, capped at 20 with total/longest counts in
     the header. *)
-val retry_tree_report : ?top:int -> Telemetry.t -> string
+val retry_tree_report : Telemetry.t -> string
 
 (** Chrome [trace_event] JSON (load in [about://tracing] or Perfetto):
     one ["ph":"X"] duration event per component of each complete request

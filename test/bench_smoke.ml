@@ -261,6 +261,24 @@ let rec find_root dir =
 
 let root = find_root (Sys.getcwd ())
 
+(* Lines of OCaml (.ml + .mli, test fixtures included) under [dir]: the
+   code-size trend ROADMAP.md tracks.  Counted as newlines, as `wc -l`
+   counts them; the interfaces dune generates for executables hold no
+   newline, so counting inside _build adds nothing for them. *)
+let rec ocaml_lines dir =
+  Array.fold_left
+    (fun acc name ->
+      let path = Filename.concat dir name in
+      if Sys.is_directory path then if name.[0] = '.' then acc else acc + ocaml_lines path
+      else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli" then begin
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        let n = ref 0 in
+        String.iter (fun c -> if c = '\n' then incr n) s;
+        acc + !n
+      end
+      else acc)
+    0 (Sys.readdir dir)
+
 (* Pull "<name>_events_per_sec": <float> out of BENCH_BASELINE.json with
    a plain substring scan — the file is ours, flat, and checked in, so a
    JSON parser dependency would be overkill. *)
@@ -322,6 +340,12 @@ let () =
   in
   field "seed" (Te.Int (Int64.to_int world_seed));
   field "git_sha" (Te.Str (Common.git_sha ()));
+  field "lines"
+    (Te.Obj
+       [
+         ("lib", Te.Int (ocaml_lines (Filename.concat root "lib")));
+         ("test", Te.Int (ocaml_lines (Filename.concat root "test")));
+       ]);
   (* Parallel runner: fan-out and ordered merge render the serial table. *)
   let wall_parallel, rows = timed (fun () -> Runner.map ~jobs:2 point rates) in
   let parallel = table rows in

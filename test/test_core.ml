@@ -192,6 +192,76 @@ let test_cp_default_curve_monotone () =
   Alcotest.(check bool) "bounded by capacity" true
     (f ~latency_us:1e6 <= Device_profile.token_capacity Device_profile.device_a +. 1.0)
 
+(* Churn oracle: after any interleaving of admits and forgets, the
+   control plane's cached aggregates (strictest SLO, mixed-priced LC
+   reservation, non-read-only and BE counts) equal a fresh recompute — a
+   new control plane that admits the survivors in ascending id order. *)
+type cp_op = Admit of int * Slo.t | Forget of int
+
+let show_cp_op = function
+  | Admit (id, slo) ->
+    if Slo.is_latency_critical slo then
+      Printf.sprintf "admit %d LC %dus %.0f iops %d%%r" id slo.Slo.latency_us slo.Slo.iops
+        slo.Slo.read_pct
+    else Printf.sprintf "admit %d BE %d%%r" id slo.Slo.read_pct
+  | Forget id -> Printf.sprintf "forget %d" id
+
+let cp_op_gen =
+  let open QCheck.Gen in
+  let slo =
+    oneofl [ 100; 90; 50; 0 ] >>= fun read_pct ->
+    bool >>= fun lc ->
+    if lc then
+      map2
+        (fun latency_us iops ->
+          Slo.latency_critical ~latency_us ~iops:(float_of_int iops) ~read_pct)
+        (int_range 100 2_000) (int_range 1_000 100_000)
+    else return (Slo.best_effort ~read_pct ())
+  in
+  let id = int_range 1 12 in
+  frequency [ (3, map2 (fun id slo -> Admit (id, slo)) id slo); (2, map (fun id -> Forget id) id) ]
+
+let close_rel a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let prop_cp_churn_matches_fresh =
+  QCheck.Test.make ~name:"admit/forget churn matches a fresh control plane" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_cp_op)
+       QCheck.Gen.(list_size (int_range 1 40) cp_op_gen))
+    (fun ops ->
+      let cp = make_cp () in
+      let survivors = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Admit (id, slo) ->
+            if Control_plane.admit cp ~id ~slo = Control_plane.Admitted then
+              Hashtbl.replace survivors id slo
+          | Forget id ->
+            Control_plane.forget cp ~id;
+            Hashtbl.remove survivors id);
+          let fresh = make_cp () in
+          let all_admitted =
+            Hashtbl.fold (fun id slo acc -> (id, slo) :: acc) survivors []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+            |> List.for_all (fun (id, slo) ->
+                   Control_plane.admit fresh ~id ~slo = Control_plane.Admitted)
+          in
+          let rates_agree =
+            List.equal
+              (fun (ia, ra) (ib, rb) -> ia = ib && close_rel ra rb)
+              (Control_plane.current_rates cp) (Control_plane.current_rates fresh)
+          in
+          all_admitted
+          && Control_plane.registered_count cp = Control_plane.registered_count fresh
+          && Control_plane.fleet_read_only cp = Control_plane.fleet_read_only fresh
+          && Control_plane.strictest_latency_us cp = Control_plane.strictest_latency_us fresh
+          && close_rel (Control_plane.lc_reserved_rate cp) (Control_plane.lc_reserved_rate fresh)
+          && close_rel (Control_plane.be_share cp) (Control_plane.be_share fresh)
+          && close_rel (Control_plane.total_token_rate cp) (Control_plane.total_token_rate fresh)
+          && rates_agree)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end helpers                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -376,6 +446,57 @@ let test_e2e_thread_scaling_rebalances () =
     clients;
   ignore (Sim.run sim);
   Alcotest.(check int) "served after scale-down" 4 !ok2
+
+(* The per-thread connection counts are kept incrementally, so every
+   register, join, unregister and rebalance move must leave them exactly
+   where a fresh server holding only the survivors would have them.  Every
+   connection raises the per-cycle CPU charge (penalty threshold 0, steep
+   slope) and QoS is off, so no token wait hides it: one qd-1 read then
+   takes the same simulated time on both servers only if the counts
+   agree. *)
+let churn_costs = { Costs.default with conn_penalty_threshold = 0; conn_penalty_slope = 0.25 }
+
+let qd1_read_latency sim client =
+  let latency = ref None in
+  Client_lib.read client ~lba:0L ~len:4096 (fun s ~latency:l ->
+      if s = Message.Ok then latency := Some l);
+  ignore (Sim.run sim);
+  match !latency with Some l -> l | None -> Alcotest.fail "read failed"
+
+let test_e2e_conn_counts_follow_churn () =
+  let churn_server () =
+    let sim = Sim.create () in
+    let fabric = Fabric.create sim () in
+    let server =
+      Server.create sim ~fabric ~costs:churn_costs ~qos:false ~n_threads:2 ~max_threads:2 ()
+    in
+    (sim, fabric, server)
+  in
+  (* Churned: tenants 1..4 land on threads 0,1,0,1; a second connection
+     joins tenant 1; tenant 3 (thread 0) leaves; scaling 2 -> 1 moves
+     tenants 2 and 4 onto thread 0 with their connections. *)
+  let sim, fabric, server = churn_server () in
+  let c1 = connect_client sim fabric server () in
+  register_ok sim c1 ~tenant:1 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:2 ();
+  let c3 = connect_client sim fabric server () in
+  register_ok sim c3 ~tenant:3 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:4 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:1 ();
+  Client_lib.unregister c3 (fun () -> ());
+  ignore (Sim.run sim);
+  Server.scale_threads server 1;
+  let churned = qd1_read_latency sim c1 in
+  (* Fresh: the survivors with the same connections, one active thread. *)
+  let sim, fabric, server = churn_server () in
+  Server.scale_threads server 1;
+  let c1 = connect_client sim fabric server () in
+  register_ok sim c1 ~tenant:1 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:1 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:2 ();
+  register_ok sim (connect_client sim fabric server ()) ~tenant:4 ();
+  let fresh = qd1_read_latency sim c1 in
+  Alcotest.(check int64) "same simulated read latency" fresh churned
 
 let test_e2e_autoscaling () =
   (* §4.3: the local control plane right-sizes the thread count.  Flood a
@@ -806,6 +927,7 @@ let suite =
           test_cp_forget_unknown_idempotent;
         Alcotest.test_case "capacity factor re-pricing" `Quick test_cp_capacity_factor;
         Alcotest.test_case "default curve monotone" `Quick test_cp_default_curve_monotone;
+        QCheck_alcotest.to_alcotest prop_cp_churn_matches_fresh;
       ] );
     ( "server_e2e",
       [
@@ -822,6 +944,8 @@ let suite =
         Alcotest.test_case "raw io on unregistered conn denied" `Quick
           test_e2e_raw_io_on_unregistered_conn_denied;
         Alcotest.test_case "thread scaling rebalances" `Quick test_e2e_thread_scaling_rebalances;
+        Alcotest.test_case "connection counts follow churn" `Quick
+          test_e2e_conn_counts_follow_churn;
         Alcotest.test_case "autoscaling grows under load" `Slow test_e2e_autoscaling;
         Alcotest.test_case "QoS protects LC from BE writes (Fig 5)" `Slow
           test_e2e_qos_protects_lc_tenant;

@@ -229,46 +229,6 @@ let test_reservoir_sampling_cap () =
   Alcotest.(check bool) "sampled median plausible" true (med > 3_000.0 && med < 7_000.0)
 
 (* ------------------------------------------------------------------ *)
-(* Summary                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_summary_moments () =
-  let s = Summary.create () in
-  List.iter (Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Summary.mean s);
-  Alcotest.(check (float 1e-6)) "sample variance" (32.0 /. 7.0) (Summary.variance s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Summary.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Summary.max_value s);
-  Summary.reset s;
-  Alcotest.(check int) "reset" 0 (Summary.count s)
-
-(* ------------------------------------------------------------------ *)
-(* Meter                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_meter_rate () =
-  let sim = Sim.create () in
-  let m = Meter.create sim in
-  (* 1000 marks over 10ms = 100K/s *)
-  for i = 1 to 1000 do
-    ignore (Sim.at sim (Time.us (i * 10)) (fun () -> Meter.mark m ()))
-  done;
-  ignore (Sim.run sim);
-  Alcotest.(check (float 1.0)) "rate 100K/s" 100_000.0 (Meter.rate m)
-
-let test_meter_checkpoint () =
-  let sim = Sim.create () in
-  let m = Meter.create sim in
-  ignore (Sim.at sim (Time.ms 1) (fun () -> Meter.mark m ~n:100 ()));
-  ignore (Sim.run ~until:(Time.ms 1) sim);
-  let r1 = Meter.checkpoint m in
-  Alcotest.(check (float 1.0)) "first window" 100_000.0 r1;
-  ignore (Sim.at sim (Time.ms 2) (fun () -> Meter.mark m ~n:300 ()));
-  ignore (Sim.run ~until:(Time.ms 2) sim);
-  let r2 = Meter.checkpoint m in
-  Alcotest.(check (float 1.0)) "second window independent" 300_000.0 r2
-
-(* ------------------------------------------------------------------ *)
 (* Linear_fit                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -339,12 +299,6 @@ let suite =
       [
         Alcotest.test_case "exact percentiles" `Quick test_reservoir_exact_percentiles;
         Alcotest.test_case "sampling past capacity" `Quick test_reservoir_sampling_cap;
-      ] );
-    ("summary", [ Alcotest.test_case "moments" `Quick test_summary_moments ]);
-    ( "meter",
-      [
-        Alcotest.test_case "rate" `Quick test_meter_rate;
-        Alcotest.test_case "checkpoint windows" `Quick test_meter_checkpoint;
       ] );
     ( "linear_fit",
       [
