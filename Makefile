@@ -40,14 +40,16 @@ bench-smoke: build
 # write every exporter's output under _build/ (request traces, the flight
 # dump's Chrome view and JSON debrief, the rack trace) so each writer runs
 # on every check, and `md5sum -c smoke.md5` holds those five JSON exports
-# and the four deterministic text renders (chaos, monitor, rack and trace
-# stdout) to their checked-in digests, so a change that moves one byte
-# fails here.  A change that alters one on purpose regenerates smoke.md5.
-# smoke_obs.out is not pinned: it ends with host wall-time measurements.
+# and the five deterministic text renders (chaos, monitor, rack and trace
+# stdout, plus smoke_obs_render.out: the obs stdout cut before its
+# host-wall-time `== cost profile` table) to their checked-in digests, so
+# a change that moves one byte fails here.  A change that alters one on
+# purpose regenerates smoke.md5.
 smoke: build
 	dune exec bin/reflex_sim.exe -- chaos > _build/smoke_chaos.out
 	dune exec bin/reflex_sim.exe -- monitor --trace-out _build/smoke_monitor_trace.json > _build/smoke_monitor.out
 	dune exec bin/reflex_sim.exe -- obs --flight-dump _build/smoke_obs_flight.json --dump-json _build/smoke_obs_dump.json > _build/smoke_obs.out
+	sed '/^== cost profile/,$$d' _build/smoke_obs.out > _build/smoke_obs_render.out
 	dune exec bin/reflex_sim.exe -- rack --trace-out _build/smoke_rack_trace.json > _build/smoke_rack.out
 	dune exec bin/reflex_sim.exe -- trace --out _build/smoke_trace.json > _build/smoke_trace.out
 	md5sum -c smoke.md5

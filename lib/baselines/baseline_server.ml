@@ -36,7 +36,6 @@ let create sim ~fabric ~kind ?(profile = Device_profile.device_a) ?(n_threads = 
   }
 
 let host t = t.host
-let device t = t.dev
 
 let reply conn msg = Tcp_conn.send_to_client conn ~size:(Codec.encoded_size msg) msg
 

@@ -29,7 +29,6 @@ val create :
   t
 
 val host : t -> Fabric.host
-val device : t -> Reflex_flash.Nvme_model.t
 
 (** Attach an incoming connection (assigned round-robin to a worker). *)
 val accept : t -> Message.t Tcp_conn.t -> unit

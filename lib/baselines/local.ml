@@ -23,8 +23,6 @@ let create sim ?(profile = Device_profile.device_a) ?(n_threads = 1) ?(seed = 0x
     completed = 0;
   }
 
-let device t = t.dev
-
 let submit t ~kind ~bytes k =
   let core = t.cores.(t.rr) in
   t.rr <- (t.rr + 1) mod Array.length t.cores;

@@ -17,8 +17,6 @@ val create :
   unit ->
   t
 
-val device : t -> Nvme_model.t
-
 (** [submit t ~kind ~bytes k] — charged to a thread (round-robin), then to
     the device; [k ~latency] measures issue-to-completion. *)
 val submit : t -> kind:Io_op.kind -> bytes:int -> (latency:Time.t -> unit) -> unit

@@ -65,9 +65,3 @@ let submit_bio t ~kind ~lba ~bytes k =
 
 let n_contexts t = Array.length t.contexts
 let bios_completed t = t.completed
-
-let retries t =
-  Array.fold_left (fun acc c -> acc + Client_lib.retries c) 0 t.contexts
-
-let timeouts t =
-  Array.fold_left (fun acc c -> acc + Client_lib.timeouts c) 0 t.contexts

@@ -45,9 +45,3 @@ val submit_bio : t -> kind:Io_op.kind -> lba:int64 -> bytes:int -> (latency:Time
 
 val n_contexts : t -> int
 val bios_completed : t -> int
-
-(** Retries / deadline expiries summed across contexts (0 without a retry
-    policy). *)
-val retries : t -> int
-
-val timeouts : t -> int

@@ -125,8 +125,6 @@ let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?ret
         (fun ~started:_ ~finished:_ -> dispatch t msg));
   t
 
-let host t = t.client_host
-
 (* Transmit path: CPU first, then the wire. *)
 let send t msg =
   Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu (fun ~started:_ ~finished:_ ->

@@ -46,8 +46,6 @@ val connect :
   unit ->
   t
 
-val host : t -> Fabric.host
-
 (** [register t ~tenant ?slo k] registers this connection for [tenant],
     creating it with [slo] (default: best-effort) if new.  [k] receives
     the server's verdict. *)

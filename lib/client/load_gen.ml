@@ -143,7 +143,6 @@ let set_burst_factor t f =
   t.burst_factor <- f
 
 let reads t = t.reads
-let writes t = t.writes
 let issued t = t.issued
 let completed t = t.completed
 let errors t = t.errors

@@ -60,7 +60,6 @@ val freeze_window : t -> unit
 (** {1 Results} *)
 
 val reads : t -> Hdr_histogram.t
-val writes : t -> Hdr_histogram.t
 val issued : t -> int
 val completed : t -> int
 val errors : t -> int

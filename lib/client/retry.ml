@@ -9,16 +9,6 @@ type policy = {
   jitter : float;
 }
 
-let default =
-  {
-    timeout = Time.ms 5;
-    max_retries = 3;
-    backoff_base = Time.us 200;
-    backoff_mult = 2.0;
-    backoff_max = Time.ms 10;
-    jitter = 0.2;
-  }
-
 let validate p =
   if Time.(p.timeout <= Time.zero) then invalid_arg "Retry: timeout must be positive";
   if p.max_retries < 0 then invalid_arg "Retry: max_retries must be >= 0";

@@ -24,11 +24,6 @@ type policy = {
   jitter : float;  (** multiplicative jitter half-width in [0,1) *)
 }
 
-(** 5ms deadline, 3 retries, 200us base doubling to a 10ms cap, 20%
-    jitter — loose enough that a healthy simulated server (sub-ms p99)
-    never trips it. *)
-val default : policy
-
 (** Returns the policy unchanged or raises [Invalid_argument]. *)
 val validate : policy -> policy
 

@@ -26,7 +26,6 @@ type 'a t = {
   mutable conns : int;
   mutable running : bool; (* a cycle is executing or queued on the core *)
   mutable idle_timer : Sim.event_id option;
-  created_at : Time.t;
   mutable completed : int;
   mutable tokens_spent : float;
   mutable rounds : int;
@@ -46,8 +45,6 @@ type 'a t = {
 
 let stamp t ~tenant payload stage =
   Stage.stamp t.stages ~tenant ~req:(t.trace_id payload) ~now:(Sim.now t.sim) stage
-
-let thread_id t = t.thread_id
 
 let add_tenant t ~id ~slo ~token_rate =
   Scheduler.add_tenant t.scheduler (Tenant.create ~id ~slo ~token_rate)
@@ -232,7 +229,6 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       conns = 0;
       running = false;
       idle_timer = None;
-      created_at = Sim.now sim;
       completed = 0;
       tokens_spent = 0.0;
       rounds = 0;
@@ -298,12 +294,7 @@ let inject_stall t ~duration =
 
 let add_conns t n = t.conns <- t.conns + n
 let utilization t = Resource.utilization t.core
-let requests_completed t = t.completed
 let tokens_spent t = t.tokens_spent
-
-let token_usage_rate t =
-  let elapsed = Time.to_float_sec (Time.diff (Sim.now t.sim) t.created_at) in
-  if elapsed <= 0.0 then 0.0 else t.tokens_spent /. elapsed
 
 (* Cumulative weighted tokens this tenant's submitted requests cost — the
    per-tenant half of the load-knee signal (lib/monitor takes windowed

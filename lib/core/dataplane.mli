@@ -58,8 +58,6 @@ val create :
   unit ->
   'a t
 
-val thread_id : 'a t -> int
-
 (** {1 Tenant management (driven by the server/control plane)} *)
 
 val add_tenant : 'a t -> id:int -> slo:Slo.t -> token_rate:float -> unit
@@ -107,11 +105,7 @@ val inject_stall : 'a t -> duration:Time.t -> unit
 (** {1 Observability} *)
 
 val utilization : 'a t -> float
-val requests_completed : 'a t -> int
 val tokens_spent : 'a t -> float
-
-(** Tokens spent per second of simulated time since creation. *)
-val token_usage_rate : 'a t -> float
 
 (** Cumulative weighted tokens the tenant's submitted requests have cost
     on this thread ([None]: tenant not on this thread).  The monitoring

@@ -12,7 +12,6 @@ let add_server t ~name server =
   t.pool <- t.pool @ [ (name, server) ]
 
 let servers t = t.pool
-let find t ~name = List.assoc_opt name t.pool
 
 type placement = { server_name : string; server : Server.t }
 

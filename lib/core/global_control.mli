@@ -32,9 +32,6 @@ val add_server : t -> name:string -> Server.t -> unit
     this ordering are byte-stable across runs and domains. *)
 val servers : t -> (string * Server.t) list
 
-(** Lookup by name ([None] when unknown). *)
-val find : t -> name:string -> Server.t option
-
 type placement = { server_name : string; server : Server.t }
 
 (** One load/capacity sample of a server, taken by {!probes}. *)

@@ -460,9 +460,6 @@ let tenant_completed t ~tenant =
 let tokens_spent t =
   Array.fold_left (fun acc dp -> acc +. Dataplane.tokens_spent dp) 0.0 t.threads
 
-let token_usage_rate t =
-  Array.fold_left (fun acc dp -> acc +. Dataplane.token_usage_rate dp) 0.0 t.threads
-
 (* Cumulative weighted tokens one tenant's submissions have cost.  A
    tenant lives on exactly one thread, but rebalancing resets the
    per-thread accumulator view, so sum across all threads defensively

@@ -95,9 +95,6 @@ val deficit_notifications : t -> tenant:int -> int
 val needs_renegotiation : ?threshold:int -> t -> tenant:int -> bool
 val tenant_completed : t -> tenant:int -> int
 
-(** Aggregate tokens/s spent across threads (Figure 6a's green line). *)
-val token_usage_rate : t -> float
-
 (** Cumulative tokens spent across threads (take deltas for windowed
     rates). *)
 val tokens_spent : t -> float

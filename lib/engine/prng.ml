@@ -20,10 +20,6 @@ let bits64 t =
 
 let split t = create (bits64 t)
 
-(* The cache record is immutable once built, so sharing it with the copy
-   is safe; only the per-instance [zcache] slot is mutable. *)
-let copy t = { state = t.state; zcache = t.zcache }
-
 (* 53 high-quality bits -> [0,1) *)
 let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in

@@ -12,9 +12,6 @@ val create : int64 -> t
 (** [split t] derives a new independent stream from [t] (advances [t]). *)
 val split : t -> t
 
-(** [copy t] duplicates the current state. *)
-val copy : t -> t
-
 (** Raw 64 random bits. *)
 val bits64 : t -> int64
 

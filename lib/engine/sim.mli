@@ -13,9 +13,6 @@ type t
     counter so stale handles are harmless. *)
 type event_id
 
-(** Root seed used by {!create} when none is given. *)
-val default_seed : int64
-
 (** [create ?seed ()] — a fresh simulation at time zero whose event
     queue is a hierarchical timing wheel ({!Wheel}). *)
 val create : ?seed:int64 -> unit -> t

@@ -303,14 +303,6 @@ let ensure t =
   done;
   !res
 
-let peek t =
-  match ensure t with
-  | 1 ->
-    let i = t.r_len - 1 in
-    Some (Int64.of_int t.r_time.(i), t.r_seq.(i), t.r_val.(i))
-  | 2 -> Heap.peek t.ovf
-  | _ -> None
-
 let pop t =
   match ensure t with
   | 1 ->

@@ -21,9 +21,6 @@ val is_empty : t -> bool
     (including [Time.infinity]) are routed to the overflow heap. *)
 val push : t -> time:Time.t -> seq:int -> int -> unit
 
-(** Smallest element, or [None] when empty. *)
-val peek : t -> (Time.t * int * int) option
-
 (** Remove and return the smallest element. *)
 val pop : t -> (Time.t * int * int) option
 

@@ -4,7 +4,8 @@ open Reflex_stats
 open Reflex_telemetry
 open Reflex_faults
 
-(* The resilience acceptance scenario: the Fig-6-style multi-tenant
+(* The resilience acceptance scenario, and the one chaos world that the
+   monitor and obs scenarios build on: the Fig-6-style multi-tenant
    setup (two dataplane threads, two LC tenants, two BE write floods)
    run under the scripted fault plan — die 0 fails at 2s for 2s, a GC
    storm runs 5s..6s, the link flaps at 8s for 500ms — with client
@@ -41,6 +42,7 @@ type result = {
 }
 
 let scale_of = function Common.Quick -> 0.1 | Common.Full -> 1.0
+let timeline scale = Time.scale (Time.sec 10) scale
 let n_buckets = 20
 
 (* Retry policy for the chaos clients.  The per-attempt deadline (20ms)
@@ -51,7 +53,7 @@ let n_buckets = 20
    capped at 3 attempts per op: with LC reservations well above the
    offered rates, the post-flap zombie backlog drains within one bucket
    instead of feeding a retry storm. *)
-let chaos_retry =
+let retry =
   Retry.validate
     {
       Retry.timeout = Time.ms 20;
@@ -62,64 +64,45 @@ let chaos_retry =
       jitter = 0.2;
     }
 
+(* Two LC tenants with distinct SLOs; two BE write floods (no retry —
+   the paper's fire-and-wait client).  Offered LC rates sit well under
+   the reservations so recovery from a fault window is drain-limited,
+   not reservation-limited. *)
+let lc_specs =
+  [
+    { Common.lc_tenant = 1; lc_latency_us = 500; lc_iops = 150_000; lc_read_pct = 100;
+      lc_rate = 20_000.0; lc_read_ratio = 1.0 };
+    { lc_tenant = 2; lc_latency_us = 1000; lc_iops = 75_000; lc_read_pct = 90;
+      lc_rate = 10_000.0; lc_read_ratio = 0.9 };
+  ]
+
+let load ?retry w ~seed ~scale =
+  Common.mixed_load w ~seed ~until:(timeline scale) ~lc:lc_specs ~be_depth:32 ?retry ()
+
+let arm_faults w ~seed ~scale loads =
+  let plan = Fault_plan.scripted ~scale () in
+  let tgt =
+    Injector.target ~sim:w.Common.sim ~fabric:w.Common.fabric ~server:w.Common.server
+      ~gens:(Array.of_list (List.map (fun (l : Common.load) -> l.gen) loads))
+      ~telemetry:w.Common.telemetry ()
+  in
+  (plan, Injector.arm ~seed:(Int64.add seed 7L) tgt ~plan)
+
 let run ?(mode = Common.Quick) ?(seed = 42L) () =
   let scale = scale_of mode in
   let telemetry = Telemetry.create ~span_capacity:(1 lsl 19) () in
   let w = Common.make_reflex ~n_threads:2 ~telemetry ~seed () in
   let sim = w.Common.sim in
-  let plan = Fault_plan.scripted ~scale () in
-  let timeline = Time.scale (Time.sec 10) scale in
   let bucket = Time.scale (Time.ms 500) scale in
-  let retry = chaos_retry in
-  (* Two LC tenants with distinct SLOs, retries armed; two BE write
-     floods (no retry — the paper's fire-and-wait client).  Offered LC
-     rates sit well under the reservations so recovery from a fault
-     window is drain-limited, not reservation-limited. *)
-  let lc_specs =
-    [ (1, 500, 150_000, 100, 20_000.0, 1.0); (2, 1000, 75_000, 90, 10_000.0, 0.9) ]
-  in
-  let lc =
-    List.map
-      (fun (tenant, latency_us, iops, read_pct, rate, read_ratio) ->
-        let client =
-          Common.client_of w
-            ~slo:(Common.lc_slo ~latency_us ~iops ~read_pct)
-            ~retry
-            ~retry_seed:(Int64.add seed (Int64.of_int (1000 + tenant)))
-            ~tenant ()
-        in
-        let g =
-          Load_gen.open_loop sim ~client ~pacing:`Cbr ~mix:`Deterministic ~rate ~read_ratio
-            ~bytes:4096 ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (17 + tenant)))
-            ()
-        in
-        (tenant, client, g))
-      lc_specs
-  in
-  let be =
-    List.init 2 (fun i ->
-        let tenant = 101 + i in
-        let client = Common.client_of w ~slo:(Common.be_slo ~read_pct:10 ()) ~tenant () in
-        let g =
-          Load_gen.closed_loop sim ~client ~depth:32 ~read_ratio:0.1 ~bytes:4096 ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (91 + i)))
-            ()
-        in
-        (tenant, client, g))
-  in
-  let gens = List.map (fun (_, _, g) -> g) (lc @ be) in
-  let tgt =
-    Injector.target ~sim ~fabric:w.Common.fabric ~server:w.Common.server
-      ~gens:(Array.of_list gens) ~telemetry ()
-  in
-  let inj = Injector.arm ~seed:(Int64.add seed 7L) tgt ~plan in
+  let lc, be = load ~retry w ~seed ~scale in
+  let plan, inj = arm_faults w ~seed ~scale (lc @ be) in
+  let gens = List.map (fun (l : Common.load) -> l.gen) (lc @ be) in
   let overlaps ~b0 ~b1 ~pad (wd : Fault_plan.window) =
     let stop = Time.add (Time.add wd.at wd.duration) pad in
     Time.(wd.at < b1) && Time.(b0 < stop)
   in
   let lc1_gen, lc2_gen =
-    match lc with [ (_, _, a); (_, _, b) ] -> (a, b) | _ -> assert false
+    match lc with [ a; b ] -> (a.gen, b.gen) | _ -> assert false
   in
   let rows = ref [] in
   for i = 0 to n_buckets - 1 do
@@ -139,13 +122,14 @@ let run ?(mode = Common.Quick) ?(seed = 42L) () =
         cb_lc1_p95_us = Load_gen.p95_read_us lc1_gen;
         cb_lc2_p95_us = Load_gen.p95_read_us lc2_gen;
         cb_be_kiops =
-          List.fold_left (fun a (_, _, g) -> a +. Load_gen.achieved_iops g) 0.0 be /. 1e3;
+          List.fold_left (fun a (l : Common.load) -> a +. Load_gen.achieved_iops l.gen) 0.0 be
+          /. 1e3;
       }
       :: !rows
   done;
   (* Drain retry timers and in-flight tails past the timeline end. *)
   ignore (Sim.run sim);
-  let sum_c f = List.fold_left (fun a (_, c, _) -> a + f c) 0 lc in
+  let sum_lc f = List.fold_left (fun a (l : Common.load) -> a + f l) 0 lc in
   {
     telemetry;
     plan;
@@ -154,10 +138,10 @@ let run ?(mode = Common.Quick) ?(seed = 42L) () =
     lc2_slo_us = 1000.0;
     injected = Injector.injected inj;
     recovered = Injector.recovered inj;
-    retries = sum_c Client_lib.retries;
-    timeouts = sum_c Client_lib.timeouts;
+    retries = sum_lc (fun l -> Client_lib.retries l.client);
+    timeouts = sum_lc (fun l -> Client_lib.timeouts l.client);
     timeout_errors = List.fold_left (fun a g -> a + Load_gen.timeout_errors g) 0 gens;
-    lc_issued = List.fold_left (fun a (_, _, g) -> a + Load_gen.issued g) 0 lc;
+    lc_issued = sum_lc (fun l -> Load_gen.issued l.gen);
     retry_policy = retry;
   }
 

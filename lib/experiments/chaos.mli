@@ -4,11 +4,46 @@
     reaction armed.  The timeline is reported as 500ms p95 buckets so
     latency visibly climbs inside fault windows and recovers outside
     them; {!debrief} additionally checks byte-identical determinism
-    (see {!Identity.verify}). *)
+    (see {!Identity.verify}).
 
+    This module owns the one chaos world: the LC specs, the timeline,
+    the retry policy and the fault arming below are what {!Monitor_exp}
+    and {!Obs_exp} build on too. *)
+
+open Reflex_engine
 open Reflex_telemetry
 open Reflex_client
 open Reflex_faults
+
+(** {1 The chaos world} *)
+
+(** Timeline compression: 0.1 in Quick mode, 1.0 in Full. *)
+val scale_of : Common.mode -> float
+
+(** The 10s timeline, scaled. *)
+val timeline : float -> Time.t
+
+(** The LC clients' retry policy: 20ms per-attempt deadline, at most 2
+    re-issues, 1ms×4 jittered backoff capped at 20ms. *)
+val retry : Retry.policy
+
+(** {!Common.mixed_load} with the chaos LC specs (500us/150K and
+    1000us/75K reservations offered 20K and 10K IOPS) and depth-32 BE
+    floods, every generator running to the end of the timeline. *)
+val load :
+  ?retry:Retry.policy ->
+  Common.reflex_world ->
+  seed:int64 ->
+  scale:float ->
+  Common.load list * Common.load list
+
+(** Arm the scripted fault plan (scaled) over the world and the
+    generators of [loads], injector seed [seed + 7].  Call it after the
+    last generator is created. *)
+val arm_faults :
+  Common.reflex_world -> seed:int64 -> scale:float -> Common.load list -> Fault_plan.t * Injector.t
+
+(** {1 The scenario} *)
 
 type bucket_row = {
   cb_start_ms : float;
@@ -38,8 +73,6 @@ type result = {
 
 (** Quick mode compresses the 10s timeline (and the fault plan) by 10x. *)
 val run : ?mode:Common.mode -> ?seed:int64 -> unit -> result
-
-val to_table : result -> Reflex_stats.Table.t
 
 (** Plan, bucket table, summary and fault-window report as one string —
     the unit of byte-comparison for determinism checks. *)

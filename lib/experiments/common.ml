@@ -118,6 +118,70 @@ let client_of_baseline w ?(stack = Stack_model.ix_client) ~tenant () =
   | s -> failwith ("baseline registration failed: " ^ Message.status_to_string s));
   client
 
+type lc_spec = {
+  lc_tenant : int;
+  lc_latency_us : int;
+  lc_iops : int;
+  lc_read_pct : int;
+  lc_rate : float;
+  lc_read_ratio : float;
+}
+
+type load = { tenant : int; client : Client_lib.t; gen : Load_gen.t }
+
+(* Each client registers and starts its generator before the next one
+   registers: registration runs the simulation, so that interleaving is
+   part of the world. *)
+let mixed_load w ~seed ~until ~lc ~be_depth ?retry () =
+  let sub k = Int64.add seed (Int64.of_int k) in
+  let lc =
+    List.map
+      (fun s ->
+        let tenant = s.lc_tenant in
+        let client =
+          client_of w
+            ~slo:(lc_slo ~latency_us:s.lc_latency_us ~iops:s.lc_iops ~read_pct:s.lc_read_pct)
+            ?retry
+            ?retry_seed:(Option.map (fun _ -> sub (1000 + tenant)) retry)
+            ~tenant ()
+        in
+        let gen =
+          Load_gen.open_loop w.sim ~client ~pacing:`Cbr ~mix:`Deterministic ~rate:s.lc_rate
+            ~read_ratio:s.lc_read_ratio ~bytes:4096 ~until ~seed:(sub (17 + tenant)) ()
+        in
+        { tenant; client; gen })
+      lc
+  in
+  let be =
+    List.init 2 (fun i ->
+        let tenant = 101 + i in
+        let client = client_of w ~slo:(be_slo ~read_pct:10 ()) ~tenant () in
+        let gen =
+          Load_gen.closed_loop w.sim ~client ~depth:be_depth ~read_ratio:0.1 ~bytes:4096 ~until
+            ~seed:(sub (91 + i)) ()
+        in
+        { tenant; client; gen })
+  in
+  (lc, be)
+
+let digest w loads =
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf "completed=%d tokens=%.3f threads=%d\n"
+    (Reflex_core.Server.requests_completed w.server)
+    (Reflex_core.Server.tokens_spent w.server)
+    (Reflex_core.Server.active_threads w.server);
+  List.iter
+    (fun l ->
+      Printf.bprintf buf "t%d issued=%d iops=%.1f p95r=%.2f\n" l.tenant (Load_gen.issued l.gen)
+        (Load_gen.achieved_iops l.gen) (Load_gen.p95_read_us l.gen))
+    loads;
+  Buffer.contents buf
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 (* Current git commit, read straight from [.git] (no subprocess — the
    bench smoke embeds this in its JSON output so results are
    attributable).  Walks up from the cwd; "unknown" when not in a

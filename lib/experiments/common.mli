@@ -79,6 +79,43 @@ val client_of :
 val client_of_baseline :
   baseline_world -> ?stack:Stack_model.t -> tenant:int -> unit -> Client_lib.t
 
+(** One latency-critical tenant of {!mixed_load}: its SLO and the rate
+    and read ratio of its open-loop CBR load. *)
+type lc_spec = {
+  lc_tenant : int;
+  lc_latency_us : int;
+  lc_iops : int;
+  lc_read_pct : int;
+  lc_rate : float;
+  lc_read_ratio : float;
+}
+
+type load = { tenant : int; client : Client_lib.t; gen : Load_gen.t }
+
+(** The §5 interference load: for each [lc] spec, in order, a
+    registered client and an open-loop CBR/deterministic 4KB generator
+    (seed [seed + 17 + tenant]); then BE tenants 101 and 102, each a
+    closed-loop write flood (10% reads, depth [be_depth], seed
+    [seed + 91 + i]).  With [retry], the LC clients retry with jitter
+    seed [seed + 1000 + tenant].  Returns the LC loads and the BE loads;
+    every generator runs until [until]. *)
+val mixed_load :
+  reflex_world ->
+  seed:int64 ->
+  until:Time.t ->
+  lc:lc_spec list ->
+  be_depth:int ->
+  ?retry:Retry.policy ->
+  unit ->
+  load list * load list
+
+(** World digest: the server's completion, token and thread counters,
+    then one line of generator stats per load. *)
+val digest : reflex_world -> load list -> string
+
+(** [contains_sub s sub]: [sub] occurs in [s]. *)
+val contains_sub : string -> string -> bool
+
 (** Current git commit hash, read directly from [.git/HEAD] (no
     subprocess); ["unknown"] outside a checkout.  Embedded in the bench
     smoke's JSON output. *)

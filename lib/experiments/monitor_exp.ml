@@ -1,5 +1,4 @@
 open Reflex_engine
-open Reflex_client
 open Reflex_telemetry
 open Reflex_faults
 open Reflex_monitor
@@ -17,7 +16,7 @@ open Reflex_monitor
       silent — zero events.
    3. IDENTITY: the world digest (server counters + per-generator
       stats) of a run with a *disabled* monitor must be byte-identical
-      to a run with no monitor at all; an *enabled* observer-only
+      to a run that never builds a monitor; an *enabled* observer-only
       monitor must also leave the digest unchanged (daemon ticks never
       perturb simulation state).
    4. REMEDIATE: the faulted run again with the die-fail burn alert
@@ -28,11 +27,9 @@ open Reflex_monitor
    rendered output — the alert timeline is part of that output, so this
    is the "bit-reproducible alerts" acceptance check. *)
 
-let scale_of = function Common.Quick -> 0.1 | Common.Full -> 1.0
-
-type leg = {
+type 'm leg = {
   digest : string;  (** world digest: server counters + per-gen stats *)
-  monitor : Monitor.t;
+  monitor : 'm;
   telemetry : Telemetry.t;
   plan : Fault_plan.t;  (** [[]] when no faults injected *)
   injected : int;
@@ -40,46 +37,30 @@ type leg = {
 }
 
 type result = {
-  faulted : leg;
-  clean : leg;
-  remediated : leg;
+  faulted : Monitor.t leg;
+  clean : Monitor.t leg;
+  remediated : Monitor.t leg;
   digest_none : string;  (** no monitor at all *)
   digest_disabled : string;  (** ~enabled:false monitor *)
   fired : Alerts.event list;  (** faulted leg, Fired transitions only *)
   in_window : int;  (** fired events inside a padded fault window *)
   named : int;  (** fired events whose detail names a fault *)
   pad : Time.t;
-  interval : Time.t;
 }
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let interval = Time.ms 1
 
 (* Settle padding after a fault window closes: the long burn window
    still sees in-fault traffic for 10 intervals, and the queued backlog
    takes up to one chaos bucket to drain.  Alerts fired inside the
    padded window count as in-window; the monitor names faults over the
    same lookback so those alerts still carry their cause. *)
-let settle_pad scale = Time.add (Time.scale interval 10.0) (Time.scale (Time.sec 1) scale)
+let settle_pad scale =
+  Time.add (Time.scale Monitor.interval 10.0) (Time.scale (Time.sec 1) scale)
 
-(* Burn thresholds for the scenario: target 0.99 with 2w@10x /\ 10w@5x
-   means >= 20% of a 2-window span and >= 5% of a 10-window span must
-   violate the SLO bound before the page fires -- far above the healthy
-   tail (clean buckets hold p95 <= SLO, i.e. < 5% violations) and far
-   below a fault window (p95 several times the bound). *)
-let monitor_of ?(enabled = true) ~scale w =
-  Monitor.create ~enabled ~interval ~capacity:4096 ~target:0.99 ~burn_short:(2, 10.0)
-    ~burn_long:(10, 5.0) ~z_thresh:3.0 ~cooldown:(Time.ms 50)
-    ~fault_lookback:(settle_pad scale) ~server:w.Common.server
-    ~telemetry:w.Common.telemetry ()
-
-(* One world, chaos-style load, optional faults, optional monitor. *)
-let run_leg ~mode ~seed ~faults ~monitor:monitor_kind () =
-  let scale = scale_of mode in
+(* One chaos world, optional faults, run to the end.  [arm] runs on the
+   fresh world before the first registration — where a monitor is
+   created and started — and its result is the leg's [monitor]. *)
+let run_world ~mode ~seed ~faults arm =
+  let scale = Chaos.scale_of mode in
   let telemetry = Telemetry.create () in
   (* Always-on flight recorder: armed before the world is built (the
      scheduler and dataplane cache the handle), so alert edges trigger
@@ -87,105 +68,56 @@ let run_leg ~mode ~seed ~faults ~monitor:monitor_kind () =
      digest/identity check below is unaffected. *)
   Telemetry.set_flight telemetry (Reflex_obs.Flight.create ());
   let w = Common.make_reflex ~n_threads:2 ~telemetry ~seed () in
-  let sim = w.Common.sim in
-  let timeline = Time.scale (Time.sec 10) scale in
-  let monitor =
-    match monitor_kind with
-    | `None -> Monitor.create ~enabled:false ~server:w.Common.server ~telemetry ()
-    | `Disabled ->
-      let m = Monitor.create ~enabled:false ~server:w.Common.server ~telemetry () in
-      Monitor.start m sim ();
-      m
-    | `Enabled | `Remediate ->
-      let m = monitor_of ~scale w in
-      Monitor.start m sim ();
-      if monitor_kind = `Remediate then begin
+  let monitor = arm w in
+  let lc, be = Chaos.load w ~seed ~scale in
+  let plan, inj =
+    if faults then
+      let plan, inj = Chaos.arm_faults w ~seed ~scale (lc @ be) in
+      (plan, Some inj)
+    else ([], None)
+  in
+  ignore (Sim.run ~until:(Chaos.timeline scale) w.Common.sim);
+  ignore (Sim.run w.Common.sim);
+  let count f = match inj with Some i -> f i | None -> 0 in
+  {
+    digest = Common.digest w (lc @ be);
+    monitor;
+    telemetry;
+    plan;
+    injected = count Injector.injected;
+    recovered = count Injector.recovered;
+  }
+
+(* A monitored leg: [`Disabled] creates and starts an ~enabled:false
+   monitor; [`Remediate] binds the opt-in feedback actions. *)
+let run_leg ~mode ~seed ~faults kind =
+  run_world ~mode ~seed ~faults (fun w ->
+      let m =
+        Monitor.create ~enabled:(kind <> `Disabled)
+          ~fault_lookback:(settle_pad (Chaos.scale_of mode))
+          ~server:w.Common.server ~telemetry:w.Common.telemetry ()
+      in
+      Monitor.start m w.Common.sim ();
+      if kind = `Remediate then begin
         (* Page-severity burn on tenant 1 -> re-derive capacity from
            device health; knee on tenant 2 -> log only. *)
         Monitor.bind m ~rule:"t1/burn" Remediate.Reprice_for_device;
         Monitor.bind m ~rule:"t2/burn" (Remediate.Log "acknowledged")
       end;
-      m
-  in
-  let lc_specs =
-    [ (1, 500, 150_000, 100, 20_000.0, 1.0); (2, 1000, 75_000, 90, 10_000.0, 0.9) ]
-  in
-  let lc =
-    List.map
-      (fun (tenant, latency_us, iops, read_pct, rate, read_ratio) ->
-        let client =
-          Common.client_of w ~slo:(Common.lc_slo ~latency_us ~iops ~read_pct) ~tenant ()
-        in
-        let g =
-          Load_gen.open_loop sim ~client ~pacing:`Cbr ~mix:`Deterministic ~rate ~read_ratio
-            ~bytes:4096 ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (17 + tenant)))
-            ()
-        in
-        (tenant, client, g))
-      lc_specs
-  in
-  let be =
-    List.init 2 (fun i ->
-        let tenant = 101 + i in
-        let client = Common.client_of w ~slo:(Common.be_slo ~read_pct:10 ()) ~tenant () in
-        let g =
-          Load_gen.closed_loop sim ~client ~depth:32 ~read_ratio:0.1 ~bytes:4096
-            ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (91 + i)))
-            ()
-        in
-        (tenant, client, g))
-  in
-  let gens = List.map (fun (_, _, g) -> g) (lc @ be) in
-  let plan, inj =
-    if not faults then ([], None)
-    else begin
-      let plan = Fault_plan.scripted ~scale () in
-      let tgt =
-        Injector.target ~sim ~fabric:w.Common.fabric ~server:w.Common.server
-          ~gens:(Array.of_list gens) ~telemetry ()
-      in
-      (plan, Some (Injector.arm ~seed:(Int64.add seed 7L) tgt ~plan))
-    end
-  in
-  ignore (Sim.run ~until:timeline sim);
-  ignore (Sim.run sim);
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "completed=%d tokens=%.3f threads=%d\n"
-       (Reflex_core.Server.requests_completed w.Common.server)
-       (Reflex_core.Server.tokens_spent w.Common.server)
-       (Reflex_core.Server.active_threads w.Common.server));
-  List.iter
-    (fun (tenant, _, g) ->
-      Buffer.add_string buf
-        (Printf.sprintf "t%d issued=%d iops=%.1f p95r=%.2f\n" tenant (Load_gen.issued g)
-           (Load_gen.achieved_iops g) (Load_gen.p95_read_us g)))
-    (lc @ be);
-  {
-    digest = Buffer.contents buf;
-    monitor;
-    telemetry;
-    plan;
-    injected = (match inj with Some i -> Injector.injected i | None -> 0);
-    recovered = (match inj with Some i -> Injector.recovered i | None -> 0);
-  }
+      m)
 
 (* One clean (fault-free) leg only — the zero-alerts property test
    drives this across seeds without paying for the full scenario. *)
 let run_clean ?(mode = Common.Quick) ?(seed = 42L) () =
-  run_leg ~mode ~seed ~faults:false ~monitor:`Enabled ()
+  run_leg ~mode ~seed ~faults:false `Enabled
 
 let run ?(mode = Common.Quick) ?(seed = 42L) () =
-  let scale = scale_of mode in
-  let faulted = run_leg ~mode ~seed ~faults:true ~monitor:`Enabled () in
-  let clean = run_leg ~mode ~seed ~faults:false ~monitor:`Enabled () in
-  let remediated = run_leg ~mode ~seed ~faults:true ~monitor:`Remediate () in
-  let none = run_leg ~mode ~seed ~faults:true ~monitor:`None () in
-  let disabled = run_leg ~mode ~seed ~faults:true ~monitor:`Disabled () in
-  let interval = Monitor.interval faulted.monitor in
-  let pad = settle_pad scale in
+  let faulted = run_leg ~mode ~seed ~faults:true `Enabled in
+  let clean = run_leg ~mode ~seed ~faults:false `Enabled in
+  let remediated = run_leg ~mode ~seed ~faults:true `Remediate in
+  let none = run_world ~mode ~seed ~faults:true ignore in
+  let disabled = run_leg ~mode ~seed ~faults:true `Disabled in
+  let pad = settle_pad (Chaos.scale_of mode) in
   let fired =
     List.filter (fun (e : Alerts.event) -> e.e_kind = Alerts.Fired)
       (Monitor.events faulted.monitor)
@@ -207,9 +139,8 @@ let run ?(mode = Common.Quick) ?(seed = 42L) () =
       List.length (List.filter (fun (e : Alerts.event) -> in_fault_window e.e_time) fired);
     named =
       List.length
-        (List.filter (fun (e : Alerts.event) -> contains_sub e.e_detail "faults: ") fired);
+        (List.filter (fun (e : Alerts.event) -> Common.contains_sub e.e_detail "faults: ") fired);
     pad;
-    interval;
   }
 
 (* {1 Acceptance checks} *)

@@ -1,14 +1,15 @@
 (** The monitoring acceptance scenario ([reflex_sim monitor]).
 
-    Runs the chaos world under the scripted fault plan with the
+    Runs the chaos world ({!Chaos.load}, {!Chaos.arm_faults}) under the
+    scripted fault plan with the
     {!Reflex_monitor.Monitor} pipeline armed and checks, in one
     deterministic render:
 
     - alerts fire under faults, every fired alert lands inside a
       settle-padded fault window, and each names the overlapping fault;
     - a clean control run produces {e zero} alert events;
-    - a disabled-monitor run is byte-identical to a no-monitor run
-      (and an enabled observer-only monitor leaves the world digest
+    - a disabled-monitor run is byte-identical to a run that builds
+      no monitor (and an enabled observer-only monitor leaves the world digest
       unchanged too);
     - an opt-in remediation binding (burn alert → capacity re-pricing)
       actually applies.
@@ -21,9 +22,12 @@ open Reflex_engine
 open Reflex_faults
 open Reflex_monitor
 
-type leg = {
+(** One run of the chaos world.  ['m] is what the leg armed before the
+    first registration: a {!Monitor.t}, or [unit] for the no-monitor
+    leg. *)
+type 'm leg = {
   digest : string;
-  monitor : Monitor.t;
+  monitor : 'm;
   telemetry : Reflex_telemetry.Telemetry.t;
   plan : Fault_plan.t;
   injected : int;
@@ -31,23 +35,22 @@ type leg = {
 }
 
 type result = {
-  faulted : leg;
-  clean : leg;
-  remediated : leg;
+  faulted : Monitor.t leg;
+  clean : Monitor.t leg;
+  remediated : Monitor.t leg;
   digest_none : string;
   digest_disabled : string;
   fired : Alerts.event list;
   in_window : int;
   named : int;
   pad : Time.t;
-  interval : Time.t;
 }
 
 val run : ?mode:Common.mode -> ?seed:int64 -> unit -> result
 
 (** One clean (fault-free) monitored leg only — cheap enough to sweep
     seeds in the zero-alerts-on-clean-runs property test. *)
-val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> leg
+val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> Monitor.t leg
 
 val alerts_fired : result -> bool
 val alerts_in_windows : result -> bool

@@ -29,20 +29,6 @@ module Profiler = Reflex_obs.Profiler
    ([Flight.create ~enabled:false]) renders identically to one with no
    recorder attached at all. *)
 
-let scale_of = function Common.Quick -> 0.1 | Common.Full -> 1.0
-let interval = Time.ms 1
-
-let obs_retry =
-  Retry.validate
-    {
-      Retry.timeout = Time.ms 20;
-      max_retries = 2;
-      backoff_base = Time.ms 1;
-      backoff_mult = 4.0;
-      backoff_max = Time.ms 20;
-      jitter = 0.2;
-    }
-
 type result = {
   monitor : Monitor.t;
   telemetry : Telemetry.t;
@@ -52,16 +38,11 @@ type result = {
   digest : string;  (** server counters + per-generator stats *)
 }
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* [flight = `Armed] attaches a live recorder, [`Inert] a created-but-
    disabled one, [`None] leaves the shared disabled instance — the last
    two must produce byte-identical renders. *)
 let run ?(mode = Common.Quick) ?(seed = 42L) ?(flight = `Armed) ?(profile = false) () =
-  let scale = scale_of mode in
+  let scale = Chaos.scale_of mode in
   let telemetry = Telemetry.create ~span_capacity:(1 lsl 19) () in
   (match flight with
   | `Armed -> Telemetry.set_flight telemetry (Flight.create ())
@@ -71,78 +52,25 @@ let run ?(mode = Common.Quick) ?(seed = 42L) ?(flight = `Armed) ?(profile = fals
   if profile then Telemetry.set_profiler telemetry profiler;
   let w = Common.make_reflex ~n_threads:2 ~telemetry ~seed () in
   let sim = w.Common.sim in
-  let plan = Fault_plan.scripted ~scale () in
-  let timeline = Time.scale (Time.sec 10) scale in
   let monitor =
-    Monitor.create ~interval ~capacity:4096 ~target:0.99 ~burn_short:(2, 10.0)
-      ~burn_long:(10, 5.0) ~z_thresh:3.0 ~cooldown:(Time.ms 50)
-      ~fault_lookback:(Time.scale (Time.sec 1) scale) ~dump_window:(Time.ms 5)
-      ~server:w.Common.server ~telemetry ()
+    Monitor.create ~fault_lookback:(Time.scale (Time.sec 1) scale) ~server:w.Common.server
+      ~telemetry ()
   in
   Monitor.start monitor sim ();
-  let lc_specs =
-    [ (1, 500, 150_000, 100, 20_000.0, 1.0); (2, 1000, 75_000, 90, 10_000.0, 0.9) ]
-  in
-  let lc =
-    List.map
-      (fun (tenant, latency_us, iops, read_pct, rate, read_ratio) ->
-        let client =
-          Common.client_of w
-            ~slo:(Common.lc_slo ~latency_us ~iops ~read_pct)
-            ~retry:obs_retry
-            ~retry_seed:(Int64.add seed (Int64.of_int (1000 + tenant)))
-            ~tenant ()
-        in
-        let g =
-          Load_gen.open_loop sim ~client ~pacing:`Cbr ~mix:`Deterministic ~rate ~read_ratio
-            ~bytes:4096 ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (17 + tenant)))
-            ()
-        in
-        (tenant, client, g))
-      lc_specs
-  in
-  let be =
-    List.init 2 (fun i ->
-        let tenant = 101 + i in
-        let client = Common.client_of w ~slo:(Common.be_slo ~read_pct:10 ()) ~tenant () in
-        let g =
-          Load_gen.closed_loop sim ~client ~depth:32 ~read_ratio:0.1 ~bytes:4096
-            ~until:timeline
-            ~seed:(Int64.add seed (Int64.of_int (91 + i)))
-            ()
-        in
-        (tenant, client, g))
-  in
-  let gens = List.map (fun (_, _, g) -> g) (lc @ be) in
-  let tgt =
-    Injector.target ~sim ~fabric:w.Common.fabric ~server:w.Common.server
-      ~gens:(Array.of_list gens) ~telemetry ()
-  in
-  ignore (Injector.arm ~seed:(Int64.add seed 7L) tgt ~plan);
+  let lc, be = Chaos.load ~retry:Chaos.retry w ~seed ~scale in
+  let plan, _ = Chaos.arm_faults w ~seed ~scale (lc @ be) in
   Profiler.enter profiler Profiler.Subsystem.Engine;
-  ignore (Sim.run ~until:timeline sim);
+  ignore (Sim.run ~until:(Chaos.timeline scale) sim);
   ignore (Sim.run sim);
   Profiler.leave profiler Profiler.Subsystem.Engine;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "completed=%d tokens=%.3f threads=%d\n"
-       (Reflex_core.Server.requests_completed w.Common.server)
-       (Reflex_core.Server.tokens_spent w.Common.server)
-       (Reflex_core.Server.active_threads w.Common.server));
-  List.iter
-    (fun (tenant, _, g) ->
-      Buffer.add_string buf
-        (Printf.sprintf "t%d issued=%d iops=%.1f p95r=%.2f\n" tenant (Load_gen.issued g)
-           (Load_gen.achieved_iops g) (Load_gen.p95_read_us g)))
-    (lc @ be);
   {
     monitor;
     telemetry;
     profiler;
     plan;
-    retries = List.fold_left (fun acc (_, c, _) -> acc + Client_lib.retries c) 0 lc;
-    digest = Buffer.contents buf;
+    retries =
+      List.fold_left (fun acc (l : Common.load) -> acc + Client_lib.retries l.client) 0 lc;
+    digest = Common.digest w (lc @ be);
   }
 
 (* {1 Views over one run} *)
@@ -169,14 +97,16 @@ let dump_names_alert r =
   | [] -> false
   | d :: _ ->
     let j = Monitor.dump_debrief d in
-    d.Monitor.d_rule <> "" && contains_sub j d.Monitor.d_rule
-    && contains_sub j "\"trigger\":{"
+    d.Monitor.d_rule <> "" && Common.contains_sub j d.Monitor.d_rule
+    && Common.contains_sub j "\"trigger\":{"
 
 let dump_names_fault r =
   match first_debrief r with
   | None -> false
   | Some j ->
-    List.exists (fun (w : Fault_plan.window) -> contains_sub j (Fault_plan.label w.fault)) r.plan
+    List.exists
+      (fun (w : Fault_plan.window) -> Common.contains_sub j (Fault_plan.label w.fault))
+      r.plan
 
 let links_recorded r = r.retries = 0 || Telemetry.links r.telemetry <> []
 
@@ -205,8 +135,6 @@ let render_result r =
   Buffer.add_string buf "acceptance:\n";
   Buffer.add_string buf (Identity.lines (checks r));
   Buffer.contents buf
-
-let render ?mode ?seed () = render_result (run ?mode ?seed ())
 
 (* {1 Determinism debrief} *)
 

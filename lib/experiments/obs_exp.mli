@@ -1,4 +1,5 @@
-(** Observability acceptance scenario: the chaos world with the full
+(** Observability acceptance scenario: the chaos world ({!Chaos.load}
+    with {!Chaos.retry}, {!Chaos.arm_faults}) with the full
     [lib/obs] stack armed — always-on flight recorder, alert-triggered
     forensic dumps, causal retry links, continuous cost profiler.
 
@@ -53,8 +54,6 @@ val checks : result -> Identity.check list
 
 (** Deterministic render (never includes profiler numbers). *)
 val render_result : result -> string
-
-val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
 
 (** Render plus the {!Identity.verify} checks over render and dump, the
     disarmed-recorder identity checks, and an [OBS OK]/[OBS FAILED]

@@ -67,6 +67,22 @@ let zipf_rates ~n ~total =
   done;
   Array.map (fun x -> total *. x /. !sum) w
 
+(* Add LC tenants 1..[n] at Zipf rates summing to [total], each
+   reserving its rate rounded up; the placed [(id, rate)] pairs in id
+   order. *)
+let place_zipf rack ~n ~total ~replicas =
+  let rates = zipf_rates ~n ~total in
+  List.filter_map
+    (fun i ->
+      let id = i + 1 in
+      let slo =
+        Common.lc_slo ~latency_us:lc_latency_us ~iops:(int_of_float (ceil rates.(i))) ~read_pct:100
+      in
+      match Rack.add_tenant rack ~id ~slo ~replicas with
+      | `Placed _ -> Some (id, rates.(i))
+      | `Rejected -> None)
+    (List.init n Fun.id)
+
 (* ------------------------------------------------------------------ *)
 (* Result types                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -196,20 +212,9 @@ let bakeoff_leg ~sc ~seed ~telemetry kind =
       ~seed:(Int64.add seed 0x11L) ~telemetry ()
   in
   if Telemetry.enabled telemetry then Telemetry.start_sampler telemetry sim ();
-  let rates = zipf_rates ~n:sc.s_tenants ~total:(sc.s_total_kiops *. 1e3) in
-  let placed = ref [] in
-  for i = 0 to sc.s_tenants - 1 do
-    let id = i + 1 in
-    let slo =
-      Common.lc_slo ~latency_us:lc_latency_us
-        ~iops:(int_of_float (ceil rates.(i)))
-        ~read_pct:100
-    in
-    match Rack.add_tenant rack ~id ~slo ~replicas:sc.s_replicas with
-    | `Placed _ -> placed := (id, rates.(i)) :: !placed
-    | `Rejected -> ()
-  done;
-  let placed = List.rev !placed in
+  let placed =
+    place_zipf rack ~n:sc.s_tenants ~total:(sc.s_total_kiops *. 1e3) ~replicas:sc.s_replicas
+  in
   let be_regs = register_be_soak rack ~sc in
   let t0 = Sim.now sim in
   let t_end = Time.add t0 (Time.add sc.s_warmup sc.s_window) in
@@ -348,26 +353,15 @@ let obs_leg ~sc ~seed ~congested =
   let obs = Rack_obs.create ~exemplars:3 rack in
   let tsdb = Tsdb.create () in
   let alerts = Alerts.create () in
-  Rack_obs.wire_monitor obs ~tsdb ~alerts ();
-  let rates = zipf_rates ~n:tenants ~total:(25e3 *. float_of_int n) in
-  let placed = ref [] in
-  for i = 0 to tenants - 1 do
-    let id = i + 1 in
-    let slo =
-      Common.lc_slo ~latency_us:lc_latency_us
-        ~iops:(int_of_float (ceil rates.(i)))
-        ~read_pct:100
-    in
-    match Rack.add_tenant rack ~id ~slo ~replicas:(min sc.s_replicas n) with
-    | `Placed _ -> placed := (id, rates.(i)) :: !placed
-    | `Rejected -> ()
-  done;
-  let placed = List.rev !placed in
+  Rack_obs.wire_monitor obs ~tsdb ~alerts;
+  let placed =
+    place_zipf rack ~n:tenants ~total:(25e3 *. float_of_int n) ~replicas:(min sc.s_replicas n)
+  in
   let t0 = Sim.now sim in
   let span = Time.add warmup window in
   let t_end = Time.add t0 span in
   Sim.every sim ~every:probe_period ~until:t_end (fun _ -> Rack.sample_probes rack);
-  Rack_obs.start_monitor obs ~tsdb ~alerts ~until:t_end ();
+  Rack_obs.start_monitor obs ~tsdb ~alerts ~until:t_end;
   List.iter
     (fun (id, rate) -> start_cbr sim rack ~tenant:id ~rate ~len:1024 ~t0 ~until:t_end)
     placed;

@@ -20,53 +20,36 @@ type tenant_row = {
 
 type result = { telemetry : Telemetry.t; rows : tenant_row list }
 
+(* Two LC tenants with distinct SLOs: a tight 200us reservation at 60K
+   IOPS and a looser 500us one at 30K. *)
+let lc_specs =
+  [
+    { Common.lc_tenant = 1; lc_latency_us = 200; lc_iops = 80_000; lc_read_pct = 100;
+      lc_rate = 60_000.0; lc_read_ratio = 1.0 };
+    { lc_tenant = 2; lc_latency_us = 500; lc_iops = 40_000; lc_read_pct = 90;
+      lc_rate = 30_000.0; lc_read_ratio = 0.9 };
+  ]
+
 let run ?(mode = Common.Quick) () =
   let telemetry = Telemetry.create () in
   Telemetry.set_flight telemetry (Reflex_obs.Flight.create ());
   let w = Common.make_reflex ~n_threads:2 ~telemetry () in
   let sim = w.Common.sim in
-  Telemetry.start_sampler telemetry sim ();
   let until = Time.add (Sim.now sim) (Time.sec 10) in
-  (* Two LC tenants with distinct SLOs: a tight 200us reservation at
-     60K IOPS and a looser 500us one at 30K. *)
-  let lc_specs =
-    [ (1, 200, 80_000, 100, 60_000.0, 1.0); (2, 500, 40_000, 90, 30_000.0, 0.9) ]
-  in
-  let lc_gens =
-    List.map
-      (fun (tenant, latency_us, iops, read_pct, rate, read_ratio) ->
-        let client =
-          Common.client_of w ~slo:(Common.lc_slo ~latency_us ~iops ~read_pct) ~tenant ()
-        in
-        ( tenant,
-          Load_gen.open_loop sim ~client ~pacing:`Cbr ~mix:`Deterministic ~rate ~read_ratio
-            ~bytes:4096 ~until
-            ~seed:(Int64.of_int (17 + tenant))
-            () ))
-      lc_specs
-  in
-  (* Two BE tenants flooding writes: the source of die contention. *)
-  let be_gens =
-    List.init 2 (fun i ->
-        let tenant = 101 + i in
-        let client = Common.client_of w ~slo:(Common.be_slo ~read_pct:10 ()) ~tenant () in
-        ( tenant,
-          Load_gen.closed_loop sim ~client ~depth:64 ~read_ratio:0.1 ~bytes:4096 ~until
-            ~seed:(Int64.of_int (91 + i))
-            () ))
-  in
-  let gens = List.map snd (lc_gens @ be_gens) in
+  let lc, be = Common.mixed_load w ~seed:0L ~until ~lc:lc_specs ~be_depth:64 () in
+  let gens = List.map (fun (l : Common.load) -> l.gen) (lc @ be) in
   Common.measure_generators sim gens ~warmup:(Time.ms 50) ~window:(Common.window mode);
-  let row kind (tenant, g) =
+  let row kind (l : Common.load) =
     {
-      tr_tenant = tenant;
+      tr_tenant = l.tenant;
       tr_class = kind;
-      tr_achieved_kiops = Load_gen.achieved_iops g /. 1e3;
+      tr_achieved_kiops = Load_gen.achieved_iops l.gen /. 1e3;
       tr_p95_read_us =
-        (if Hdr_histogram.count (Load_gen.reads g) = 0 then 0.0 else Load_gen.p95_read_us g);
+        (if Hdr_histogram.count (Load_gen.reads l.gen) = 0 then 0.0
+         else Load_gen.p95_read_us l.gen);
     }
   in
-  { telemetry; rows = List.map (row "LC") lc_gens @ List.map (row "BE") be_gens }
+  { telemetry; rows = List.map (row "LC") lc @ List.map (row "BE") be }
 
 let to_table rows =
   let t =

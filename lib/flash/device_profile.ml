@@ -104,10 +104,3 @@ let token_capacity p = float_of_int p.n_dies /. Time.to_float_sec p.t_read
 let knee_token_rate ?(frac = 0.8) p =
   if frac <= 0.0 || frac > 1.0 then invalid_arg "Device_profile.knee_token_rate: frac";
   frac *. token_capacity p
-
-let pp fmt p =
-  Format.fprintf fmt
-    "device %s: %d dies, t_read=%a, write_cost=%.0f tokens, %.0fK RO IOPS, %.0fK tokens/s" p.name
-    p.n_dies Time.pp p.t_read p.write_cost
-    (read_only_iops p /. 1e3)
-    (token_capacity p /. 1e3)

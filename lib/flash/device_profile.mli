@@ -72,5 +72,3 @@ val token_capacity : t -> float
     point (windowed weighted token rate, windowed p95) crosses this
     knee. *)
 val knee_token_rate : ?frac:float -> t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -46,17 +46,10 @@ type t = {
   alerts : Alerts.t;
   flight : Flight.t; (* cached off telemetry at create time *)
   profiler : Profiler.t;
-  dump_window : Time.t;
   mutable dumps_rev : flight_dump list;
   budgets : (int, Budget.t) Hashtbl.t;
   tracked : (int, unit) Hashtbl.t;
-  target : float;
-  burn_short : int * float;
-  burn_long : int * float;
-  z_thresh : float;
   knee_rate : float;
-  interval : Time.t;
-  cooldown : Time.t;
   mutable bindings : (string * Remediate.action) list; (* name-sorted *)
   last_applied : (string, Time.t) Hashtbl.t;
   mutable remediation_log_rev : (Time.t * string * Remediate.action * string) list;
@@ -79,19 +72,31 @@ let fault_annotation telemetry ~lookback now =
   | [] -> None
   | l -> Some ("faults: " ^ String.concat "," l)
 
-(* Fixed policy: SLO budgets reset every second, an anomaly needs at
-   least a quarter of a window violating, the load knee sits at 0.8 of
-   device token capacity, and a run keeps at most four forensic dumps. *)
+(* The one monitoring policy.  Sample every 1ms into a 4096-window
+   ring.  Hold each tenant to a 0.99 SLO target, paging when the error
+   budget burns >= 10x over 2 windows and >= 5x over 10 (>= 20% and
+   >= 5% of requests over the bound: far above a healthy tail, far below
+   a fault window).  Flag an anomaly at z >= 3.0 when at least a quarter
+   of a window violates.  Apply a bound remediation at most once per
+   50ms per rule.  Reset budgets every second, put the load knee at 0.8
+   of device token capacity, and keep at most four forensic dumps of the
+   last 5ms of flight records. *)
+let interval = Time.ms 1
+let capacity = 4096
+let target = 0.99
+let burn_short = (2, 10.0)
+let burn_long = (10, 5.0)
+let z_thresh = 3.0
+let cooldown = Time.ms 50
+let dump_window = Time.ms 5
 let budget_period = Time.sec 1
 let anomaly_floor = 0.25
 let knee_frac = 0.8
 let max_dumps = 4
 
-let create ?(enabled = true) ?(interval = Time.ms 1) ?(capacity = 512) ?(target = 0.999)
-    ?(burn_short = (1, 14.0)) ?(burn_long = (10, 6.0)) ?(z_thresh = 3.0)
-    ?(cooldown = Time.ms 5) ?fault_lookback ?(dump_window = Time.ms 5) ~server ~telemetry () =
+let create ?(enabled = true) ?fault_lookback ~server ~telemetry () =
   let enabled = enabled && Telemetry.enabled telemetry in
-  let tsdb = if enabled then Tsdb.create ~capacity ~interval () else Tsdb.disabled in
+  let tsdb = if enabled then Tsdb.create ~capacity () else Tsdb.disabled in
   let lookback =
     match fault_lookback with
     | Some l -> l
@@ -111,17 +116,10 @@ let create ?(enabled = true) ?(interval = Time.ms 1) ?(capacity = 512) ?(target 
       alerts;
       flight = Telemetry.flight telemetry;
       profiler = Telemetry.profiler telemetry;
-      dump_window;
       dumps_rev = [];
       budgets = Hashtbl.create 8;
       tracked = Hashtbl.create 8;
-      target;
-      burn_short;
-      burn_long;
-      z_thresh;
       knee_rate;
-      interval;
-      cooldown;
       bindings = [];
       last_applied = Hashtbl.create 8;
       remediation_log_rev = [];
@@ -153,10 +151,8 @@ let create ?(enabled = true) ?(interval = Time.ms 1) ?(capacity = 512) ?(target 
   t
 
 let enabled t = t.enabled
-let interval t = t.interval
 let tsdb t = t.tsdb
 let alerts t = t.alerts
-let knee_rate t = t.knee_rate
 
 (* Wire sources, budget and the three default rules for one newly seen
    latency-critical tenant. *)
@@ -193,11 +189,11 @@ let track_tenant t id ~slo_us =
       | Some h when Hdr_histogram.count h > 0 -> Detect.Ewma.observe ewma (bad_fraction h)
       | _ -> 0.0);
   Hashtbl.replace t.budgets id
-    (Budget.create ~tenant:id ~target:t.target ~period:budget_period);
+    (Budget.create ~tenant:id ~target ~period:budget_period);
   (* Rule 1: SRE multi-window burn rate on the SLO error budget. *)
   Alerts.add t.alerts
-    (Alerts.burn_rule ~severity:Alerts.Page ~name:(pfx ^ "/burn") ~target:t.target
-       ~good:(pfx ^ "/good") ~bad:(pfx ^ "/bad") ~short:t.burn_short ~long:t.burn_long ());
+    (Alerts.burn_rule ~severity:Alerts.Page ~name:(pfx ^ "/burn") ~target
+       ~good:(pfx ^ "/good") ~bad:(pfx ^ "/bad") ~short:burn_short ~long:burn_long ());
   (* Rule 2: load-knee crossing — past the device's hockey-stick knee
      while violating the SLO bound. *)
   Alerts.add t.alerts
@@ -228,7 +224,7 @@ let track_tenant t id ~slo_us =
          match Tsdb.hist w latency with
          | Some h when Hdr_histogram.count h > 0 ->
            let frac = bad_fraction h in
-           if z >= t.z_thresh && frac >= anomaly_floor then
+           if z >= z_thresh && frac >= anomaly_floor then
              Some
                (Printf.sprintf "%.0f%% of window over %dus SLO, z=%.1f vs baseline %.0f%%"
                   (100.0 *. frac) slo_us z (100.0 *. Detect.Ewma.mean ewma))
@@ -261,7 +257,7 @@ let update_budgets t w =
 let cooldown_ok t rule now =
   match Hashtbl.find_opt t.last_applied rule with
   | None -> true
-  | Some last -> Time.(Time.diff now last >= t.cooldown)
+  | Some last -> Time.(Time.diff now last >= cooldown)
 
 let severity_int = function Alerts.Info -> 0 | Alerts.Ticket -> 1 | Alerts.Page -> 2
 
@@ -292,7 +288,7 @@ let maybe_dump t (e : Alerts.event) =
         d_rule = e.e_rule;
         d_time = e.e_time;
         d_detail = e.e_detail;
-        d_snapshot = Flight.snapshot t.flight ~now:e.e_time ~window:t.dump_window;
+        d_snapshot = Flight.snapshot t.flight ~now:e.e_time ~window:dump_window;
         d_faults = Telemetry.fault_windows t.telemetry;
       }
       :: t.dumps_rev
@@ -328,7 +324,7 @@ let tick t ~now =
 let start t sim () =
   if t.enabled && not t.running then begin
     t.running <- true;
-    Sim.every_daemon sim ~every:t.interval (fun now -> tick t ~now)
+    Sim.every_daemon sim ~every:interval (fun now -> tick t ~now)
   end
 
 let bind t ~rule action =
@@ -404,7 +400,7 @@ let report t =
     Buffer.add_string buf
       (Printf.sprintf
          "== monitor (%.1fms interval, %d windows, %d tenants, knee %.0f tok/s) ==\n"
-         (Time.to_float_ms t.interval)
+         (Time.to_float_ms interval)
          (Tsdb.windows_closed t.tsdb)
          (Hashtbl.length t.budgets) t.knee_rate);
     List.iter

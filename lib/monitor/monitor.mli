@@ -4,15 +4,17 @@
     {!Alerts} rule evaluation → opt-in {!Remediate} actions
 
     in a fixed order, so the alert timeline of a same-seed run is
-    byte-identical serial or under [Runner --jobs].
+    byte-identical serial or under [Runner --jobs].  The policy is one
+    set of constants (see {!create}); the monitor and obs scenarios run
+    it over the one chaos world ([Experiments.Chaos]).
 
     Per-LC-tenant instrumentation (windowed latency delta histograms,
     good/bad counts against the SLO bound, weighted-token rates, EWMA
     p95 z-scores) is wired lazily: tenants register with the scheduler
     {e after} the monitor is armed, and each tick picks up new ids from
     [Telemetry.tenants_with_slo].  Every LC tenant gets three default
-    rules: [t<ID>/burn] (multi-window burn rate, default 1 window @ 14×
-    ∧ 10 windows @ 6×), [t<ID>/knee] (operating point past the device's
+    rules: [t<ID>/burn] (multi-window burn rate, 2 windows @ 10× ∧ 10
+    windows @ 5×), [t<ID>/knee] (operating point past the device's
     hockey-stick knee while violating the SLO) and [t<ID>/anomaly]
     (EWMA z-score on the windowed SLO-violating fraction, gated on an
     absolute floor so clean runs stay silent).
@@ -40,46 +42,37 @@ type flight_dump = private {
   d_faults : Reflex_obs.Flight_dump.fault_window list;
 }
 
-(** Defaults: sampling [interval] 1ms, ring [capacity] 512 windows,
-    SLO [target] 0.999, burn windows [burn_short = (1, 14.0)] and
-    [burn_long = (10, 6.0)] (windows, factor), anomaly [z_thresh] 3.0,
-    remediation [cooldown] 5ms per rule.  Fixed: SLO budgets reset every
-    1s, an anomaly also needs a windowed violating fraction of at least
-    0.25, and the load knee sits at 0.8 of device token capacity.  [fault_lookback] bounds how
-    far back a fired alert searches for fault windows to name in its
-    detail (default: the long burn window).
+(** The monitoring policy (one, fixed): sample every {!interval} (1ms)
+    into a 4096-window {!Tsdb}; SLO [target] 0.99 with burn windows
+    2 @ 10× ∧ 10 @ 5×; anomaly at z ≥ 3.0 with at least 0.25 of the
+    window violating; a bound remediation applies at most once per 50ms
+    per rule; SLO budgets reset every 1s; the load knee sits at 0.8 of
+    device token capacity.  [fault_lookback] bounds how far back a fired
+    alert searches for fault windows to name in its detail (default:
+    the long burn window, 10ms).
 
     When the telemetry carries an armed flight recorder
     ([Telemetry.set_flight]), every alert edge is mirrored into the ring
-    and each {e fired} edge freezes the last [dump_window] (default 5ms)
-    of flight records as a forensic dump, at most 4 per run.  When the telemetry carries an armed profiler
-    ([Telemetry.set_profiler]), per-subsystem [obs/prof/<sub>/wall_ms]
-    and [.../minor_words] sources are sampled into the Tsdb on every
-    window close — host wall-clock values, for export only, never fed to
-    alert rules. *)
+    and each {e fired} edge freezes the last 5ms of flight records as a
+    forensic dump, at most 4 per run.  When the telemetry carries an
+    armed profiler ([Telemetry.set_profiler]), per-subsystem
+    [obs/prof/<sub>/wall_ms] and [.../minor_words] sources are sampled
+    into the Tsdb on every window close — host wall-clock values, for
+    export only, never fed to alert rules. *)
 val create :
   ?enabled:bool ->
-  ?interval:Time.t ->
-  ?capacity:int ->
-  ?target:float ->
-  ?burn_short:int * float ->
-  ?burn_long:int * float ->
-  ?z_thresh:float ->
-  ?cooldown:Time.t ->
   ?fault_lookback:Time.t ->
-  ?dump_window:Time.t ->
   server:Server.t ->
   telemetry:Telemetry.t ->
   unit ->
   t
 
+(** The sampling period: 1ms. *)
+val interval : Time.t
+
 val enabled : t -> bool
-val interval : t -> Time.t
 val tsdb : t -> Tsdb.t
 val alerts : t -> Alerts.t
-
-(** Weighted-token knee rate derived from the server's device profile. *)
-val knee_rate : t -> float
 
 (** Advance the pipeline one window.  Normally driven by {!start}. *)
 val tick : t -> now:Time.t -> unit
@@ -100,11 +93,6 @@ val remediation_log : t -> (Time.t * string * Remediate.action * string) list
 (** {1 Queries} *)
 
 val events : t -> Alerts.event list
-val fired_total : t -> int
-val firing : t -> string list
-
-(** Per-tenant budgets, sorted by tenant id. *)
-val budgets : t -> (int * Budget.t) list
 
 (** {1 Flight dumps} *)
 

@@ -50,11 +50,9 @@ type t = {
   mutable ring_len : int;
   mutable closed_total : int;
   mutable last_tick : Time.t;
-  mutable running : bool;
-  interval : Time.t;
 }
 
-let make ~enabled ~capacity ~interval =
+let make ~enabled ~capacity =
   let dummy =
     { w_start = Time.zero; w_stop = Time.zero; w_values = [||]; w_hists = [||] }
   in
@@ -73,19 +71,15 @@ let make ~enabled ~capacity ~interval =
     ring_len = 0;
     closed_total = 0;
     last_tick = Time.zero;
-    running = false;
-    interval;
   }
 
-let disabled = make ~enabled:false ~capacity:1 ~interval:(Time.ms 1)
+let disabled = make ~enabled:false ~capacity:1
 
-let create ?(capacity = 512) ?(interval = Time.ms 1) () =
+let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Tsdb.create: capacity < 1";
-  if Time.(interval <= Time.zero) then invalid_arg "Tsdb.create: non-positive interval";
-  make ~enabled:true ~capacity ~interval
+  make ~enabled:true ~capacity
 
 let enabled t = t.enabled
-let interval t = t.interval
 
 let check_free t name =
   if Hashtbl.mem t.sources name then invalid_arg ("Tsdb: duplicate source " ^ name)
@@ -219,12 +213,6 @@ let tick t ~now =
     t.last_tick <- now
   end
 
-let start t sim () =
-  if t.enabled && not t.running then begin
-    t.running <- true;
-    Sim.every_daemon sim ~every:t.interval (fun now -> tick t ~now)
-  end
-
 let window_count t = t.ring_len
 let windows_closed t = t.closed_total
 let last t = if t.ring_len = 0 then None else Some t.ring.(t.ring_head)
@@ -255,9 +243,6 @@ let assoc_of name arr =
 let value w name = assoc_of name w.w_values
 let hist w name = assoc_of name w.w_hists
 
-let p95_us w name =
-  match hist w name with Some h -> Some (Hdr_histogram.percentile_us h 95.0) | None -> None
-
 (* Sum of a value series over the newest [k] windows (missing names count
    as 0 — a source registered mid-run simply contributes nothing to
    earlier windows). *)
@@ -267,28 +252,3 @@ let sum_last t ~k name =
     0.0 (last_n t k)
 
 let span_us w = Time.to_float_us (Time.diff w.w_stop w.w_start)
-
-let report t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "== tsdb (%d windows closed, %d retained, %.1fms interval) ==\n"
-       t.closed_total t.ring_len (Time.to_float_ms t.interval));
-  let ws = last_n t 8 in
-  List.iter
-    (fun w ->
-      Buffer.add_string buf
-        (Printf.sprintf "window %.3f..%.3fms\n" (Time.to_float_ms w.w_start)
-           (Time.to_float_ms w.w_stop));
-      Array.iter
-        (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-34s %14.3f\n" name v))
-        w.w_values;
-      Array.iter
-        (fun (name, h) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %-34s n=%-7d p95=%.1fus p99=%.1fus\n" name
-               (Hdr_histogram.count h)
-               (Hdr_histogram.percentile_us h 95.0)
-               (Hdr_histogram.percentile_us h 99.0)))
-        w.w_hists)
-    ws;
-  Buffer.contents buf

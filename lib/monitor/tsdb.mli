@@ -1,7 +1,9 @@
 (** Ring-buffered windowed time-series store, sampled on the DES clock.
 
-    One {!t} per monitored world.  Sources are registered once; every
-    {!tick} closes a window holding, per source:
+    One {!t} per monitored world.  It has no clock of its own: its owner
+    ticks it ({!Monitor.tick}, or the rack monitor's periodic tick).
+    Sources are registered once; every {!tick} closes a window holding,
+    per source:
 
     - {e cumulative} sources: the delta since the previous tick (turn
       counters into windowed rates);
@@ -16,7 +18,7 @@
     Same zero-overhead-when-disabled contract as {!Telemetry}: every
     operation on the shared {!disabled} instance is a no-op, and the
     instance is never mutated (domain-safe).  All iteration is
-    name-sorted, so reports are byte-identical across runs and domains. *)
+    name-sorted, so queries are byte-identical across runs and domains. *)
 
 open Reflex_engine
 open Reflex_stats
@@ -33,12 +35,12 @@ type t
 
 val disabled : t
 
-(** [create ()] retains the newest [capacity] (default 512) windows and
-    advertises [interval] (default 1ms) as its sampling period. *)
-val create : ?capacity:int -> ?interval:Time.t -> unit -> t
+(** [create ()] retains the newest [capacity] (default 512) windows.
+    The owner ticks it: {!Monitor} from its daemon, a rack monitor from
+    its periodic tick. *)
+val create : ?capacity:int -> unit -> t
 
 val enabled : t -> bool
-val interval : t -> Time.t
 
 (** {1 Sources}  Registering a duplicate name raises [Invalid_argument];
     all registration is a no-op on a disabled instance. *)
@@ -58,12 +60,6 @@ val has_source : t -> string -> bool
     advanced. *)
 val tick : t -> now:Time.t -> unit
 
-(** Arm a periodic daemon tick every [interval] ({!Sim.every_daemon}:
-    never keeps the simulation alive).  Idempotent.  The {!Monitor}
-    facade drives {!tick} from its own daemon instead, so the whole
-    monitoring pipeline shares one tick. *)
-val start : t -> Sim.t -> unit -> unit
-
 (** {1 Queries} *)
 
 val windows : t -> window list
@@ -76,13 +72,9 @@ val last : t -> window option
 
 val value : window -> string -> float option
 val hist : window -> string -> Hdr_histogram.t option
-val p95_us : window -> string -> float option
 
 (** Sum of a value series over the newest [k] windows (missing names
     contribute 0). *)
 val sum_last : t -> k:int -> string -> float
 
 val span_us : window -> float
-
-(** The header and the newest 8 windows, one block each. *)
-val report : t -> string

@@ -26,7 +26,6 @@ type t = {
   mutable loss_prob : float; (* per-message retransmission probability *)
   mutable dup_prob : float; (* per-message duplicate-delivery probability *)
   mutable rto : Time.t; (* retransmission delay charged per loss *)
-  mutable dups : int;
   mutable n_hosts : int;
 }
 
@@ -45,7 +44,6 @@ let create sim ?(bandwidth_gbps = 10.0) () =
     loss_prob = 0.0;
     dup_prob = 0.0;
     rto = Time.ms 1;
-    dups = 0;
     n_hosts = 0;
   }
 
@@ -89,7 +87,6 @@ let fault_penalties t =
       if t.loss_prob > 0.0 && Prng.bool prng t.loss_prob then Time.add stall t.rto else stall
     in
     let dup = t.dup_prob > 0.0 && Prng.bool prng t.dup_prob in
-    if dup then t.dups <- t.dups + 1;
     (stall, dup)
 
 let transmit t ~src ~dst ~bytes k =
@@ -139,5 +136,3 @@ let set_loss t ~prob ~rto =
 let set_dup t ~prob =
   check_prob "set_dup" prob;
   t.dup_prob <- prob
-
-let duplicates t = t.dups

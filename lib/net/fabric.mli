@@ -71,5 +71,3 @@ val set_loss : t -> prob:float -> rto:Time.t -> unit
     [prob] (receive-side reassembly suppresses the copy).
     @raise Invalid_argument unless [0 <= prob < 1]. *)
 val set_dup : t -> prob:float -> unit
-
-val duplicates : t -> int

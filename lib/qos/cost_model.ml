@@ -17,6 +17,3 @@ let request_cost t ~kind ~bytes ~read_only =
 let weighted_rate t ~iops ~read_ratio =
   if read_ratio < 0.0 || read_ratio > 1.0 then invalid_arg "Cost_model.weighted_rate: read_ratio";
   iops *. (read_ratio +. ((1.0 -. read_ratio) *. t.write_cost))
-
-let pp fmt t =
-  Format.fprintf fmt "C(write)=%.1f C(read,100%%)=%.2f" t.write_cost t.ro_read_cost

@@ -24,5 +24,3 @@ val request_cost : t -> kind:Reflex_flash.Io_op.kind -> bytes:int -> read_only:b
     (paper's example: 100K IOPS at 80% reads with write cost 10
     = 280K tokens/s).  Assumes mixed-load read cost of 1. *)
 val weighted_rate : t -> iops:float -> read_ratio:float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -17,9 +17,3 @@ let best_effort ?(read_pct = 100) () =
 
 let is_latency_critical t = t.klass = Latency_critical
 let read_ratio t = float_of_int t.read_pct /. 100.0
-
-let pp fmt t =
-  match t.klass with
-  | Latency_critical ->
-    Format.fprintf fmt "LC(%.0f IOPS, p95<=%dus, %d%%r)" t.iops t.latency_us t.read_pct
-  | Best_effort -> Format.fprintf fmt "BE(%d%%r)" t.read_pct

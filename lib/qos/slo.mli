@@ -24,5 +24,3 @@ val is_latency_critical : t -> bool
 
 (** Declared read ratio in [0, 1]. *)
 val read_ratio : t -> float
-
-val pp : Format.formatter -> t -> unit

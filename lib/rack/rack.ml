@@ -68,7 +68,6 @@ type t = {
   (* tenants *)
   tenants : (int, tenant) Hashtbl.t;  (* id -> tenant, LOOKUP ONLY *)
   mutable tenants_rev : tenant list;  (* registration order, reversed *)
-  mutable n_tenants : int;
   (* rack-wide accounting *)
   hist : Hdr.t;
   mutable completed : int;
@@ -135,7 +134,6 @@ let create sim ~n_servers ?(n_threads = 1) ?profile ?(policy = Policy.Po2c)
       last_probe = Array.make n_servers (Sim.now sim);
       tenants = Hashtbl.create 4096;
       tenants_rev = [];
-      n_tenants = 0;
       hist = Hdr.create ();
       completed = 0;
       lc_dispatched = 0;
@@ -183,9 +181,7 @@ let sim t = t.sim
 let n_servers t = Array.length t.servers
 let server t i = t.servers.(i)
 let control t = t.control
-let link t = t.link
 let policy_kind t = Policy.kind t.policy
-let n_tenants t = t.n_tenants
 let latency_hist t = t.hist
 let completed t = t.completed
 let lc_dispatched t = t.lc_dispatched
@@ -318,7 +314,6 @@ and finish_add t ~id ~slo = function
     in
     Hashtbl.add t.tenants id ten;
     t.tenants_rev <- ten :: t.tenants_rev;
-    t.n_tenants <- t.n_tenants + 1;
     `Placed (Array.copy replicas)
 
 (* ------------------------------------------------------------------ *)

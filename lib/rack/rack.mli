@@ -57,7 +57,6 @@ val n_servers : t -> int
 val server : t -> int -> Reflex_core.Server.t
 val server_name : int -> string
 val control : t -> Reflex_core.Global_control.t
-val link : t -> Link.t
 val policy_kind : t -> Policy.kind
 
 (** {1 Tenants} *)
@@ -80,8 +79,6 @@ val add_tenant :
     @raise Invalid_argument on a duplicate id or bad server index. *)
 val add_tenant_on :
   t -> id:int -> slo:Message.slo -> server:int -> [ `Placed of int array | `Rejected ]
-
-val n_tenants : t -> int
 
 (** Current home server index. @raise Invalid_argument on unknown id. *)
 val tenant_home : t -> tenant:int -> int

@@ -339,7 +339,13 @@ let snapshot_rack t ~now ~window = Flight.snapshot t.rack_ring ~now ~window
 
 let burn_rule_name = "rack/slo_burn"
 
-let wire_monitor t ~tsdb ~alerts ?(target = 0.95) () =
+(* The rack monitor's fixed policy: a 0.95 availability target, a 1ms
+   tick, and a 4ms trailing window in the forensic dump. *)
+let burn_target = 0.95
+let tick_every = Time.ms 1
+let dump_window = Time.ms 4
+
+let wire_monitor t ~tsdb ~alerts =
   Tsdb.register_cumulative tsdb "rack/slo_good" (fun () ->
       float_of_int (Rack.slo_ok t.rack));
   Tsdb.register_cumulative tsdb "rack/slo_bad" (fun () ->
@@ -362,11 +368,11 @@ let wire_monitor t ~tsdb ~alerts ?(target = 0.95) () =
       (fun () -> t.link_busy_us.(i))
   done;
   Alerts.add alerts
-    (Alerts.burn_rule ~severity:Alerts.Page ~name:burn_rule_name ~target
+    (Alerts.burn_rule ~severity:Alerts.Page ~name:burn_rule_name ~target:burn_target
        ~good:"rack/slo_good" ~bad:"rack/slo_bad" ~short:(1, 8.0) ~long:(3, 4.0) ())
 
-let start_monitor t ~tsdb ~alerts ?(every = Time.ms 1) ?(dump_window = Time.ms 4) ~until () =
-  Sim.every t.sim ~every ~until (fun _ ->
+let start_monitor t ~tsdb ~alerts ~until =
+  Sim.every t.sim ~every:tick_every ~until (fun _ ->
       let now = Sim.now t.sim in
       Tsdb.tick tsdb ~now;
       let events = Alerts.step alerts tsdb ~now in

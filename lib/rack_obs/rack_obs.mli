@@ -123,27 +123,20 @@ val snapshot_rack : t -> now:Time.t -> window:Time.t -> Flight.snapshot
 
 (** {1 Monitor wiring} *)
 
-(** [wire_monitor t ~tsdb ~alerts ()] registers the rack series —
+(** [wire_monitor t ~tsdb ~alerts] registers the rack series —
     [rack/slo_good]/[rack/slo_bad] cumulatives, the [rack/e2e] delta
     histogram, the [rack/imbalance] gauge (max-over-mean in-flight) and
     per-server [rack/link/s%02d/busy_us] cumulatives — and adds the
-    [rack/slo_burn] multi-window burn-rate rule (availability [target],
-    default 0.95; 1 window at 8x AND 3 windows at 4x). *)
-val wire_monitor : t -> tsdb:Reflex_monitor.Tsdb.t -> alerts:Reflex_monitor.Alerts.t -> ?target:float -> unit -> unit
+    [rack/slo_burn] multi-window burn-rate rule (availability target
+    0.95; 1 window at 8x AND 3 windows at 4x). *)
+val wire_monitor : t -> tsdb:Reflex_monitor.Tsdb.t -> alerts:Reflex_monitor.Alerts.t -> unit
 
-(** [start_monitor t ~tsdb ~alerts ~until ()] arms a periodic tick
-    (default [every] 1ms) that closes Tsdb windows and steps the alert
-    rules; the first [Fired] edge freezes a rack-wide forensic dump
-    ({!dump}) spanning the trailing [dump_window] (default 4ms). *)
+(** [start_monitor t ~tsdb ~alerts ~until] arms a 1ms periodic tick
+    that closes Tsdb windows and steps the alert rules; the first
+    [Fired] edge freezes a rack-wide forensic dump ({!dump}) spanning
+    the trailing 4ms. *)
 val start_monitor :
-  t ->
-  tsdb:Reflex_monitor.Tsdb.t ->
-  alerts:Reflex_monitor.Alerts.t ->
-  ?every:Time.t ->
-  ?dump_window:Time.t ->
-  until:Time.t ->
-  unit ->
-  unit
+  t -> tsdb:Reflex_monitor.Tsdb.t -> alerts:Reflex_monitor.Alerts.t -> until:Time.t -> unit
 
 val dump : t -> dump option
 

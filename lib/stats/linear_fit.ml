@@ -28,5 +28,3 @@ let fit_through_origin points =
   if sxx = 0.0 then invalid_arg "Linear_fit.fit_through_origin: degenerate x values";
   let slope = sxy /. sxx in
   { slope; intercept = 0.0; r2 = r_squared points (fun x -> slope *. x) }
-
-let eval f x = f.intercept +. (f.slope *. x)

@@ -9,6 +9,3 @@ val fit : (float * float) list -> fit
 
 (** Least squares through the origin (y = slope * x). *)
 val fit_through_origin : (float * float) list -> fit
-
-(** Evaluate a fit at [x]. *)
-val eval : fit -> float -> float

@@ -137,6 +137,44 @@ let test_table2_ordering () =
     (overhead > 12.0 && overhead < 32.0)
 
 (* ------------------------------------------------------------------ *)
+(* Paper-claims ledger: quantitative claims with stated tolerances     *)
+(* ------------------------------------------------------------------ *)
+
+(* [sim] is within [tol] (a fraction) of the paper's value; the failure
+   message names the claim, both values and the tolerance. *)
+let check_claim claim ~paper ~sim ~tol =
+  let err = abs_float (sim -. paper) /. paper in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: paper %g, simulated %g, tolerance %g%% (off by %.1f%%)" claim paper sim
+       (100.0 *. tol) (100.0 *. err))
+    true (err <= tol)
+
+(* Figure 3: the calibrated write cost is 10/20/16 tokens on devices
+   A/B/C, and a read on read-only device A costs half a token. *)
+let test_fig3_claims () =
+  let _, fits = Fig3.run () in
+  let fit device = find_row fits (fun f -> f.Fig3.fdevice = device) in
+  List.iter
+    (fun (device, paper) ->
+      check_claim
+        (Printf.sprintf "Fig 3 C(write) device %s" device)
+        ~paper ~sim:(fit device).Fig3.write_cost ~tol:0.15)
+    [ ("A", 10.0); ("B", 20.0); ("C", 16.0) ];
+  check_claim "Fig 3 C(read,100%) device A" ~paper:0.5 ~sim:(fit "A").Fig3.ro_read_cost ~tol:0.10
+
+(* Figure 4: one ReFlex core serves ~850K 1KB read IOPS. *)
+let test_fig4_claims () =
+  let rows = Fig4.run () in
+  let best =
+    List.fold_left
+      (fun acc r ->
+        if r.Fig4.system = "ReFlex" && r.Fig4.threads = 1 then Float.max acc r.Fig4.achieved_kiops
+        else acc)
+      0.0 rows
+  in
+  check_claim "Fig 4 ReFlex one-core peak (KIOPS)" ~paper:850.0 ~sim:best ~tol:0.05
+
+(* ------------------------------------------------------------------ *)
 (* Figure 5                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -232,6 +270,8 @@ let suite =
         Alcotest.test_case "all-pass checks succeed" `Quick test_identity_all_pass;
       ] );
     ("table2", [ Alcotest.test_case "access-path ordering & +21us" `Slow test_table2_ordering ]);
+    ("fig3", [ Alcotest.test_case "cost-model claims" `Slow test_fig3_claims ]);
+    ("fig4", [ Alcotest.test_case "IOPS/core claim" `Slow test_fig4_claims ]);
     ("fig5", [ Alcotest.test_case "isolation claims" `Slow test_fig5_claims ]);
     ("fig6a", [ Alcotest.test_case "linear core scaling" `Slow test_fig6a_linear_scaling ]);
     ( "ablations",

@@ -48,7 +48,7 @@ let test_budget_validation () =
 (* ------------------------------------------------------------------ *)
 
 let test_tsdb_windows () =
-  let ts = Tsdb.create ~interval:(Time.ms 1) () in
+  let ts = Tsdb.create () in
   let c = ref 0.0 in
   let g = ref 5.0 in
   let h = Hdr_histogram.create () in
@@ -88,7 +88,7 @@ let test_tsdb_windows () =
   Alcotest.(check (float 1e-9)) "sum_last" 25.0 (Tsdb.sum_last ts ~k:2 "c")
 
 let test_tsdb_ring_eviction () =
-  let ts = Tsdb.create ~capacity:2 ~interval:(Time.ms 1) () in
+  let ts = Tsdb.create ~capacity:2 () in
   Tsdb.register_gauge ts "g" (fun () -> 1.0);
   List.iter (fun i -> Tsdb.tick ts ~now:(Time.ms i)) [ 1; 2; 3 ];
   Alcotest.(check int) "retained" 2 (Tsdb.window_count ts);
@@ -114,7 +114,7 @@ let test_tsdb_duplicate_and_disabled () =
 
 (* Drive a one-source tsdb and a rule whose verdict is a mutable flag. *)
 let flag_world ?for_ ?resolve_after () =
-  let ts = Tsdb.create ~interval:(Time.ms 1) () in
+  let ts = Tsdb.create () in
   Tsdb.register_gauge ts "g" (fun () -> 0.0);
   let al = Alerts.create () in
   let bad = ref false in
@@ -159,7 +159,7 @@ let test_alerts_hysteresis () =
   Alcotest.(check int) "only one fire ever" 1 (Alerts.fired_total al)
 
 let test_alerts_burn_rule () =
-  let ts = Tsdb.create ~interval:(Time.ms 1) () in
+  let ts = Tsdb.create () in
   let good = ref 0.0 and bad = ref 0.0 in
   Tsdb.register_cumulative ts "good" (fun () -> !good);
   Tsdb.register_cumulative ts "bad" (fun () -> !bad);
@@ -183,7 +183,7 @@ let test_alerts_burn_rule () =
   | evs -> Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length evs)))
 
 let test_alerts_deterministic_order_and_annotate () =
-  let ts = Tsdb.create ~interval:(Time.ms 1) () in
+  let ts = Tsdb.create () in
   Tsdb.register_gauge ts "g" (fun () -> 0.0);
   let al = Alerts.create ~annotate:(fun _ -> Some "ctx") () in
   (* registered out of name order; events must come out name-sorted *)
@@ -239,10 +239,7 @@ let test_knee_crossed () =
 (* Prometheus exposition                                              *)
 (* ------------------------------------------------------------------ *)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let contains_sub = Reflex_experiments.Common.contains_sub
 
 let test_prom_export () =
   Alcotest.(check string) "sanitize path" "qos_t7_latency" (Prom_export.sanitize "qos/t7/latency");
