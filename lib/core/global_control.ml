@@ -91,9 +91,3 @@ let place_excluding_set t ~slo ~excluding =
     { pool = List.filter (fun (name, _) -> not (List.mem name excluding)) t.pool }
   in
   place filtered ~slo
-
-(* Re-placement after a fault: like [place] but never returns the one
-   server in [excluding].  Thin wrapper kept for the resilience layer
-   (lib/faults/degrade.ml); new callers with a set use
-   [place_excluding_set]. *)
-let place_excluding t ~slo ~excluding = place_excluding_set t ~slo ~excluding:[ excluding ]

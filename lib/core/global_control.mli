@@ -64,7 +64,3 @@ val place_and_admit : t -> id:int -> slo:Slo.t -> placement option
     target must be outside the current replica set) both exclude several
     servers at once. *)
 val place_excluding_set : t -> slo:Slo.t -> excluding:string list -> placement option
-
-(** Single-name convenience wrapper over {!place_excluding_set} — used by
-    the resilience layer to move a tenant off one degraded server. *)
-val place_excluding : t -> slo:Slo.t -> excluding:string -> placement option

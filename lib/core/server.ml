@@ -500,50 +500,12 @@ let inject_thread_stall t ~thread ~duration =
   Dataplane.inject_stall t.threads.(thread) ~duration
 
 (* Degradation re-pricing (§4.3 under faults): the device lost capacity
-   (die failure, GC storm), so every token rate the control plane hands
+   (die failure or slowdown), so every token rate the control plane hands
    out must shrink immediately — admission, BE shares and already-pushed
-   LC rates alike.  Restoring factor 1.0 undoes it. *)
-let reprice t ~capacity_factor =
-  Control_plane.set_capacity_factor t.control_plane capacity_factor;
+   LC rates alike.  The factor follows the device's healthy fraction,
+   floored at 0.05 so a fully-failed device degrades rather than zeroes
+   every rate; a healthy device restores factor 1.0. *)
+let reprice_from_device t =
+  Control_plane.set_capacity_factor t.control_plane
+    (Float.max 0.05 (Reflex_flash.Nvme_model.effective_capacity t.device));
   push_rates t
-
-(* LC -> BE demotion: when repriced capacity can no longer honour a
-   latency reservation, the tenant keeps running at best-effort rather
-   than being cut off — its queued requests migrate with it.  Returns
-   [true] if the tenant was LC and is now BE. *)
-let demote_tenant t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | None -> false
-  | Some { thread; _ } when thread < 0 -> false
-  | Some { thread; _ } -> (
-    match Dataplane.detach_tenant t.threads.(thread) ~id:tenant with
-    | None -> false
-    | Some (slo, rate, backlog) ->
-      if not (Slo.is_latency_critical slo) then begin
-        (* Already best-effort: reattach untouched. *)
-        Dataplane.attach_tenant t.threads.(thread) ~id:tenant ~slo ~token_rate:rate ~backlog;
-        false
-      end
-      else begin
-        Control_plane.forget t.control_plane ~id:tenant;
-        let be = Slo.best_effort ~read_pct:slo.Slo.read_pct () in
-        (match Control_plane.admit t.control_plane ~id:tenant ~slo:be with
-        | Control_plane.Admitted -> ()
-        | Control_plane.Rejected_no_capacity | Control_plane.Rejected_duplicate ->
-          (* BE admission cannot fail; defensive only. *)
-          ());
-        let be_rate =
-          effective_rate t
-            (Option.value (Control_plane.token_rate_for t.control_plane ~id:tenant) ~default:0.0)
-        in
-        Dataplane.attach_tenant t.threads.(thread) ~id:tenant ~slo:be ~token_rate:be_rate
-          ~backlog;
-        if t.tel_on then
-          Telemetry.unregister t.tel (Printf.sprintf "qos/t%d/slo_headroom_us" tenant);
-        (let fl = Telemetry.flight t.tel in
-         if Reflex_obs.Flight.enabled fl then
-           Reflex_obs.Flight.record fl ~now:(Sim.now t.sim)
-             ~kind:Reflex_obs.Flight.Kind.Demote ~a:tenant ~b:thread ~v:0.0);
-        refresh_rates t;
-        true
-      end)

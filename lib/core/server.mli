@@ -131,13 +131,12 @@ val stages : t -> Reflex_obs.Stage.sink
 val inject_thread_stall : t -> thread:int -> duration:Time.t -> unit
 
 (** Degradation re-pricing: scale the control plane's usable capacity by
-    [capacity_factor] (in (0,1]; 1.0 restores full capacity) and re-push
-    every tenant's token rate.  Admission decisions, BE fair shares and
-    LC reservations all reflect the reduced capacity immediately. *)
-val reprice : t -> capacity_factor:float -> unit
-
-(** Demote a latency-critical tenant to best-effort in place: its
-    reservation is released, its queued requests migrate with it, and it
-    keeps running at the BE fair share.  Returns [true] if the tenant was
-    LC and is now BE ([false]: unknown tenant or already BE). *)
-val demote_tenant : t -> tenant:int -> bool
+    the device's current effective capacity (fraction of healthy,
+    full-speed dies), floored at 0.05 so a fully-failed device degrades
+    rather than zeroes out, and re-push every tenant's token rate.
+    Admission decisions, BE fair shares and LC reservations all reflect
+    the reduced capacity immediately; a healthy device restores full
+    capacity.  The fault injector calls it on every die failure,
+    slowdown and recovery; the monitor's [Reprice_for_device]
+    remediation calls it too. *)
+val reprice_from_device : t -> unit

@@ -47,16 +47,10 @@ let gen t i =
     invalid_arg (Printf.sprintf "Injector: generator %d not in target" i)
   else t.tgt.gens.(i)
 
-(* Degradation re-pricing: after any change to die health, the control
-   plane's usable capacity follows the device's effective capacity (with
-   a floor, so a fully-failed device degrades rather than divides by
-   zero).  Only when the target has both a server and a device. *)
-let reprice_from_device t =
-  match (t.tgt.server, t.tgt.device) with
-  | Some srv, Some dev ->
-    Reflex_core.Server.reprice srv
-      ~capacity_factor:(Float.max 0.05 (Reflex_flash.Nvme_model.effective_capacity dev))
-  | _ -> ()
+(* Degradation re-pricing: after any change to die health, the server's
+   control plane follows its device's effective capacity.  Only when the
+   target has a server. *)
+let reprice_from_device t = Option.iter Reflex_core.Server.reprice_from_device t.tgt.server
 
 let start t (w : Fault_plan.window) =
   (match w.fault with

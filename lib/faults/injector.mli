@@ -16,7 +16,8 @@ open Reflex_telemetry
 type target
 
 (** Bundle the components a plan may touch.  When [device] is omitted
-    but [server] is given, the server's device is used.  Arming a plan
+    but [server] is given, the server's device is used; give [device]
+    alone (no [server]) to fault a bare device.  Arming a plan
     whose windows need a component the target lacks raises
     [Invalid_argument] at activation time. *)
 val target :
@@ -33,9 +34,9 @@ type t
 
 (** [arm tgt ~plan] validates [plan] and schedules every window.
     [seed] (default [0xFA175EED]) feeds the injector's private PRNG.
-    When the target has both a server and a device, die failures and slowdowns re-price the
-    control plane from the device's effective capacity (floored at
-    0.05) on activation and recovery. *)
+    When the target has a server, die failures and slowdowns re-price
+    its control plane from its device ({!Reflex_core.Server.reprice_from_device})
+    on activation and recovery. *)
 val arm : ?seed:int64 -> target -> plan:Fault_plan.t -> t
 
 (** Windows activated so far. *)

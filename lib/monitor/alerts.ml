@@ -3,12 +3,10 @@ open Reflex_engine
 (* Declarative alerting rules over the windowed Tsdb.
 
    Each rule owns a check function evaluated once per closed window and
-   a small per-rule state machine implementing for-duration and resolve
-   hysteresis:
+   one bit of state:
 
-      Ok --violated--> Pending --held for `for_`--> Firing
-      Pending --clear--> Ok
-      Firing --clear for `resolve_after`--> Ok   (emits Resolved)
+      Ok --violated--> Firing   (emits Fired)
+      Firing --clear--> Ok      (emits Resolved)
 
    Rules are evaluated in NAME order every step and events are appended
    in that order, so the alert timeline of a same-seed run is
@@ -28,26 +26,17 @@ let severity_label = function Info -> "info" | Ticket -> "ticket" | Page -> "pag
 type rule = {
   r_name : string;
   r_severity : severity;
-  r_for : Time.t;
-  r_resolve_after : Time.t;
   r_check : Tsdb.t -> Tsdb.window -> string option;
 }
 
-let rule ?(severity = Ticket) ?(for_ = Time.zero) ?(resolve_after = Time.zero) ~name check
-    =
-  if Time.(for_ < Time.zero) then invalid_arg "Alerts.rule: negative for_";
-  if Time.(resolve_after < Time.zero) then invalid_arg "Alerts.rule: negative resolve_after";
-  { r_name = name; r_severity = severity; r_for = for_; r_resolve_after = resolve_after;
-    r_check = check }
-
-let name r = r.r_name
-let severity r = r.r_severity
+let rule ?(severity = Ticket) ~name check =
+  { r_name = name; r_severity = severity; r_check = check }
 
 (* Multi-window multi-burn-rate rule: fire when the burn rate over the
    newest [short] windows and the newest [long] windows both exceed
    their factors.  The long window keeps the rule honest (sustained
    burn), the short window keeps its reset time low. *)
-let burn_rule ?severity ?for_ ?resolve_after ~name ~target ~good ~bad ~short ~long () =
+let burn_rule ?severity ~name ~target ~good ~bad ~short ~long () =
   let k_short, f_short = short and k_long, f_long = long in
   if k_short < 1 || k_long < k_short then invalid_arg "Alerts.burn_rule: bad window sizes";
   let burn_over tsdb k =
@@ -55,7 +44,7 @@ let burn_rule ?severity ?for_ ?resolve_after ~name ~target ~good ~bad ~short ~lo
       ~good:(Tsdb.sum_last tsdb ~k good)
       ~bad:(Tsdb.sum_last tsdb ~k bad)
   in
-  rule ?severity ?for_ ?resolve_after ~name (fun tsdb _w ->
+  rule ?severity ~name (fun tsdb _w ->
       let b_short = burn_over tsdb k_short and b_long = burn_over tsdb k_long in
       if b_short >= f_short && b_long >= f_long then
         Some
@@ -75,12 +64,7 @@ type event = {
   e_detail : string;
 }
 
-type rstate = {
-  rule : rule;
-  mutable armed_since : Time.t; (* entered Pending *)
-  mutable last_violation : Time.t;
-  mutable state : [ `Ok | `Pending | `Firing ];
-}
+type rstate = { rule : rule; mutable firing : bool }
 
 type t = {
   annotate : Time.t -> string option;
@@ -95,11 +79,9 @@ let create ?(annotate = fun _ -> None) () =
 let add t r =
   if List.exists (fun rs -> rs.rule.r_name = r.r_name) t.rules then
     invalid_arg ("Alerts.add: duplicate rule " ^ r.r_name);
-  let rs = { rule = r; armed_since = Time.zero; last_violation = Time.zero; state = `Ok } in
+  let rs = { rule = r; firing = false } in
   t.rules <-
     List.sort (fun a b -> compare a.rule.r_name b.rule.r_name) (rs :: t.rules)
-
-let rule_names t = List.map (fun rs -> rs.rule.r_name) t.rules
 
 let emit t ~now rs kind detail =
   let detail =
@@ -128,44 +110,19 @@ let step t tsdb ~now =
   | Some w ->
     List.filter_map
       (fun rs ->
-        let verdict = rs.rule.r_check tsdb w in
-        match (rs.state, verdict) with
-        | `Ok, None -> None
-        | `Ok, Some detail ->
-          rs.last_violation <- now;
-          if Time.(rs.rule.r_for <= Time.zero) then begin
-            rs.state <- `Firing;
-            Some (emit t ~now rs Fired detail)
-          end
-          else begin
-            rs.state <- `Pending;
-            rs.armed_since <- now;
-            None
-          end
-        | `Pending, None ->
-          rs.state <- `Ok;
-          None
-        | `Pending, Some detail ->
-          rs.last_violation <- now;
-          if Time.(Time.diff now rs.armed_since >= rs.rule.r_for) then begin
-            rs.state <- `Firing;
-            Some (emit t ~now rs Fired detail)
-          end
-          else None
-        | `Firing, Some _ ->
-          rs.last_violation <- now;
-          None
-        | `Firing, None ->
-          if Time.(Time.diff now rs.last_violation >= rs.rule.r_resolve_after) then begin
-            rs.state <- `Ok;
-            Some (emit t ~now rs Resolved "condition clear")
-          end
-          else None)
+        match (rs.firing, rs.rule.r_check tsdb w) with
+        | false, None | true, Some _ -> None
+        | false, Some detail ->
+          rs.firing <- true;
+          Some (emit t ~now rs Fired detail)
+        | true, None ->
+          rs.firing <- false;
+          Some (emit t ~now rs Resolved "condition clear"))
       t.rules
 
 let firing t =
   List.filter_map
-    (fun rs -> if rs.state = `Firing then Some rs.rule.r_name else None)
+    (fun rs -> if rs.firing then Some rs.rule.r_name else None)
     t.rules
 
 let events t = List.rev t.events_rev

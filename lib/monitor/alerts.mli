@@ -1,10 +1,8 @@
 (** Declarative alerting rules over the windowed {!Tsdb}.
 
-    Each rule is a check evaluated once per closed window, wrapped in a
-    per-rule state machine with {e for-duration} (the condition must
-    hold [for_] before the rule fires) and {e resolve hysteresis} (the
-    condition must stay clear [resolve_after] before a firing rule
-    resolves).
+    Each rule is a check evaluated once per closed window.  A rule
+    fires on the first violating window and resolves on the first clean
+    one.
 
     Rules are evaluated in name order and events appended in that
     order, so the alert timeline of a same-seed run is byte-identical
@@ -21,18 +19,9 @@ type rule
 
 (** [rule ~name check]: [check tsdb window] returns [Some detail] when
     the condition is violated for the freshly closed [window].
-    Defaults: [severity = Ticket], [for_ = 0] (fire on first bad
-    window), [resolve_after = 0] (resolve on first clean window). *)
+    Default [severity = Ticket]. *)
 val rule :
-  ?severity:severity ->
-  ?for_:Time.t ->
-  ?resolve_after:Time.t ->
-  name:string ->
-  (Tsdb.t -> Tsdb.window -> string option) ->
-  rule
-
-val name : rule -> string
-val severity : rule -> severity
+  ?severity:severity -> name:string -> (Tsdb.t -> Tsdb.window -> string option) -> rule
 
 (** SRE multi-window multi-burn-rate rule: fires when the burn rate
     (see {!Budget.burn_rate_of}) of the [good]/[bad] Tsdb value series
@@ -43,8 +32,6 @@ val severity : rule -> severity
     @raise Invalid_argument unless [1 <= short windows <= long windows]. *)
 val burn_rule :
   ?severity:severity ->
-  ?for_:Time.t ->
-  ?resolve_after:Time.t ->
   name:string ->
   target:float ->
   good:string ->
@@ -75,8 +62,6 @@ val create : ?annotate:(Time.t -> string option) -> unit -> t
 
 (** @raise Invalid_argument on duplicate rule names. *)
 val add : t -> rule -> unit
-
-val rule_names : t -> string list
 
 (** Evaluate every rule against the newest closed window ([[]] if the
     Tsdb has none yet).  Returns the events emitted by this step, in

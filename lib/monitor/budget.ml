@@ -1,18 +1,15 @@
-open Reflex_engine
-
 (* SRE-style SLO error budgets.
 
    An SLO of the form "fraction [target] of requests complete within the
    tenant's latency bound" implies an error budget of [1 - target]: the
-   fraction of requests allowed to miss the bound over the budget
-   period.  The *burn rate* of a window is how fast that budget is being
-   consumed relative to plan:
+   fraction of requests allowed to miss the bound.  A budget accumulates
+   over the whole run.  The *burn rate* of a window is how fast that
+   budget is being consumed relative to plan:
 
        burn = bad_fraction / (1 - target)
 
    burn = 1 means the budget is being spent exactly at the sustainable
-   rate (it runs out precisely at the end of the period); burn = 14
-   means the whole period's budget would be gone in period/14.
+   rate; burn = 14 means it is being spent 14 times as fast.
 
    All arithmetic is plain float over windowed good/bad counts coming
    out of Tsdb delta histograms, so same-seed runs reproduce the exact
@@ -21,20 +18,14 @@ open Reflex_engine
 type t = {
   tenant : int;
   target : float; (* availability target in (0,1), e.g. 0.999 *)
-  period : Time.t; (* budget period the burn rate is relative to *)
   mutable good : float; (* cumulative within-SLO requests *)
   mutable bad : float; (* cumulative SLO-violating requests *)
 }
 
-let create ~tenant ~target ~period =
+let create ~tenant ~target =
   if not (target > 0.0 && target < 1.0) then
     invalid_arg "Budget.create: target must be in (0,1)";
-  if Time.(period <= Time.zero) then invalid_arg "Budget.create: non-positive period";
-  { tenant; target; period; good = 0.0; bad = 0.0 }
-
-let tenant t = t.tenant
-let target t = t.target
-let period t = t.period
+  { tenant; target; good = 0.0; bad = 0.0 }
 
 (* Pure burn-rate arithmetic, exposed for the rule engine and unit
    tests.  [good]/[bad] are windowed counts; an empty window burns
@@ -51,18 +42,13 @@ let record t ~good ~bad =
   t.good <- t.good +. good;
   t.bad <- t.bad +. bad
 
-let good t = t.good
-let bad t = t.bad
 let total t = t.good +. t.bad
 
-(* Fraction of the whole period's budget consumed so far: observed bad
-   fraction over the allowance.  >= 1 means the budget is exhausted. *)
+(* Fraction of the budget consumed so far: observed bad fraction over
+   the allowance.  >= 1 means the budget is exhausted. *)
 let consumed t =
   let tot = total t in
   if tot <= 0.0 then 0.0 else t.bad /. tot /. (1.0 -. t.target)
-
-let remaining t = Float.max 0.0 (1.0 -. consumed t)
-let exhausted t = consumed t >= 1.0
 
 (* Cumulative burn rate since the budget was created (not windowed). *)
 let burn_rate t = burn_rate_of ~target:t.target ~good:t.good ~bad:t.bad

@@ -2,28 +2,21 @@
 
     A latency SLO "fraction [target] of requests complete within the
     bound" grants an error budget of [1 - target]: the fraction of
-    requests allowed to violate the bound over the budget [period].
-    The {e burn rate} of a window of traffic is how fast the budget is
-    being consumed relative to plan:
+    requests allowed to violate the bound.  A budget accumulates over
+    the whole run; nothing resets it.  The {e burn rate} of a window of
+    traffic is how fast the budget is being consumed relative to plan:
 
     {[ burn = bad_fraction / (1 - target) ]}
 
-    [burn = 1] spends the budget exactly over the period; [burn = 14]
-    exhausts it in [period / 14].  The multi-window rules in {!Alerts}
-    compare windowed burn rates (computed from {!Tsdb} delta
+    [burn = 1] spends the budget exactly at the sustainable rate;
+    [burn = 14] spends it 14 times as fast.  The multi-window rules in
+    {!Alerts} compare windowed burn rates (computed from {!Tsdb} delta
     histograms) against such factors. *)
-
-open Reflex_engine
 
 type t
 
-(** @raise Invalid_argument unless [target] is in (0,1) and [period]
-    is positive. *)
-val create : tenant:int -> target:float -> period:Time.t -> t
-
-val tenant : t -> int
-val target : t -> float
-val period : t -> Time.t
+(** @raise Invalid_argument unless [target] is in (0,1). *)
+val create : tenant:int -> target:float -> t
 
 (** Pure burn-rate arithmetic over one window's [good]/[bad] counts.
     An empty window ([good +. bad <= 0]) burns 0. *)
@@ -33,16 +26,8 @@ val burn_rate_of : target:float -> good:float -> bad:float -> float
     @raise Invalid_argument on negative counts. *)
 val record : t -> good:float -> bad:float -> unit
 
-val good : t -> float
-val bad : t -> float
-val total : t -> float
-
-(** Fraction of the period's budget consumed so far ([>= 1] means
-    exhausted). *)
+(** Fraction of the budget consumed so far ([>= 1] means exhausted). *)
 val consumed : t -> float
-
-val remaining : t -> float
-val exhausted : t -> bool
 
 (** Cumulative (whole-run) burn rate. *)
 val burn_rate : t -> float

@@ -16,24 +16,24 @@
 
 module Ewma = struct
   type t = {
-    alpha : float;
     sigma_floor : float;
-    warmup : int;
     mutable n : int;
     mutable mean : float;
     mutable var : float;
   }
 
-  let create ?(alpha = 0.3) ?(sigma_floor = 1.0) ?(warmup = 5) () =
-    if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Ewma.create: alpha not in (0,1]";
+  (* Every detector smooths at 0.3 and stays quiet for 5 windows. *)
+  let alpha = 0.3
+  let warmup = 5
+
+  let create ?(sigma_floor = 1.0) () =
     if sigma_floor < 0.0 then invalid_arg "Ewma.create: negative sigma_floor";
-    if warmup < 0 then invalid_arg "Ewma.create: negative warmup";
-    { alpha; sigma_floor; warmup; n = 0; mean = 0.0; var = 0.0 }
+    { sigma_floor; n = 0; mean = 0.0; var = 0.0 }
 
   let n t = t.n
   let mean t = t.mean
   let sigma t = Float.max t.sigma_floor (sqrt t.var)
-  let warmed_up t = t.n >= t.warmup
+  let warmed_up t = t.n >= warmup
 
   (* Score [x] against the current baseline, then fold it in.  Returns
      0 during warmup. *)
@@ -46,8 +46,8 @@ module Ewma = struct
     else begin
       let d = x -. t.mean in
       (* Standard EWMA mean/variance recurrences. *)
-      t.mean <- t.mean +. (t.alpha *. d);
-      t.var <- ((1.0 -. t.alpha) *. t.var) +. (t.alpha *. (1.0 -. t.alpha) *. d *. d)
+      t.mean <- t.mean +. (alpha *. d);
+      t.var <- ((1.0 -. alpha) *. t.var) +. (alpha *. (1.0 -. alpha) *. d *. d)
     end;
     t.n <- t.n + 1;
     z

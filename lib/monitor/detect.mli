@@ -7,9 +7,9 @@
 module Ewma : sig
   type t
 
-  (** Defaults: [alpha = 0.3], [sigma_floor = 1.0] (score units),
-      [warmup = 5] observations before nonzero z-scores. *)
-  val create : ?alpha:float -> ?sigma_floor:float -> ?warmup:int -> unit -> t
+  (** Smoothing [alpha = 0.3]; z-scores are 0 for the first 5
+      observations.  Default [sigma_floor = 1.0] (score units). *)
+  val create : ?sigma_floor:float -> unit -> t
 
   val n : t -> int
   val mean : t -> float

@@ -78,9 +78,9 @@ let fault_annotation telemetry ~lookback now =
    >= 5% of requests over the bound: far above a healthy tail, far below
    a fault window).  Flag an anomaly at z >= 3.0 when at least a quarter
    of a window violates.  Apply a bound remediation at most once per
-   50ms per rule.  Reset budgets every second, put the load knee at 0.8
-   of device token capacity, and keep at most four forensic dumps of the
-   last 5ms of flight records. *)
+   50ms per rule.  Budgets accumulate over the whole run.  Put the load
+   knee at 0.8 of device token capacity, and keep at most four forensic
+   dumps of the last 5ms of flight records. *)
 let interval = Time.ms 1
 let capacity = 4096
 let target = 0.99
@@ -89,7 +89,6 @@ let burn_long = (10, 5.0)
 let z_thresh = 3.0
 let cooldown = Time.ms 50
 let dump_window = Time.ms 5
-let budget_period = Time.sec 1
 let anomaly_floor = 0.25
 let knee_frac = 0.8
 let max_dumps = 4
@@ -127,27 +126,6 @@ let create ?(enabled = true) ?fault_lookback ~server ~telemetry () =
       running = false;
     }
   in
-  if enabled then begin
-    Tsdb.register_cumulative tsdb "server/completed" (fun () ->
-        float_of_int (Server.requests_completed server));
-    Tsdb.register_cumulative tsdb "server/tokens_spent" (fun () ->
-        Server.tokens_spent server);
-    Tsdb.register_gauge tsdb "server/active_threads" (fun () ->
-        float_of_int (Server.active_threads server));
-    (* Continuous cost profiler: sample per-subsystem attribution on
-       every window close.  The values are host wall time / GC words —
-       nondeterministic by design — and feed only the Tsdb/Prometheus
-       exports, never an alert rule or a byte-identity-checked render. *)
-    if Profiler.enabled t.profiler then
-      List.iter
-        (fun sub ->
-          let pfx = "obs/prof/" ^ Profiler.Subsystem.name sub in
-          Tsdb.register_cumulative tsdb (pfx ^ "/wall_ms") (fun () ->
-              1e3 *. Profiler.wall_s t.profiler sub);
-          Tsdb.register_cumulative tsdb (pfx ^ "/minor_words") (fun () ->
-              Profiler.minor_words t.profiler sub))
-        Profiler.Subsystem.all
-  end;
   t
 
 let enabled t = t.enabled
@@ -188,8 +166,7 @@ let track_tenant t id ~slo_us =
       match Tsdb.hist w latency with
       | Some h when Hdr_histogram.count h > 0 -> Detect.Ewma.observe ewma (bad_fraction h)
       | _ -> 0.0);
-  Hashtbl.replace t.budgets id
-    (Budget.create ~tenant:id ~target ~period:budget_period);
+  Hashtbl.replace t.budgets id (Budget.create ~tenant:id ~target);
   (* Rule 1: SRE multi-window burn rate on the SLO error budget. *)
   Alerts.add t.alerts
     (Alerts.burn_rule ~severity:Alerts.Page ~name:(pfx ^ "/burn") ~target

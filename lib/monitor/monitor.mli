@@ -10,7 +10,7 @@
 
     Per-LC-tenant instrumentation (windowed latency delta histograms,
     good/bad counts against the SLO bound, weighted-token rates, EWMA
-    p95 z-scores) is wired lazily: tenants register with the scheduler
+    z-scores of the SLO-violating fraction) is wired lazily: tenants register with the scheduler
     {e after} the monitor is armed, and each tick picks up new ids from
     [Telemetry.tenants_with_slo].  Every LC tenant gets three default
     rules: [t<ID>/burn] (multi-window burn rate, 2 windows @ 10× ∧ 10
@@ -46,19 +46,17 @@ type flight_dump = private {
     into a 4096-window {!Tsdb}; SLO [target] 0.99 with burn windows
     2 @ 10× ∧ 10 @ 5×; anomaly at z ≥ 3.0 with at least 0.25 of the
     window violating; a bound remediation applies at most once per 50ms
-    per rule; SLO budgets reset every 1s; the load knee sits at 0.8 of
-    device token capacity.  [fault_lookback] bounds how far back a fired
+    per rule; SLO budgets accumulate over the whole run; the load knee
+    sits at 0.8 of device token capacity.  [fault_lookback] bounds how far back a fired
     alert searches for fault windows to name in its detail (default:
     the long burn window, 10ms).
 
     When the telemetry carries an armed flight recorder
     ([Telemetry.set_flight]), every alert edge is mirrored into the ring
     and each {e fired} edge freezes the last 5ms of flight records as a
-    forensic dump, at most 4 per run.  When the telemetry carries an
-    armed profiler ([Telemetry.set_profiler]), per-subsystem
-    [obs/prof/<sub>/wall_ms] and [.../minor_words] sources are sampled
-    into the Tsdb on every window close — host wall-clock values, for
-    export only, never fed to alert rules. *)
+    forensic dump, at most 4 per run.  The Tsdb holds only the
+    per-tenant series the rules read; {!prometheus} renders the
+    telemetry registry itself. *)
 val create :
   ?enabled:bool ->
   ?fault_lookback:Time.t ->

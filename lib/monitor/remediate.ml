@@ -9,36 +9,18 @@ open Reflex_core
    rule that keeps firing does not spam the control plane. *)
 
 type action =
-  | Reprice of float (* capacity_factor pushed to the control plane *)
   | Reprice_for_device (* re-derive the factor from device health *)
-  | Demote of int (* LC tenant -> BE in place *)
-  | Demote_until_sustainable of float (* margin *)
   | Log of string (* no-op marker, lands in the remediation log *)
 
 let label = function
-  | Reprice f -> Printf.sprintf "reprice(%.2f)" f
   | Reprice_for_device -> "reprice_for_device"
-  | Demote id -> Printf.sprintf "demote(t%d)" id
-  | Demote_until_sustainable m -> Printf.sprintf "demote_until_sustainable(%.2f)" m
   | Log s -> Printf.sprintf "log(%s)" s
 
 (* Apply one action; returns a one-line outcome for the remediation
    log.  All outcomes are deterministic functions of simulation state. *)
 let apply server = function
-  | Reprice f ->
-    Server.reprice server ~capacity_factor:f;
-    Printf.sprintf "repriced capacity_factor=%.2f" f
   | Reprice_for_device ->
-    Reflex_faults.Degrade.reprice_for_device server;
+    Server.reprice_from_device server;
     Printf.sprintf "repriced from device health (factor=%.2f)"
       (Control_plane.capacity_factor (Server.control_plane server))
-  | Demote id ->
-    if Server.demote_tenant server ~tenant:id then Printf.sprintf "demoted tenant %d" id
-    else Printf.sprintf "demote tenant %d: no-op" id
-  | Demote_until_sustainable margin ->
-    (match Reflex_faults.Degrade.demote_until_sustainable ~margin server with
-    | [] -> "already sustainable, nothing demoted"
-    | ids ->
-      Printf.sprintf "demoted tenants [%s]"
-        (String.concat ";" (List.map string_of_int ids)))
   | Log msg -> msg

@@ -8,16 +8,9 @@
 open Reflex_core
 
 type action =
-  | Reprice of float
-      (** Push this capacity factor to the control plane
-          ({!Server.reprice}). *)
   | Reprice_for_device
-      (** Re-derive the factor from current device health
-          ({!Reflex_faults.Degrade.reprice_for_device}). *)
-  | Demote of int  (** Demote one LC tenant to best-effort in place. *)
-  | Demote_until_sustainable of float
-      (** Demote loosest-SLO-first until LC reservations fit within
-          this margin of the degraded rate. *)
+      (** Re-derive the capacity factor from current device health
+          ({!Server.reprice_from_device}). *)
   | Log of string  (** No-op marker; lands in the remediation log. *)
 
 val label : action -> string

@@ -4,8 +4,7 @@ open Reflex_stats
 (* Ring-buffered windowed time-series store.
 
    Sources are registered once and read at every [tick]: a CUMULATIVE
-   source contributes the delta since the previous tick (rates),
-   a GAUGE contributes its instantaneous value at window close, a
+   source contributes the delta since the previous tick (rates), a
    HISTOGRAM source contributes the *delta histogram* between two
    mergeable snapshots (Hdr_histogram.copy/diff), so windowed p95/p99
    are exact bucket-count deltas, and a DERIVED source is computed from
@@ -27,7 +26,6 @@ type window = {
 
 type source =
   | Cumulative of (unit -> float) * float ref (* reader, last snapshot *)
-  | Gauge of (unit -> float)
   | Hist of Hdr_histogram.t * Hdr_histogram.t ref (* live, last snapshot *)
   | Derived of (window -> float)
 
@@ -42,7 +40,7 @@ type t = {
   mutable src_dirty : bool;
   mutable src_names : string array;
   mutable src_srcs : source array;
-  mutable n_vals : int; (* cumulative + gauge *)
+  mutable n_vals : int; (* cumulative *)
   mutable n_hists : int;
   mutable n_derived : int;
   ring : window array; (* circular, [capacity] slots *)
@@ -79,8 +77,6 @@ let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Tsdb.create: capacity < 1";
   make ~enabled:true ~capacity
 
-let enabled t = t.enabled
-
 let check_free t name =
   if Hashtbl.mem t.sources name then invalid_arg ("Tsdb: duplicate source " ^ name)
 
@@ -88,13 +84,6 @@ let register_cumulative t name f =
   if t.enabled then begin
     check_free t name;
     Hashtbl.replace t.sources name (Cumulative (f, ref (f ())));
-    t.src_dirty <- true
-  end
-
-let register_gauge t name f =
-  if t.enabled then begin
-    check_free t name;
-    Hashtbl.replace t.sources name (Gauge f);
     t.src_dirty <- true
   end
 
@@ -112,8 +101,6 @@ let register_derived t name f =
     t.src_dirty <- true
   end
 
-let has_source t name = Hashtbl.mem t.sources name
-
 (* Rebuild the sorted snapshot arrays.  Cold: runs once per registration
    epoch, not per tick. *)
 let refresh_sources t =
@@ -123,14 +110,14 @@ let refresh_sources t =
   in
   let n = List.length kvs in
   let names = Array.make n "" in
-  let srcs = Array.make n (Gauge (fun () -> 0.0)) in
+  let srcs = Array.make n (Derived (fun _ -> 0.0)) in
   let nv = ref 0 and nh = ref 0 and nd = ref 0 in
   List.iteri
     (fun i (k, s) ->
       names.(i) <- k;
       srcs.(i) <- s;
       match s with
-      | Cumulative _ | Gauge _ -> incr nv
+      | Cumulative _ -> incr nv
       | Hist _ -> incr nh
       | Derived _ -> incr nd)
     kvs;
@@ -145,7 +132,7 @@ let tick t ~now =
   if t.enabled && Time.(now > t.last_tick) then begin
     if t.src_dirty then refresh_sources t;
     let n = Array.length t.src_names in
-    (* Pass 1: base sources (cumulative deltas, gauges, hist deltas)
+    (* Pass 1: base sources (cumulative deltas, hist deltas)
        filled into exact-size arrays in one name-ordered sweep.  The
        arrays are owned by the window being closed, so they are fresh
        per tick by design — what the cache removes is the per-tick
@@ -163,9 +150,6 @@ let tick t ~now =
         values.(!vi) <- (name, v -. !last);
         incr vi;
         last := v
-      | Gauge f ->
-        values.(!vi) <- (name, f ());
-        incr vi
       | Hist (live, last) ->
         let snap = Hdr_histogram.copy live in
         hists.(!hi) <- (name, Hdr_histogram.diff snap ~since:!last);
@@ -213,7 +197,6 @@ let tick t ~now =
     t.last_tick <- now
   end
 
-let window_count t = t.ring_len
 let windows_closed t = t.closed_total
 let last t = if t.ring_len = 0 then None else Some t.ring.(t.ring_head)
 
@@ -225,8 +208,6 @@ let last_n t k =
     else build (t.ring.((t.ring_head - i + t.capacity) mod t.capacity) :: acc) (i + 1)
   in
   build [] 0
-
-let windows t = last_n t t.ring_len
 
 let assoc_of name arr =
   let n = Array.length arr in

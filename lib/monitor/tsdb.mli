@@ -7,7 +7,6 @@
 
     - {e cumulative} sources: the delta since the previous tick (turn
       counters into windowed rates);
-    - {e gauge} sources: the instantaneous value at window close;
     - {e histogram} sources: the {e delta histogram} between two
       mergeable snapshots ({!Reflex_stats.Hdr_histogram.copy}/[diff]),
       so windowed p95/p99 are exact bucket-count deltas rather than
@@ -40,19 +39,14 @@ val disabled : t
     its periodic tick. *)
 val create : ?capacity:int -> unit -> t
 
-val enabled : t -> bool
-
 (** {1 Sources}  Registering a duplicate name raises [Invalid_argument];
     all registration is a no-op on a disabled instance. *)
 
 val register_cumulative : t -> string -> (unit -> float) -> unit
-val register_gauge : t -> string -> (unit -> float) -> unit
 val register_hist : t -> string -> Hdr_histogram.t -> unit
 
 (** Computed from the window being closed, after base sources. *)
 val register_derived : t -> string -> (window -> float) -> unit
-
-val has_source : t -> string -> bool
 
 (** {1 Sampling} *)
 
@@ -61,9 +55,6 @@ val has_source : t -> string -> bool
 val tick : t -> now:Time.t -> unit
 
 (** {1 Queries} *)
-
-val windows : t -> window list
-val window_count : t -> int
 
 (** Windows ever closed, including evicted ones. *)
 val windows_closed : t -> int

@@ -38,7 +38,8 @@ module Kind : sig
     | Bucket_reset  (** round marked bucket reset: b=thread, v=level *)
     | Idle_drain  (** idle BE balance returned: a=tenant, b=thread, v=amount *)
     | Queue_depth  (** dataplane cycle: a=thread, b=outstanding, v=rx depth *)
-    | Demote  (** LC tenant demoted to BE: a=tenant *)
+    | Demote  (** LC tenant demoted to BE: a=tenant.  Nothing writes it;
+                  kept so every later kind keeps its code. *)
     | Fault_on  (** fault window opened: a=label id *)
     | Fault_off  (** fault window closed: a=label id *)
     | Alert_fire  (** alert edge up: a=rule label id, b=severity *)

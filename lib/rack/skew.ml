@@ -13,9 +13,9 @@ type t = {
 let threshold = 1.0
 let min_ratio = 2.0
 
-let create ?(alpha = 0.3) ?(cooldown = Time.ms 2) () =
+let create ?(cooldown = Time.ms 2) () =
   {
-    ratio = Detect.Ewma.create ~alpha ();
+    ratio = Detect.Ewma.create ();
     cooldown;
     last_fire = None;
     fires = 0;

@@ -23,8 +23,8 @@ open Reflex_engine
 
 type t
 
-(** Defaults: [alpha = 0.3] (EWMA smoothing), [cooldown = 2ms]. *)
-val create : ?alpha:float -> ?cooldown:Time.t -> unit -> t
+(** Default [cooldown = 2ms]. *)
+val create : ?cooldown:Time.t -> unit -> t
 
 (** [observe t ~now ~depths] folds one probe vector in and returns
     [Some hot_server] when skew is detected (and the cooldown has

@@ -109,8 +109,6 @@ type t = {
   mutable ex_floor : int;  (* e2e (ns) of the current K-th worst, once full *)
   (* migration log (cold), newest first *)
   mutable migs : migration list;
-  (* cumulative charged ingress-link busy time per server port, us *)
-  link_busy_us : float array;
   (* alert-edge forensic dump (first Fired edge wins) *)
   mutable dump : dump option;
 }
@@ -154,7 +152,6 @@ let on_issue t ~slot ~server ~tenant ~req ~now =
   let req = Int64.to_int req in
   t.sl_req.(slot) <- req;
   Corr.put t.pending ~lane:t.lanes.(server) ~tenant ~req slot;
-  t.link_busy_us.(server) <- t.link_busy_us.(server) +. us_of_ns d;
   hop t ~server ~slot ~tenant ~k:1 ~now (us_of_ns d)
 
 (* Server-side stamps arrive through each server's stage sink; lookups
@@ -291,7 +288,6 @@ let create ?(exemplars = 4) rack =
       n_exemplars = 0;
       ex_floor = 0;
       migs = [];
-      link_busy_us = Array.make n 0.0;
       dump = None;
     }
   in
@@ -350,23 +346,6 @@ let wire_monitor t ~tsdb ~alerts =
       float_of_int (Rack.slo_ok t.rack));
   Tsdb.register_cumulative tsdb "rack/slo_bad" (fun () ->
       float_of_int (Rack.slo_total t.rack - Rack.slo_ok t.rack));
-  Tsdb.register_hist tsdb "rack/e2e" t.h_e2e;
-  Tsdb.register_gauge tsdb "rack/imbalance" (fun () ->
-      (* max-over-mean of the fresh in-flight counts; 1.0 when idle *)
-      let inflight = Rack.exact_inflight t.rack in
-      let total = ref 0 and hot = ref 0 in
-      Array.iter
-        (fun d ->
-          total := !total + d;
-          if d > !hot then hot := d)
-        inflight;
-      if !total = 0 then 1.0
-      else float_of_int !hot *. float_of_int (Array.length inflight) /. float_of_int !total);
-  for i = 0 to t.n_servers - 1 do
-    Tsdb.register_cumulative tsdb
-      (Printf.sprintf "rack/link/s%02d/busy_us" i)
-      (fun () -> t.link_busy_us.(i))
-  done;
   Alerts.add alerts
     (Alerts.burn_rule ~severity:Alerts.Page ~name:burn_rule_name ~target:burn_target
        ~good:"rack/slo_good" ~bad:"rack/slo_bad" ~short:(1, 8.0) ~long:(3, 4.0) ())

@@ -123,11 +123,9 @@ val snapshot_rack : t -> now:Time.t -> window:Time.t -> Flight.snapshot
 
 (** {1 Monitor wiring} *)
 
-(** [wire_monitor t ~tsdb ~alerts] registers the rack series —
-    [rack/slo_good]/[rack/slo_bad] cumulatives, the [rack/e2e] delta
-    histogram, the [rack/imbalance] gauge (max-over-mean in-flight) and
-    per-server [rack/link/s%02d/busy_us] cumulatives — and adds the
-    [rack/slo_burn] multi-window burn-rate rule (availability target
+(** [wire_monitor t ~tsdb ~alerts] registers the two series the rack
+    rule reads — [rack/slo_good]/[rack/slo_bad] cumulatives — and adds
+    the [rack/slo_burn] multi-window burn-rate rule (availability target
     0.95; 1 window at 8x AND 3 windows at 4x). *)
 val wire_monitor : t -> tsdb:Reflex_monitor.Tsdb.t -> alerts:Reflex_monitor.Alerts.t -> unit
 
