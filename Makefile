@@ -9,7 +9,7 @@
 # checks).  Figures are `reflex_sim run <id>|all`; host-cost measurement
 # is `bash perfbench/run.sh`.
 
-.PHONY: all build test lint bench-smoke smoke check trace chaos monitor obs rack clean
+.PHONY: all build test lint alloc-gate bench-smoke smoke check trace chaos monitor obs rack clean
 
 all: build
 
@@ -26,6 +26,14 @@ test: build
 # artifacts.
 lint: build
 	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json --callgraph-out _build/callgraph.json
+
+# The scheduler-round allocation gate (test_qos.ml's qos.alloc case:
+# words per Algorithm-1 round independent of the tenant count, at most
+# 20) in the release profile, whose cross-module inlining allocates
+# differently; `dune runtest` runs it in the dev profile.  The release
+# build replaces the dev one in _build/, so the next dev build recompiles.
+alloc-gate:
+	dune exec --profile release test/test_main.exe -- test qos.alloc
 
 bench-smoke: build
 	dune build ./test/bench_smoke.json

@@ -267,7 +267,7 @@ let detach_tenant t ~id =
       | None -> List.rev acc
     in
     let backlog = drain [] in
-    let slo = Tenant.slo tenant and rate = Tenant.token_rate tenant in
+    let slo = Tenant.slo tenant and rate = tenant.Tenant.acct.token_rate in
     Scheduler.remove_tenant t.scheduler id;
     Some (slo, rate, backlog)
 
@@ -301,7 +301,7 @@ let tokens_spent t = t.tokens_spent
    deltas to place each tenant on the latency-vs-weighted-IOPS curve). *)
 let tenant_tokens_submitted t ~id =
   match Scheduler.find_tenant t.scheduler id with
-  | Some tenant -> Some (Tenant.submitted_cost_total tenant)
+  | Some tenant -> Some tenant.Tenant.acct.submitted_cost
   | None -> None
 
 (* Requests inside this thread, wherever they sit: unparsed receive-ring

@@ -6,7 +6,8 @@
       oracle for its (time, seq) order
     - {!Wheel}: hierarchical timing wheel, the event queue of {!Sim}
     - {!Sim}: the event loop
-    - {!Resource}: multi-server FIFO queues with two priorities *)
+    - {!Resource}: multi-server FIFO queues with two priorities
+    - {!Cell}: a flat mutable float, written without boxing *)
 
 module Time = Time
 module Prng = Prng
@@ -14,3 +15,4 @@ module Heap = Heap
 module Wheel = Wheel
 module Sim = Sim
 module Resource = Resource
+module Cell = Cell

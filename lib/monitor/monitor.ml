@@ -128,8 +128,6 @@ let create ?(enabled = true) ?fault_lookback ~server ~telemetry () =
   in
   t
 
-let enabled t = t.enabled
-let tsdb t = t.tsdb
 let alerts t = t.alerts
 
 (* Wire sources, budget and the three default rules for one newly seen

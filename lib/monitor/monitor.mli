@@ -68,8 +68,6 @@ val create :
 (** The sampling period: 1ms. *)
 val interval : Time.t
 
-val enabled : t -> bool
-val tsdb : t -> Tsdb.t
 val alerts : t -> Alerts.t
 
 (** Advance the pipeline one window.  Normally driven by {!start}. *)

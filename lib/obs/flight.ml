@@ -105,7 +105,10 @@ end
 type t = {
   on : bool;
   cur : Cursor.t;
-  times : int64 array;
+  (* Record times as immediate ns: an [int64 array] slot would point at the
+     caller's box, so each store paid the write barrier and every recorded
+     time was promoted by the next minor GC.  Sim times fit in 62 bits. *)
+  times : int array;
   kinds : int array;
   aa : int array;
   bb : int array;
@@ -125,7 +128,7 @@ let make ~enabled ~capacity =
   {
     on = enabled;
     cur = Cursor.create "Flight" capacity;
-    times = Array.make capacity 0L;
+    times = Array.make capacity 0;
     kinds = Array.make capacity 0;
     aa = Array.make capacity 0;
     bb = Array.make capacity 0;
@@ -148,7 +151,7 @@ let record t ~now ~kind ~a ~b ~v =
   if t.on then begin
     let i = Cursor.advance t.cur in
     let k = Kind.to_int kind in
-    t.times.(i) <- now;
+    t.times.(i) <- Int64.to_int now;
     t.kinds.(i) <- k;
     t.aa.(i) <- a;
     t.bb.(i) <- b;
@@ -179,8 +182,8 @@ let label t id = if id >= 0 && id < t.n_labels then t.names.(id) else "?"
 
 let iter t f =
   Cursor.iter t.cur (fun i ->
-      f ~time:t.times.(i) ~kind:(Kind.of_int t.kinds.(i)) ~a:t.aa.(i) ~b:t.bb.(i)
-        ~v:t.vv.(i))
+      f ~time:(Int64.of_int t.times.(i)) ~kind:(Kind.of_int t.kinds.(i)) ~a:t.aa.(i)
+        ~b:t.bb.(i) ~v:t.vv.(i))
 
 type snapshot = {
   snap_now : Time.t;

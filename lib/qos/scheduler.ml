@@ -1,3 +1,13 @@
+(* Algorithm 1.  A round allocates nothing per tenant while the flight
+   recorder is unarmed (an armed one boxes each record's [~v]); what a
+   round does allocate is the boxed time delta since the last one.  The
+   round reads and writes each tenant's flat [acct] fields and the global
+   bucket's cell in place, and calls no function of another module with a
+   float argument or result: under [-opaque] each such float would be
+   boxed, once per tenant per round.  Each float update keeps the
+   operands and the order it has: every render is pinned byte for byte
+   (smoke.md5, the export pins, perfbench's sim_digest). *)
+
 open Reflex_engine
 open Reflex_telemetry
 module Flight = Reflex_obs.Flight
@@ -9,11 +19,11 @@ type 'a t = {
   neg_limit : float;
   donate_fraction : float;
   global : Global_bucket.t;
+  bucket : Cell.t; (* [global]'s level, updated in place by the round *)
   thread_id : int;
   notify_control_plane : int -> unit;
   (* Observability sink; [Telemetry.disabled] by default, in which case
-     every record site below is skipped by a single immutable-bool read
-     and the scheduling round stays allocation-free. *)
+     every record site below is skipped by a single immutable-bool read. *)
   telemetry : Telemetry.t;
   (* Always-on flight recorder and cost profiler, cached off the telemetry
      instance at creation (attach via [Telemetry.set_flight] /
@@ -30,13 +40,14 @@ type 'a t = {
   mutable be_n : int;
   by_id : (int, 'a Tenant.t) Hashtbl.t; (* O(1) lookup on the request path *)
   mutable be_cursor : int; (* round-robin start for fairness *)
-  mutable prev_sched_time : Time.t option;
+  mutable scheduled : bool; (* a round has run: [prev_sched_time] is set *)
+  mutable prev_sched_time : Time.t;
   (* Incrementally maintained sum of every member tenant's demand, so
      [backlog] is O(1) and allocation-free on the per-cycle path (the
-     dataplane consults it every finish_cycle).  Updated via each
-     tenant's demand listener, which also covers direct queue drains
-     (detach). *)
-  mutable backlog_agg : float;
+     dataplane consults it every finish_cycle).  Each member tenant points
+     at this cell and moves it on every enqueue and dequeue, which also
+     covers direct queue drains (detach). *)
+  backlog : Cell.t;
 }
 
 let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
@@ -56,6 +67,7 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
     neg_limit;
     donate_fraction;
     global;
+    bucket = Global_bucket.cell global;
     thread_id;
     notify_control_plane;
     telemetry;
@@ -67,8 +79,9 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
     be_n = 0;
     by_id = Hashtbl.create 64;
     be_cursor = 0;
-    prev_sched_time = None;
-    backlog_agg = 0.0;
+    scheduled = false;
+    prev_sched_time = Time.zero;
+    backlog = { Cell.v = 0.0 };
   }
 
 (* Per-tenant observability dimensions.  Gauges are registered when the
@@ -82,11 +95,11 @@ let register_tenant_gauges t tenant =
   if Telemetry.enabled t.telemetry then begin
     match tenant_gauge_names (Tenant.id tenant) with
     | [ g_tokens; g_backlog; g_granted; g_debited ] ->
-      Telemetry.register_gauge t.telemetry g_tokens (fun () -> Tenant.tokens tenant);
-      Telemetry.register_gauge t.telemetry g_backlog (fun () -> Tenant.demand tenant);
-      Telemetry.register_gauge t.telemetry g_granted (fun () -> Tenant.granted_total tenant);
-      Telemetry.register_gauge t.telemetry g_debited (fun () ->
-          Tenant.submitted_cost_total tenant);
+      let a = tenant.Tenant.acct in
+      Telemetry.register_gauge t.telemetry g_tokens (fun () -> a.tokens);
+      Telemetry.register_gauge t.telemetry g_backlog (fun () -> a.demand);
+      Telemetry.register_gauge t.telemetry g_granted (fun () -> a.granted_total);
+      Telemetry.register_gauge t.telemetry g_debited (fun () -> a.submitted_cost);
       Telemetry.set_tenant_slo t.telemetry ~tenant:(Tenant.id tenant)
         ~latency_critical:(Tenant.is_latency_critical tenant)
         ~latency_us:(Tenant.slo tenant).Slo.latency_us
@@ -123,8 +136,8 @@ let add_tenant t tenant =
     t.be <- grow_push t.be t.be_n tenant;
     t.be_n <- t.be_n + 1
   end;
-  t.backlog_agg <- t.backlog_agg +. Tenant.demand tenant;
-  Tenant.set_demand_listener tenant (fun delta -> t.backlog_agg <- t.backlog_agg +. delta);
+  t.backlog.v <- t.backlog.v +. tenant.acct.demand;
+  tenant.backlog <- t.backlog;
   register_tenant_gauges t tenant
 
 (* Single-pass, order-preserving removal from the live prefix of [arr].
@@ -147,10 +160,13 @@ let remove_tenant t tenant_id =
   | None -> ()
   | Some tenant ->
     Hashtbl.remove t.by_id tenant_id;
-    Tenant.clear_demand_listener tenant;
+    (* A cell of its own, never a shared one: a removed tenant's later
+       enqueues move nothing here (and nothing another Runner domain
+       sees). *)
+    tenant.backlog <- { Cell.v = 0.0 };
     unregister_tenant_gauges t tenant_id;
-    t.backlog_agg <- t.backlog_agg -. Tenant.demand tenant;
-    if t.backlog_agg < 0.0 then t.backlog_agg <- 0.0;
+    t.backlog.v <- t.backlog.v -. tenant.acct.demand;
+    if t.backlog.v < 0.0 then t.backlog.v <- 0.0;
     if Tenant.is_latency_critical tenant then begin
       t.lc_n <- remove_from t.lc t.lc_n tenant_id;
       if t.lc_n = 0 then t.lc <- [||]
@@ -183,9 +199,9 @@ let enqueue t ~tenant_id ~cost req =
   | Some tenant -> Tenant.enqueue tenant ~cost req
   | None -> raise Not_found
 
-(* O(1), allocation-free: the listener-maintained aggregate.  Clamp tiny
-   negative float drift so idle detection stays exact. *)
-let backlog t = if t.backlog_agg <= 0.0 then 0.0 else t.backlog_agg
+(* O(1): the cell the member tenants maintain.  Clamp tiny negative
+   float drift so idle detection stays exact. *)
+let backlog t = if t.backlog.v <= 0.0 then 0.0 else t.backlog.v
 
 (* Request count across tenant software queues.  An O(live tenants)
    sweep over the member arrays (insertion order, no Hashtbl walk):
@@ -203,16 +219,17 @@ let queue_depth t =
 
 (* Submit requests off [tenant]'s queue while there is demand and the
    balance stays above [floor]; returns the count submitted. *)
-let submit_while tenant ~floor ~submit =
+let submit_while (tenant : _ Tenant.t) ~floor ~submit =
+  let a = tenant.acct in
   let n = ref 0 in
   let continue = ref true in
   while !continue do
-    if Tenant.demand tenant > 0.0 && Tenant.tokens tenant > floor then begin
+    if a.demand > 0.0 && a.tokens > floor then begin
       match Tenant.dequeue tenant with
       | Some (cost, payload) ->
-        Tenant.spend_tokens tenant cost;
-        Tenant.note_submitted tenant cost;
-        submit { tenant_id = Tenant.id tenant; cost; payload };
+        a.tokens <- a.tokens -. cost;
+        a.submitted_cost <- a.submitted_cost +. cost;
+        submit { tenant_id = tenant.id; cost; payload };
         incr n
       | None -> continue := false
     end
@@ -221,113 +238,117 @@ let submit_while tenant ~floor ~submit =
   !n
 
 (* BE variant: a request is submitted only if the tenant can fully pay. *)
-let submit_admissible tenant ~submit =
+let submit_admissible (tenant : _ Tenant.t) ~submit =
+  let a = tenant.acct and q = tenant.queue in
   let n = ref 0 in
   let continue = ref true in
   while !continue do
-    match Tenant.peek_cost tenant with
-    | Some cost when cost <= Tenant.tokens tenant -> (
+    if (not (Queue.is_empty q)) && fst (Queue.peek q) <= a.tokens then begin
       match Tenant.dequeue tenant with
       | Some (cost, payload) ->
-        Tenant.spend_tokens tenant cost;
-        Tenant.note_submitted tenant cost;
-        submit { tenant_id = Tenant.id tenant; cost; payload };
+        a.tokens <- a.tokens -. cost;
+        a.submitted_cost <- a.submitted_cost +. cost;
+        submit { tenant_id = tenant.id; cost; payload };
         incr n
-      | None -> continue := false)
-    | _ -> continue := false
+      | None -> continue := false
+    end
+    else continue := false
   done;
   !n
 
 let schedule t ~now ~submit =
   Profiler.enter t.profiler Profiler.Subsystem.Qos;
   let time_delta =
-    match t.prev_sched_time with
-    | None -> 0.0
-    | Some prev -> Time.to_float_sec (Time.diff now prev)
+    if t.scheduled then Time.to_float_sec (Time.diff now t.prev_sched_time) else 0.0
   in
-  t.prev_sched_time <- Some now;
+  t.scheduled <- true;
+  t.prev_sched_time <- now;
   (* Read once; telemetry-off rounds pay exactly these immutable-bool
-     tests and stay allocation-free.  The flight recorder has its own
-     bit: it stays armed even when full telemetry is off, and its record
-     sites are plain array stores (see lib/obs/flight.ml). *)
+     tests.  The flight recorder has its own bit: it stays armed even when
+     full telemetry is off, and its record sites are plain array stores
+     (see lib/obs/flight.ml), though each boxes its [~v]. *)
   let tel_on = Telemetry.enabled t.telemetry in
   let fl = t.flight in
   let fl_on = Flight.enabled fl in
+  let bucket = t.bucket in
   let submitted = ref 0 in
   (* Latency-critical tenants first (Algorithm 1, lines 4-12). *)
   for i = 0 to t.lc_n - 1 do
     let tenant = t.lc.(i) in
-    let grant = Tenant.token_rate tenant *. time_delta in
-    Tenant.add_tokens tenant grant;
-    Tenant.record_grant tenant grant;
+    let a = tenant.acct in
+    let grant = a.token_rate *. time_delta in
+    a.tokens <- a.tokens +. grant;
+    tenant.grants.(tenant.grant_pos) <- grant;
+    tenant.grant_pos <- (tenant.grant_pos + 1) mod 3;
+    a.granted_total <- a.granted_total +. grant;
     if fl_on then
-      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:grant;
-    if Tenant.tokens tenant < t.neg_limit then begin
-      t.notify_control_plane (Tenant.id tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:tenant.id ~b:t.thread_id ~v:grant;
+    if a.tokens < t.neg_limit then begin
+      t.notify_control_plane tenant.id;
       if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Deficit ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:(Tenant.tokens tenant)
+        Flight.record fl ~now ~kind:Flight.Kind.Deficit ~a:tenant.id ~b:t.thread_id ~v:a.tokens
     end;
     let n_lc = submit_while tenant ~floor:t.neg_limit ~submit in
     submitted := !submitted + n_lc;
     if fl_on && n_lc > 0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:(Tenant.id tenant) ~b:n_lc
-        ~v:(Tenant.tokens tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:tenant.id ~b:n_lc ~v:a.tokens;
     (* Demand left after the submit loop means the balance hit the floor:
        the scheduler is actively throttling this LC tenant. *)
-    if fl_on && Tenant.demand tenant > 0.0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:(Tenant.demand tenant);
-    let pos_limit = Tenant.pos_limit tenant in
-    if Tenant.tokens tenant > pos_limit then begin
-      let donation = Tenant.tokens tenant *. t.donate_fraction in
-      Global_bucket.add t.global donation;
-      Tenant.spend_tokens tenant donation;
+    if fl_on && a.demand > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:tenant.id ~b:t.thread_id ~v:a.demand;
+    (* POS_LIMIT: the grants of the last three rounds, summed in ring
+       order. *)
+    let g = tenant.grants in
+    let pos_limit = g.(0) +. g.(1) +. g.(2) in
+    if a.tokens > pos_limit then begin
+      let donation = a.tokens *. t.donate_fraction in
+      if donation > 0.0 then bucket.v <- bucket.v +. donation;
+      a.tokens <- a.tokens -. donation;
       if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Donate ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:donation
+        Flight.record fl ~now ~kind:Flight.Kind.Donate ~a:tenant.id ~b:t.thread_id ~v:donation
     end
   done;
   (* Best-effort tenants in round-robin order (lines 13-21). *)
   let n_be = t.be_n in
   for k = 0 to n_be - 1 do
     let tenant = t.be.((t.be_cursor + k) mod n_be) in
-    let grant = Tenant.token_rate tenant *. time_delta in
-    Tenant.add_tokens tenant grant;
-    if tel_on then Tenant.note_granted tenant grant;
+    let a = tenant.acct in
+    let grant = a.token_rate *. time_delta in
+    a.tokens <- a.tokens +. grant;
+    if tel_on then a.granted_total <- a.granted_total +. grant;
     if fl_on then
-      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:grant;
-    let deficit = Tenant.demand tenant -. Tenant.tokens tenant in
+      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:tenant.id ~b:t.thread_id ~v:grant;
+    let deficit = a.demand -. a.tokens in
     if deficit > 0.0 then begin
-      let taken = Global_bucket.try_take t.global deficit in
-      Tenant.add_tokens tenant taken;
+      (* Take up to [deficit], bounded below by zero: [Float.min deficit
+         level] for a positive [deficit], written out because the Stdlib
+         call would box. *)
+      let level = bucket.v in
+      let taken = if level > deficit then deficit else level in
+      bucket.v <- level -. taken;
+      a.tokens <- a.tokens +. taken;
       if fl_on && taken > 0.0 then
-        Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:(Tenant.id tenant)
-          ~b:t.thread_id ~v:taken
+        Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:tenant.id ~b:t.thread_id ~v:taken
     end;
     let n_sub = submit_admissible tenant ~submit in
     submitted := !submitted + n_sub;
     if fl_on && n_sub > 0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:(Tenant.id tenant) ~b:n_sub
-        ~v:(Tenant.tokens tenant);
-    if fl_on && Tenant.demand tenant > 0.0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:(Tenant.demand tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:tenant.id ~b:n_sub ~v:a.tokens;
+    if fl_on && a.demand > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:tenant.id ~b:t.thread_id ~v:a.demand;
     (* DRR-inspired: no token hoarding while idle. *)
-    if Tenant.tokens tenant > 0.0 && Tenant.demand tenant = 0.0 then begin
-      let drained = Tenant.drain_tokens tenant in
-      Global_bucket.add t.global drained;
-      if fl_on && drained > 0.0 then
-        Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:(Tenant.id tenant)
-          ~b:t.thread_id ~v:drained
+    if a.tokens > 0.0 && a.demand = 0.0 then begin
+      let drained = a.tokens in
+      a.tokens <- 0.0;
+      bucket.v <- bucket.v +. drained;
+      if fl_on then
+        Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:tenant.id ~b:t.thread_id
+          ~v:drained
     end
   done;
   if n_be > 0 then t.be_cursor <- (t.be_cursor + 1) mod n_be;
   let reset = Global_bucket.mark_round t.global ~thread_id:t.thread_id in
   if fl_on && reset then
-    Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id
-      ~v:(Global_bucket.level t.global);
+    Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id ~v:bucket.v;
   Profiler.leave t.profiler Profiler.Subsystem.Qos;
   !submitted

@@ -26,10 +26,10 @@ val create :
   thread_id:int ->
   ?notify_control_plane:(int -> unit) ->
   ?telemetry:Reflex_telemetry.Telemetry.t ->
-  (* default [Telemetry.disabled]: the scheduling round then stays
-     allocation-free.  When enabled, every throttle/donation/bucket
-     decision is logged with its inputs and per-tenant token/backlog/
-     grant/debit gauges are registered as [qos/t<ID>/...]. *)
+  (* default [Telemetry.disabled].  A round allocates nothing per tenant
+     unless the telemetry's flight recorder is armed, which boxes the
+     value of each decision it records.  When enabled, per-tenant
+     token/backlog/grant/debit gauges are registered as [qos/t<ID>/...]. *)
   unit ->
   'a t
 
@@ -59,10 +59,11 @@ val enqueue : 'a t -> tenant_id:int -> cost:float -> 'a -> unit
     submissions. *)
 val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a submission -> unit) -> int
 
-(** Total demand (tokens) sitting in this thread's tenant queues.  O(1)
-    and allocation-free: an aggregate maintained incrementally through
-    each tenant's demand listener (it stays consistent even when a
-    tenant's queue is drained directly, as on detach). *)
+(** Total demand (tokens) sitting in this thread's tenant queues, clamped
+    at zero.  O(1): a flat cell that every member tenant moves on each
+    enqueue and dequeue (so it stays consistent even when a tenant's queue
+    is drained directly, as on detach).  A removed tenant gets a cell of
+    its own, so its later enqueues do not move this one. *)
 val backlog : 'a t -> float
 
 (** Requests (not tokens) sitting in this thread's tenant software

@@ -1,20 +1,21 @@
-let no_listener : float -> unit = fun _ -> ()
+module Cell = Reflex_engine.Cell
+
+type acct = {
+  mutable tokens : float;
+  mutable demand : float;
+  mutable token_rate : float;
+  mutable granted_total : float;
+  mutable submitted_cost : float;
+}
 
 type 'a t = {
   id : int;
   slo : Slo.t;
-  mutable token_rate : float;
-  mutable tokens : float;
   queue : (float * 'a) Queue.t;
-  mutable demand : float;
-  grants : float array; (* last three rounds, ring buffer *)
+  acct : acct;
+  grants : float array;
   mutable grant_pos : int;
-  mutable submitted_cost : float;
-  mutable granted_total : float;
-  (* Called with the signed change whenever [demand] moves; lets the
-     owning scheduler maintain an O(1) backlog aggregate without
-     rescanning every tenant per cycle. *)
-  mutable on_demand_delta : float -> unit;
+  mutable backlog : Cell.t;
 }
 
 let create ~id ~slo ~token_rate =
@@ -22,70 +23,40 @@ let create ~id ~slo ~token_rate =
   {
     id;
     slo;
-    token_rate;
-    tokens = 0.0;
     queue = Queue.create ();
-    demand = 0.0;
+    acct = { tokens = 0.0; demand = 0.0; token_rate; granted_total = 0.0; submitted_cost = 0.0 };
     grants = Array.make 3 0.0;
     grant_pos = 0;
-    submitted_cost = 0.0;
-    granted_total = 0.0;
-    on_demand_delta = no_listener;
+    backlog = { Cell.v = 0.0 };
   }
-
-let set_demand_listener t f = t.on_demand_delta <- f
-let clear_demand_listener t = t.on_demand_delta <- no_listener
 
 let id t = t.id
 let slo t = t.slo
 let is_latency_critical t = Slo.is_latency_critical t.slo
-let token_rate t = t.token_rate
 
 let set_token_rate t r =
   if r < 0.0 then invalid_arg "Tenant.set_token_rate: negative rate";
-  t.token_rate <- r
-
-let tokens t = t.tokens
-let add_tokens t x = t.tokens <- t.tokens +. x
-let spend_tokens t x = t.tokens <- t.tokens -. x
-
-let drain_tokens t =
-  let x = t.tokens in
-  t.tokens <- 0.0;
-  x
+  t.acct.token_rate <- r
 
 let enqueue t ~cost req =
   if cost <= 0.0 then invalid_arg "Tenant.enqueue: non-positive cost";
   Queue.add (cost, req) t.queue;
-  t.demand <- t.demand +. cost;
-  t.on_demand_delta cost
+  let a = t.acct in
+  a.demand <- a.demand +. cost;
+  t.backlog.v <- t.backlog.v +. cost
 
-let demand t = t.demand
 let queue_length t = Queue.length t.queue
-let peek_cost t = Option.map fst (Queue.peek_opt t.queue)
 
 let dequeue t =
   match Queue.take_opt t.queue with
   | None -> None
-  | Some (cost, req) ->
-    let before = t.demand in
+  | Some (cost, _) as head ->
+    let a = t.acct in
+    let before = a.demand in
     let after = before -. cost in
     (* Guard against float drift on long runs. *)
     let after = if after < 0.0 then 0.0 else after in
-    t.demand <- after;
-    (* Report the clamped delta so any aggregate tracks the clamped sum. *)
-    t.on_demand_delta (after -. before);
-    Some (cost, req)
-
-let record_grant t x =
-  t.grants.(t.grant_pos) <- x;
-  t.grant_pos <- (t.grant_pos + 1) mod 3;
-  t.granted_total <- t.granted_total +. x
-
-let note_granted t x = t.granted_total <- t.granted_total +. x
-let granted_total t = t.granted_total
-
-let pos_limit t = t.grants.(0) +. t.grants.(1) +. t.grants.(2)
-
-let submitted_cost_total t = t.submitted_cost
-let note_submitted t c = t.submitted_cost <- t.submitted_cost +. c
+    a.demand <- after;
+    (* Move the backlog by the clamped delta so it tracks the clamped sum. *)
+    t.backlog.v <- t.backlog.v +. (after -. before);
+    head

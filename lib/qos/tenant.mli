@@ -1,30 +1,55 @@
 (** Per-tenant scheduling state: the software request queue, the token
     balance, and the recent-grant history used for POS_LIMIT (paper
-    §3.2.2). *)
+    §3.2.2).
 
-type 'a t
+    The record is exposed so that the scheduler round reads and writes the
+    float state in place.  The floats live in {!acct}, an all-float record
+    that OCaml stores flat: writing one of its fields allocates nothing,
+    where a float field of a mixed record, or a float passed to or
+    returned from a function of another module, would be boxed.  Build
+    tenants with {!create}. *)
 
-(** [create ~id ~slo ~token_rate] — [token_rate] is tokens/sec granted by
-    the control plane (an LC tenant's weighted SLO rate, or a BE tenant's
-    fair share of unallocated throughput). *)
+type acct = {
+  mutable tokens : float;
+      (** Token balance; may be negative down to the scheduler's
+          NEG_LIMIT. *)
+  mutable demand : float;  (** Sum of the costs of all queued requests. *)
+  mutable token_rate : float;
+      (** Tokens/sec granted by the control plane: an LC tenant's weighted
+          SLO rate, or a BE tenant's fair share of unallocated
+          throughput.  Set it with {!set_token_rate}. *)
+  mutable granted_total : float;  (** Tokens ever granted (observability). *)
+  mutable submitted_cost : float;  (** Tokens ever spent on submissions. *)
+}
+
+type 'a t = {
+  id : int;
+  slo : Slo.t;
+  queue : (float * 'a) Queue.t;  (** FIFO of (cost, request). *)
+  acct : acct;
+  grants : float array;
+      (** POS_LIMIT ring: the LC grants of the last three rounds, written
+          at [grant_pos]; their sum is the balance an LC tenant may hold
+          before donating (paper: accommodates short bursts without going
+          into deficit). *)
+  mutable grant_pos : int;
+  mutable backlog : Reflex_engine.Cell.t;
+      (** The owning scheduler's backlog cell, moved by every
+          {!enqueue}/{!dequeue} so the scheduler's O(1) backlog stays
+          exact even when a queue is drained directly (tenant detach).
+          Outside a scheduler, a cell of the tenant's own. *)
+}
+
+(** [create ~id ~slo ~token_rate]: an empty queue, a zero balance and a
+    detached backlog cell. *)
 val create : id:int -> slo:Slo.t -> token_rate:float -> 'a t
 
 val id : 'a t -> int
 val slo : 'a t -> Slo.t
 val is_latency_critical : 'a t -> bool
 
-val token_rate : 'a t -> float
+(** Raises [Invalid_argument] on a negative rate. *)
 val set_token_rate : 'a t -> float -> unit
-
-(** Current token balance (may be negative down to the scheduler's
-    NEG_LIMIT). *)
-val tokens : 'a t -> float
-
-val add_tokens : 'a t -> float -> unit
-val spend_tokens : 'a t -> float -> unit
-
-(** Zero the balance, returning what was there (BE idle-flush). *)
-val drain_tokens : 'a t -> float
 
 (** {1 Request queue} *)
 
@@ -32,45 +57,7 @@ val drain_tokens : 'a t -> float
     [cost] tokens. *)
 val enqueue : 'a t -> cost:float -> 'a -> unit
 
-(** Sum of the costs of all queued requests — the tenant's demand. *)
-val demand : 'a t -> float
-
 val queue_length : 'a t -> int
-
-(** Cost of the request at the head of the queue, if any. *)
-val peek_cost : 'a t -> float option
 
 (** Remove and return the head request with its cost. *)
 val dequeue : 'a t -> (float * 'a) option
-
-(** [set_demand_listener t f] installs [f], called with the signed demand
-    change on every {!enqueue}/{!dequeue}.  The owning scheduler uses it
-    to keep an O(1) backlog aggregate consistent even when the queue is
-    drained directly (tenant detach).  A tenant belongs to at most one
-    scheduler, so at most one listener is active. *)
-val set_demand_listener : 'a t -> (float -> unit) -> unit
-
-(** Reset the listener to a no-op (on removal from a scheduler). *)
-val clear_demand_listener : 'a t -> unit
-
-(** {1 Grant history (POS_LIMIT)} *)
-
-(** Record tokens granted this round; keeps the last three rounds and
-    accumulates {!granted_total}. *)
-val record_grant : 'a t -> float -> unit
-
-(** POS_LIMIT: the tokens received over the last three scheduling rounds
-    (paper: accommodates short bursts without going into deficit). *)
-val pos_limit : 'a t -> float
-
-(** {1 Accounting} *)
-
-val submitted_cost_total : 'a t -> float
-val note_submitted : 'a t -> float -> unit
-
-(** Accumulate granted tokens without touching the POS_LIMIT ring (used
-    for BE rate grants, which are not part of the LC burst window). *)
-val note_granted : 'a t -> float -> unit
-
-(** Total tokens ever granted to this tenant (observability). *)
-val granted_total : 'a t -> float

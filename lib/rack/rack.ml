@@ -190,7 +190,6 @@ let slo_total t = t.slo_total
 let slo_ok t = t.slo_ok
 let migrations t = t.migrations
 let sampled_depths t = Array.copy t.sampled
-let exact_inflight t = Array.copy t.exact
 let dispatched t = Array.copy t.disp
 
 let sample_probes t =

@@ -116,10 +116,6 @@ val sample_probes : t -> unit
 (** Probe-aged per-server queue depths (what JSQ/po2c see); a copy. *)
 val sampled_depths : t -> int array
 
-(** Fresh rack-tracked per-server in-flight counts (what the oracle
-    sees); a copy. *)
-val exact_inflight : t -> int array
-
 (** Cumulative dispatches per server; a copy. *)
 val dispatched : t -> int array
 

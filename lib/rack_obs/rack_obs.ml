@@ -219,7 +219,10 @@ let on_complete t ~slot ~ok ~now =
   let req = t.sl_req.(slot) in
   if req >= 0 then Corr.remove t.pending ~lane:t.lanes.(server) ~tenant ~req;
   let stamps = t.stamps and c = t.comps in
-  Array.blit t.sl_at base stamps 0 4;
+  stamps.(0) <- t.sl_at.(base);
+  stamps.(1) <- t.sl_at.(base + 1);
+  stamps.(2) <- t.sl_at.(base + 2);
+  stamps.(3) <- t.sl_at.(base + 3);
   stamps.(4) <- ns now;
   if Stage.tile ~stamps ~comps:c ~off:1 > 0 then t.fallbacks <- t.fallbacks + 1;
   if c.(0) + c.(1) + c.(2) + c.(3) + c.(4) <> e2e then t.untiled <- t.untiled + 1;

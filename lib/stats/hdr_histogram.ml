@@ -9,7 +9,7 @@ let max_exponent = 62
 type t = {
   counts : int array; (* (exponent - sub_bits + 1) * sub_count cells *)
   mutable total : int;
-  mutable sum : float;
+  sum : Reflex_engine.Cell.t; (* flat: recording does not box *)
   mutable min_v : int64;
   mutable max_v : int64;
 }
@@ -17,7 +17,13 @@ type t = {
 let n_cells = (max_exponent - sub_bits + 1) * sub_count
 
 let create () =
-  { counts = Array.make n_cells 0; total = 0; sum = 0.0; min_v = Int64.max_int; max_v = 0L }
+  {
+    counts = Array.make n_cells 0;
+    total = 0;
+    sum = { Reflex_engine.Cell.v = 0.0 };
+    min_v = Int64.max_int;
+    max_v = 0L;
+  }
 
 (* Index of the bucket containing [v].  The bucket math runs on a native
    int: every int64 shift in the former msb loop allocated a boxed
@@ -61,7 +67,7 @@ let record_n t v n =
     let i = index_of v in
     t.counts.(i) <- t.counts.(i) + n;
     t.total <- t.total + n;
-    t.sum <- t.sum +. (Int64.to_float v *. float_of_int n);
+    t.sum.v <- t.sum.v +. (Int64.to_float v *. float_of_int n);
     if Int64.compare v t.min_v < 0 then t.min_v <- v;
     if Int64.compare v t.max_v > 0 then t.max_v <- v
   end
@@ -94,7 +100,7 @@ let percentile t p =
     else !result
   end
 
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0.0 else t.sum.v /. float_of_int t.total
 let min_value t = if t.total = 0 then 0L else t.min_v
 let max_value t = t.max_v
 
@@ -111,7 +117,13 @@ let low_value_of i =
   end
 
 let copy t =
-  { counts = Array.copy t.counts; total = t.total; sum = t.sum; min_v = t.min_v; max_v = t.max_v }
+  {
+    counts = Array.copy t.counts;
+    total = t.total;
+    sum = { Reflex_engine.Cell.v = t.sum.v };
+    min_v = t.min_v;
+    max_v = t.max_v;
+  }
 
 (* Snapshot delta: the histogram of exactly the values recorded into [t]
    after [since] was captured ([since] must be an earlier snapshot of the
@@ -140,7 +152,7 @@ let diff t ~since =
   done;
   d.total <- !total;
   if !total > 0 then begin
-    d.sum <- Float.max 0.0 (t.sum -. since.sum);
+    d.sum.v <- Float.max 0.0 (t.sum.v -. since.sum.v);
     d.min_v <- Int64.max !lo t.min_v;
     d.max_v <- Int64.min !hi t.max_v
   end;
@@ -167,14 +179,14 @@ let merge ~dst ~src =
     dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
   done;
   dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
+  dst.sum.v <- dst.sum.v +. src.sum.v;
   if Int64.compare src.min_v dst.min_v < 0 then dst.min_v <- src.min_v;
   if Int64.compare src.max_v dst.max_v > 0 then dst.max_v <- src.max_v
 
 let reset t =
   Array.fill t.counts 0 n_cells 0;
   t.total <- 0;
-  t.sum <- 0.0;
+  t.sum.v <- 0.0;
   t.min_v <- Int64.max_int;
   t.max_v <- 0L
 

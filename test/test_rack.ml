@@ -170,9 +170,9 @@ let test_skew_cooldown () =
 (* Rack world (small)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let small_rack ?policy () =
+let small_rack ?policy ?telemetry () =
   let sim = Sim.create ~seed:11L () in
-  let rack = Rack.create sim ~n_servers:4 ?policy ~seed:0x5EEDL () in
+  let rack = Rack.create sim ~n_servers:4 ?policy ~seed:0x5EEDL ?telemetry () in
   (sim, rack)
 
 let lc = Common.lc_slo ~latency_us:300 ~iops:1000 ~read_pct:100
@@ -230,7 +230,8 @@ let run_some_reads sim rack ~tenant ~n =
   done
 
 let test_rack_dispatch_completes () =
-  let sim, rack = small_rack () in
+  let telemetry = Reflex_telemetry.Telemetry.create () in
+  let sim, rack = small_rack ~telemetry () in
   (match Rack.add_tenant rack ~id:1 ~slo:lc ~replicas:2 with
   | `Rejected -> Alcotest.fail "placement rejected"
   | `Placed _ -> ());
@@ -240,8 +241,13 @@ let test_rack_dispatch_completes () =
   Alcotest.(check int) "no errors" 0 (Rack.errors rack);
   Alcotest.(check int) "all were LC dispatches" 20 (Rack.lc_dispatched rack);
   Alcotest.(check int) "slo audited" 20 (Rack.slo_total rack);
-  Alcotest.(check bool) "inflight drained" true
-    (Array.for_all (fun x -> x = 0) (Rack.exact_inflight rack))
+  (* The rack-tracked in-flight count per server, as its gauge exports it. *)
+  for i = 0 to Rack.n_servers rack - 1 do
+    let name = Printf.sprintf "rack/s%02d/inflight" i in
+    match Reflex_telemetry.Telemetry.find_metric telemetry name with
+    | Some (`Gauge v) -> Alcotest.(check (float 0.0)) ("inflight drained: " ^ name) 0.0 v
+    | _ -> Alcotest.fail ("missing gauge " ^ name)
+  done
 
 let test_rack_migrate_noop_idempotent () =
   let sim, rack = small_rack () in
