@@ -1,15 +1,14 @@
 # Developer entry points.  `make check` is the CI gate: full build, the
 # reflex-lint static-analysis pass (determinism, domain-safety,
 # guard-discipline, hot-path allocations, interface hygiene — zero
-# findings required), `dune runtest` (the whole alcotest suite plus one
-# bench smoke run: parallel-runner sanity, observer bit-identity and the
-# BENCH_BASELINE.json floors, its numbers copied to BENCH_SMOKE.json for
-# trend tracking), and the scenario smoke (chaos, monitor, obs and rack
-# acceptance checks plus their same-seed rerun and --jobs 2 byte-identity
-# checks).  Figures are `reflex_sim run <id>|all`; host-cost measurement
-# is `bash perfbench/run.sh`.
+# findings required), `dune runtest` (the alcotest/qcheck suites: every
+# check there is deterministic), `make host-gate` (the wall-clock floors
+# and overhead budgets), and the scenario smoke (chaos, monitor, obs and
+# rack acceptance checks plus their same-seed rerun and --jobs 2
+# byte-identity checks).  Figures are `reflex_sim run <id>|all`; host-cost
+# measurement is `bash perfbench/run.sh`.
 
-.PHONY: all build test lint alloc-gate bench-smoke smoke check trace chaos monitor obs rack clean
+.PHONY: all build test lint alloc-gate host-gate smoke check trace chaos monitor obs rack clean
 
 all: build
 
@@ -35,9 +34,13 @@ lint: build
 alloc-gate:
 	dune exec --profile release test/test_main.exe -- test qos.alloc
 
-bench-smoke: build
-	dune build ./test/bench_smoke.json
-	install -m 644 _build/default/test/bench_smoke.json BENCH_SMOKE.json
+# Host-time gates (test/host_gate.ml lists them): wall-clock floors and
+# overhead budgets, kept out of `dune runtest` because machine load moves
+# them.  Exits 1 naming the failed gate.  The first line is the lib/ and
+# test/ OCaml line count, for the code-size trend in the CI log.
+host-gate: build
+	@echo "lines: lib $$(cat $$(find lib -name '*.ml' -o -name '*.mli') | wc -l), test $$(cat $$(find test -name '*.ml' -o -name '*.mli') | wc -l)"
+	dune exec test/host_gate.exe
 
 # Scenario acceptance: chaos (SLO held, retries bounded), monitor (alerts
 # inside fault windows, clean runs silent), obs (alert-triggered forensic
@@ -66,7 +69,7 @@ smoke: build
 check: build
 	$(MAKE) lint
 	dune runtest
-	install -m 644 _build/default/test/bench_smoke.json BENCH_SMOKE.json
+	$(MAKE) host-gate
 	$(MAKE) smoke
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO

@@ -190,7 +190,7 @@ and finish_cycle t =
   let have_cq = Queue_pair.completions_pending t.qp > 0 in
   let have_deferred = not (Queue.is_empty t.deferred) in
   if have_rx || have_cq || have_deferred then kick t
-  else if Scheduler.backlog t.scheduler > 0.0 then
+  else if Scheduler.has_backlog t.scheduler then
     (* Only rate-limited backlog remains: re-enter the scheduler once
        tokens have accrued. *)
     match t.idle_timer with

@@ -182,36 +182,6 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Current git commit, read straight from [.git] (no subprocess — the
-   bench smoke embeds this in its JSON output so results are
-   attributable).  Walks up from the cwd; "unknown" when not in a
-   checkout. *)
-let git_sha () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      let line = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      Some (String.trim line)
-    with Sys_error _ -> None
-  in
-  let rec find dir depth =
-    if depth > 8 then None
-    else
-      let git = Filename.concat dir ".git" in
-      match read_line (Filename.concat git "HEAD") with
-      | Some line ->
-        if String.length line > 5 && String.sub line 0 5 = "ref: " then
-          read_line (Filename.concat git (String.sub line 5 (String.length line - 5)))
-        else Some line
-      | None ->
-        let parent = Filename.dirname dir in
-        if parent = dir then None else find parent (depth + 1)
-  in
-  match find (Sys.getcwd ()) 0 with
-  | Some sha when sha <> "" -> sha
-  | _ -> "unknown"
-
 let measure_generators sim gens ~warmup ~window =
   let t0 = Sim.now sim in
   ignore (Sim.run ~until:(Time.add t0 warmup) sim);

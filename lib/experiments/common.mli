@@ -116,11 +116,6 @@ val digest : reflex_world -> load list -> string
 (** [contains_sub s sub]: [sub] occurs in [s]. *)
 val contains_sub : string -> string -> bool
 
-(** Current git commit hash, read directly from [.git/HEAD] (no
-    subprocess); ["unknown"] outside a checkout.  Embedded in the bench
-    smoke's JSON output. *)
-val git_sha : unit -> string
-
 (** [measure_generators sim gens ~warmup ~window] runs warmup, marks all
     generators, runs the window, freezes them, then drains briefly. *)
 val measure_generators : Sim.t -> Load_gen.t list -> warmup:Time.t -> window:Time.t -> unit

@@ -203,6 +203,10 @@ let enqueue t ~tenant_id ~cost req =
    float drift so idle detection stays exact. *)
 let backlog t = if t.backlog.v <= 0.0 then 0.0 else t.backlog.v
 
+(* [backlog t > 0.0] without boxing the float across the module boundary:
+   the dataplane asks this on every going-idle cycle. *)
+let has_backlog t = t.backlog.v > 0.0
+
 (* Request count across tenant software queues.  An O(live tenants)
    sweep over the member arrays (insertion order, no Hashtbl walk):
    this backs the rack layer's periodic queue-depth probes, which run

@@ -66,6 +66,10 @@ val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a submission -> unit
     its own, so its later enqueues do not move this one. *)
 val backlog : 'a t -> float
 
+(** [backlog t > 0.0], returned as a bool so the per-cycle idle check
+    passes no float between modules. *)
+val has_backlog : 'a t -> bool
+
 (** Requests (not tokens) sitting in this thread's tenant software
     queues.  O(live tenants) sweep — a probe-path metric for the
     rack-level load balancers, not a per-cycle one ({!backlog} is the

@@ -1,7 +1,8 @@
 (* Fault-injection & resilience subsystem (lib/faults): plan validation,
    deterministic retry backoff, injector lifecycle against real
-   components, zero-impact of an empty plan, and byte-identical chaos
-   output across reruns and domain-parallel execution. *)
+   components, zero impact of an empty plan (and of telemetry), and
+   byte-identical chaos output across reruns and domain-parallel
+   execution. *)
 
 open Reflex_engine
 open Reflex_client
@@ -171,8 +172,11 @@ let test_injector_missing_target_raises () =
 (* Zero impact when no fault is armed                                 *)
 (* ------------------------------------------------------------------ *)
 
-let probe_world ~arm_empty () =
-  let w = Common.make_reflex ~seed:7L () in
+let probe_world ?(telemetry = false) ~arm_empty () =
+  let telemetry =
+    if telemetry then Reflex_telemetry.Telemetry.create () else Reflex_telemetry.Telemetry.disabled
+  in
+  let w = Common.make_reflex ~telemetry ~seed:7L () in
   let sim = w.Common.sim in
   let client =
     Common.client_of w
@@ -189,18 +193,28 @@ let probe_world ~arm_empty () =
       ~until:(Time.ms 100) ~seed:3L ()
   in
   ignore (Sim.run sim);
-  (Load_gen.issued g, Load_gen.completed g, Load_gen.p95_read_us g, Load_gen.mean_read_us g)
+  ( Load_gen.issued g,
+    Load_gen.completed g,
+    Load_gen.achieved_iops g,
+    Load_gen.p95_read_us g,
+    Load_gen.mean_read_us g )
 
 let test_empty_plan_is_invisible () =
   (* Arming an injector with an empty plan must leave the run
      byte-identical to never creating one: same issue counts, same
      latencies, same PRNG draw sequence everywhere. *)
-  let i0, c0, p0, m0 = probe_world ~arm_empty:false () in
-  let i1, c1, p1, m1 = probe_world ~arm_empty:true () in
+  let i0, c0, k0, p0, m0 = probe_world ~arm_empty:false () in
+  let i1, c1, k1, p1, m1 = probe_world ~arm_empty:true () in
   Alcotest.(check int) "issued identical" i0 i1;
   Alcotest.(check int) "completed identical" c0 c1;
+  Alcotest.(check (float 0.0)) "IOPS identical" k0 k1;
   Alcotest.(check (float 0.0)) "p95 identical" p0 p1;
-  Alcotest.(check (float 0.0)) "mean identical" m0 m1
+  Alcotest.(check (float 0.0)) "mean identical" m0 m1;
+  (* Telemetry observes, never perturbs: its span ring, counters and
+     daemon sampler schedule nothing the simulation sees. *)
+  let _, _, k2, p2, _ = probe_world ~telemetry:true ~arm_empty:false () in
+  Alcotest.(check (float 0.0)) "telemetry-on IOPS identical" k0 k2;
+  Alcotest.(check (float 0.0)) "telemetry-on p95 identical" p0 p2
 
 (* ------------------------------------------------------------------ *)
 (* Chaos scenario: determinism, SLO, bounded retries                  *)

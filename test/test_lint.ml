@@ -2,7 +2,7 @@
    fixture with exact rule-id and line, stays silent on the clean twin,
    waivers are honored (and malformed waivers rejected), the manifest
    grammar is validated, and — the point of the whole exercise — the
-   live tree lints clean. *)
+   live tree lints clean, with byte-identical reports serial and --jobs 2. *)
 
 (* The fixture manifest (also checked in as lint_fixtures/fixtures.manifest
    for CLI experimentation); parsed inline so the tests are self-contained. *)
@@ -233,10 +233,11 @@ let test_graph_chains () =
 
 (* The per-file stage fans across domains; merge and filtering are
    serial, so reports are byte-identical for any --jobs. *)
-let test_graph_jobs_identity () =
-  let a = run_graph () and b = run_graph ~jobs:2 () in
+let check_jobs_identity a b =
   Alcotest.(check string) "text identical" (Lint_driver.to_text a) (Lint_driver.to_text b);
   Alcotest.(check string) "json identical" (Lint_driver.to_json a) (Lint_driver.to_json b)
+
+let test_graph_jobs_identity () = check_jobs_identity (run_graph ()) (run_graph ~jobs:2 ())
 
 let test_graph_exports () =
   let _, g, hot =
@@ -275,10 +276,12 @@ let rec find_root dir =
 
 let test_live_tree_clean () =
   let root = find_root (Sys.getcwd ()) in
-  let r = Lint_driver.run ~root ~manifest_path:(Filename.concat root "lint.manifest") () in
+  let manifest_path = Filename.concat root "lint.manifest" in
+  let r = Lint_driver.run ~root ~manifest_path () in
   if not (Lint_driver.clean r) then
     Alcotest.failf "live tree has lint findings:\n%s" (Lint_driver.to_text r);
-  Alcotest.(check bool) "scanned the whole tree" true (r.Lint_driver.files_scanned > 50)
+  Alcotest.(check bool) "scanned the whole tree" true (r.Lint_driver.files_scanned > 50);
+  check_jobs_identity r (Lint_driver.run ~jobs:2 ~root ~manifest_path ())
 
 let suite =
   [

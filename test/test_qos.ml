@@ -248,27 +248,19 @@ let test_lc_writes_cost_more () =
 
 let test_lc_spare_tokens_donated () =
   (* An idle LC tenant's accumulating balance must overflow into the
-     global bucket once past POS_LIMIT (90% donation). *)
-  let global, sched = new_sched () in
+     global bucket once past POS_LIMIT (90% donation).  Two threads, so
+     this thread's round marks never reset the bucket alone. *)
+  let global, sched = new_sched ~n_threads:2 () in
   Scheduler.add_tenant sched (Tenant.create ~id:1 ~slo:lc_slo ~token_rate:280_000.0);
-  ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit:(fun _ -> ()));
-  ignore (Scheduler.schedule sched ~now:(Time.us 200) ~submit:(fun _ -> ()));
-  (* Bucket resets every round with one thread, so check inside a round:
-     generate a large grant then look before the next mark... instead use
-     two threads so this thread's marks never reset alone. *)
-  ignore global;
-  let global2 = Global_bucket.create ~n_threads:2 in
-  let sched2 = Scheduler.create ~global:global2 ~thread_id:0 () in
-  Scheduler.add_tenant sched2 (Tenant.create ~id:1 ~slo:lc_slo ~token_rate:280_000.0);
   for i = 1 to 10 do
-    ignore (Scheduler.schedule sched2 ~now:(Time.us (i * 100)) ~submit:(fun _ -> ()))
+    ignore (Scheduler.schedule sched ~now:(Time.us (i * 100)) ~submit:(fun _ -> ()))
   done;
   (* 9 grants of 28 tokens with no demand: balance capped near POS_LIMIT
      (3 rounds' grants = 84), the rest donated. *)
   Alcotest.(check bool)
-    (Printf.sprintf "donations in bucket (%.1f > 50)" (Global_bucket.level global2))
+    (Printf.sprintf "donations in bucket (%.1f > 50)" (Global_bucket.level global))
     true
-    (Global_bucket.level global2 > 50.0)
+    (Global_bucket.level global > 50.0)
 
 let test_be_fair_sharing () =
   (* Two BE tenants with equal rates and saturating demand split service
@@ -627,19 +619,14 @@ let prop_be_never_negative =
       let sched = Scheduler.create ~global ~thread_id:0 () in
       let be = Tenant.create ~id:1 ~slo:(Slo.best_effort ()) ~token_rate:30_000.0 in
       Scheduler.add_tenant sched be;
-      List.for_all
-        (fun _ -> true)
-        [ () ]
-      &&
-      (List.iteri
-         (fun i d ->
-           for _ = 1 to d do
-             Scheduler.enqueue sched ~tenant_id:1 ~cost:2.5 ()
-           done;
-           ignore (Scheduler.schedule sched ~now:(Time.us ((i + 1) * 100)) ~submit:(fun _ -> ()));
-           if be.acct.tokens < -1e9 then failwith "unreachable")
-         demands;
-       be.acct.tokens >= 0.0))
+      List.iteri
+        (fun i d ->
+          for _ = 1 to d do
+            Scheduler.enqueue sched ~tenant_id:1 ~cost:2.5 ()
+          done;
+          ignore (Scheduler.schedule sched ~now:(Time.us ((i + 1) * 100)) ~submit:(fun _ -> ())))
+        demands;
+      be.acct.tokens >= 0.0)
 
 (* Per-tenant FIFO: the scheduler may interleave tenants, but one
    tenant's requests are always submitted in arrival order. *)

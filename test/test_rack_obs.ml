@@ -1,9 +1,10 @@
 (* Tests for the rack-scale distributed tracer: hop-delta tiling over
-   random small worlds (qcheck), slot-table overflow, lane-keyed spans in
-   a rack sharing one telemetry, per-kind flight wraparound accounting,
-   the probe-age/dispatch gauges, Follows_from stitching, the rollup's
-   JSON, and byte identity of the stitched span trees and merged rollup
-   across same-seed reruns. *)
+   random small worlds (qcheck), unchanged dispatch and completion counts
+   when armed, slot-table overflow, lane-keyed spans in a rack sharing
+   one telemetry, per-kind flight wraparound accounting, the
+   probe-age/dispatch gauges, Follows_from stitching, the rollup's JSON,
+   and byte identity of the stitched span trees and merged rollup across
+   same-seed reruns. *)
 
 open Reflex_engine
 open Reflex_rack
@@ -24,10 +25,11 @@ let contains hay needle =
 (* World building                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A small traced world: [n] servers, [tenants] open-loop CBR streams at
+(* A small rack world: [n] servers, [tenants] open-loop CBR streams at
    one read per 100us each, a forced rebalance of tenant 1 at t0+1ms,
-   4ms of load and a 2ms drain so every dispatched request completes. *)
-let traced_world ?(congested = false) ~seed ~n ~tenants () =
+   4ms of load and a 2ms drain so every dispatched request completes.
+   The tracer is armed when [armed]. *)
+let rack_world ?(congested = false) ~armed ~seed ~n ~tenants () =
   let sim = Sim.create ~seed () in
   let link =
     if congested then
@@ -39,7 +41,7 @@ let traced_world ?(congested = false) ~seed ~n ~tenants () =
     Rack.create sim ~n_servers:n ~policy:Policy.Po2c ~link
       ~seed:(Int64.add seed 3L) ()
   in
-  let obs = Rack_obs.create ~exemplars:2 rack in
+  let obs = if armed then Some (Rack_obs.create ~exemplars:2 rack) else None in
   let placed = ref [] in
   for id = 1 to tenants do
     match
@@ -70,6 +72,10 @@ let traced_world ?(congested = false) ~seed ~n ~tenants () =
   | [] -> ());
   ignore (Sim.run ~until:(Time.add t_end (Time.ms 2)) sim);
   (sim, rack, obs)
+
+let traced_world ?congested ~seed ~n ~tenants () =
+  let sim, rack, obs = rack_world ?congested ~armed:true ~seed ~n ~tenants () in
+  (sim, rack, Option.get obs)
 
 (* ------------------------------------------------------------------ *)
 (* Tiling                                                             *)
@@ -109,7 +115,14 @@ let test_counters_and_attribution () =
   Alcotest.(check bool) "tiling holds" true (Rack_obs.tiling_ok obs);
   let att = Rack_obs.attribution obs in
   Alcotest.(check bool) "attribution reports exact tiling" true
-    (contains att "tiling EXACT")
+    (contains att "tiling EXACT");
+  (* The tracer only stamps: the same rack without it dispatches and
+     completes exactly the same requests. *)
+  let _, inert, _ = rack_world ~armed:false ~seed:7L ~n:4 ~tenants:6 () in
+  Alcotest.(check (array int)) "untraced rack dispatches the same" (Rack.dispatched inert)
+    (Rack.dispatched rack);
+  Alcotest.(check int) "untraced rack completes the same" (Rack.completed inert)
+    (Rack.completed rack)
 
 (* More reads at one instant than the 4096-slot table holds: the excess
    is declined and counted, every read still completes, and the traced
