@@ -26,13 +26,15 @@ test: build
 lint: build
 	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json --callgraph-out _build/callgraph.json
 
-# The scheduler-round allocation gate (test_qos.ml's qos.alloc case:
-# words per Algorithm-1 round independent of the tenant count, at most
-# 20) in the release profile, whose cross-module inlining allocates
-# differently; `dune runtest` runs it in the dev profile.  The release
-# build replaces the dev one in _build/, so the next dev build recompiles.
+# The allocation gates in the release profile, whose cross-module
+# inlining allocates differently; `dune runtest` runs them in the dev
+# profile.  qos.alloc (test_qos.ml): words per Algorithm-1 round
+# independent of the tenant count, at most 20.  engine.alloc
+# (test_engine.ml): at most 3.1 words per posted Sim event and 40 per
+# 1KB Fabric.transmit.  The release build replaces the dev one in
+# _build/, so the next dev build recompiles.
 alloc-gate:
-	dune exec --profile release test/test_main.exe -- test qos.alloc
+	dune exec --profile release test/test_main.exe -- test '(qos|engine).alloc'
 
 # Host-time gates (test/host_gate.ml lists them): wall-clock floors and
 # overhead budgets, kept out of `dune runtest` because machine load moves

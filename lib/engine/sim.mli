@@ -1,9 +1,19 @@
 (** Discrete-event simulation kernel.
 
-    A simulation owns a virtual clock and an event queue.  Events are
-    thunks executed at their scheduled time, in (time, insertion) order.
-    Everything in the repository — Flash dies, NIC queues, dataplane
-    threads, load generators — is driven by this loop. *)
+    A simulation owns a virtual clock and an event queue.  Events run at
+    their scheduled time, in (time, insertion) order.  Everything in the
+    repository — Flash dies, NIC queues, dataplane threads, load
+    generators — is driven by this loop.
+
+    An event is either a thunk ({!at}, {!after}) or posted data
+    ({!post_after}): a handler registered once with {!handler}
+    plus an [int] argument.  Both kinds share one queue and one
+    insertion sequence.  The queue is a binary min-heap on (time, seq)
+    held in [int] arrays, and popping an event allocates nothing; the
+    clock is re-boxed only when time advances.  A posted event therefore
+    costs no closure and no allocation beyond that clock box, which is
+    why per-hop component state machines (the {!Reflex_net} fabric)
+    post their steps. *)
 
 type t
 
@@ -13,8 +23,7 @@ type t
     counter so stale handles are harmless. *)
 type event_id
 
-(** [create ?seed ()] — a fresh simulation at time zero whose event
-    queue is a hierarchical timing wheel ({!Wheel}). *)
+(** [create ?seed ()] — a fresh simulation at time zero. *)
 val create : ?seed:int64 -> unit -> t
 
 (** Current virtual time. *)
@@ -28,6 +37,18 @@ val at : t -> Time.t -> (unit -> unit) -> event_id
 
 (** [after t delay f] schedules [f] at [now + delay]. *)
 val after : t -> Time.t -> (unit -> unit) -> event_id
+
+(** {1 Posted events} *)
+
+(** [handler t f] registers [f] and returns its id for {!post_after}.
+    Register once, when a component is created; the table only grows. *)
+val handler : t -> (int -> unit) -> int
+
+(** [post_after t delay h arg] schedules handler [h] applied to [arg] at
+    [now + delay] ([delay >= 0]).  Posted events cannot be cancelled. *)
+val post_after : t -> Time.t -> int -> int -> unit
+
+(** {1 Control} *)
 
 (** Cancel a pending event.  Cancelling an already-fired or already-
     cancelled event is a no-op (the stale generation in the handle makes

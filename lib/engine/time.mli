@@ -11,7 +11,7 @@ val infinity : t
 
 (** {1 Constructors} *)
 
-val ns : int -> t
+external ns : int -> t = "%int64_of_int"
 val us : int -> t
 val ms : int -> t
 val sec : int -> t
@@ -29,23 +29,27 @@ val to_float_ms : t -> float
 val to_float_sec : t -> float
 val to_float_ns : t -> float
 
-(** {1 Arithmetic} *)
+(** {1 Arithmetic}
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val diff : t -> t -> t
+    The operations below are compiler primitives, so every caller
+    inlines them (also across [-opaque] module boundaries) and an
+    intermediate sum or comparison allocates no box. *)
+
+external add : t -> t -> t = "%int64_add"
+external sub : t -> t -> t = "%int64_sub"
+external diff : t -> t -> t = "%int64_sub"
 
 (** [scale t x] multiplies a duration by a float factor. *)
 val scale : t -> float -> t
 
 val max : t -> t -> t
 val min : t -> t -> t
-val compare : t -> t -> int
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-val equal : t -> t -> bool
+external compare : t -> t -> int = "%compare"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external equal : t -> t -> bool = "%equal"
 
 (** Pretty-printer choosing a human unit (ns/us/ms/s). *)
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,16 @@
     Linux endpoints.  Each host has full-duplex tx/rx links whose
     serialization enforces the 10GbE bandwidth ceiling — this is what caps
     4KB IOPS at the NIC before the Flash device saturates (§5.1 "I/O
-    size"). *)
+    size").
+
+    A message in flight is a slot in the fabric's message arena ([int]
+    arrays: source and destination host ids, bytes, serialization ns, a
+    duplicate flag; plus the one delivery continuation).  Each link is a
+    busy bit and a FIFO ring of queued message ids.  The three hops —
+    tx link done, wire arrival, rx link done — are {!Sim.post_after}
+    events on the message id, so a hop allocates no closure and no job
+    record.  A finishing link starts its next queued message before the
+    finished one moves on. *)
 
 open Reflex_engine
 

@@ -75,6 +75,12 @@ let arrive t ep seq msg size =
      sequence number already delivered; reassembly drops it, otherwise
      it would sit in [out_of_order] below the cursor forever. *)
   if seq < ep.next_deliver then ()
+  else if seq = ep.next_deliver && Hashtbl.length ep.out_of_order = 0 then begin
+    (* In order with nothing buffered, the common case: deliver at once,
+       with no reassembly-table round trip. *)
+    ep.next_deliver <- seq + 1;
+    deliver ep msg size
+  end
   else begin
     (* A gap means receive-side jitter reordered raw deliveries. *)
     if t.tel_on && seq <> ep.next_deliver then Telemetry.incr t.c_ooo;

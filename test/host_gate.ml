@@ -4,9 +4,9 @@
    `dune runtest`); it takes no arguments, prints one line per gate and
    exits 1 when any gate fails, naming it.
 
-   - churn: bare event churn reaches 0.8x [wheel_floor] events/s;
+   - churn: bare event churn reaches 0.8x [event_floor] events/s;
    - armed-recorder churn: the same churn writing one flight record per
-     hop, best of [reps], also reaches 0.8x [wheel_floor];
+     hop, best of [reps], also reaches 0.8x [event_floor];
    - flight sweep: the flight-armed open-loop sweep stays within 10% of
      the recorder-off sweep on the best of [reps] back-to-back pairs;
    - rack balancer: the po2c rack's best inert run reaches 0.8x
@@ -29,7 +29,7 @@ module Rack_obs = Reflex_rack_obs.Rack_obs
    measurement (the Sim event loop ~8.5M events/s, the po2c balancer ~80K
    requests/s) so CI noise does not trip them.  Raise one deliberately
    when its path gets faster. *)
-let wheel_floor = 2_800_000.0
+let event_floor = 2_800_000.0
 let rack_floor = 25_000.0
 let rack_obs_floor = 20_000.0
 
@@ -176,10 +176,10 @@ let () =
   Printf.printf
     "     telemetry: off %.2fs / on %.2fs over %dx%d points -> %+.1f%% wall (ungated)\n%!" off_s
     on_s reps (List.length rates) (pct_over ~base:off_s on_s);
-  floor_gate "churn" ~floor:wheel_floor ~unit:"events" (churn ());
+  floor_gate "churn" ~floor:event_floor ~unit:"events" (churn ());
   let recorder = Flight.create () in
   let armed_eps = List.fold_left Float.max 0.0 (List.init reps (fun _ -> churn ~recorder ())) in
-  floor_gate "armed-recorder churn" ~floor:wheel_floor ~unit:"events" armed_eps;
+  floor_gate "armed-recorder churn" ~floor:event_floor ~unit:"events" armed_eps;
   let base, arm =
     best_pair ( < )
       (paired_sweeps ~base:(point ~telemetry:true) ~armed:(fun r ->

@@ -248,156 +248,6 @@ let test_heap_clear_keeps_capacity () =
   Alcotest.(check int) "no re-growth on refill" cap (Heap.capacity h)
 
 (* ------------------------------------------------------------------ *)
-(* Wheel                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_wheel_ordering () =
-  let w = Wheel.create () in
-  Wheel.push w ~time:30L ~seq:0 3;
-  Wheel.push w ~time:10L ~seq:1 1;
-  Wheel.push w ~time:20L ~seq:2 2;
-  let pop () =
-    match Wheel.pop w with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
-  in
-  Alcotest.(check int) "first" 1 (pop ());
-  Alcotest.(check int) "second" 2 (pop ());
-  Alcotest.(check int) "third" 3 (pop ());
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w)
-
-let test_wheel_fifo_ties () =
-  let w = Wheel.create () in
-  for i = 0 to 9 do
-    Wheel.push w ~time:5L ~seq:i i
-  done;
-  for i = 0 to 9 do
-    match Wheel.pop w with
-    | Some (_, _, v) -> Alcotest.(check int) "FIFO at equal time" i v
-    | None -> Alcotest.fail "empty"
-  done
-
-let test_wheel_pop_if_le_horizon () =
-  let w = Wheel.create () in
-  Wheel.push w ~time:10L ~seq:0 1;
-  Wheel.push w ~time:20L ~seq:1 2;
-  Alcotest.(check bool) "min beyond horizon" true (Wheel.pop_if_le w ~until:5L = None);
-  Alcotest.(check int) "nothing popped" 2 (Wheel.length w);
-  (match Wheel.pop_if_le w ~until:10L with
-  | Some (10L, _, 1) -> ()
-  | _ -> Alcotest.fail "expected (10, 1) at an inclusive horizon");
-  (match Wheel.pop_if_le w ~until:Time.infinity with
-  | Some (20L, _, 2) -> ()
-  | _ -> Alcotest.fail "expected (20, 2)");
-  Alcotest.(check bool) "empty wheel" true (Wheel.pop_if_le w ~until:Time.infinity = None)
-
-let test_wheel_cross_level_and_overflow () =
-  (* One event per wheel level, one beyond the ~73 min in-wheel horizon
-     (overflow pull path) and one at Time.infinity (direct overflow pop
-     path). *)
-  let w = Wheel.create () in
-  let times =
-    [ Time.ns 500; Time.us 300; Time.ms 100; Time.sec 60; Time.sec 7200; Time.infinity ]
-  in
-  List.iteri (fun i t -> Wheel.push w ~time:t ~seq:i i) times;
-  let popped = ref [] in
-  let rec drain () =
-    match Wheel.pop w with
-    | Some (t, _, v) ->
-      popped := (t, v) :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (pair int64 int)))
-    "cross-level pops in time order"
-    (List.mapi (fun i t -> (t, i)) times)
-    (List.rev !popped)
-
-let test_wheel_push_below_cursor () =
-  (* Popping advances the cursor past drained slots; a later push below
-     the cursor (but at/after the sim clock) must still pop in order. *)
-  let w = Wheel.create () in
-  Wheel.push w ~time:(Time.us 10) ~seq:0 0;
-  Wheel.push w ~time:(Time.us 40) ~seq:1 1;
-  (match Wheel.pop w with
-  | Some (t, _, 0) -> Alcotest.(check int64) "first pop" (Time.us 10) t
-  | _ -> Alcotest.fail "expected first event");
-  Wheel.push w ~time:(Time.us 20) ~seq:2 2;
-  Wheel.push w ~time:(Time.us 15) ~seq:3 3;
-  let order = ref [] in
-  let rec drain () =
-    match Wheel.pop w with
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "below-cursor pushes ordered" [ 3; 2; 1 ] (List.rev !order)
-
-let test_wheel_clear_reuse () =
-  let w = Wheel.create () in
-  for i = 0 to 99 do
-    Wheel.push w ~time:(Int64.of_int ((i * 7919) land 0xFFFFF)) ~seq:i i
-  done;
-  ignore (Wheel.pop w);
-  Wheel.clear w;
-  Alcotest.(check int) "empty after clear" 0 (Wheel.length w);
-  Wheel.push w ~time:5L ~seq:0 42;
-  (match Wheel.pop w with
-  | Some (5L, 0, 42) -> ()
-  | _ -> Alcotest.fail "wheel unusable after clear");
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
-
-(* Heap/wheel equivalence: random interleavings of pushes (times spread
-   across every wheel level plus the overflow regimes) and pops must
-   yield identical (time, seq, value) sequences on both queues. *)
-type qop = QPush of int | QPopLe of int | QPop
-
-let qop_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (4, map (fun (e, m) -> QPush (m lsl e)) (pair (int_range 0 45) (int_range 0 4095)));
-        (1, return (QPush max_int));
-        (2, map (fun (e, m) -> QPopLe (m lsl e)) (pair (int_range 0 45) (int_range 0 4095)));
-        (2, return QPop);
-      ])
-
-let qop_print = function
-  | QPush t -> Printf.sprintf "push %d" t
-  | QPopLe u -> Printf.sprintf "pop_if_le %d" u
-  | QPop -> "pop"
-
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pops identical (time, seq) sequence to heap" ~count:300
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map qop_print ops))
-       QCheck.Gen.(list_size (int_range 1 200) qop_gen))
-    (fun ops ->
-      let h = Heap.create () and w = Wheel.create () in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | QPush ti ->
-            let time = Int64.of_int ti in
-            Heap.push h ~time ~seq:!seq !seq;
-            Wheel.push w ~time ~seq:!seq !seq;
-            incr seq
-          | QPopLe u ->
-            let until = Int64.of_int u in
-            if Heap.pop_if_le h ~until <> Wheel.pop_if_le w ~until then ok := false
-          | QPop -> if Heap.pop h <> Wheel.pop w then ok := false)
-        ops;
-      let rec drain () =
-        let a = Heap.pop h and b = Wheel.pop w in
-        if a <> b then ok := false else if a <> None then drain ()
-      in
-      drain ();
-      !ok && Heap.length h = 0 && Wheel.length w = 0)
-
-(* ------------------------------------------------------------------ *)
 (* Sim                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -533,17 +383,206 @@ let test_sim_live_pending_excludes_cancelled () =
   Alcotest.(check int) "drained" 0 (Sim.live_pending sim);
   Alcotest.(check int) "only the live two fired" 2 (Sim.events_executed sim)
 
-let test_sim_wheel_backend_runs () =
+let test_sim_daemon_only_stops () =
   let sim = Sim.create () in
   let log = ref [] in
   ignore (Sim.at sim (Time.us 30) (fun () -> log := 3 :: !log));
   ignore (Sim.at sim (Time.us 10) (fun () -> log := 1 :: !log));
   ignore (Sim.at sim (Time.us 20) (fun () -> log := 2 :: !log));
-  (* A periodic daemon must not keep the wheel-backed loop alive. *)
+  (* A periodic daemon must not keep the loop alive. *)
   Sim.every_daemon sim ~every:(Time.us 7) (fun _ -> ());
   ignore (Sim.run sim);
   Alcotest.(check (list int)) "events in time order" [ 1; 2; 3 ] (List.rev !log);
   Alcotest.(check int64) "clock at last event" (Time.us 30) (Sim.now sim)
+
+(* Post at absolute [tm] (>= now). *)
+let post_at sim tm h arg = Sim.post_after sim (Time.sub tm (Sim.now sim)) h arg
+
+(* Posted events pushed out of time order run in time order with their
+   payloads, and leave the queue empty. *)
+let test_sim_posted_ordering () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let h = Sim.handler sim (fun i -> log := (i, Sim.now sim) :: !log) in
+  post_at sim (Time.us 30) h 3;
+  post_at sim (Time.us 10) h 1;
+  post_at sim (Time.us 20) h 2;
+  Alcotest.(check int) "three queued" 3 (Sim.pending sim);
+  Alcotest.(check int) "three run" 3 (Sim.run sim);
+  Alcotest.(check (list (pair int int64)))
+    "time order"
+    [ (1, Time.us 10); (2, Time.us 20); (3, Time.us 30) ]
+    (List.rev !log);
+  Alcotest.(check int) "empty" 0 (Sim.pending sim)
+
+(* Closure and posted events at one instant run in insertion order. *)
+let test_sim_fifo_ties () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let h = Sim.handler sim (fun i -> log := i :: !log) in
+  for i = 0 to 9 do
+    if i mod 2 = 0 then ignore (Sim.at sim (Time.us 5) (fun () -> log := i :: !log))
+    else post_at sim (Time.us 5) h i
+  done;
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "FIFO at equal time" (List.init 10 Fun.id) (List.rev !log)
+
+let test_sim_until_inclusive () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  ignore (Sim.at sim (Time.ns 10) (fun () -> log := 1 :: !log));
+  ignore (Sim.at sim (Time.ns 20) (fun () -> log := 2 :: !log));
+  Alcotest.(check int) "min beyond horizon: nothing runs" 0 (Sim.run ~until:(Time.ns 5) sim);
+  Alcotest.(check int) "nothing popped" 2 (Sim.pending sim);
+  Alcotest.(check int) "negative horizon runs nothing" 0 (Sim.run ~until:(-1L) sim);
+  Alcotest.(check int) "inclusive horizon" 1 (Sim.run ~until:(Time.ns 10) sim);
+  Alcotest.(check int) "rest" 1 (Sim.run ~until:Time.infinity sim);
+  Alcotest.(check (list int)) "order" [ 1; 2 ] (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Sim.run sim)
+
+(* Times at and beyond 2^62 keep their exact value on the clock and their
+   order, up to Time.infinity. *)
+let test_sim_far_future () =
+  let sim = Sim.create () in
+  let p62 = Int64.shift_left 1L 62 in
+  let times =
+    [
+      Time.ns 500; Time.us 300; Time.ms 100; Time.sec 60; Time.sec 7200; Int64.pred p62; p62;
+      Int64.succ p62; Int64.pred Time.infinity; Time.infinity;
+    ]
+  in
+  let seen = ref [] in
+  let h = Sim.handler sim (fun i -> seen := (Sim.now sim, i) :: !seen) in
+  (* Scheduled in reverse, alternating closures and posted events. *)
+  List.iteri
+    (fun i t ->
+      if i mod 2 = 0 then ignore (Sim.at sim t (fun () -> seen := (Sim.now sim, i) :: !seen))
+      else post_at sim t h i)
+    (List.rev times);
+  let n = List.length times in
+  ignore (Sim.run sim);
+  Alcotest.(check (list (pair int64 int)))
+    "far-future pops in time order with exact clock"
+    (List.mapi (fun i t -> (t, n - 1 - i)) times)
+    (List.rev !seen)
+
+(* Events scheduled from inside an event, between the current time and
+   pending ones (and at the current time), run in (time, seq) order. *)
+let test_sim_schedule_between () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let h = Sim.handler sim (fun i -> log := i :: !log) in
+  ignore
+    (Sim.at sim (Time.us 10) (fun () ->
+         log := 0 :: !log;
+         post_at sim (Time.us 20) h 2;
+         ignore (Sim.at sim (Time.us 15) (fun () -> log := 1 :: !log));
+         Sim.post_after sim Time.zero h 9));
+  ignore (Sim.at sim (Time.us 40) (fun () -> log := 3 :: !log));
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "nested pushes ordered" [ 0; 9; 1; 2; 3 ] (List.rev !log)
+
+(* A drained simulation reuses its queue and arena: a stale handle from
+   the first round never cancels the event now in its recycled slot. *)
+let test_sim_reuse_after_drain () =
+  let sim = Sim.create () in
+  let n = ref 0 in
+  let old = List.init 100 (fun i -> Sim.at sim (Time.ns ((i * 7919) land 0xFFFFF)) (fun () -> incr n)) in
+  ignore (Sim.run sim);
+  Alcotest.(check int) "first round" 100 !n;
+  let fresh = List.init 100 (fun i -> Sim.after sim (Time.ns i) (fun () -> incr n)) in
+  List.iter (Sim.cancel sim) old;
+  Alcotest.(check int) "stale handles cancel nothing" 100 (Sim.live_pending sim);
+  Sim.cancel sim (List.hd fresh);
+  ignore (Sim.run sim);
+  Alcotest.(check int) "second round" 199 !n;
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
+
+(* Pop-order property: closure and posted events plus cancels, scheduled
+   up front and from inside events, on a tie-heavy time grid with times
+   at and beyond 2^62, run in the (time, seq) order of a sorted
+   reference.  The run is split at an [until] horizon. *)
+let grid =
+  let p62 = Int64.shift_left 1L 62 in
+  Array.append
+    (Array.init 8 (fun k -> Time.ns (k * 31_250)))
+    [| Int64.pred p62; p62; Int64.succ p62; Int64.pred Time.infinity; Time.infinity |]
+
+type pop_op = Closure of int | Posted of int | Cancel of int
+
+let pop_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun g -> Closure g) (int_bound (Array.length grid - 1)));
+        (4, map (fun g -> Posted g) (int_bound (Array.length grid - 1)));
+        (2, map (fun k -> Cancel k) (int_bound 1000));
+      ])
+
+let pop_op_print = function
+  | Closure g -> Printf.sprintf "at %Ld" grid.(g)
+  | Posted g -> Printf.sprintf "post %Ld" grid.(g)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+
+let prop_sim_pop_order =
+  QCheck.Test.make ~name:"pop order matches sorted" ~count:300
+    QCheck.(
+      pair
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map pop_op_print ops))
+           Gen.(list_size (int_range 1 80) pop_op_gen))
+        (int_bound (Array.length grid - 1)))
+    (fun (ops, cut) ->
+      let sim = Sim.create () in
+      (* Every scheduled event as (time, id); ids count schedules, so
+         they follow Sim's own insertion seq. *)
+      let scheduled = ref [] and next_id = ref 0 in
+      let ran = Hashtbl.create 64 and dead = Hashtbl.create 64 in
+      let log = ref [] in
+      let handles = ref [] in
+      let fire_posted = ref ignore in
+      let posted = Sim.handler sim (fun id -> !fire_posted id) in
+      let rec fire id =
+        Hashtbl.replace ran id ();
+        log := (Sim.now sim, id) :: !log;
+        (* A third of the events schedule a nested event at a grid time
+           clamped to now (so ties with the running instant are common),
+           and a fifth cancel an earlier closure event. *)
+        if id mod 3 = 0 then begin
+          let g = grid.(id mod Array.length grid) in
+          let tm = if Time.(g < Sim.now sim) then Sim.now sim else g in
+          schedule ~closure:(id mod 2 = 0) tm
+        end;
+        if id mod 5 = 0 then cancel_nth id
+      and schedule ~closure tm =
+        let id = !next_id in
+        incr next_id;
+        scheduled := (tm, id) :: !scheduled;
+        if closure then handles := (id, Sim.at sim tm (fun () -> fire id)) :: !handles
+        else post_at sim tm posted id
+      and cancel_nth k =
+        match !handles with
+        | [] -> ()
+        | hs ->
+          let id, ev = List.nth hs (k mod List.length hs) in
+          if not (Hashtbl.mem ran id) then Hashtbl.replace dead id ();
+          Sim.cancel sim ev
+      in
+      fire_posted := fire;
+      List.iter
+        (function
+          | Closure g -> schedule ~closure:true grid.(g)
+          | Posted g -> schedule ~closure:false grid.(g)
+          | Cancel k -> cancel_nth k)
+        ops;
+      ignore (Sim.run ~until:grid.(cut) sim);
+      ignore (Sim.run sim);
+      let expected =
+        List.filter (fun (_, id) -> not (Hashtbl.mem dead id)) !scheduled
+        |> List.sort (fun (t1, s1) (t2, s2) ->
+               match Time.compare t1 t2 with 0 -> compare s1 s2 | c -> c)
+      in
+      List.rev !log = expected && Sim.pending sim = 0)
 
 (* Reference event loop on [Heap], the oracle for Sim-level order:
    events run in (time, insertion seq) order and cancellation skips an
@@ -599,13 +638,12 @@ let plan_trace ~at ~after ~cancel ~now ~run plan =
   (Buffer.contents log, executed, now ())
 
 (* Event times: a coarse 2ms grid, so same-time ties (and zero-delay
-   nested schedules) are common, mixed with times spread over every
-   wheel level. *)
+   nested schedules) are common, mixed with times spread up to 2^40 ns. *)
 let sim_time_gen =
   QCheck.Gen.(oneof [ map (fun k -> k * 31_250) (int_range 0 63); int_range 0 (1 lsl 40) ])
 
-(* The wheel-backed Sim must execute the same events at the same times in
-   the same order as the Heap reference loop. *)
+(* Sim must execute the same events at the same times in the same order
+   as the Heap reference loop. *)
 let prop_sim_matches_heap_reference =
   QCheck.Test.make ~name:"Sim trace identical on heap reference loop" ~count:200
     QCheck.(
@@ -718,6 +756,67 @@ let prop_resource_conserves_jobs =
       ignore (Sim.run sim);
       !done_ = List.length services && Resource.completed r = List.length services)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gates                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per posted event: 64 self-reposting chains with distinct
+   delays.  The only allocation left is the clock's re-box when time
+   advances: 3 words, and none when an event ties with the clock. *)
+let posted_event_words () =
+  let sim = Sim.create () in
+  let delays = Array.init 64 (fun i -> Time.ns (i + 1)) in
+  let h = ref 0 in
+  h :=
+    Sim.handler sim (fun arg ->
+        if arg >= 64 then Sim.post_after sim delays.(arg land 63) !h (arg - 64));
+  let chains n =
+    for c = 0 to 63 do
+      Sim.post_after sim delays.(c) !h ((n * 64) + c)
+    done;
+    Sim.run sim
+  in
+  ignore (chains 10);
+  let w0 = Gc.minor_words () in
+  let events = chains 1_000 in
+  (Gc.minor_words () -. w0) /. float_of_int events
+
+(* Minor words per [Fabric.transmit] of a 1KB message, tx link through
+   delivery, with a preallocated continuation: batches of 8 messages
+   queue on the source link, so the ring path runs too. *)
+let transmit_words () =
+  let open Reflex_net in
+  let sim = Sim.create () in
+  let fabric = Fabric.create sim () in
+  let a = Fabric.add_host fabric ~name:"a" ~stack:Stack_model.ix_client in
+  let b = Fabric.add_host fabric ~name:"b" ~stack:Stack_model.dataplane_server in
+  let delivered = ref 0 in
+  let k () = incr delivered in
+  let batch () =
+    for _ = 1 to 8 do
+      Fabric.transmit fabric ~src:a ~dst:b ~bytes:1024 k
+    done;
+    ignore (Sim.run sim)
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every message delivered" 8_008 !delivered;
+  words /. 8_000.0
+
+(* Run under both build profiles ([make alloc-gate] runs them alone in
+   release). *)
+let test_posted_event_words () =
+  let w = posted_event_words () in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per posted event <= 3.1" w) true (w <= 3.1)
+
+let test_transmit_words () =
+  let w = transmit_words () in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per 1KB transmit <= 40" w) true (w <= 40.0)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -750,16 +849,6 @@ let suite =
         qcheck prop_heap_sorts;
         qcheck prop_heap_pop_if_le_matches_guarded_pop;
       ] );
-    ( "wheel",
-      [
-        Alcotest.test_case "ordering" `Quick test_wheel_ordering;
-        Alcotest.test_case "FIFO on ties" `Quick test_wheel_fifo_ties;
-        Alcotest.test_case "pop_if_le horizon" `Quick test_wheel_pop_if_le_horizon;
-        Alcotest.test_case "cross-level and overflow" `Quick test_wheel_cross_level_and_overflow;
-        Alcotest.test_case "push below cursor" `Quick test_wheel_push_below_cursor;
-        Alcotest.test_case "clear and reuse" `Quick test_wheel_clear_reuse;
-        qcheck prop_wheel_matches_heap;
-      ] );
     ( "sim",
       [
         Alcotest.test_case "event ordering" `Quick test_sim_ordering;
@@ -779,8 +868,20 @@ let suite =
         Alcotest.test_case "every overflow guard" `Quick test_sim_every_overflow_guard;
         Alcotest.test_case "live_pending excludes cancelled" `Quick
           test_sim_live_pending_excludes_cancelled;
-        Alcotest.test_case "wheel backend runs" `Quick test_sim_wheel_backend_runs;
+        Alcotest.test_case "daemon-only queue stops" `Quick test_sim_daemon_only_stops;
+        Alcotest.test_case "posted event ordering" `Quick test_sim_posted_ordering;
+        Alcotest.test_case "FIFO on ties" `Quick test_sim_fifo_ties;
+        Alcotest.test_case "until horizon inclusive" `Quick test_sim_until_inclusive;
+        Alcotest.test_case "far-future times exact" `Quick test_sim_far_future;
+        Alcotest.test_case "schedule between pending" `Quick test_sim_schedule_between;
+        Alcotest.test_case "reuse after drain" `Quick test_sim_reuse_after_drain;
         qcheck prop_sim_matches_heap_reference;
+        qcheck prop_sim_pop_order;
+      ] );
+    ( "alloc",
+      [
+        Alcotest.test_case "posted event words" `Quick test_posted_event_words;
+        Alcotest.test_case "transmit words" `Quick test_transmit_words;
       ] );
     ( "resource",
       [

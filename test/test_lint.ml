@@ -4,6 +4,24 @@
    grammar is validated, and — the point of the whole exercise — the
    live tree lints clean, with byte-identical reports serial and --jobs 2. *)
 
+(* The repo root: the nearest directory up from [dir] holding
+   lint.manifest (the source tree, or its copy under _build). *)
+let rec find_root dir =
+  if Sys.file_exists (Filename.concat dir "lint.manifest") then dir
+  else
+    let parent = Filename.dirname dir in
+    if parent = dir then failwith "repo root (lint.manifest) not found" else find_root parent
+
+(* Fixture paths, and the file names expected in their diagnostics, are
+   relative to the root's test/ directory.  Each case runs there, so the
+   suite passes from any working directory under the root (the repo root
+   as well as dune's test/ sandbox). *)
+let case name f =
+  Alcotest.test_case name `Quick (fun () ->
+      let cwd = Sys.getcwd () in
+      Sys.chdir (Filename.concat (find_root cwd) "test");
+      Fun.protect ~finally:(fun () -> Sys.chdir cwd) f)
+
 (* The fixture manifest (also checked in as lint_fixtures/fixtures.manifest
    for CLI experimentation); parsed inline so the tests are self-contained. *)
 let fixture_manifest =
@@ -268,12 +286,6 @@ let test_rule_descriptions () =
 
 (* ---------------- the live tree lints clean ---------------- *)
 
-let rec find_root dir =
-  if Sys.file_exists (Filename.concat dir "lint.manifest") then dir
-  else
-    let parent = Filename.dirname dir in
-    if parent = dir then failwith "repo root (lint.manifest) not found" else find_root parent
-
 let test_live_tree_clean () =
   let root = find_root (Sys.getcwd ()) in
   let manifest_path = Filename.concat root "lint.manifest" in
@@ -287,42 +299,42 @@ let suite =
   [
     ( "rules",
       [
-        Alcotest.test_case "det/random fixtures" `Quick test_det_random;
-        Alcotest.test_case "det/clock fixtures" `Quick test_det_clock;
-        Alcotest.test_case "det/marshal fixtures" `Quick test_det_marshal;
-        Alcotest.test_case "det/hashtbl-order fixtures" `Quick test_det_hashtbl;
-        Alcotest.test_case "dom/toplevel-state fixtures" `Quick test_dom_toplevel;
-        Alcotest.test_case "guard/telemetry fixtures" `Quick test_guard;
-        Alcotest.test_case "hot/alloc fixtures" `Quick test_hot_alloc;
-        Alcotest.test_case "hot/alloc is manifest-opt-in" `Quick test_hot_alloc_opt_in;
+        case "det/random fixtures" test_det_random;
+        case "det/clock fixtures" test_det_clock;
+        case "det/marshal fixtures" test_det_marshal;
+        case "det/hashtbl-order fixtures" test_det_hashtbl;
+        case "dom/toplevel-state fixtures" test_dom_toplevel;
+        case "guard/telemetry fixtures" test_guard;
+        case "hot/alloc fixtures" test_hot_alloc;
+        case "hot/alloc is manifest-opt-in" test_hot_alloc_opt_in;
       ] );
     ( "waivers",
       [
-        Alcotest.test_case "waiver honored" `Quick test_waiver_honored;
-        Alcotest.test_case "unknown rule-id rejected" `Quick test_waiver_unknown_rule;
-        Alcotest.test_case "missing reason rejected" `Quick test_waiver_no_reason;
-        Alcotest.test_case "internal rules unwaivable" `Quick test_waiver_internal_rule;
-        Alcotest.test_case "waiver inside string ignored" `Quick test_waiver_in_string;
+        case "waiver honored" test_waiver_honored;
+        case "unknown rule-id rejected" test_waiver_unknown_rule;
+        case "missing reason rejected" test_waiver_no_reason;
+        case "internal rules unwaivable" test_waiver_internal_rule;
+        case "waiver inside string ignored" test_waiver_in_string;
       ] );
     ( "manifest",
       [
-        Alcotest.test_case "grammar errors are findings" `Quick test_manifest_errors;
-        Alcotest.test_case "hot_path drift is a finding" `Quick test_manifest_drift;
+        case "grammar errors are findings" test_manifest_errors;
+        case "hot_path drift is a finding" test_manifest_drift;
       ] );
     ( "callgraph",
       [
-        Alcotest.test_case "inferred findings, exact (file,line,rule)" `Quick test_graph_findings;
-        Alcotest.test_case "call-graph statistics" `Quick test_graph_stats;
-        Alcotest.test_case "propagation chains" `Quick test_graph_chains;
-        Alcotest.test_case "serial vs --jobs 2 byte-identity" `Quick test_graph_jobs_identity;
-        Alcotest.test_case "dot/json exports and hot marking" `Quick test_graph_exports;
-        Alcotest.test_case "--explain rule descriptions" `Quick test_rule_descriptions;
+        case "inferred findings, exact (file,line,rule)" test_graph_findings;
+        case "call-graph statistics" test_graph_stats;
+        case "propagation chains" test_graph_chains;
+        case "serial vs --jobs 2 byte-identity" test_graph_jobs_identity;
+        case "dot/json exports and hot marking" test_graph_exports;
+        case "--explain rule descriptions" test_rule_descriptions;
       ] );
     ( "driver",
       [
-        Alcotest.test_case "iface/mli over a directory" `Quick test_iface_dir;
-        Alcotest.test_case "diagnostic formatting" `Quick test_diag_format;
-        Alcotest.test_case "json report" `Quick test_report_json;
-        Alcotest.test_case "live tree lints clean" `Quick test_live_tree_clean;
+        case "iface/mli over a directory" test_iface_dir;
+        case "diagnostic formatting" test_diag_format;
+        case "json report" test_report_json;
+        case "live tree lints clean" test_live_tree_clean;
       ] );
   ]
