@@ -12,7 +12,7 @@ let run sim path ~threads ~qd ?(bytes = 4096) ?(read_ratio = 1.0) ~duration
     ?(seed = 0xF10_0001L) () k =
   if threads < 1 || qd < 1 then invalid_arg "Fio.run: threads/qd";
   let prng = Prng.create seed in
-  let cores = Array.init threads (fun _ -> Resource.create sim ~servers:1) in
+  let cores = Array.init threads (fun _ -> Resource.create sim) in
   let half_cpu = Time.scale per_io_cpu 0.5 in
   let hist = Hdr_histogram.create () in
   let started = Sim.now sim in
@@ -45,10 +45,10 @@ let run sim path ~threads ~qd ?(bytes = 4096) ?(read_ratio = 1.0) ~duration
       let kind = Workload.kind_of prng ~read_ratio in
       let lba = Int64.of_int (Prng.int prng 8_000_000) in
       incr outstanding;
-      Resource.submit core ~service:half_cpu (fun ~started:_ ~finished:_ ->
+      Resource.submit core ~service:half_cpu (fun () ->
           let issued = Sim.now sim in
           Access_path.submit path ~kind ~lba ~bytes (fun ~latency:_ ->
-              Resource.submit core ~service:half_cpu (fun ~started:_ ~finished:_ ->
+              Resource.submit core ~service:half_cpu (fun () ->
                   decr outstanding;
                   if Time.(issued >= warmup_until) && Time.(issued < stop_at) then begin
                     incr measured;

@@ -29,7 +29,7 @@ let create sim ~fabric ~kind ?(profile = Device_profile.device_a) ?(n_threads = 
     kind;
     host = Fabric.add_host fabric ~name:(name_of kind) ~stack;
     dev = Nvme_model.create sim ~profile ~prng:(Prng.create seed);
-    workers = Array.init n_threads (fun _ -> Resource.create sim ~servers:1);
+    workers = Array.init n_threads (fun _ -> Resource.create sim);
     per_msg_cpu = stack.Stack_model.per_msg_cpu;
     rr = 0;
     completed = 0;
@@ -46,10 +46,10 @@ let reply conn msg = Tcp_conn.send_to_client conn ~size:(Codec.encoded_size msg)
    the receive queue rather than starving responses. *)
 let handle_io t worker conn ~kind ~req_id ~len =
   Resource.submit worker ~priority:Resource.Low ~service:t.per_msg_cpu
-    (fun ~started:_ ~finished:_ ->
+    (fun () ->
       Nvme_model.submit t.dev ~kind ~bytes:len (fun ~latency:_ ->
           Resource.submit worker ~priority:Resource.High ~service:t.per_msg_cpu
-            (fun ~started:_ ~finished:_ ->
+            (fun () ->
               t.completed <- t.completed + 1;
               let msg =
                 match (kind : Io_op.kind) with

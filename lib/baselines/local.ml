@@ -18,7 +18,7 @@ let create sim ?(profile = Device_profile.device_a) ?(n_threads = 1) ?(seed = 0x
   {
     sim;
     dev = Nvme_model.create sim ~profile ~prng:(Prng.create seed);
-    cores = Array.init n_threads (fun _ -> Resource.create sim ~servers:1);
+    cores = Array.init n_threads (fun _ -> Resource.create sim);
     rr = 0;
     completed = 0;
   }
@@ -27,9 +27,9 @@ let submit t ~kind ~bytes k =
   let core = t.cores.(t.rr) in
   t.rr <- (t.rr + 1) mod Array.length t.cores;
   let issued_at = Sim.now t.sim in
-  Resource.submit core ~service:submit_cpu (fun ~started:_ ~finished:_ ->
+  Resource.submit core ~service:submit_cpu (fun () ->
       Nvme_model.submit t.dev ~kind ~bytes (fun ~latency:_ ->
-          Resource.submit core ~service:complete_cpu (fun ~started:_ ~finished:_ ->
+          Resource.submit core ~service:complete_cpu (fun () ->
               t.completed <- t.completed + 1;
               k ~latency:(Time.diff (Sim.now t.sim) issued_at))))
 

@@ -98,7 +98,7 @@ let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?ret
     {
       sim;
       conn;
-      core = Resource.create sim ~servers:1;
+      core = Resource.create sim;
       stack;
       client_host;
       next_req = 1L;
@@ -122,12 +122,12 @@ let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?ret
      application sees the completion. *)
   Tcp_conn.set_client_handler conn (fun msg ~size:_ ->
       Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu
-        (fun ~started:_ ~finished:_ -> dispatch t msg));
+        (fun () -> dispatch t msg));
   t
 
 (* Transmit path: CPU first, then the wire. *)
 let send t msg =
-  Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu (fun ~started:_ ~finished:_ ->
+  Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu (fun () ->
       Tcp_conn.send_to_server t.conn ~size:(Codec.encoded_size msg) msg)
 
 let register t ~tenant ?(slo = Message.best_effort_slo) k =

@@ -4,8 +4,8 @@
     admit or reject latency-critical tenants (the strictest latency SLO
     across LC tenants fixes the device's sustainable token rate); compute
     per-tenant token rates (LC: weighted SLO rate; BE: fair share of the
-    unallocated rate); pick the dataplane thread for each new tenant; and
-    right-size the number of threads under load. *)
+    unallocated rate).  The server places each new tenant on its
+    least-loaded dataplane thread. *)
 
 open Reflex_qos
 

@@ -101,11 +101,11 @@ and run_cycle t =
       (Time.scale costs.sched_per_tenant (float_of_int (Scheduler.tenant_count t.scheduler)))
   in
   let step1_cpu = Time.add (Time.scale per_msg (float_of_int n)) sched_cpu in
-  Resource.submit t.core ~service:(charge t step1_cpu) (fun ~started:_ ~finished:_ ->
+  Resource.submit t.core ~service:(charge t step1_cpu) (fun () ->
       (* Requests enter their tenant's queue with the token cost fixed by
-         the device's current read/write mix.  A tenant rebalanced away
-         between arrival and parsing gets its requests rerouted, never
-         dropped (paper §3.1). *)
+         the device's current read/write mix.  A request whose tenant
+         unregistered between arrival and parsing goes to [reroute],
+         never dropped. *)
       for _ = 1 to n do
         let p = Queue.pop t.rx_ring in
         match Scheduler.find_tenant t.scheduler p.p_tenant with
@@ -156,7 +156,7 @@ and run_cycle t =
       t.rounds <- t.rounds + 1;
       ignore (Scheduler.schedule t.scheduler ~now:(Sim.now t.sim) ~submit:submit_to_qp);
       let submit_cpu = Time.scale costs.submit_per_req (float_of_int !submissions) in
-      Resource.submit t.core ~service:(charge t submit_cpu) (fun ~started:_ ~finished:_ ->
+      Resource.submit t.core ~service:(charge t submit_cpu) (fun () ->
           run_step2 t))
 
 (* Step two (Figure 2, steps 5-8): poll the completion queue, deliver
@@ -170,7 +170,7 @@ and run_step2 t =
   let pending = Queue_pair.completions_pending t.qp in
   let n = if pending < costs.batch_max then pending else costs.batch_max in
   let step2_cpu = Time.scale costs.complete_per_req (float_of_int n) in
-  Resource.submit t.core ~service:(charge t step2_cpu) (fun ~started:_ ~finished:_ ->
+  Resource.submit t.core ~service:(charge t step2_cpu) (fun () ->
       let _ : int =
         Queue_pair.drain t.qp ~max:n ~f:(fun ~cookie ~kind ~latency ->
             match Hashtbl.find_opt t.outstanding cookie with
@@ -214,7 +214,7 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
     {
       sim;
       thread_id;
-      core = Resource.create sim ~servers:1;
+      core = Resource.create sim;
       qp;
       device;
       cost_model;
@@ -257,30 +257,12 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
   Queue_pair.set_completion_hook qp (fun () -> kick t);
   t
 
-let detach_tenant t ~id =
-  match Scheduler.find_tenant t.scheduler id with
-  | None -> None
-  | Some tenant ->
-    let rec drain acc =
-      match Tenant.dequeue tenant with
-      | Some (_cost, pend) -> drain ((pend.p_kind, pend.p_bytes, pend.p_payload) :: acc)
-      | None -> List.rev acc
-    in
-    let backlog = drain [] in
-    let slo = Tenant.slo tenant and rate = tenant.Tenant.acct.token_rate in
-    Scheduler.remove_tenant t.scheduler id;
-    Some (slo, rate, backlog)
-
 let receive t ~tenant_id ~kind ~bytes payload =
   if not (has_tenant t ~id:tenant_id) then raise Not_found;
   if Stage.armed t.stages Stage.Server_rx then stamp t ~tenant:tenant_id payload Stage.Server_rx;
   Queue.add { p_payload = payload; p_kind = kind; p_bytes = bytes; p_tenant = tenant_id }
     t.rx_ring;
   kick t
-
-let attach_tenant t ~id ~slo ~token_rate ~backlog =
-  add_tenant t ~id ~slo ~token_rate;
-  List.iter (fun (kind, bytes, payload) -> receive t ~tenant_id:id ~kind ~bytes payload) backlog
 
 (* Fault injection: occupy the thread's core with an uninterruptible
    burst of "other work" (interrupt storm, page-cache shootdown, noisy
@@ -290,7 +272,7 @@ let attach_tenant t ~id ~slo ~token_rate ~backlog =
 let inject_stall t ~duration =
   if Time.(duration <= Time.zero) then invalid_arg "Dataplane.inject_stall: duration";
   Resource.submit t.core ~priority:Resource.High ~service:duration
-    (fun ~started:_ ~finished:_ -> ())
+    (fun () -> ())
 
 let add_conns t n = t.conns <- t.conns + n
 let utilization t = Resource.utilization t.core

@@ -41,9 +41,10 @@ val create :
   (* share of above-POS_LIMIT balances donated, default 0.9 *)
   ?notify_control_plane:(int -> unit) ->
   ?reroute:(tenant_id:int -> kind:Io_op.kind -> bytes:int -> 'a -> unit) ->
-  (* where to send receive-ring entries whose tenant has been rebalanced
-     away before they were parsed (paper §3.1: rebalancing must not drop
-     requests); default re-raises [Not_found] *)
+  (* where to send a receive-ring entry whose tenant unregistered before
+     it was parsed (the server answers it with an error, or forwards it
+     if the tenant has re-registered on another thread); default raises
+     [Not_found] *)
   ?telemetry:Reflex_telemetry.Telemetry.t ->
   (* gauges, scheduler decisions and the flight recorder; default
      disabled *)
@@ -73,15 +74,6 @@ val set_lc_rates : 'a t -> (int -> float option) -> unit
 
 val tenant_count : 'a t -> int
 
-(** Detach a tenant for rebalancing, returning its SLO, token rate, and
-    queued requests as (kind, bytes, payload) triples. *)
-val detach_tenant : 'a t -> id:int -> (Slo.t * float * (Io_op.kind * int * 'a) list) option
-
-(** Re-attach a tenant moved from another thread; its backlog re-enters
-    this thread's receive ring. *)
-val attach_tenant :
-  'a t -> id:int -> slo:Slo.t -> token_rate:float -> backlog:(Io_op.kind * int * 'a) list -> unit
-
 (** {1 Request path} *)
 
 (** [receive t ~tenant_id ~kind ~bytes payload] — a parsed-off-the-wire
@@ -91,7 +83,7 @@ val receive : 'a t -> tenant_id:int -> kind:Io_op.kind -> bytes:int -> 'a -> uni
 
 (** [add_conns t n] changes the count of connections this thread serves
     by [n] (the LLC pressure model); the server calls it for exactly the
-    threads a register, join, unregister or rebalance move touches. *)
+    thread a register, join or unregister touches. *)
 val add_conns : 'a t -> int -> unit
 
 (** {1 Fault injection}

@@ -48,8 +48,6 @@ type t = {
   acl : Acl.t;
   qos : bool;
   threads : inflight Dataplane.t array;
-  global : Global_bucket.t;
-  mutable active : int;
   tenants : (int, tenant) Hashtbl.t;
   mutable fleet_ro : bool;
   mutable completed : int;
@@ -112,9 +110,10 @@ let note_deficit t ~tenant =
   let r = tenant_of t tenant in
   r.deficits <- r.deficits + 1
 
-(* A request parsed on a thread its tenant just left follows the tenant
-   to its new thread; if the tenant is gone entirely, the client gets an
-   error instead of silence. *)
+(* A request still in a receive ring when its tenant unregisters finds
+   no tenant when it is parsed.  If the tenant has re-registered on
+   another thread since, the request follows it there; otherwise the
+   client gets an error instead of silence. *)
 let reroute t ~tenant_id ~kind ~bytes payload =
   let thread = payload.tenant.thread in
   if thread >= 0 then Dataplane.receive t.threads.(thread) ~tenant_id ~kind ~bytes payload
@@ -122,17 +121,16 @@ let reroute t ~tenant_id ~kind ~bytes payload =
     let msg = Message.Error_resp { req_id = payload.req_id; status = Message.Bad_request } in
     Tcp_conn.send_to_client payload.conn ~size:(Codec.encoded_size msg) msg
 
-let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?max_threads
+let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1)
     ?(costs = Costs.default) ?acl ?token_rate_fn ?(qos = true) ?neg_limit ?donate_fraction
     ?cost_model ?seed ?(telemetry = Telemetry.disabled) () =
-  let max_threads = Option.value max_threads ~default:n_threads in
-  if n_threads < 1 || n_threads > max_threads then invalid_arg "Server.create: thread counts";
+  if n_threads < 1 then invalid_arg "Server.create: n_threads < 1";
   let seed = Option.value seed ~default:0x5EF1E45EEDL in
   let device = Nvme_model.create ~telemetry sim ~profile ~prng:(Prng.create seed) in
   let cost_model = Option.value cost_model ~default:(Cost_model.of_profile profile) in
   let control_plane = Control_plane.create ?token_rate_fn ~profile ~cost_model () in
   let acl = match acl with Some a -> a | None -> Acl.create_permissive () in
-  let global = Global_bucket.create ~n_threads:max_threads in
+  let global = Global_bucket.create ~n_threads in
   let host = Fabric.add_host fabric ~name:"reflex-server" ~stack:Stack_model.dataplane_server in
   let stages = Reflex_obs.Stage.sink ~lane:(Fabric.host_id host) in
   Telemetry.attach_stages telemetry stages;
@@ -147,7 +145,7 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
         acl;
         qos;
         threads =
-          Array.init max_threads (fun thread_id ->
+          Array.init n_threads (fun thread_id ->
               Dataplane.create sim ~thread_id ~qp:(Queue_pair.create device) ~device ~cost_model
                 ~global ~costs ?neg_limit ?donate_fraction
                 ~notify_control_plane:(fun tenant -> note_deficit (Lazy.force t) ~tenant)
@@ -157,8 +155,6 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
                 ~trace_id:(fun p -> p.req_id)
                 ~respond:(fun d -> respond (Lazy.force t) d)
                 ());
-        global;
-        active = n_threads;
         tenants = Hashtbl.create 64;
         fleet_ro = true;
         completed = 0;
@@ -167,19 +163,17 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
         stages;
       }
   in
-  let t = Lazy.force t in
-  Global_bucket.set_active_threads global (List.init n_threads Fun.id);
-  t
+  Lazy.force t
 
 let host t = t.host
 let device t = t.device
 let control_plane t = t.control_plane
-let active_threads t = t.active
+let n_threads t = Array.length t.threads
 
-(* Pick the active thread with the fewest tenants for a new tenant. *)
+(* Pick the thread with the fewest tenants for a new tenant. *)
 let least_loaded_thread t =
   let best = ref 0 and best_count = ref max_int in
-  for i = 0 to t.active - 1 do
+  for i = 0 to Array.length t.threads - 1 do
     let c = Dataplane.tenant_count t.threads.(i) in
     if c < !best_count then begin
       best := i;
@@ -367,92 +361,10 @@ let accept t conn =
       | Some m -> Tcp_conn.send_to_client conn ~size:(Codec.encoded_size m) m
       | None -> ())
 
-(* ---------------- thread scaling (paper SS4.3) ---------------- *)
-
-let rebalance t =
-  (* Even out tenant counts across active threads by moving tenants off
-     overloaded threads; queued requests migrate with them, and so do
-     their connections' share of the per-thread counts. *)
-  let placed =
-    Hashtbl.fold (fun _ r acc -> if r.thread >= 0 then r :: acc else acc) t.tenants []
-  in
-  let total = List.length placed in
-  if t.active > 0 && total > 0 then begin
-    let target = (total + t.active - 1) / t.active in
-    let moves =
-      List.filter
-        (fun r -> r.thread >= t.active || Dataplane.tenant_count t.threads.(r.thread) > target)
-        placed
-    in
-    (* Placement depends on the order moves are applied (each move
-       re-evaluates the least-loaded thread): sort by tenant id so
-       rebalancing is deterministic regardless of Hashtbl layout. *)
-    let moves = List.sort (fun a b -> compare a.id b.id) moves in
-    let moved =
-      List.filter_map
-        (fun r ->
-          let thread = r.thread in
-          let dest = least_loaded_thread t in
-          if
-            dest <> thread
-            && (thread >= t.active
-               || Dataplane.tenant_count t.threads.(thread)
-                  > 1 + Dataplane.tenant_count t.threads.(dest))
-          then
-            match Dataplane.detach_tenant t.threads.(thread) ~id:r.id with
-            | Some (slo, rate, backlog) ->
-              Dataplane.attach_tenant t.threads.(dest) ~id:r.id ~slo ~token_rate:rate ~backlog;
-              r.thread <- dest;
-              Some (r, thread)
-            | None -> None
-          else None)
-        moves
-    in
-    (* The counts change once every move has landed, so a backlog replayed
-       by one move is charged at the pre-rebalance counts. *)
-    List.iter
-      (fun (r, from) ->
-        Dataplane.add_conns t.threads.(from) (-r.conns);
-        Dataplane.add_conns t.threads.(r.thread) r.conns)
-      moved
-  end
-
-let scale_threads t n =
-  let n = max 1 (min n (Array.length t.threads)) in
-  if n <> t.active then begin
-    t.active <- n;
-    Global_bucket.set_active_threads t.global (List.init n Fun.id);
-    rebalance t
-  end
-
-let high_watermark = 0.85
-let low_watermark = 0.3
-
-let enable_autoscaling t ?(period = Time.ms 10) () =
-  let rec monitor () =
-    ignore
-      (Sim.after t.sim period (fun () ->
-           let util = ref 0.0 in
-           for i = 0 to t.active - 1 do
-             util := !util +. Dataplane.utilization t.threads.(i)
-           done;
-           let avg = !util /. float_of_int t.active in
-           if avg > high_watermark && t.active < Array.length t.threads then
-             scale_threads t (t.active + 1)
-           else if avg < low_watermark && t.active > 1 then scale_threads t (t.active - 1);
-           monitor ()))
-  in
-  monitor ()
-
 let requests_completed t = t.completed
 
 let deficit_notifications t ~tenant =
   match Hashtbl.find_opt t.tenants tenant with Some r -> r.deficits | None -> 0
-
-(* Paper §4.3: the control plane flags tenants that consistently burst
-   above their allocation for SLO renegotiation. *)
-let needs_renegotiation ?(threshold = 100) t ~tenant =
-  deficit_notifications t ~tenant >= threshold
 
 let tenant_completed t ~tenant =
   match Hashtbl.find_opt t.tenants tenant with Some r -> r.completed | None -> 0
@@ -460,10 +372,9 @@ let tenant_completed t ~tenant =
 let tokens_spent t =
   Array.fold_left (fun acc dp -> acc +. Dataplane.tokens_spent dp) 0.0 t.threads
 
-(* Cumulative weighted tokens one tenant's submissions have cost.  A
-   tenant lives on exactly one thread, but rebalancing resets the
-   per-thread accumulator view, so sum across all threads defensively
-   (at most one is non-zero for a live tenant). *)
+(* Cumulative weighted tokens one tenant's submissions have cost.  Only
+   the thread serving the tenant reports it, so the sum over threads is
+   that thread's count (0 for an unregistered tenant). *)
 let tenant_tokens_submitted t ~tenant =
   Array.fold_left
     (fun acc dp ->
@@ -473,13 +384,12 @@ let tenant_tokens_submitted t ~tenant =
     0.0 t.threads
 
 let thread_utilizations t =
-  List.init t.active (fun i -> Dataplane.utilization t.threads.(i))
+  Array.to_list (Array.map Dataplane.utilization t.threads)
 
 (* Requests inside the server, wherever they sit (receive rings,
-   software queues, NVMe in-flight), summed over every thread —
-   inactive threads included defensively; rebalancing empties them, so
-   they contribute zero.  This is the signal the rack layer's JSQ and
-   power-of-two-choices balancers probe. *)
+   software queues, NVMe in-flight), summed over every thread.  This is
+   the signal the rack layer's JSQ and power-of-two-choices balancers
+   probe. *)
 let queue_depth t =
   let n = ref 0 in
   Array.iter (fun dp -> n := !n + Dataplane.queue_depth dp) t.threads;
@@ -488,8 +398,8 @@ let queue_depth t =
 let registered_tenants t = Control_plane.registered_count t.control_plane
 
 (* Every dataplane thread stamps through this one sink, so a rack tracer
-   that attaches here sees a tenant's stages whichever thread it lands on
-   (or migrates to). *)
+   that attaches here sees a tenant's stages whichever thread it lands
+   on. *)
 let stages t = t.stages
 
 (* ---------------- resilience hooks (lib/faults) ---------------- *)

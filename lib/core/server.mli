@@ -1,8 +1,9 @@
 (** The ReFlex server: dataplane threads + control plane + tenant/ACL
     management behind the wire protocol.
 
-    A server owns one NVMe device and [max_threads] dataplane threads
-    (each with its own core and NVMe queue pair).  Clients connect over
+    A server owns one NVMe device and [n_threads] dataplane threads
+    (each with its own core and NVMe queue pair), fixed at creation as
+    the paper runs each server with a fixed core count.  Clients connect over
     the fabric, register tenants with SLOs (Table 1's [register] call),
     then issue logical-block reads and writes; responses flow back over
     the same connection.  Each tenant is served by exactly one thread
@@ -12,8 +13,8 @@
     connection count, its completions, its NEG_LIMIT notifications and
     its barrier gate; an in-flight request carries the record, so a
     response needs no lookup.  Connections are counted per thread for
-    the LLC-pressure model, kept incrementally: a register, join,
-    unregister or rebalance move adjusts only the threads it touches.
+    the LLC-pressure model, kept incrementally: a register, join or
+    unregister adjusts only the thread it touches.
     Token rates are pushed through each thread's own scheduler sets (the
     BE share to its BE tenants, LC repricing to its LC tenants), so no
     registration walks the server's tenant table. *)
@@ -30,9 +31,7 @@ val create :
   ?profile:Reflex_flash.Device_profile.t ->
   (* default device A *)
   ?n_threads:int ->
-  (* initially active threads, default 1 *)
-  ?max_threads:int ->
-  (* default n_threads *)
+  (* dataplane threads, default 1 *)
   ?costs:Costs.t ->
   ?acl:Acl.t ->
   (* default permissive *)
@@ -67,32 +66,17 @@ val control_plane : t -> Control_plane.t
     handling protocol messages arriving on it. *)
 val accept : t -> Message.t Tcp_conn.t -> unit
 
-(** {1 Thread management} *)
-
-val active_threads : t -> int
-
-(** Activate/deactivate threads and rebalance tenants (paper §4.3).
-    Clamped to [1, max_threads]. *)
-val scale_threads : t -> int -> unit
-
-(** Enable periodic utilization-driven right-sizing: every [period]
-    (default 10 ms) add a thread when mean active-thread utilization is
-    above 0.85, drop one when it is below 0.3.  Note: the monitor
-    reschedules itself forever, so once enabled the simulation's event
-    queue never drains — drive the simulation with [Sim.run ~until]. *)
-val enable_autoscaling : t -> ?period:Time.t -> unit -> unit
-
 (** {1 Observability} *)
+
+val n_threads : t -> int
 
 val requests_completed : t -> int
 
 (** Times the QoS scheduler found this tenant past its token deficit
-    limit (NEG_LIMIT) — the §3.2.2 control-plane notification. *)
+    limit (NEG_LIMIT) — the §3.2.2 control-plane notification.  A
+    tenant whose count keeps climbing bursts above its reservation and
+    should renegotiate its SLO (§4.3). *)
 val deficit_notifications : t -> tenant:int -> int
-
-(** §4.3: a tenant that consistently bursts above its reservation should
-    renegotiate its SLO. *)
-val needs_renegotiation : ?threshold:int -> t -> tenant:int -> bool
 val tenant_completed : t -> tenant:int -> int
 
 (** Cumulative tokens spent across threads (take deltas for windowed

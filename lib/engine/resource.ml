@@ -1,70 +1,76 @@
 type priority = High | Low
 
-type job = {
-  service : Time.t;
-  callback : started:Time.t -> finished:Time.t -> unit;
-}
+type job = { service : Time.t; callback : unit -> unit }
 
+(* One server, so the job in service lives in [service_ns] and
+   [callback], and its completion is a posted event on the handler
+   [done_h], registered once at creation: a job that starts on an idle
+   resource allocates nothing here.  Only a job that has to wait is
+   boxed into a [job] record on one of the two queues.  Busy time is kept
+   in int nanoseconds, so the per-job sum is not boxed either. *)
 type t = {
   sim : Sim.t;
-  servers : int;
   created_at : Time.t;
   high : job Queue.t;
   low : job Queue.t;
-  mutable busy : int;
-  mutable busy_time : Time.t;
-  mutable completed : int;
+  mutable busy : bool;
+  mutable service_ns : int;
+  mutable callback : unit -> unit;
+  mutable busy_ns : int;
+  mutable done_h : int;
 }
 
-let create sim ~servers =
-  if servers < 1 then invalid_arg "Resource.create: servers < 1";
-  {
-    sim;
-    servers;
-    created_at = Sim.now sim;
-    high = Queue.create ();
-    low = Queue.create ();
-    busy = 0;
-    busy_time = Time.zero;
-    completed = 0;
-  }
+let idle () = ()
 
-let rec start t job =
-  t.busy <- t.busy + 1;
-  let started = Sim.now t.sim in
-  ignore
-    (Sim.after t.sim job.service (fun () ->
-         let finished = Sim.now t.sim in
-         t.busy <- t.busy - 1;
-         t.busy_time <- Time.add t.busy_time job.service;
-         t.completed <- t.completed + 1;
-         dispatch t;
-         job.callback ~started ~finished))
+let start t service callback =
+  t.busy <- true;
+  t.service_ns <- Int64.to_int service;
+  t.callback <- callback;
+  Sim.post_after t.sim service t.done_h 0
 
-and dispatch t =
-  if t.busy < t.servers then
-    match Queue.take_opt t.high with
-    | Some job -> start t job
-    | None -> (
-      match Queue.take_opt t.low with
-      | Some job -> start t job
-      | None -> ())
+let dispatch t =
+  match Queue.take_opt t.high with
+  | Some job -> start t job.service job.callback
+  | None -> (
+    match Queue.take_opt t.low with
+    | Some job -> start t job.service job.callback
+    | None -> ())
+
+let finish t =
+  let callback = t.callback in
+  t.callback <- idle;
+  t.busy <- false;
+  t.busy_ns <- t.busy_ns + t.service_ns;
+  dispatch t;
+  callback ()
+
+let create sim =
+  let t =
+    {
+      sim;
+      created_at = Sim.now sim;
+      high = Queue.create ();
+      low = Queue.create ();
+      busy = false;
+      service_ns = 0;
+      callback = idle;
+      busy_ns = 0;
+      done_h = -1;
+    }
+  in
+  t.done_h <- Sim.handler sim (fun _ -> finish t);
+  t
 
 let submit t ?(priority = High) ~service callback =
   if Time.(service < Time.zero) then invalid_arg "Resource.submit: negative service";
-  let job = { service; callback } in
-  if t.busy < t.servers then start t job
+  if not t.busy then start t service callback
   else
+    let job = { service; callback } in
     match priority with
     | High -> Queue.add job t.high
     | Low -> Queue.add job t.low
 
-let busy t = t.busy
-let queued t = (Queue.length t.high, Queue.length t.low)
-
 let utilization t =
   let elapsed = Time.diff (Sim.now t.sim) t.created_at in
   if Time.(elapsed <= Time.zero) then 0.0
-  else Time.to_float_ns t.busy_time /. (Time.to_float_ns elapsed *. float_of_int t.servers)
-
-let completed t = t.completed
+  else float_of_int t.busy_ns /. Time.to_float_ns elapsed

@@ -28,8 +28,8 @@ let set_default_telemetry v = default_telemetry := v
    and the CLI runs them serially (jobs=1), so no two domains race on it. *)
 let last_telemetry : Telemetry.t option ref = ref None
 
-let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
-    ?donate_fraction ?seed ?telemetry () =
+let make_reflex ?(n_threads = 1) ?(qos = true) ?neg_limit ?donate_fraction ?seed ?telemetry ()
+    =
   let stash = telemetry = None && !default_telemetry in
   let telemetry =
     match telemetry with
@@ -44,8 +44,8 @@ let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
   let sim = Sim.create () in
   let fabric = Fabric.create sim () in
   let server =
-    Reflex_core.Server.create sim ~fabric ?profile ~n_threads ?max_threads ~qos ?neg_limit
-      ?donate_fraction ?seed ~telemetry ()
+    Reflex_core.Server.create sim ~fabric ~n_threads ~qos ?neg_limit ?donate_fraction ?seed
+      ~telemetry ()
   in
   if Telemetry.enabled telemetry then begin
     (* Daemon tick: samples while real work is pending, never keeps the
@@ -169,7 +169,7 @@ let digest w loads =
   Printf.bprintf buf "completed=%d tokens=%.3f threads=%d\n"
     (Reflex_core.Server.requests_completed w.server)
     (Reflex_core.Server.tokens_spent w.server)
-    (Reflex_core.Server.active_threads w.server);
+    (Reflex_core.Server.n_threads w.server);
   List.iter
     (fun l ->
       Printf.bprintf buf "t%d issued=%d iops=%.1f p95r=%.2f\n" l.tenant (Load_gen.issued l.gen)

@@ -42,9 +42,7 @@ val last_telemetry : Reflex_telemetry.Telemetry.t option ref
 
 val make_reflex :
   ?n_threads:int ->
-  ?max_threads:int ->
   ?qos:bool ->
-  ?profile:Reflex_flash.Device_profile.t ->
   ?neg_limit:float ->
   ?donate_fraction:float ->
   ?seed:int64 ->

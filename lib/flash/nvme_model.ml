@@ -49,7 +49,7 @@ let create ?(telemetry = Telemetry.disabled) sim ~profile ~prng =
       sim;
       p = profile;
       prng;
-      dies = Array.init n (fun _ -> Resource.create sim ~servers:1);
+      dies = Array.init n (fun _ -> Resource.create sim);
       die_work = Array.make n Time.zero;
       die_programs = Array.make n 0;
       last_write = None;
@@ -129,9 +129,9 @@ let run_on_die t ~die ~priority ~service k =
     else service
   in
   t.die_work.(die) <- Time.add t.die_work.(die) service;
-  Resource.submit t.dies.(die) ~priority ~service (fun ~started ~finished ->
+  Resource.submit t.dies.(die) ~priority ~service (fun () ->
       t.die_work.(die) <- Time.sub t.die_work.(die) service;
-      k ~started ~finished)
+      k ())
 
 let submit_read t ~bytes cb =
   let sectors = Io_op.sectors_of_bytes bytes in
@@ -140,7 +140,7 @@ let submit_read t ~bytes cb =
   let service = noisy t ~sigma:t.p.service_sigma occupancy in
   let submit_time = Sim.now t.sim in
   let die = pick_die t in
-  run_on_die t ~die ~priority:Resource.High ~service (fun ~started:_ ~finished:_ ->
+  run_on_die t ~die ~priority:Resource.High ~service (fun () ->
       ignore
         (Sim.after t.sim t.p.read_pipeline (fun () ->
              t.reads_done <- t.reads_done + 1;
@@ -165,7 +165,7 @@ let submit_backend t ~sectors =
   for _ = 1 to n_chunks do
     let die = pick_die t in
     run_on_die t ~die ~priority:Resource.Low ~service:(noisy t ~sigma:p.service_sigma chunk)
-      (fun ~started:_ ~finished:_ ->
+      (fun () ->
         decr remaining;
         if !remaining = 0 then begin
           (* The DRAM buffer slot frees once the data is programmed. *)
@@ -179,7 +179,7 @@ let submit_backend t ~sectors =
             Time.scale p.t_read (p.erase_frac *. float_of_int p.erase_every *. chunk_tokens)
           in
           run_on_die t ~die ~priority:Resource.Low
-            ~service:(noisy t ~sigma:p.service_sigma erase) (fun ~started:_ ~finished:_ -> ())
+            ~service:(noisy t ~sigma:p.service_sigma erase) (fun () -> ())
         end)
   done
 
@@ -260,7 +260,7 @@ let gc_storm t ~duration ~bursts_per_die =
              if t.die_ok.(die) then begin
                t.gc_storm_bursts <- t.gc_storm_bursts + 1;
                run_on_die t ~die ~priority:Resource.Low ~service:erase
-                 (fun ~started:_ ~finished:_ -> ())
+                 (fun () -> ())
              end
            done))
   done

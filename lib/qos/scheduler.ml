@@ -46,7 +46,7 @@ type 'a t = {
      [backlog] is O(1) and allocation-free on the per-cycle path (the
      dataplane consults it every finish_cycle).  Each member tenant points
      at this cell and moves it on every enqueue and dequeue, which also
-     covers direct queue drains (detach). *)
+     covers a caller that drains a queue directly. *)
   backlog : Cell.t;
 }
 
@@ -85,8 +85,9 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
   }
 
 (* Per-tenant observability dimensions.  Gauges are registered when the
-   tenant joins a scheduler and removed when it leaves; names are stable
-   across threads so a rebalanced tenant keeps its series. *)
+   tenant joins a scheduler and removed when it leaves; names carry no
+   thread, so a tenant that re-registers on another thread keeps its
+   series. *)
 let tenant_gauge_names tenant_id =
   let p = Printf.sprintf "qos/t%d/" tenant_id in
   [ p ^ "tokens"; p ^ "backlog"; p ^ "granted"; p ^ "debited" ]

@@ -62,7 +62,7 @@ val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a submission -> unit
 (** Total demand (tokens) sitting in this thread's tenant queues, clamped
     at zero.  O(1): a flat cell that every member tenant moves on each
     enqueue and dequeue (so it stays consistent even when a tenant's queue
-    is drained directly, as on detach).  A removed tenant gets a cell of
+    is drained directly).  A removed tenant gets a cell of
     its own, so its later enqueues do not move this one. *)
 val backlog : 'a t -> float
 

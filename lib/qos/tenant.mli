@@ -36,7 +36,7 @@ type 'a t = {
   mutable backlog : Reflex_engine.Cell.t;
       (** The owning scheduler's backlog cell, moved by every
           {!enqueue}/{!dequeue} so the scheduler's O(1) backlog stays
-          exact even when a queue is drained directly (tenant detach).
+          exact even when a queue is drained directly.
           Outside a scheduler, a cell of the tenant's own. *)
 }
 

@@ -1,7 +1,6 @@
-(** Measurement toolkit: histograms, reservoir samples, fitting and
-    table rendering used across experiments. *)
+(** Measurement toolkit: histograms, fitting and table rendering used
+    across experiments. *)
 
 module Hdr_histogram = Hdr_histogram
-module Reservoir = Reservoir
 module Linear_fit = Linear_fit
 module Table = Table

@@ -671,90 +671,60 @@ let prop_sim_matches_heap_reference =
 
 let test_resource_single_server_fifo () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
+  let r = Resource.create sim in
   let finishes = ref [] in
   for i = 1 to 3 do
-    Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished ->
-        finishes := (i, finished) :: !finishes)
+    Resource.submit r ~service:(Time.us 10) (fun () -> finishes := (i, Sim.now sim) :: !finishes)
   done;
   ignore (Sim.run sim);
   let expected = [ (1, Time.us 10); (2, Time.us 20); (3, Time.us 30) ] in
   Alcotest.(check (list (pair int int64))) "sequential service" expected (List.rev !finishes)
 
-let test_resource_parallel_servers () =
-  let sim = Sim.create () in
-  let r = Resource.create sim ~servers:2 in
-  let finishes = ref [] in
-  for i = 1 to 4 do
-    Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished ->
-        finishes := (i, finished) :: !finishes)
-  done;
-  ignore (Sim.run sim);
-  let expected =
-    [ (1, Time.us 10); (2, Time.us 10); (3, Time.us 20); (4, Time.us 20) ]
-  in
-  Alcotest.(check (list (pair int int64))) "two at a time" expected (List.rev !finishes)
-
 let test_resource_priority () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
+  let r = Resource.create sim in
   let order = ref [] in
   (* Occupy the server, then enqueue low before high: high must win. *)
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ ->
-      order := "first" :: !order);
-  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> order := "low" :: !order);
-  Resource.submit r ~priority:Resource.High ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> order := "high" :: !order);
+  Resource.submit r ~service:(Time.us 10) (fun () -> order := "first" :: !order);
+  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10) (fun () ->
+      order := "low" :: !order);
+  Resource.submit r ~priority:Resource.High ~service:(Time.us 10) (fun () ->
+      order := "high" :: !order);
   ignore (Sim.run sim);
   Alcotest.(check (list string)) "high preempts queue" [ "first"; "high"; "low" ]
     (List.rev !order)
 
 let test_resource_nonpreemptive () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  let high_started = ref Time.zero in
-  Resource.submit r ~priority:Resource.Low ~service:(Time.ms 5)
-    (fun ~started:_ ~finished:_ -> ());
+  let r = Resource.create sim in
+  let high_finished = ref Time.zero in
+  Resource.submit r ~priority:Resource.Low ~service:(Time.ms 5) (fun () -> ());
   ignore
     (Sim.at sim (Time.us 1) (fun () ->
-         Resource.submit r ~priority:Resource.High ~service:(Time.us 1)
-           (fun ~started ~finished:_ -> high_started := started)));
+         Resource.submit r ~priority:Resource.High ~service:(Time.us 1) (fun () ->
+             high_finished := Sim.now sim)));
   ignore (Sim.run sim);
-  Alcotest.(check int64) "high waits behind in-service low" (Time.ms 5) !high_started
+  Alcotest.(check int64) "high waits behind in-service low"
+    (Time.add (Time.ms 5) (Time.us 1))
+    !high_finished
 
 let test_resource_utilization () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  Resource.submit r ~service:(Time.us 50) (fun ~started:_ ~finished:_ -> ());
+  let r = Resource.create sim in
+  Resource.submit r ~service:(Time.us 50) (fun () -> ());
   ignore (Sim.run ~until:(Time.us 100) sim);
-  Alcotest.(check bool) "50% busy" true (abs_float (Resource.utilization r -. 0.5) < 1e-6);
-  Alcotest.(check int) "completed" 1 (Resource.completed r)
-
-let test_resource_queue_depth_visibility () =
-  let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ -> ());
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ -> ());
-  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> ());
-  Alcotest.(check int) "one busy" 1 (Resource.busy r);
-  Alcotest.(check (pair int int)) "queues" (1, 1) (Resource.queued r);
-  ignore (Sim.run sim)
+  Alcotest.(check bool) "50% busy" true (abs_float (Resource.utilization r -. 0.5) < 1e-6)
 
 let prop_resource_conserves_jobs =
   QCheck.Test.make ~name:"resource completes every submitted job" ~count:100
-    QCheck.(pair (int_range 1 8) (list_of_size Gen.(int_range 1 50) (int_range 1 1000)))
-    (fun (servers, services) ->
+    QCheck.(list_of_size Gen.(int_range 1 50) (int_range 1 1000))
+    (fun services ->
       let sim = Sim.create () in
-      let r = Resource.create sim ~servers in
+      let r = Resource.create sim in
       let done_ = ref 0 in
-      List.iter
-        (fun s ->
-          Resource.submit r ~service:(Time.ns s) (fun ~started:_ ~finished:_ -> incr done_))
-        services;
+      List.iter (fun s -> Resource.submit r ~service:(Time.ns s) (fun () -> incr done_)) services;
       ignore (Sim.run sim);
-      !done_ = List.length services && Resource.completed r = List.length services)
+      !done_ = List.length services)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation gates                                                   *)
@@ -886,11 +856,9 @@ let suite =
     ( "resource",
       [
         Alcotest.test_case "single-server FIFO" `Quick test_resource_single_server_fifo;
-        Alcotest.test_case "parallel servers" `Quick test_resource_parallel_servers;
         Alcotest.test_case "priority dispatch" `Quick test_resource_priority;
         Alcotest.test_case "non-preemptive" `Quick test_resource_nonpreemptive;
         Alcotest.test_case "utilization accounting" `Quick test_resource_utilization;
-        Alcotest.test_case "queue visibility" `Quick test_resource_queue_depth_visibility;
         qcheck prop_resource_conserves_jobs;
       ] );
   ]

@@ -1,7 +1,6 @@
 (* Tests for the simulated NVMe Flash substrate. *)
 
 open Reflex_engine
-open Reflex_stats
 open Reflex_flash
 
 let fast_config =
@@ -49,21 +48,28 @@ let make_dev ?(profile = Device_profile.device_a) () =
   let dev = Nvme_model.create sim ~profile ~prng:(Prng.split (Sim.prng sim)) in
   (sim, dev)
 
-(* Sequential queue-depth-1 probes of one I/O kind; returns (mean, p95) us. *)
+(* Sequential queue-depth-1 probes of one I/O kind; returns (mean, p95)
+   us, the p95 interpolated linearly between the two nearest ranks. *)
 let probe_qd1 sim dev ~kind ~bytes ~count =
-  let res = Reservoir.create (Prng.create 99L) in
+  let latencies = ref [] in
   let remaining = ref count in
   let rec next () =
     if !remaining > 0 then begin
       decr remaining;
       Nvme_model.submit dev ~kind ~bytes (fun ~latency ->
-          Reservoir.add res (Time.to_float_us latency);
+          latencies := Time.to_float_us latency :: !latencies;
           ignore (Sim.after sim (Time.us 100) next))
     end
   in
   ignore (Sim.at sim (Sim.now sim) next);
   ignore (Sim.run sim);
-  (Reservoir.mean res, Reservoir.percentile res 95.0)
+  let samples = Array.of_list (List.rev !latencies) in
+  let mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int count in
+  Array.sort compare samples;
+  let rank = 0.95 *. float_of_int (count - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. float_of_int lo in
+  (mean, (samples.(lo) *. (1.0 -. frac)) +. (samples.(hi) *. frac))
 
 let test_unloaded_read_latency () =
   let sim, dev = make_dev () in

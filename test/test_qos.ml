@@ -484,7 +484,7 @@ let test_backlog_aggregate_tracks_demand () =
   Scheduler.enqueue sched ~tenant_id:2 ~cost:10.0 ();
   check "after enqueues";
   Alcotest.(check (float 1e-6)) "sums costs" 11.0 (Scheduler.backlog sched);
-  (* Detach-style direct drain, bypassing the scheduler: the tenant moves
+  (* A direct drain, bypassing the scheduler: the tenant moves
      the scheduler's backlog cell itself. *)
   (match Scheduler.find_tenant sched 2 with
   | Some t -> ignore (Tenant.dequeue t)
@@ -499,8 +499,8 @@ let test_backlog_aggregate_tracks_demand () =
   Alcotest.(check (float 1e-6)) "zero once queues empty" 0.0 (Scheduler.backlog sched)
 
 (* The backlog cell under random enqueues, rounds, removals, direct
-   dequeues, [Dataplane.detach_tenant]-style drains (empty the queue
-   directly, then remove) and re-adds: it equals the clamped sum of the members' demand,
+   dequeues, drains (empty the queue directly, then remove) and
+   re-adds: it equals the clamped sum of the members' demand,
    and a removed tenant's later enqueues do not move it.  Costs are
    multiples of 0.5, so every sum is exact and the check is equality. *)
 let prop_backlog_aggregate_consistent =

@@ -1,6 +1,5 @@
 (* Tests for the measurement toolkit. *)
 
-open Reflex_engine
 open Reflex_stats
 
 (* ------------------------------------------------------------------ *)
@@ -161,24 +160,18 @@ let prop_hdr_diff_add_id =
            (fun p -> Hdr_histogram.percentile s p = Hdr_histogram.percentile h p)
            [ 0.0; 50.0; 95.0; 99.0; 100.0 ])
 
-let prop_hdr_vs_reservoir =
+let prop_hdr_vs_exact =
   QCheck.Test.make ~name:"hdr percentile within one bucket of exact" ~count:50
     QCheck.(list_of_size Gen.(int_range 100 2000) (int_range 1_000 100_000_000))
     (fun values ->
       let h = Hdr_histogram.create () in
-      let prng = Prng.create 1L in
-      let r = Reservoir.create prng in
-      List.iter
-        (fun v ->
-          Hdr_histogram.record h (Int64.of_int v);
-          Reservoir.add r (float_of_int v))
-        values;
+      List.iter (fun v -> Hdr_histogram.record h (Int64.of_int v)) values;
       (* Compare at hdr's own rank convention — the ceil-rank-th smallest
          sample — so the only divergence left is bucket granularity
          (~1.6% with 6 sub-bucket bits).  Comparing against linear
          interpolation instead makes the error sample-spacing-dominated
          and flaky at these list sizes. *)
-      let sorted = Reservoir.values r in
+      let sorted = Array.of_list (List.sort compare (List.map float_of_int values)) in
       let n = Array.length sorted in
       List.for_all
         (fun p ->
@@ -203,30 +196,6 @@ let prop_hdr_monotone =
         | _ -> true
       in
       monotone vals)
-
-(* ------------------------------------------------------------------ *)
-(* Reservoir                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_reservoir_exact_percentiles () =
-  let r = Reservoir.create (Prng.create 3L) in
-  for i = 1 to 100 do
-    Reservoir.add r (float_of_int i)
-  done;
-  Alcotest.(check (float 1e-6)) "median" 50.5 (Reservoir.percentile r 50.0);
-  Alcotest.(check (float 1e-6)) "p95" 95.05 (Reservoir.percentile r 95.0);
-  Alcotest.(check (float 1e-6)) "mean" 50.5 (Reservoir.mean r)
-
-let test_reservoir_sampling_cap () =
-  let r = Reservoir.create ~capacity:100 (Prng.create 5L) in
-  for i = 1 to 10_000 do
-    Reservoir.add r (float_of_int i)
-  done;
-  Alcotest.(check int) "seen all" 10_000 (Reservoir.count r);
-  Alcotest.(check int) "stored capped" 100 (Array.length (Reservoir.values r));
-  (* The sampled median should still be near 5000. *)
-  let med = Reservoir.percentile r 50.0 in
-  Alcotest.(check bool) "sampled median plausible" true (med > 3_000.0 && med < 7_000.0)
 
 (* ------------------------------------------------------------------ *)
 (* Linear_fit                                                         *)
@@ -292,13 +261,8 @@ let suite =
         Alcotest.test_case "count_above" `Quick test_hdr_count_above;
         qcheck prop_hdr_merge_commutes;
         qcheck prop_hdr_diff_add_id;
-        qcheck prop_hdr_vs_reservoir;
+        qcheck prop_hdr_vs_exact;
         qcheck prop_hdr_monotone;
-      ] );
-    ( "reservoir",
-      [
-        Alcotest.test_case "exact percentiles" `Quick test_reservoir_exact_percentiles;
-        Alcotest.test_case "sampling past capacity" `Quick test_reservoir_sampling_cap;
       ] );
     ( "linear_fit",
       [
