@@ -3,16 +3,15 @@
      reflex_sim list
      reflex_sim run fig5 [--full] [--telemetry]
      reflex_sim run all  [--full]
-     reflex_sim trace    [--full] [--out FILE] [--audit-window-us US]
-     reflex_sim chaos    [--full] [--seed N] [--no-verify] [--audit-window-us US]
-     reflex_sim monitor  [--full] [--seed N] [--no-verify] [--flight-dump FILE]
-     reflex_sim obs      [--full] [--seed N] [--no-verify] [--flight-dump FILE]
-                         [--dump-json FILE]
-     reflex_sim rack     [--full] [--seed N] [--no-verify]
+     reflex_sim trace    [--full] [--out FILE]
+     reflex_sim chaos    [--full] [--seed N]
+     reflex_sim monitor  [--full] [--seed N] [--flight-dump FILE]
+     reflex_sim obs      [--full] [--seed N] [--flight-dump FILE] [--dump-json FILE]
+     reflex_sim rack     [--full] [--seed N]
 
    run/trace/chaos/monitor/obs/rack all take the shared [--prom-out FILE]
    / [--trace-out FILE] observability outputs.  chaos/monitor/obs/rack
-   exit 1 when any acceptance or identity check fails. *)
+   run their scenario once and exit 1 when any acceptance check fails. *)
 
 open Cmdliner
 open Reflex_experiments
@@ -83,20 +82,6 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* Print the full telemetry debrief for one world: latency breakdowns,
-   component aggregates, SLO audit, scheduler decisions, final metrics. *)
-let print_telemetry_reports ?audit_window tel =
-  print_newline ();
-  print_string (Trace_export.breakdown_report tel);
-  print_newline ();
-  print_string (Trace_export.component_report tel);
-  print_newline ();
-  print_string (Slo_audit.report ?window:audit_window tel);
-  print_newline ();
-  print_string (Telemetry.decisions_report tel);
-  print_newline ();
-  print_string (Telemetry.metrics_report tel)
-
 let export_trace ?extra tel path =
   Trace_export.write_chrome_json ?extra tel path;
   Printf.printf "\nChrome trace written to %s (load in about://tracing or Perfetto)\n" path
@@ -118,16 +103,11 @@ let seed_arg =
     value & opt int64 42L
     & info [ "seed" ] ~docv:"N" ~doc:"root seed for the simulated world and its generators")
 
-let no_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "no-verify" ]
-        ~doc:"skip the determinism verification (runs the scenario once instead of 4x)")
-
-(* Print a scenario's report; its checks decide the exit code. *)
-let print_report (rep : Identity.report) =
-  print_string rep.text;
-  Identity.exit_code rep.checks
+(* Print a scenario's render; its acceptance checks decide the exit
+   code. *)
+let print_render text checks =
+  print_string text;
+  Identity.exit_code checks
 
 (* Observability outputs shared by run/trace/chaos/monitor/obs: one
    Cmdliner term so every command accepts the same two flags.  monitor
@@ -171,18 +151,6 @@ let export_flight_dump dumps path =
     write_file path (Monitor.dump_chrome_json d);
     Printf.printf "\nFlight dump (trigger %s) written to %s\n" d.Monitor.d_rule path
 
-(* SLO-audit bucket width, exposed on the commands that print the audit
-   (default matches Slo_audit's built-in 10ms). *)
-let audit_window_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "audit-window-us" ] ~docv:"US"
-        ~doc:"SLO-audit bucket width in microseconds (default 10000 = 10ms)")
-
-let audit_window_of us =
-  if us <= 0 then failwith "--audit-window-us must be positive"
-  else Reflex_engine.Time.us us
-
 let run_cmd =
   let doc = "Run one experiment (or 'all') and print its table(s)." in
   let id_arg =
@@ -210,7 +178,7 @@ let run_cmd =
         match !Common.last_telemetry with
         | None -> prerr_endline "warning: no telemetry-enabled world was built"
         | Some tel ->
-          print_telemetry_reports tel;
+          print_string (Tracing.reports tel);
           Option.iter (export_trace tel) trace_out;
           Option.iter (export_prom tel) prom_out
     in
@@ -243,72 +211,54 @@ let trace_cmd =
       & opt string "reflex_trace.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"where to write the Chrome trace JSON")
   in
-  let run full out audit_us (prom_out, trace_out) =
+  let run full out (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
-    let { Tracing.telemetry = tel; rows } = Tracing.run ~mode () in
-    Reflex_stats.Table.print (Tracing.to_table rows);
-    print_telemetry_reports ~audit_window:(audit_window_of audit_us) tel;
+    let r = Tracing.run ~mode () in
+    let tel = r.Tracing.telemetry in
+    print_string (Tracing.render_result r);
     (* --trace-out (the shared flag) overrides -o/--out. *)
     export_trace tel (Option.value trace_out ~default:out);
     Option.iter (export_prom tel) prom_out;
     0
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ full_arg $ out_arg $ audit_window_arg $ obs_out_term)
-
-(* A scenario's report: its debrief, or under --no-verify the render and
-   acceptance checks of the single run [r]. *)
-let report ~no_verify debrief render checks r =
-  if no_verify then { Identity.text = render (Lazy.force r); checks = checks (Lazy.force r) }
-  else debrief ()
+    Term.(const run $ full_arg $ out_arg $ obs_out_term)
 
 let chaos_cmd =
   let doc =
     "Run the scripted chaos scenario (die 0 fails at 2s for 2s, GC storm 5s..6s, link \
      flap at 8s for 500ms; x0.1 timeline unless $(b,--full)) against the multi-tenant \
      setup with client retries armed, and print the 500ms-bucket p95 table, the retry \
-     and fault counters, the fault-window report and the SLO audit.  By default the \
-     output is verified byte-identical across a same-seed rerun and a two-domain \
-     parallel run."
+     and fault counters, the fault-window report and the SLO audit."
   in
-  let run full seed no_verify audit_us (prom_out, trace_out) =
+  let run full seed (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
-    let window = audit_window_of audit_us in
-    let r = lazy (Chaos.run ~mode ~seed ()) in
-    let code =
-      print_report
-        (report ~no_verify (Chaos.debrief ~mode ~seed) Chaos.render_result Chaos.checks r)
-    in
-    let r = Lazy.force r in
+    let r = Chaos.run ~mode ~seed () in
+    let code = print_render (Chaos.render_result r) (Chaos.checks r) in
     print_newline ();
-    print_string (Slo_audit.report ~window r.Chaos.telemetry);
+    print_string (Slo_audit.report r.Chaos.telemetry);
     Option.iter (export_trace r.Chaos.telemetry) trace_out;
     Option.iter (export_prom r.Chaos.telemetry) prom_out;
     code
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ audit_window_arg $ obs_out_term)
+    Term.(const run $ full_arg $ seed_arg $ obs_out_term)
 
 let monitor_cmd =
   let doc =
     "Run the monitoring acceptance scenario: the chaos world under the scripted fault \
      plan with the online monitoring pipeline armed (windowed time-series store, SLO \
      error budgets, multi-window burn-rate / load-knee / anomaly alert rules, opt-in \
-     remediation).  The debrief asserts that alerts fire inside injected-fault windows \
-     and name the overlapping fault, that a clean control run is silent, that a \
-     disabled-monitor run is byte-identical to a no-monitor run, and that the whole \
-     render is bit-reproducible serial and under two domains."
+     remediation).  The render asserts that alerts fire inside injected-fault windows \
+     and name the overlapping fault, that a clean control run is silent, that an \
+     observer-only monitor leaves the world byte-identical to a no-monitor run, and \
+     that an opt-in remediation binding applies."
   in
-  let run full seed no_verify (prom_out, trace_out) flight_dump =
+  let run full seed (prom_out, trace_out) flight_dump =
     let mode = if full then Common.Full else Common.Quick in
-    let r = lazy (Monitor_exp.run ~mode ~seed ()) in
-    let code =
-      print_report
-        (report ~no_verify (Monitor_exp.debrief ~mode ~seed) Monitor_exp.render_result
-           Monitor_exp.checks r)
-    in
+    let r = Monitor_exp.run ~mode ~seed () in
+    let code = print_render (Monitor_exp.render_result r) (Monitor_exp.checks r) in
     if prom_out <> None || trace_out <> None || flight_dump <> None then begin
-      let r = Lazy.force r in
       let prom, instants, mon = Monitor_exp.exports r in
       Option.iter
         (fun path ->
@@ -327,16 +277,15 @@ let monitor_cmd =
     code
   in
   Cmd.v (Cmd.info "monitor" ~doc)
-    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term $ flight_dump_arg)
+    Term.(const run $ full_arg $ seed_arg $ obs_out_term $ flight_dump_arg)
 
 let obs_cmd =
   let doc =
     "Run the observability acceptance scenario: the chaos world with the always-on \
      flight recorder, alert-triggered forensic dumps, causal retry span links and the \
-     continuous cost profiler armed.  By default the debrief verifies the first dump is \
-     byte-identical across a same-seed rerun and serial vs two domains, and that a \
-     disarmed recorder perturbs nothing; the profiler table (host wall time, \
-     nondeterministic by design) is printed separately."
+     continuous cost profiler armed.  The render checks that an alert froze a dump \
+     naming its trigger alert and the active fault window; the profiler table (host \
+     wall time, nondeterministic by design) is printed after it."
   in
   let dump_json_arg =
     Arg.(
@@ -345,16 +294,12 @@ let obs_cmd =
       & info [ "dump-json" ] ~docv:"FILE"
           ~doc:"write the first flight dump's JSON forensic debrief to $(docv)")
   in
-  let run full seed no_verify (prom_out, trace_out) flight_dump dump_json =
+  let run full seed (prom_out, trace_out) flight_dump dump_json =
     let mode = if full then Common.Full else Common.Quick in
-    (* One profiled run drives the exports and the cost table (the
-       verification legs run unprofiled, keeping them cheap). *)
-    let r = lazy (Obs_exp.run ~mode ~seed ~profile:true ()) in
-    let code =
-      print_report
-        (report ~no_verify (Obs_exp.debrief ~mode ~seed) Obs_exp.render_result Obs_exp.checks r)
-    in
-    let r = Lazy.force r in
+    (* One profiled run drives the render, the exports and the cost
+       table. *)
+    let r = Obs_exp.run ~mode ~seed ~profile:true () in
+    let code = print_render (Obs_exp.render_result r) (Obs_exp.checks r) in
     print_newline ();
     print_string (Obs_exp.profile_report r);
     Option.iter (export_flight_dump (Obs_exp.dumps r)) flight_dump;
@@ -380,8 +325,7 @@ let obs_cmd =
   in
   Cmd.v (Cmd.info "obs" ~doc)
     Term.(
-      const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term $ flight_dump_arg
-      $ dump_json_arg)
+      const run $ full_arg $ seed_arg $ obs_out_term $ flight_dump_arg $ dump_json_arg)
 
 let rack_cmd =
   let doc =
@@ -391,17 +335,12 @@ let rack_cmd =
      bakeoff table (random / round-robin / JSQ / power-of-two / oracle: windowed \
      p50/p95/p99, SLO compliance, dispatch imbalance, the po2c-vs-oracle gap) and the \
      migration leg (skew detector firings, migrations applied, imbalance before vs \
-     after).  By default the render is verified byte-identical across a same-seed \
-     rerun and serial vs two domains."
+     after)."
   in
-  let run full seed no_verify (prom_out, trace_out) =
+  let run full seed (prom_out, trace_out) =
     let mode = if full then Common.Full else Common.Quick in
-    let code =
-      print_report
-        (report ~no_verify (Rack_exp.debrief ~mode ~seed) Rack_exp.render_result
-           Rack_exp.checks
-           (lazy (Rack_exp.run ~mode ~seed ())))
-    in
+    let r = Rack_exp.run ~mode ~seed () in
+    let code = print_render (Rack_exp.render_result r) (Rack_exp.checks r) in
     if prom_out <> None || trace_out <> None then begin
       (* One telemetry-armed po2c leg drives both exports: probe ticks,
          balancing decisions and migrations land in the flight recorder
@@ -413,7 +352,7 @@ let rack_cmd =
     code
   in
   Cmd.v (Cmd.info "rack" ~doc)
-    Term.(const run $ full_arg $ seed_arg $ no_verify_arg $ obs_out_term)
+    Term.(const run $ full_arg $ seed_arg $ obs_out_term)
 
 let () =
   let doc = "ReFlex (ASPLOS'17) reproduction: run the paper's experiments" in

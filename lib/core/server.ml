@@ -363,11 +363,12 @@ let accept t conn =
 
 let requests_completed t = t.completed
 
+(* [Hashtbl.find] with a handler, not [find_opt]: no option per call. *)
 let deficit_notifications t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with Some r -> r.deficits | None -> 0
+  match Hashtbl.find t.tenants tenant with r -> r.deficits | exception Not_found -> 0
 
 let tenant_completed t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with Some r -> r.completed | None -> 0
+  match Hashtbl.find t.tenants tenant with r -> r.completed | exception Not_found -> 0
 
 let tokens_spent t =
   Array.fold_left (fun acc dp -> acc +. Dataplane.tokens_spent dp) 0.0 t.threads

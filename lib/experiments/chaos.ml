@@ -225,9 +225,3 @@ let checks r =
     Identity.check "clean-bucket LC p95 within SLO" (clean_ok r);
     Identity.check "retries within the policy budget" (retries_bounded r);
   ]
-
-let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let r = run ~mode ~seed () in
-  let text = render_result r in
-  Identity.debrief ~text ~acceptance:(checks r)
-    (Identity.verify ~base:text (fun () -> render ~mode ~seed ()))

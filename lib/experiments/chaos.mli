@@ -3,8 +3,7 @@
     with client retries on the LC tenants and the injector's degradation
     reaction armed.  The timeline is reported as 500ms p95 buckets so
     latency visibly climbs inside fault windows and recovers outside
-    them; {!debrief} additionally checks byte-identical determinism
-    (see {!Identity.verify}).
+    them.
 
     This module owns the one chaos world: the LC specs, the timeline,
     the retry policy and the fault arming below are what {!Monitor_exp}
@@ -85,6 +84,3 @@ val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
     most [max_retries] re-issues and [max_retries + 1] deadline expiries
     per issued op). *)
 val checks : result -> Identity.check list
-
-(** {!render} followed by the {!Identity.verify} checks. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

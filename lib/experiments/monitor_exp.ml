@@ -15,17 +15,12 @@ open Reflex_monitor
    2. CLEAN: same world, no injector.  The monitor must stay perfectly
       silent — zero events.
    3. IDENTITY: the world digest (server counters + per-generator
-      stats) of a run with a *disabled* monitor must be byte-identical
-      to a run that never builds a monitor; an *enabled* observer-only
-      monitor must also leave the digest unchanged (daemon ticks never
-      perturb simulation state).
+      stats) of the faulted, observer-only monitored run must be
+      byte-identical to a run that never builds a monitor (daemon ticks
+      never perturb simulation state).
    4. REMEDIATE: the faulted run again with the die-fail burn alert
       bound to capacity re-pricing, demonstrating the opt-in feedback
-      loop (the remediation log must be non-empty and deterministic).
-
-   The debrief adds the Identity rerun and two-domain checks over the
-   rendered output — the alert timeline is part of that output, so this
-   is the "bit-reproducible alerts" acceptance check. *)
+      loop (the remediation log must be non-empty and deterministic). *)
 
 type 'm leg = {
   digest : string;  (** world digest: server counters + per-gen stats *)
@@ -41,7 +36,6 @@ type result = {
   clean : Monitor.t leg;
   remediated : Monitor.t leg;
   digest_none : string;  (** no monitor at all *)
-  digest_disabled : string;  (** ~enabled:false monitor *)
   fired : Alerts.event list;  (** faulted leg, Fired transitions only *)
   in_window : int;  (** fired events inside a padded fault window *)
   named : int;  (** fired events whose detail names a fault *)
@@ -88,17 +82,16 @@ let run_world ~mode ~seed ~faults arm =
     recovered = count Injector.recovered;
   }
 
-(* A monitored leg: [`Disabled] creates and starts an ~enabled:false
-   monitor; [`Remediate] binds the opt-in feedback actions. *)
-let run_leg ~mode ~seed ~faults kind =
+(* A monitored leg; [remediate] binds the opt-in feedback actions. *)
+let run_leg ~mode ~seed ~faults ~remediate =
   run_world ~mode ~seed ~faults (fun w ->
       let m =
-        Monitor.create ~enabled:(kind <> `Disabled)
+        Monitor.create
           ~fault_lookback:(settle_pad (Chaos.scale_of mode))
           ~server:w.Common.server ~telemetry:w.Common.telemetry ()
       in
       Monitor.start m w.Common.sim ();
-      if kind = `Remediate then begin
+      if remediate then begin
         (* Page-severity burn on tenant 1 -> re-derive capacity from
            device health; knee on tenant 2 -> log only. *)
         Monitor.bind m ~rule:"t1/burn" Remediate.Reprice_for_device;
@@ -109,14 +102,13 @@ let run_leg ~mode ~seed ~faults kind =
 (* One clean (fault-free) leg only — the zero-alerts property test
    drives this across seeds without paying for the full scenario. *)
 let run_clean ?(mode = Common.Quick) ?(seed = 42L) () =
-  run_leg ~mode ~seed ~faults:false `Enabled
+  run_leg ~mode ~seed ~faults:false ~remediate:false
 
 let run ?(mode = Common.Quick) ?(seed = 42L) () =
-  let faulted = run_leg ~mode ~seed ~faults:true `Enabled in
-  let clean = run_leg ~mode ~seed ~faults:false `Enabled in
-  let remediated = run_leg ~mode ~seed ~faults:true `Remediate in
+  let faulted = run_leg ~mode ~seed ~faults:true ~remediate:false in
+  let clean = run_leg ~mode ~seed ~faults:false ~remediate:false in
+  let remediated = run_leg ~mode ~seed ~faults:true ~remediate:true in
   let none = run_world ~mode ~seed ~faults:true ignore in
-  let disabled = run_leg ~mode ~seed ~faults:true `Disabled in
   let pad = settle_pad (Chaos.scale_of mode) in
   let fired =
     List.filter (fun (e : Alerts.event) -> e.e_kind = Alerts.Fired)
@@ -133,7 +125,6 @@ let run ?(mode = Common.Quick) ?(seed = 42L) () =
     clean;
     remediated;
     digest_none = none.digest;
-    digest_disabled = disabled.digest;
     fired;
     in_window =
       List.length (List.filter (fun (e : Alerts.event) -> in_fault_window e.e_time) fired);
@@ -149,7 +140,6 @@ let alerts_fired r = List.length r.fired > 0
 let alerts_in_windows r = r.in_window = List.length r.fired
 let alerts_named r = r.named = List.length r.fired
 let clean_silent r = Monitor.events r.clean.monitor = []
-let disabled_identical r = String.equal r.digest_none r.digest_disabled
 
 (* An observer-only monitor must not perturb the world either. *)
 let observer_identical r = String.equal r.digest_none r.faulted.digest
@@ -163,7 +153,6 @@ let checks r =
       (alerts_in_windows r);
     Identity.check "every fired alert names the overlapping fault" (alerts_named r);
     Identity.check "clean control run: zero alert events" (clean_silent r);
-    Identity.check "disabled monitor run == no-monitor run" (disabled_identical r);
     Identity.check "enabled observer run == no-monitor run" (observer_identical r);
     Identity.check "remediation bindings applied" (remediation_applied r);
   ]
@@ -196,9 +185,3 @@ let exports r =
   ( Monitor.prometheus r.faulted.monitor,
     Monitor.chrome_instants r.faulted.monitor,
     r.faulted.monitor )
-
-let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let r = run ~mode ~seed () in
-  let text = render_result r in
-  Identity.debrief ~text ~acceptance:(checks r)
-    (Identity.verify ~base:text (fun () -> render ~mode ~seed ()))

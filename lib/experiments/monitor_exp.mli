@@ -8,15 +8,10 @@
     - alerts fire under faults, every fired alert lands inside a
       settle-padded fault window, and each names the overlapping fault;
     - a clean control run produces {e zero} alert events;
-    - a disabled-monitor run is byte-identical to a run that builds
-      no monitor (and an enabled observer-only monitor leaves the world digest
-      unchanged too);
+    - an observer-only monitor leaves the world digest identical to a
+      run that builds no monitor;
     - an opt-in remediation binding (burn alert → capacity re-pricing)
-      actually applies.
-
-    {!debrief} adds the {!Identity.verify} checks — the alert timeline
-    is part of the render, so this is the bit-reproducible alerting
-    check. *)
+      actually applies. *)
 
 open Reflex_engine
 open Reflex_faults
@@ -39,7 +34,6 @@ type result = {
   clean : Monitor.t leg;
   remediated : Monitor.t leg;
   digest_none : string;
-  digest_disabled : string;
   fired : Alerts.event list;
   in_window : int;
   named : int;
@@ -55,7 +49,6 @@ val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> Monitor.t leg
 val alerts_fired : result -> bool
 val alerts_in_windows : result -> bool
 val alerts_named : result -> bool
-val disabled_identical : result -> bool
 val observer_identical : result -> bool
 val remediation_applied : result -> bool
 
@@ -68,6 +61,3 @@ val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
 (** [(prometheus page, chrome instant fragments, monitor)] of the
     faulted leg, for the CLI's [--prom-out]/[--trace-out]. *)
 val exports : result -> string * string list * Monitor.t
-
-(** {!render} followed by the {!Identity.verify} checks. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

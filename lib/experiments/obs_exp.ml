@@ -21,13 +21,7 @@ module Profiler = Reflex_obs.Profiler
    from the client's Follows_from links, and the digest of the first
    dump's JSON debrief.  Profiler output is host wall time and is kept
    strictly out of the render — [profile_report] exposes it separately
-   for the CLI.
-
-   [debrief] adds the Identity rerun and two-domain checks over the
-   render and the first dump (trigger alert, fault windows, every
-   record), and checks that a run with a present-but-disarmed recorder
-   ([Flight.create ~enabled:false]) renders identically to one with no
-   recorder attached at all. *)
+   for the CLI. *)
 
 type result = {
   monitor : Monitor.t;
@@ -38,16 +32,12 @@ type result = {
   digest : string;  (** server counters + per-generator stats *)
 }
 
-(* [flight = `Armed] attaches a live recorder, [`Inert] a created-but-
-   disabled one, [`None] leaves the shared disabled instance — the last
-   two must produce byte-identical renders. *)
-let run ?(mode = Common.Quick) ?(seed = 42L) ?(flight = `Armed) ?(profile = false) () =
+(* [flight] (default true) attaches a live recorder; [false] leaves the
+   shared disabled instance. *)
+let run ?(mode = Common.Quick) ?(seed = 42L) ?(flight = true) ?(profile = false) () =
   let scale = Chaos.scale_of mode in
   let telemetry = Telemetry.create ~span_capacity:(1 lsl 19) () in
-  (match flight with
-  | `Armed -> Telemetry.set_flight telemetry (Flight.create ())
-  | `Inert -> Telemetry.set_flight telemetry (Flight.create ~enabled:false ())
-  | `None -> ());
+  if flight then Telemetry.set_flight telemetry (Flight.create ());
   let profiler = if profile then Profiler.create () else Profiler.disabled in
   if profile then Telemetry.set_profiler telemetry profiler;
   let w = Common.make_reflex ~n_threads:2 ~telemetry ~seed () in
@@ -132,32 +122,11 @@ let render_result r =
     Buffer.add_string buf
       (Printf.sprintf "flight dump: %d bytes, md5 %s\n" (String.length j)
          (Digest.to_hex (Digest.string j))));
+  let checks = checks r in
   Buffer.add_string buf "acceptance:\n";
-  Buffer.add_string buf (Identity.lines (checks r));
+  Buffer.add_string buf (Identity.lines checks);
+  Buffer.add_string buf (if Identity.all_ok checks then "OBS OK\n" else "OBS FAILED\n");
   Buffer.contents buf
-
-(* {1 Determinism debrief} *)
-
-(* The identity legs compare the render and the first dump's full JSON
-   debrief (the render only carries its md5). *)
-let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let with_dump r = render_result r ^ Option.value ~default:"" (first_debrief r) in
-  let base = run ~mode ~seed () in
-  let inert = run ~mode ~seed ~flight:`Inert () in
-  let bare = run ~mode ~seed ~flight:`None () in
-  let report =
-    Identity.debrief ~text:(render_result base) ~acceptance:(checks base)
-      (Identity.verify ~base:(with_dump base) (fun () -> with_dump (run ~mode ~seed ()))
-      @ [
-          Identity.check "disarmed recorder render == no recorder"
-            (String.equal (render_result inert) (render_result bare)
-            && String.equal inert.digest bare.digest);
-          Identity.check "armed recorder leaves world digest unchanged"
-            (String.equal base.digest inert.digest);
-        ])
-  in
-  let verdict = if Identity.all_ok report.Identity.checks then "OBS OK\n" else "OBS FAILED\n" in
-  { report with Identity.text = report.Identity.text ^ verdict }
 
 (* {1 Profiler view (host wall time — never part of the render)} *)
 

@@ -6,9 +6,7 @@
     The deterministic render covers the fault plan, monitor report,
     retry span trees and the digest of the first dump's JSON debrief;
     profiler output (host wall time) is exposed only through
-    {!profile_report}.  {!debrief} asserts the dump is byte-identical
-    across a same-seed rerun and serial vs [--jobs 2], and that a
-    disarmed recorder perturbs nothing. *)
+    {!profile_report}. *)
 
 open Reflex_faults
 open Reflex_monitor
@@ -22,14 +20,13 @@ type result = {
   digest : string;  (** server counters + per-generator stats *)
 }
 
-(** [flight] picks the recorder wiring: [`Armed] (default) a live ring,
-    [`Inert] a created-but-disabled one, [`None] the shared disabled
-    instance.  [profile] arms the cost profiler (default off — its
+(** [flight] (default true) attaches a live recorder ring; [false]
+    leaves the shared disabled instance.  [profile] arms the cost profiler (default off — its
     clock reads are host-wall-time and pure overhead when unused). *)
 val run :
   ?mode:Common.mode ->
   ?seed:int64 ->
-  ?flight:[ `Armed | `Inert | `None ] ->
+  ?flight:bool ->
   ?profile:bool ->
   unit ->
   result
@@ -52,13 +49,9 @@ val links_recorded : result -> bool
 (** The predicates above as the render's PASS/FAIL lines. *)
 val checks : result -> Identity.check list
 
-(** Deterministic render (never includes profiler numbers). *)
+(** Deterministic render (never includes profiler numbers), ending with
+    the {!checks} lines and an [OBS OK]/[OBS FAILED] verdict line. *)
 val render_result : result -> string
-
-(** Render plus the {!Identity.verify} checks over render and dump, the
-    disarmed-recorder identity checks, and an [OBS OK]/[OBS FAILED]
-    verdict line. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report
 
 (** Host-wall-time profiler table ({!Reflex_obs.Profiler.report}) —
     print separately, never fold into a byte-identity-checked output. *)

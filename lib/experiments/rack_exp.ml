@@ -561,12 +561,3 @@ let export_leg ?(mode = Common.Quick) ?(seed = 42L) () =
   Telemetry.set_flight telemetry (Reflex_obs.Flight.create ());
   ignore (bakeoff_leg ~sc ~seed ~telemetry Policy.Po2c);
   telemetry
-
-(* The base and every identity leg render with [~jobs:1]: the two-domain
-   leg races two whole renders, so the bakeoff legs stay serial inside
-   each. *)
-let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
-  let r = run ~mode ~seed ~jobs:1 () in
-  let text = render_result r in
-  Identity.debrief ~text:(text ^ "\n") ~acceptance:(checks r)
-    (Identity.verify ~base:text (fun () -> render ~mode ~seed ~jobs:1 ()))

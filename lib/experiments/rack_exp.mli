@@ -16,9 +16,7 @@
       detector ([Reflex_rack.Skew], over the same probe samples the
       balancers see) fires and {!Reflex_rack.Rack.rebalance} migrates
       the heaviest tenants away — the render shows migrations applied
-      and the dispatch imbalance before vs after.
-
-    {!debrief} adds the {!Identity.verify} byte-identity checks. *)
+      and the dispatch imbalance before vs after. *)
 
 open Reflex_rack
 open Reflex_engine
@@ -114,6 +112,3 @@ val render :
     migrations land in the flight recorder and gauges), for the CLI's
     [--prom-out]/[--trace-out]. *)
 val export_leg : ?mode:Common.mode -> ?seed:int64 -> unit -> Reflex_telemetry.Telemetry.t
-
-(** {!render} followed by the {!Identity.verify} checks. *)
-val debrief : ?mode:Common.mode -> ?seed:int64 -> unit -> Identity.report

@@ -67,3 +67,18 @@ let to_table rows =
         ])
     rows;
   t
+
+(* Latency breakdowns, component aggregates, SLO audit, scheduler
+   decisions and final metrics, each after a blank line. *)
+let reports tel =
+  String.concat "\n"
+    [
+      "";
+      Trace_export.breakdown_report tel;
+      Trace_export.component_report tel;
+      Slo_audit.report tel;
+      Telemetry.decisions_report tel;
+      Telemetry.metrics_report tel;
+    ]
+
+let render_result r = Table.render (to_table r.rows) ^ reports r.telemetry

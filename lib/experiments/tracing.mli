@@ -16,3 +16,12 @@ type result = { telemetry : Telemetry.t; rows : tenant_row list }
 
 val run : ?mode:Common.mode -> unit -> result
 val to_table : tenant_row list -> Reflex_stats.Table.t
+
+(** The telemetry debrief of one world, each report after a blank line:
+    per-request latency breakdowns, component aggregates, the SLO audit,
+    the scheduler decision log and the final metrics. *)
+val reports : Telemetry.t -> string
+
+(** The tenant table followed by {!reports}: what [reflex_sim trace]
+    prints before its export lines. *)
+val render_result : result -> string

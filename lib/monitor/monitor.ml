@@ -21,11 +21,10 @@ module Profiler = Reflex_obs.Profiler
    id in Telemetry.tenants_with_slo (a sorted list — wiring order is
    deterministic too).
 
-   Zero-overhead-when-disabled: a monitor created with ~enabled:false
-   (or over a disabled telemetry) registers nothing, arms no daemon and
-   never mutates the world, so a disabled-monitor run is bit-identical
-   to a run with no monitor at all.  Remediation is opt-in via [bind];
-   without bindings the monitor is a pure observer even when enabled. *)
+   Zero-overhead-when-disabled: a monitor over a disabled telemetry
+   registers nothing, arms no daemon and never mutates the world.
+   Remediation is opt-in via [bind]; without bindings the monitor is a
+   pure observer. *)
 
 (* One alert-triggered forensic dump: the flight-ring snapshot frozen at
    the tick where the alert fired, plus the cross-references needed to
@@ -93,8 +92,8 @@ let anomaly_floor = 0.25
 let knee_frac = 0.8
 let max_dumps = 4
 
-let create ?(enabled = true) ?fault_lookback ~server ~telemetry () =
-  let enabled = enabled && Telemetry.enabled telemetry in
+let create ?fault_lookback ~server ~telemetry () =
+  let enabled = Telemetry.enabled telemetry in
   let tsdb = if enabled then Tsdb.create ~capacity () else Tsdb.disabled in
   let lookback =
     match fault_lookback with

@@ -19,10 +19,8 @@
     (EWMA z-score on the windowed SLO-violating fraction, gated on an
     absolute floor so clean runs stay silent).
 
-    {e Zero overhead when disabled}: with [~enabled:false] (or a
-    disabled telemetry) nothing is registered and no daemon is armed —
-    a disabled-monitor run is bit-identical to a run with no monitor.
-    Remediation is opt-in via {!bind}; without bindings the monitor
+    {e Zero overhead when disabled}: over a disabled telemetry nothing
+    is registered and no daemon is armed.  Remediation is opt-in via {!bind}; without bindings the monitor
     never mutates the world. *)
 
 open Reflex_engine
@@ -58,7 +56,6 @@ type flight_dump = private {
     per-tenant series the rules read; {!prometheus} renders the
     telemetry registry itself. *)
 val create :
-  ?enabled:bool ->
   ?fault_lookback:Time.t ->
   server:Server.t ->
   telemetry:Telemetry.t ->

@@ -140,7 +140,7 @@ let make ~enabled ~capacity =
   }
 
 let disabled = make ~enabled:false ~capacity:1
-let create ?(enabled = true) ?(capacity = 1 lsl 15) () = make ~enabled ~capacity
+let create ?(capacity = 1 lsl 15) () = make ~enabled:true ~capacity
 let enabled t = t.on [@@inline]
 let capacity t = Cursor.capacity t.cur
 let total t = Cursor.total t.cur

@@ -68,11 +68,9 @@ type t
 (** The shared always-disabled recorder: every operation is a no-op. *)
 val disabled : t
 
-(** [create ()] makes a recorder.  [enabled:false] builds a real but inert
-    instance (distinct from {!disabled}), used to prove that a disarmed
-    recorder perturbs nothing.  [capacity] is the ring size in records
-    (default [1 lsl 15]). *)
-val create : ?enabled:bool -> ?capacity:int -> unit -> t
+(** [create ()] makes an armed recorder.  [capacity] is the ring size in
+    records (default [1 lsl 15]). *)
+val create : ?capacity:int -> unit -> t
 
 val enabled : t -> bool
 val capacity : t -> int

@@ -6,7 +6,7 @@
    float argument or result: under [-opaque] each such float would be
    boxed, once per tenant per round.  Each float update keeps the
    operands and the order it has: every render is pinned byte for byte
-   (smoke.md5, the export pins, perfbench's sim_digest). *)
+   (test/pins.md5, perfbench's sim_digest). *)
 
 open Reflex_engine
 open Reflex_telemetry

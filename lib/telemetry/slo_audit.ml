@@ -42,9 +42,12 @@ let majority vs =
   List.iter (fun v -> counts.(v.v_dominant) <- counts.(v.v_dominant) + 1) vs;
   Stage.dominant counts
 
+(* The violation-log bucket width. *)
+let window = Time.ms 10
+
 (* Violations bucketed into fixed windows per tenant, sorted by (start,
    tenant), each with its violations newest first. *)
-let windows ~window vs =
+let windows vs =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun v ->
@@ -63,8 +66,7 @@ let overlapping_faults tel ~start ~stop =
       if Time.(f0 < stop) && ends_after then Some label else None)
     (Telemetry.fault_windows tel)
 
-let report ?window:(w = Time.ms 10) tel =
-  if Time.(w <= Time.zero) then invalid_arg "Slo_audit.report: non-positive window";
+let report tel =
   let bds = Trace_export.breakdowns tel in
   let vs = violations tel bds in
   let buf = Buffer.create 2048 in
@@ -90,22 +92,22 @@ let report ?window:(w = Time.ms 10) tel =
              (List.length mine) (worst_us mine)
              (if mine = [] then "-" else Stage.component_names.(majority mine))))
       lc;
-    let ws = windows ~window:w vs in
+    let ws = windows vs in
     let have_faults = Telemetry.fault_windows tel <> [] in
     if ws <> [] then begin
       Buffer.add_string buf
-        (Printf.sprintf "-- violation windows (%.1fms) --\n" (Time.to_float_ms w));
+        (Printf.sprintf "-- violation windows (%.1fms) --\n" (Time.to_float_ms window));
       Buffer.add_string buf
         (Printf.sprintf "%-10s %-8s %6s %10s  %-14s %s\n" "t_ms" "tenant" "count" "worst_us"
            "dominant"
            (if have_faults then "faults" else ""));
       List.iter
         (fun ((slot, tenant), mine) ->
-          let start = Int64.mul slot w in
+          let start = Int64.mul slot window in
           let faults =
             if not have_faults then ""
             else
-              match overlapping_faults tel ~start ~stop:(Time.add start w) with
+              match overlapping_faults tel ~start ~stop:(Time.add start window) with
               | [] -> "-"
               | labels -> String.concat "," labels
           in

@@ -638,6 +638,28 @@ let test_e2e_deficit_notifications () =
   Alcotest.(check bool) "flagged for renegotiation" true
     (Server.deficit_notifications server ~tenant:1 >= 10)
 
+(* The per-tenant counter lookups allocate nothing, for a registered
+   tenant and an unknown one alike: exactly 0 words over 10,000 calls of
+   each.  Run under both build profiles ([make alloc-gate] runs it alone
+   in release). *)
+let test_lookups_allocation_free () =
+  let sim, fabric, server = setup () in
+  register_ok sim (connect_client sim fabric server ()) ~tenant:1 ();
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (what, tenant) ->
+      Alcotest.(check (float 0.0)) (what ^ ": tenant_completed words") 0.0
+        (words (fun () -> Server.tenant_completed server ~tenant));
+      Alcotest.(check (float 0.0)) (what ^ ": deficit_notifications words") 0.0
+        (words (fun () -> Server.deficit_notifications server ~tenant)))
+    [ ("registered", 1); ("unknown", 99) ]
+
 (* ------------------------------------------------------------------ *)
 (* Global_control                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -927,6 +949,8 @@ let suite =
         Alcotest.test_case "double barrier" `Quick test_e2e_double_barrier;
         Alcotest.test_case "deficit notifications (SS3.2.2)" `Quick test_e2e_deficit_notifications;
       ] );
+    ( "alloc",
+      [ Alcotest.test_case "tenant lookups allocation-free" `Quick test_lookups_allocation_free ] );
     ( "global_control",
       [
         Alcotest.test_case "co-locates similar SLOs" `Quick test_global_colocates_similar_slos;

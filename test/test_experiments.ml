@@ -82,7 +82,7 @@ let test_runner_parallel_matches_serial () =
     (mini_table parallel)
 
 (* ------------------------------------------------------------------ *)
-(* Identity: the shared acceptance mechanism                          *)
+(* Identity: the acceptance checks and the rerun helper               *)
 (* ------------------------------------------------------------------ *)
 
 (* A render that counts its calls differs on every rerun: both identity
@@ -90,7 +90,7 @@ let test_runner_parallel_matches_serial () =
 let test_identity_catches_nondeterminism () =
   let calls = Atomic.make 0 in
   let render () = string_of_int (Atomic.fetch_and_add calls 1) in
-  let checks = Identity.verify ~base:(render ()) render in
+  let checks = Rerun.legs ~base:(render ()) render in
   Alcotest.(check (list (pair string bool)))
     "rerun and two-domain legs fail"
     [ ("same-seed rerun byte-identical", false); ("serial vs --jobs 2 byte-identical", false) ]
@@ -99,17 +99,13 @@ let test_identity_catches_nondeterminism () =
 
 let test_identity_all_pass () =
   let render () = "same bytes" in
-  let rep =
-    Identity.debrief ~text:"render\n"
-      ~acceptance:[ Identity.check "predicate holds" true ]
-      (Identity.verify ~base:(render ()) render)
-  in
-  Alcotest.(check bool) "all pass" true (Identity.all_ok rep.Identity.checks);
-  Alcotest.(check int) "zero exit" 0 (Identity.exit_code rep.Identity.checks);
-  Alcotest.(check string) "render then determinism block"
-    (Printf.sprintf "render\ndeterminism:\n  %-44s PASS\n  %-44s PASS\n"
+  let checks = Identity.check "predicate holds" true :: Rerun.legs ~base:(render ()) render in
+  Alcotest.(check bool) "all pass" true (Identity.all_ok checks);
+  Alcotest.(check int) "zero exit" 0 (Identity.exit_code checks);
+  Alcotest.(check string) "one PASS line per check"
+    (Printf.sprintf "  %-44s PASS\n  %-44s PASS\n  %-44s PASS\n" "predicate holds"
        "same-seed rerun byte-identical" "serial vs --jobs 2 byte-identical")
-    rep.Identity.text
+    (Identity.lines checks)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2                                                            *)

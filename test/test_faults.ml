@@ -221,13 +221,10 @@ let test_empty_plan_is_invisible () =
 (* ------------------------------------------------------------------ *)
 
 let test_chaos_deterministic_and_resilient () =
-  let seed = 42L in
-  let r = Chaos.run ~mode:Common.Quick ~seed () in
-  List.iter
-    (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok)
-    (Chaos.checks r
-    @ Identity.verify ~base:(Chaos.render_result r) (fun () ->
-          Chaos.render ~mode:Common.Quick ~seed ()));
+  let r = Lazy.force Scenarios.chaos in
+  List.iter (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok) (Chaos.checks r);
+  Rerun.check ~base:(Chaos.render_result r) (fun () ->
+      Chaos.render ~mode:Common.Quick ~seed:42L ());
   Alcotest.(check int) "all windows injected" 3 r.Chaos.injected;
   Alcotest.(check int) "all windows recovered" 3 r.Chaos.recovered;
   Alcotest.(check bool) "faults provoked retries" true (r.Chaos.retries > 0)

@@ -292,26 +292,17 @@ let test_remediate_actions () =
   Alcotest.(check (float 1e-9)) "factor floored" 0.05 (factor ());
   Alcotest.(check string) "log action" "hello" (Remediate.apply server (Remediate.Log "hello"))
 
+(* Over a disabled telemetry, a monitor degrades to inert. *)
 let test_monitor_disabled_inert () =
-  let telemetry = Reflex_telemetry.Telemetry.create () in
-  let w = Common.make_reflex ~telemetry ~seed:5L () in
-  let m = Monitor.create ~enabled:false ~server:w.Common.server ~telemetry () in
-  Monitor.start m w.Common.sim ();
-  Monitor.tick m ~now:(Time.ms 3);
-  let check_inert what m =
-    Alcotest.(check int) (what ^ ": no alert events") 0 (List.length (Monitor.events m));
-    Alcotest.(check string) (what ^ ": empty prometheus") "" (Monitor.prometheus m);
-    Alcotest.(check string) (what ^ ": disabled report") "== monitor disabled ==\n"
-      (Monitor.report m)
-  in
-  check_inert "disabled" m;
-  (* over a disabled telemetry, an enabled monitor degrades to inert too *)
-  let m2 =
+  let w = Common.make_reflex ~seed:5L () in
+  let m =
     Monitor.create ~server:w.Common.server ~telemetry:Reflex_telemetry.Telemetry.disabled ()
   in
-  Monitor.start m2 w.Common.sim ();
-  Monitor.tick m2 ~now:(Time.ms 3);
-  check_inert "disabled telemetry" m2
+  Monitor.start m w.Common.sim ();
+  Monitor.tick m ~now:(Time.ms 3);
+  Alcotest.(check int) "no alert events" 0 (List.length (Monitor.events m));
+  Alcotest.(check string) "empty prometheus" "" (Monitor.prometheus m);
+  Alcotest.(check string) "disabled report" "== monitor disabled ==\n" (Monitor.report m)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end scenario (shared across checks; ~one chaos-sized run)   *)
@@ -328,7 +319,6 @@ let test_scenario_alerts_in_fault_windows () =
 
 let test_scenario_identity () =
   let r = Lazy.force scenario in
-  Alcotest.(check bool) "disabled == none" true (Monitor_exp.disabled_identical r);
   Alcotest.(check bool) "enabled observer == none" true (Monitor_exp.observer_identical r);
   Alcotest.(check bool) "remediation applied" true (Monitor_exp.remediation_applied r)
 
@@ -343,23 +333,10 @@ let test_clean_runs_silent () =
         (List.length (Monitor.events leg.Monitor_exp.monitor)))
     [ 3L; 19L; 1234L ]
 
-let quick_render () = Monitor_exp.render ~mode:Common.Quick ~seed:11L ()
-let quick_base = lazy (quick_render ())
-
 (* Same-seed monitor reports must be byte-identical on rerun and serial
-   vs --jobs 2. *)
+   vs --jobs 2; the pin table holds the same report across commits. *)
 let test_parallel_determinism () =
-  List.iter
-    (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok)
-    (Identity.verify ~base:(Lazy.force quick_base) quick_render)
-
-(* Cross-commit pin: the same report's MD5.  The identity checks above
-   compare one binary with itself; this one catches a change that moves
-   the render.  A change that alters it on purpose re-records the digest
-   and says so in CHANGES.md. *)
-let test_render_pinned () =
-  Alcotest.(check string) "quick seed-11 report md5" "07c566125e37ead13fe3015f8134c988"
-    (Digest.to_hex (Digest.string (Lazy.force quick_base)))
+  Rerun.check ~base:(Lazy.force Scenarios.monitor) Scenarios.monitor_render
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -409,10 +386,9 @@ let suite =
       [
         Alcotest.test_case "alerts land in fault windows" `Quick
           test_scenario_alerts_in_fault_windows;
-        Alcotest.test_case "observer/disabled identity" `Quick test_scenario_identity;
+        Alcotest.test_case "observer identity" `Quick test_scenario_identity;
         Alcotest.test_case "clean runs are silent" `Quick test_clean_runs_silent;
         Alcotest.test_case "serial vs --jobs 2 reports identical" `Quick
           test_parallel_determinism;
-        Alcotest.test_case "report pinned" `Quick test_render_pinned;
       ] );
   ]

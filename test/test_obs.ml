@@ -77,16 +77,14 @@ let test_snapshot_window () =
   let all = Flight.snapshot fl ~now:(Time.us 10) ~window:(Time.sec 1) in
   Alcotest.(check int) "wide window keeps all" 10 (Flight.snap_length all)
 
-let test_disabled_and_inert () =
-  List.iter
-    (fun (name, fl) ->
-      Alcotest.(check bool) (name ^ ": disabled") false (Flight.enabled fl);
-      put fl 1;
-      Alcotest.(check int) (name ^ ": no records") 0 (Flight.total fl);
-      Alcotest.(check int) (name ^ ": intern -1") (-1) (Flight.intern fl "x");
-      let snap = Flight.snapshot fl ~now:(Time.us 10) ~window:(Time.sec 1) in
-      Alcotest.(check int) (name ^ ": empty snapshot") 0 (Flight.snap_length snap))
-    [ ("shared", Flight.disabled); ("inert", Flight.create ~enabled:false ()) ]
+let test_disabled () =
+  let fl = Flight.disabled in
+  Alcotest.(check bool) "disabled" false (Flight.enabled fl);
+  put fl 1;
+  Alcotest.(check int) "no records" 0 (Flight.total fl);
+  Alcotest.(check int) "intern -1" (-1) (Flight.intern fl "x");
+  let snap = Flight.snapshot fl ~now:(Time.us 10) ~window:(Time.sec 1) in
+  Alcotest.(check int) "empty snapshot" 0 (Flight.snap_length snap)
 
 let test_intern_labels () =
   let fl = Flight.create () in
@@ -173,7 +171,7 @@ let contains hay needle =
 
 let test_obs_scenario () =
   let open Reflex_experiments in
-  let r = Obs_exp.run () in
+  let r = Lazy.force Scenarios.obs in
   Alcotest.(check bool) "an alert-triggered dump fired" true (Obs_exp.dump_captured r);
   Alcotest.(check bool) "dump names its firing alert" true (Obs_exp.dump_names_alert r);
   Alcotest.(check bool) "dump names an active fault window" true (Obs_exp.dump_names_fault r);
@@ -184,19 +182,19 @@ let test_obs_scenario () =
     Alcotest.(check bool) "chrome trace has events" true (contains j "\"traceEvents\""));
   (* The armed recorder observes but never perturbs: same world with the
      recorder absent produces the identical result digest. *)
-  let bare = Obs_exp.run ~flight:`None () in
+  let bare = Obs_exp.run ~flight:false () in
   Alcotest.(check string) "armed recorder does not perturb" bare.Obs_exp.digest
     r.Obs_exp.digest
 
+(* The render and the first dump's whole JSON debrief are byte-identical
+   across a same-seed rerun and serial vs --jobs 2, and the render ends
+   with its verdict. *)
 let test_obs_dump_determinism () =
-  (* Obs_exp.debrief re-runs the scenario across a same-seed rerun and
-     serial vs --jobs 2, and checks the dump bytes and result digests
-     agree; it renders OBS FAILED otherwise. *)
-  let rep = Reflex_experiments.Obs_exp.debrief () in
-  List.iter
-    (fun c -> Alcotest.(check bool) c.Reflex_experiments.Identity.name true c.ok)
-    rep.Reflex_experiments.Identity.checks;
-  Alcotest.(check bool) "debrief verdict" true (contains rep.text "OBS OK")
+  let open Reflex_experiments in
+  let base = Scenarios.obs_with_dump (Lazy.force Scenarios.obs) in
+  Rerun.check ~base (fun () -> Scenarios.obs_with_dump (Obs_exp.run ()));
+  Alcotest.(check bool) "render verdict" true
+    (contains (Obs_exp.render_result (Lazy.force Scenarios.obs)) "OBS OK\n")
 
 let suite =
   [
@@ -204,7 +202,7 @@ let suite =
       [
         Alcotest.test_case "ring wraparound at exact capacity" `Quick test_ring_wraparound;
         Alcotest.test_case "snapshot window boundary" `Quick test_snapshot_window;
-        Alcotest.test_case "disabled and inert recorders" `Quick test_disabled_and_inert;
+        Alcotest.test_case "disabled recorder" `Quick test_disabled;
         Alcotest.test_case "intern table" `Quick test_intern_labels;
         Alcotest.test_case "kind roundtrip" `Quick test_kind_roundtrip;
       ] );
