@@ -32,11 +32,14 @@ lint: build
 # profile.  qos.alloc (test_qos.ml): words per Algorithm-1 round
 # independent of the tenant count, at most 20.  engine.alloc
 # (test_engine.ml): at most 3.1 words per posted Sim event and 40 per
-# 1KB Fabric.transmit.  core.alloc (test_core.ml): 0 words over 10,000
-# Server.tenant_completed and deficit_notifications lookups.  The release
+# 1KB Fabric.transmit, and 0 words over 10,000 Prng.int draws.
+# flash.alloc (test_flash.ml): at most 14 words per 4KB queue-pair read,
+# submit through drain.  core.alloc (test_core.ml): 0 words over 10,000
+# Server.tenant_completed and deficit_notifications lookups, and at most
+# 30.04 words per request through one dataplane thread.  The release
 # build replaces the dev one in _build/, so the next dev build recompiles.
 alloc-gate:
-	dune exec --profile release test/test_main.exe -- test '(qos|engine|core).alloc'
+	dune exec --profile release test/test_main.exe -- test '(qos|engine|flash|core).alloc'
 
 # Host-time gates (test/host_gate.ml lists them): wall-clock floors and
 # overhead budgets, kept out of `dune runtest` because machine load moves

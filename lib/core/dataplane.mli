@@ -24,9 +24,6 @@ open Reflex_qos
 
 type 'a t
 
-(** A completed request handed back for response transmission. *)
-type 'a done_req = { payload : 'a; kind : Io_op.kind; nvme_latency : Time.t }
-
 val create :
   Sim.t ->
   thread_id:int ->
@@ -55,7 +52,9 @@ val create :
   ?trace_id:('a -> int64) ->
   (* projects the opaque payload to the request id of a stamp; default
      [fun _ -> 0L] *)
-  respond:('a done_req -> unit) ->
+  respond:(kind:Io_op.kind -> 'a -> unit) ->
+  (* a completed request's payload, handed back for response
+     transmission *)
   unit ->
   'a t
 

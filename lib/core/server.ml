@@ -84,12 +84,12 @@ let release_gate g =
     drain ()
   | Some _ | None -> ()
 
-let respond t done_req =
-  let { conn; req_id; bytes; tenant; t_arrive } = done_req.Dataplane.payload in
+let respond t ~kind payload =
+  let { conn; req_id; bytes; tenant; t_arrive } = payload in
   t.completed <- t.completed + 1;
   tenant.completed <- tenant.completed + 1;
   let msg =
-    match done_req.Dataplane.kind with
+    match (kind : Io_op.kind) with
     | Io_op.Read -> Message.Read_resp { req_id; status = Message.Ok; len = bytes }
     | Io_op.Write -> Message.Write_resp { req_id; status = Message.Ok }
   in
@@ -153,7 +153,7 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1)
                   reroute (Lazy.force t) ~tenant_id ~kind ~bytes payload)
                 ~telemetry ~stages
                 ~trace_id:(fun p -> p.req_id)
-                ~respond:(fun d -> respond (Lazy.force t) d)
+                ~respond:(fun ~kind payload -> respond (Lazy.force t) ~kind payload)
                 ());
         tenants = Hashtbl.create 64;
         fleet_ro = true;

@@ -3,25 +3,38 @@
    different Runner.map domains never share mutable state. *)
 type zipf_cache = { zn : int; ztheta : float; cdf : float array }
 
-type t = { mutable state : int64; mutable zcache : zipf_cache option }
+(* The SplitMix64 state lives unboxed in an 8-byte [Bytes.t], read and
+   written with the unaligned 64-bit primitives: a mutable [int64] field
+   would box on every store.  [bits64], [float] and [normal] are inlined
+   into every draw below, so the arithmetic stays in registers: [int]
+   allocates nothing, and a float draw boxes only the value it returns
+   to another module. *)
+type t = { state : Bytes.t; mutable zcache : zipf_cache option }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed; zcache = None }
+let create seed =
+  let state = Bytes.create 8 in
+  set64 state 0 seed;
+  { state; zcache = None }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get64 t.state 0) golden_gamma in
+  set64 t.state 0 s;
+  mix64 s
 
 let split t = create (bits64 t)
 
 (* 53 high-quality bits -> [0,1) *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
@@ -39,7 +52,7 @@ let exponential t ~mean =
   let u = 1.0 -. float t in
   -.mean *. log u
 
-let normal t ~mean ~stddev =
+let[@inline] normal t ~mean ~stddev =
   let u1 = 1.0 -. float t in
   let u2 = float t in
   let r = sqrt (-2.0 *. log u1) in

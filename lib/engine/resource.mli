@@ -2,11 +2,11 @@
     levels.
 
     Models any component that serves jobs one at a time: a CPU core, a
-    Flash die, a kernel thread.  High-priority jobs always start before
-    queued low-priority jobs, but service is non-preemptive: a long
-    low-priority job (e.g. a Flash erase) blocks the server until it
-    completes — this is exactly the mechanism behind read/write
-    interference on Flash. *)
+    kernel thread.  High-priority jobs always start before queued
+    low-priority jobs, but service is non-preemptive: a long
+    low-priority job blocks the server until it completes (the flash
+    dies of [Reflex_flash.Nvme_model] follow the same discipline in
+    their own op arena). *)
 
 type t
 

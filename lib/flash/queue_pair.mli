@@ -9,25 +9,19 @@ open Reflex_engine
 
 type t
 
-type completion = { cookie : int; kind : Io_op.kind; latency : Time.t }
-
 val create : Nvme_model.t -> t
 
 (** [submit t ~kind ~bytes ~cookie] returns [`Full] when the submission
-    queue is at depth (the caller must retry later), [`Ok] otherwise. *)
+    queue is at depth (the caller must retry later), [`Ok] otherwise.
+    Allocates no closure: each submission slot's completion callback is
+    built once. *)
 val submit : t -> kind:Io_op.kind -> bytes:int -> cookie:int -> [ `Ok | `Full ]
 
 (** [drain t ~max ~f] removes up to [max] completions oldest-first,
-    applying [f] to each in place; returns the number drained.  The
-    zero-allocation reap path: the dataplane's per-cycle loop (paper
-    §3.2's polling step) uses this, never {!poll}. *)
+    applying [f] to each in place; returns the number drained.  This is
+    the polling step of paper §3.2; it allocates nothing. *)
 val drain :
   t -> max:int -> f:(cookie:int -> kind:Io_op.kind -> latency:Time.t -> unit) -> int
-
-(** [poll t ~max] removes and returns up to [max] completions, oldest
-    first.  Allocates the returned list — a convenience for tests and
-    tooling; hot callers use {!drain}. *)
-val poll : t -> max:int -> completion list
 
 (** Commands submitted but not yet reaped. *)
 val inflight : t -> int

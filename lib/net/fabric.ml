@@ -1,13 +1,8 @@
 open Reflex_engine
 
 (* A link serves one message at a time, in FIFO order: [busy] while one
-   serializes, and queued message ids wait in a growable ring. *)
-type link = {
-  mutable busy : bool;
-  mutable ring : int array;
-  mutable head : int;
-  mutable len : int;
-}
+   serializes, and queued message ids wait in [queue]. *)
+type link = { mutable busy : bool; queue : Int_fifo.t }
 
 type host = {
   id : int; (* order of [add_host] on this fabric *)
@@ -65,26 +60,12 @@ let noop () = ()
 
 (* ---- links ---- *)
 
-let make_link () = { busy = false; ring = [||]; head = 0; len = 0 }
-
-(* Cold path: double the ring, unwrapping it to start at 0. *)
-let grow_ring l =
-  let cap = Array.length l.ring in
-  let nr = Array.make (if cap = 0 then 16 else cap * 2) 0 in
-  for i = 0 to l.len - 1 do
-    nr.(i) <- l.ring.((l.head + i) mod cap)
-  done;
-  l.ring <- nr;
-  l.head <- 0
+let make_link () = { busy = false; queue = Int_fifo.create () }
 
 (* Start message [m] on link [l], whose completion is handler [h], or
    queue it behind the message in service. *)
 let link_submit t l h m =
-  if l.busy then begin
-    if l.len = Array.length l.ring then grow_ring l;
-    l.ring.((l.head + l.len) mod Array.length l.ring) <- m;
-    l.len <- l.len + 1
-  end
+  if l.busy then Int_fifo.push l.queue m
   else begin
     l.busy <- true;
     Sim.post_after t.sim (Time.ns t.m_ser.(m)) h m
@@ -94,11 +75,9 @@ let link_submit t l h m =
    any.  Callers run this before the finished message's own next step,
    so the next message's event is scheduled first. *)
 let link_next t l h =
-  if l.len = 0 then l.busy <- false
+  if Int_fifo.length l.queue = 0 then l.busy <- false
   else begin
-    let m = l.ring.(l.head) in
-    l.head <- (l.head + 1) mod Array.length l.ring;
-    l.len <- l.len - 1;
+    let m = Int_fifo.pop l.queue in
     Sim.post_after t.sim (Time.ns t.m_ser.(m)) h m
   end
 

@@ -1,10 +1,10 @@
-(* Algorithm 1.  A round allocates nothing per tenant while the flight
-   recorder is unarmed (an armed one boxes each record's [~v]); what a
-   round does allocate is the boxed time delta since the last one.  The
-   round reads and writes each tenant's flat [acct] fields and the global
-   bucket's cell in place, and calls no function of another module with a
-   float argument or result: under [-opaque] each such float would be
-   boxed, once per tenant per round.  Each float update keeps the
+(* Algorithm 1.  A round allocates nothing while the flight recorder is
+   unarmed (an armed one boxes each record's [~v]), and a released
+   request reaches [submit] as its bare payload, with no submission
+   record.  The round reads and writes each tenant's flat [acct] fields
+   and the global bucket's cell in place, and calls no function of
+   another module with a float argument or result: under [-opaque] each
+   such float would be boxed, once per tenant per round.  Each float update keeps the
    operands and the order it has: every render is pinned byte for byte
    (test/pins.md5, perfbench's sim_digest). *)
 
@@ -12,8 +12,6 @@ open Reflex_engine
 open Reflex_telemetry
 module Flight = Reflex_obs.Flight
 module Profiler = Reflex_obs.Profiler
-
-type 'a submission = { tenant_id : int; cost : float; payload : 'a }
 
 type 'a t = {
   neg_limit : float;
@@ -193,12 +191,12 @@ let iter_be t f =
   done
 
 let find_tenant t tenant_id = Hashtbl.find_opt t.by_id tenant_id
+let mem_tenant t tenant_id = Hashtbl.mem t.by_id tenant_id
 let tenant_count t = Hashtbl.length t.by_id
 
-let enqueue t ~tenant_id ~cost req =
-  match find_tenant t tenant_id with
-  | Some tenant -> Tenant.enqueue tenant ~cost req
-  | None -> raise Not_found
+(* [Hashtbl.find] raises [Not_found] for an unknown tenant itself: no
+   option is built on the per-request path. *)
+let enqueue t ~tenant_id ~cost req = Tenant.enqueue (Hashtbl.find t.by_id tenant_id) ~cost req
 
 (* O(1): the cell the member tenants maintain.  Clamp tiny negative
    float drift so idle detection stays exact. *)
@@ -223,48 +221,41 @@ let queue_depth t =
   !n
 
 (* Submit requests off [tenant]'s queue while there is demand and the
-   balance stays above [floor]; returns the count submitted. *)
+   balance stays above [floor]; returns the count submitted.  The head's
+   cost is read in place off the tenant's ring. *)
 let submit_while (tenant : _ Tenant.t) ~floor ~submit =
   let a = tenant.acct in
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if a.demand > 0.0 && a.tokens > floor then begin
-      match Tenant.dequeue tenant with
-      | Some (cost, payload) ->
-        a.tokens <- a.tokens -. cost;
-        a.submitted_cost <- a.submitted_cost +. cost;
-        submit { tenant_id = tenant.id; cost; payload };
-        incr n
-      | None -> continue := false
-    end
-    else continue := false
+  while a.demand > 0.0 && a.tokens > floor && tenant.len > 0 do
+    let cost = tenant.costs.(tenant.head) in
+    let payload = Tenant.dequeue tenant in
+    a.tokens <- a.tokens -. cost;
+    a.submitted_cost <- a.submitted_cost +. cost;
+    submit payload;
+    incr n
   done;
   !n
 
 (* BE variant: a request is submitted only if the tenant can fully pay. *)
 let submit_admissible (tenant : _ Tenant.t) ~submit =
-  let a = tenant.acct and q = tenant.queue in
+  let a = tenant.acct in
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if (not (Queue.is_empty q)) && fst (Queue.peek q) <= a.tokens then begin
-      match Tenant.dequeue tenant with
-      | Some (cost, payload) ->
-        a.tokens <- a.tokens -. cost;
-        a.submitted_cost <- a.submitted_cost +. cost;
-        submit { tenant_id = tenant.id; cost; payload };
-        incr n
-      | None -> continue := false
-    end
-    else continue := false
+  while tenant.len > 0 && tenant.costs.(tenant.head) <= a.tokens do
+    let cost = tenant.costs.(tenant.head) in
+    let payload = Tenant.dequeue tenant in
+    a.tokens <- a.tokens -. cost;
+    a.submitted_cost <- a.submitted_cost +. cost;
+    submit payload;
+    incr n
   done;
   !n
 
 let schedule t ~now ~submit =
   Profiler.enter t.profiler Profiler.Subsystem.Qos;
+  (* [Time.to_float_sec (Time.diff now prev)], written out so the float
+     is not boxed across the module boundary. *)
   let time_delta =
-    if t.scheduled then Time.to_float_sec (Time.diff now t.prev_sched_time) else 0.0
+    if t.scheduled then Int64.to_float (Time.diff now t.prev_sched_time) /. 1e9 else 0.0
   in
   t.scheduled <- true;
   t.prev_sched_time <- now;

@@ -14,9 +14,6 @@
 
 type 'a t
 
-(** A request released by the scheduler for submission to the device. *)
-type 'a submission = { tenant_id : int; cost : float; payload : 'a }
-
 val create :
   ?neg_limit:float ->
   (* default -50 tokens *)
@@ -39,6 +36,10 @@ val add_tenant : 'a t -> 'a Tenant.t -> unit
 val remove_tenant : 'a t -> int -> unit
 
 val find_tenant : 'a t -> int -> 'a Tenant.t option
+
+(** Whether the tenant is a member, without building an option. *)
+val mem_tenant : 'a t -> int -> bool
+
 val tenants : 'a t -> 'a Tenant.t list
 
 (** Visit the latency-critical members in insertion order, without
@@ -54,10 +55,11 @@ val tenant_count : 'a t -> int
     software queue.  Raises [Not_found] for an unknown tenant. *)
 val enqueue : 'a t -> tenant_id:int -> cost:float -> 'a -> unit
 
-(** Run one scheduling round at [now]; [submit] is called, in order, for
-    every request released to the NVMe queue.  Returns the number of
-    submissions. *)
-val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a submission -> unit) -> int
+(** Run one scheduling round at [now]; [submit] is called, in order, with
+    the payload of every request released to the NVMe queue (its tenant
+    has already been debited the cost it was enqueued with).  Returns the
+    number of submissions. *)
+val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a -> unit) -> int
 
 (** Total demand (tokens) sitting in this thread's tenant queues, clamped
     at zero.  O(1): a flat cell that every member tenant moves on each

@@ -25,7 +25,14 @@ type acct = {
 type 'a t = {
   id : int;
   slo : Slo.t;
-  queue : (float * 'a) Queue.t;  (** FIFO of (cost, request). *)
+  mutable costs : float array;
+  mutable items : 'a array;
+  mutable head : int;
+  mutable len : int;
+      (** The request FIFO: a ring of [len] entries from [head] over the
+          parallel [costs] and [items] arrays (power-of-two capacity,
+          grown on demand by {!enqueue}).  The head request's cost is
+          [costs.(head)]. *)
   acct : acct;
   grants : float array;
       (** POS_LIMIT ring: the LC grants of the last three rounds, written
@@ -59,5 +66,6 @@ val enqueue : 'a t -> cost:float -> 'a -> unit
 
 val queue_length : 'a t -> int
 
-(** Remove and return the head request with its cost. *)
-val dequeue : 'a t -> (float * 'a) option
+(** Remove and return the head request (its cost was [costs.(head)]).
+    Raises [Invalid_argument] on an empty queue. *)
+val dequeue : 'a t -> 'a

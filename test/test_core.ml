@@ -660,6 +660,49 @@ let test_lookups_allocation_free () =
         (words (fun () -> Server.deficit_notifications server ~tenant)))
     [ ("registered", 1); ("unknown", 99) ]
 
+(* Minor words per request through one dataplane thread, receive to
+   respond, in steady state: one best-effort tenant with an unbounded
+   rate, batches of 16 4KB reads received together and run to
+   completion.  What is left is the boxed [Time.t]s at module edges (each
+   core step's service, the die's delay, the latency the device hands
+   back, the clock re-boxed as time advances) and the floats the cost
+   model and the lognormal service noise return.  Exact for the seed;
+   run under both build profiles ([make alloc-gate] runs it alone in
+   release). *)
+let dataplane_request_words () =
+  let sim = Sim.create () in
+  let profile = Device_profile.device_a in
+  let device = Nvme_model.create sim ~profile ~prng:(Prng.split (Sim.prng sim)) in
+  let responded = ref 0 in
+  let dp =
+    Dataplane.create sim ~thread_id:0 ~qp:(Queue_pair.create device) ~device
+      ~cost_model:(Cost_model.of_profile profile) ~global:(Global_bucket.create ~n_threads:1)
+      ~stages:(Reflex_obs.Stage.sink ~lane:0)
+      ~respond:(fun ~kind:_ _ -> incr responded)
+      ()
+  in
+  Dataplane.add_tenant dp ~id:1 ~slo:(Slo.best_effort ()) ~token_rate:1e15;
+  let batch () =
+    for i = 1 to 16 do
+      Dataplane.receive dp ~tenant_id:1 ~kind:Io_op.Read ~bytes:4096 i
+    done;
+    ignore (Sim.run sim)
+  in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every request answered" 16_160 !responded;
+  words /. 16_000.0
+
+let test_dataplane_request_words () =
+  let w = dataplane_request_words () in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per dataplane request <= 30.04" w) true (w <= 30.04)
+
 (* ------------------------------------------------------------------ *)
 (* Global_control                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -950,7 +993,10 @@ let suite =
         Alcotest.test_case "deficit notifications (SS3.2.2)" `Quick test_e2e_deficit_notifications;
       ] );
     ( "alloc",
-      [ Alcotest.test_case "tenant lookups allocation-free" `Quick test_lookups_allocation_free ] );
+      [
+        Alcotest.test_case "tenant lookups allocation-free" `Quick test_lookups_allocation_free;
+        Alcotest.test_case "dataplane request words" `Quick test_dataplane_request_words;
+      ] );
     ( "global_control",
       [
         Alcotest.test_case "co-locates similar SLOs" `Quick test_global_colocates_similar_slos;

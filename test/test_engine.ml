@@ -45,6 +45,41 @@ let test_prng_split_independent () =
   let x = Prng.bits64 a and y = Prng.bits64 c in
   Alcotest.(check bool) "split streams differ" true (not (Int64.equal x y))
 
+(* Known answers: the first eight draws of each kind from seed 2017.
+   The float values are exact (hex literals), so any change to the
+   stream, or to the arithmetic a draw applies to it, fails here first. *)
+let test_prng_known_answers () =
+  let first8 f =
+    let p = Prng.create 2017L in
+    List.init 8 (fun _ -> f p)
+  in
+  Alcotest.(check (list int64))
+    "bits64"
+    [
+      -4214187333128637937L; -8059565770333756656L; -4755908852750610932L;
+      8360096236963352238L; -5043269586985211092L; -4818635597706386312L;
+      -2955213805258531314L; -5415797042487299005L;
+    ]
+    (first8 Prng.bits64);
+  Alcotest.(check (list int))
+    "int 1_000_000"
+    [ 456839; 897480; 470342; 676119; 170262; 582652; 510151; 126305 ]
+    (first8 (fun p -> Prng.int p 1_000_000));
+  Alcotest.(check (list (float 0.0)))
+    "float"
+    [
+      0x1.8b0865e57fd56p-1; 0x1.204d57443eb7cp-1; 0x1.7bff3c314f541p-1; 0x1.d0141cef711f2p-2;
+      0x1.74056a0fe26e5p-1; 0x1.7a4188e881514p-1; 0x1.adf9f1672c783p-1; 0x1.69ae729165ddep-1;
+    ]
+    (first8 Prng.float);
+  Alcotest.(check (list (float 0.0)))
+    "lognormal median 1 sigma 0.25"
+    [
+      0x1.587b499f0ce07p-1; 0x1.594864a25dcf3p-1; 0x1.f1af61724c1d3p-1; 0x1.c1d998175f746p-1;
+      0x1.e80a570b64e9cp-1; 0x1.845e8d28d0fd5p+0; 0x1.36ac5f3fe466fp+0; 0x1.6ca43489ed615p-1;
+    ]
+    (first8 (fun p -> Prng.lognormal p ~median:1.0 ~sigma:0.25))
+
 let test_prng_float_range () =
   let p = Prng.create 7L in
   for _ = 1 to 10_000 do
@@ -105,6 +140,32 @@ let prop_prng_int_bounds =
       let p = Prng.create seed in
       let x = Prng.int p n in
       x >= 0 && x < n)
+
+(* ------------------------------------------------------------------ *)
+(* Int_fifo                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Random pushes and pops (a pop on an empty FIFO is skipped) agree with
+   Stdlib's Queue, across ring growth and wrap-around. *)
+let prop_int_fifo_matches_queue =
+  QCheck.Test.make ~name:"Int_fifo matches Queue" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 200) (option small_nat))
+    (fun ops ->
+      let f = Int_fifo.create () and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+            Int_fifo.push f x;
+            Queue.add x q
+          | None ->
+            if not (Queue.is_empty q) then begin
+              let head = Int_fifo.peek f in
+              let popped = Int_fifo.pop f in
+              assert (head = popped && popped = Queue.pop q)
+            end);
+          Int_fifo.length f = Queue.length q)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Heap                                                               *)
@@ -777,11 +838,24 @@ let transmit_words () =
   Alcotest.(check int) "every message delivered" 8_008 !delivered;
   words /. 8_000.0
 
+(* Minor words over 10,000 [Prng.int] draws: the state is stored
+   unboxed, so a draw allocates nothing. *)
+let prng_int_words () =
+  let p = Prng.create 7L in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Prng.int p 1_000))
+  done;
+  Gc.minor_words () -. w0
+
 (* Run under both build profiles ([make alloc-gate] runs them alone in
    release). *)
 let test_posted_event_words () =
   let w = posted_event_words () in
   Alcotest.(check bool) (Printf.sprintf "%.2f words per posted event <= 3.1" w) true (w <= 3.1)
+
+let test_prng_int_words () =
+  Alcotest.(check (float 0.0)) "words over 10,000 Prng.int draws" 0.0 (prng_int_words ())
 
 let test_transmit_words () =
   let w = transmit_words () in
@@ -800,6 +874,7 @@ let suite =
     ( "prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         Alcotest.test_case "split independence" `Quick test_prng_split_independent;
         Alcotest.test_case "float in range" `Quick test_prng_float_range;
         Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
@@ -808,6 +883,7 @@ let suite =
         Alcotest.test_case "bernoulli bias" `Quick test_prng_bool_bias;
         qcheck prop_prng_int_bounds;
       ] );
+    ("int_fifo", [ qcheck prop_int_fifo_matches_queue ]);
     ( "heap",
       [
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
@@ -852,6 +928,7 @@ let suite =
       [
         Alcotest.test_case "posted event words" `Quick test_posted_event_words;
         Alcotest.test_case "transmit words" `Quick test_transmit_words;
+        Alcotest.test_case "Prng.int draws allocation-free" `Quick test_prng_int_words;
       ] );
     ( "resource",
       [

@@ -206,12 +206,13 @@ let test_qp_roundtrip () =
   Alcotest.(check int) "inflight" 1 (Queue_pair.inflight qp);
   ignore (Sim.run sim);
   Alcotest.(check int) "completion pending" 1 (Queue_pair.completions_pending qp);
-  (match Queue_pair.poll qp ~max:16 with
-  | [ c ] ->
-    Alcotest.(check int) "cookie" 7 c.Queue_pair.cookie;
-    Alcotest.(check bool) "kind" true (Io_op.equal_kind c.Queue_pair.kind Io_op.Read);
-    Alcotest.(check bool) "latency plausible" true Time.(c.Queue_pair.latency > Time.us 30)
-  | l -> Alcotest.failf "expected 1 completion, got %d" (List.length l));
+  let n =
+    Queue_pair.drain qp ~max:16 ~f:(fun ~cookie ~kind ~latency ->
+        Alcotest.(check int) "cookie" 7 cookie;
+        Alcotest.(check bool) "kind" true (Io_op.equal_kind kind Io_op.Read);
+        Alcotest.(check bool) "latency plausible" true Time.(latency > Time.us 30))
+  in
+  Alcotest.(check int) "one completion" 1 n;
   Alcotest.(check int) "drained" 0 (Queue_pair.completions_pending qp)
 
 let test_qp_full () =
@@ -235,8 +236,45 @@ let test_qp_poll_max () =
     ignore (Queue_pair.submit qp ~kind:Io_op.Write ~bytes:4096 ~cookie:i)
   done;
   ignore (Sim.run sim);
-  Alcotest.(check int) "poll bounded" 4 (List.length (Queue_pair.poll qp ~max:4));
+  let seen = ref 0 in
+  Alcotest.(check int) "drain bounded" 4
+    (Queue_pair.drain qp ~max:4 ~f:(fun ~cookie:_ ~kind:_ ~latency:_ -> incr seen));
+  Alcotest.(check int) "f applied per completion" 4 !seen;
   Alcotest.(check int) "rest remain" 6 (Queue_pair.completions_pending qp)
+
+(* Minor words per 4KB read through a queue pair, from submit through
+   drain: batches of 16 reads, the device run to completion, the CQ
+   reaped with a preallocated callback.  What is left is the boxed
+   [Time.t]s at module edges (the die's service delay, the latency
+   handed back, the clock re-boxed as time advances) and the lognormal
+   service noise's float.  Exact for the seed; run under both build
+   profiles ([make alloc-gate] runs it alone in release). *)
+let qp_read_words () =
+  let sim, dev = make_dev () in
+  let qp = Queue_pair.create dev in
+  let reaped = ref 0 in
+  let f ~cookie:_ ~kind:_ ~latency:_ = incr reaped in
+  let batch () =
+    for i = 1 to 16 do
+      ignore (Sys.opaque_identity (Queue_pair.submit qp ~kind:Io_op.Read ~bytes:4096 ~cookie:i))
+    done;
+    ignore (Sim.run sim);
+    ignore (Queue_pair.drain qp ~max:16 ~f)
+  in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every read reaped" 16_160 !reaped;
+  words /. 16_000.0
+
+let test_qp_read_words () =
+  let w = qp_read_words () in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per queue-pair read <= 14.0" w) true (w <= 14.0)
 
 (* ------------------------------------------------------------------ *)
 (* Calibrate                                                          *)
@@ -322,6 +360,7 @@ let suite =
         Alcotest.test_case "full at sq_depth" `Quick test_qp_full;
         Alcotest.test_case "poll bounded by max" `Quick test_qp_poll_max;
       ] );
+    ("alloc", [ Alcotest.test_case "queue-pair read words" `Quick test_qp_read_words ]);
     ( "calibrate",
       [
         Alcotest.test_case "achieved tracks offered" `Quick test_measure_tracks_offered_load;

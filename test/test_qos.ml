@@ -118,11 +118,8 @@ let test_tenant_queue () =
   Tenant.enqueue t ~cost:1.0 "a";
   Tenant.enqueue t ~cost:10.0 "b";
   Alcotest.(check (float 1e-9)) "demand sums costs" 11.0 t.acct.demand;
-  (match Tenant.dequeue t with
-  | Some (c, v) ->
-    Alcotest.(check (float 1e-9)) "fifo cost" 1.0 c;
-    Alcotest.(check string) "fifo value" "a" v
-  | None -> Alcotest.fail "dequeue");
+  Alcotest.(check (float 1e-9)) "fifo cost" 1.0 t.costs.(t.head);
+  Alcotest.(check string) "fifo value" "a" (Tenant.dequeue t);
   Alcotest.(check (float 1e-9)) "demand shrinks" 10.0 t.acct.demand;
   Alcotest.(check int) "length" 1 (Tenant.queue_length t)
 
@@ -184,8 +181,9 @@ let new_sched ?neg_limit ?notify ?(n_threads = 1) ?(thread_id = 0) () =
   in
   (global, sched)
 
-let count_for id subs =
-  List.length (List.filter (fun s -> s.Scheduler.tenant_id = id) subs)
+(* The tests below enqueue each tenant's requests with its id as the
+   payload, so a submission names its tenant. *)
+let count_for id subs = List.length (List.filter (( = ) id) subs)
 
 let test_lc_within_slo_all_submitted () =
   (* An LC tenant issuing exactly its reserved rate gets everything
@@ -272,8 +270,8 @@ let test_be_fair_sharing () =
   let subs =
     run_rounds sched ~feed:(fun _ s ->
         for _ = 1 to 20 do
-          Scheduler.enqueue s ~tenant_id:1 ~cost:1.0 ();
-          Scheduler.enqueue s ~tenant_id:2 ~cost:1.0 ()
+          Scheduler.enqueue s ~tenant_id:1 ~cost:1.0 1;
+          Scheduler.enqueue s ~tenant_id:2 ~cost:1.0 2
         done)
   in
   let c1 = count_for 1 subs and c2 = count_for 2 subs in
@@ -314,7 +312,7 @@ let test_be_claims_lc_leftovers () =
   let subs =
     run_rounds sched ~feed:(fun _ s ->
         for _ = 1 to 40 do
-          Scheduler.enqueue s ~tenant_id:2 ~cost:1.0 ()
+          Scheduler.enqueue s ~tenant_id:2 ~cost:1.0 2
         done)
   in
   let c2 = count_for 2 subs in
@@ -341,7 +339,7 @@ let test_be_round_robin_rotates () =
     | _ -> ());
     ignore
       (Scheduler.schedule sched ~now:(Time.us (i * 100))
-         ~submit:(fun s -> winners := s.Scheduler.tenant_id :: !winners))
+         ~submit:(fun id -> winners := id :: !winners))
   done;
   let w1 = List.length (List.filter (( = ) 1) !winners) in
   let w2 = List.length (List.filter (( = ) 2) !winners) in
@@ -409,12 +407,12 @@ let test_remove_tenant_preserves_order_and_cursor () =
     List.iter
       (fun id ->
         match Scheduler.find_tenant sched id with
-        | Some t when t.acct.demand = 0.0 -> Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 ()
+        | Some t when t.acct.demand = 0.0 -> Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 id
         | _ -> ())
       [ 2; 4 ];
     ignore
       (Scheduler.schedule sched ~now:(Time.us (i * 100))
-         ~submit:(fun s -> winners := s.Scheduler.tenant_id :: !winners))
+         ~submit:(fun id -> winners := id :: !winners))
   done;
   let w2 = List.length (List.filter (( = ) 2) !winners) in
   let w4 = List.length (List.filter (( = ) 4) !winners) in
@@ -539,13 +537,13 @@ let prop_backlog_aggregate_consistent =
           | 2 -> detach id
           | 3 -> (
             match Scheduler.find_tenant sched id with
-            | Some t -> ignore (Tenant.dequeue t)
-            | None -> ())
+            | Some t when Tenant.queue_length t > 0 -> ignore (Tenant.dequeue t)
+            | Some _ | None -> ())
           | 4 ->
             (match Scheduler.find_tenant sched id with
             | Some t ->
-              while Tenant.dequeue t <> None do
-                ()
+              while Tenant.queue_length t > 0 do
+                ignore (Tenant.dequeue t)
               done
             | None -> ());
             detach id
@@ -591,19 +589,20 @@ let prop_token_conservation =
       in
       Scheduler.add_tenant sched lc;
       Scheduler.add_tenant sched be;
+      (* Each request's payload is its cost. *)
       let submitted = ref 0.0 in
       List.iteri
         (fun i (d_lc, d_be) ->
           for _ = 1 to d_lc do
-            Scheduler.enqueue sched ~tenant_id:1 ~cost:1.0 ()
+            Scheduler.enqueue sched ~tenant_id:1 ~cost:1.0 1.0
           done;
           for _ = 1 to d_be do
-            Scheduler.enqueue sched ~tenant_id:2 ~cost:1.0 ()
+            Scheduler.enqueue sched ~tenant_id:2 ~cost:1.0 1.0
           done;
           ignore
             (Scheduler.schedule sched
                ~now:(Time.us ((i + 1) * 100))
-               ~submit:(fun s -> submitted := !submitted +. s.Scheduler.cost)))
+               ~submit:(fun cost -> submitted := !submitted +. cost)))
         demands;
       let rounds = float_of_int (List.length demands - 1) in
       let generated = rounds *. float_of_int (lc_rate + be_rate) in
@@ -648,16 +647,14 @@ let prop_per_tenant_fifo =
         (fun round (tenant_id, n) ->
           for _ = 1 to n do
             incr seq;
-            Scheduler.enqueue sched ~tenant_id ~cost:1.0 !seq
+            Scheduler.enqueue sched ~tenant_id ~cost:1.0 (tenant_id, !seq)
           done;
           ignore
             (Scheduler.schedule sched
                ~now:(Time.us ((round + 1) * 100))
-               ~submit:(fun s ->
-                 let prev =
-                   Option.value (Hashtbl.find_opt out s.Scheduler.tenant_id) ~default:[]
-                 in
-                 Hashtbl.replace out s.Scheduler.tenant_id (s.Scheduler.payload :: prev))))
+               ~submit:(fun (tenant_id, seq) ->
+                 let prev = Option.value (Hashtbl.find_opt out tenant_id) ~default:[] in
+                 Hashtbl.replace out tenant_id (seq :: prev))))
         batches;
       Hashtbl.fold
         (fun _ submitted ok ->
