@@ -1,9 +1,10 @@
 # Developer entry points.  `make check` is the CI gate: full build, the
 # reflex-lint static-analysis pass (determinism, domain-safety,
-# guard-discipline, hot-path allocations, interface hygiene — zero
-# findings required), `dune runtest` (the alcotest/qcheck suites: every
-# check there is deterministic, including byte identity: the rerun and
-# --jobs 2 legs, and the one pin table test/pins.md5), `make host-gate`
+# guard-discipline, interface hygiene — zero findings required), `dune
+# runtest` (the alcotest/qcheck suites: every check there is
+# deterministic, including byte identity: the rerun and --jobs 2 legs,
+# and the one pin table test/pins.md5; and the exact allocation gates,
+# the *.alloc cases), `make host-gate`
 # (the wall-clock floors and overhead budgets), and the scenario smoke
 # (the chaos, monitor, obs and rack acceptance checks, each scenario run
 # once).  Figures are `reflex_sim run <id>|all`; host-cost measurement
@@ -19,27 +20,34 @@ build:
 test: build
 	dune runtest
 
-# Determinism / domain-safety / hot-path-allocation gate: reflex-lint
-# scans lib/ and bin/ against lint.manifest, runs the
-# interprocedural passes over the cross-module call graph, and fails on
-# any finding.  The JSON report and the call graph are kept for the CI
-# artifacts.
+# Determinism / domain-safety / guard-discipline / interface gate:
+# reflex-lint scans lib/ and bin/ against lint.manifest, runs the
+# interprocedural passes (det/taint, guard/transitive) over the
+# cross-module call graph, and fails on any finding.  The JSON report and
+# the call graph are kept for the CI artifacts.
 lint: build
 	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json --callgraph-out _build/callgraph.json
 
 # The allocation gates in the release profile, whose cross-module
 # inlining allocates differently; `dune runtest` runs them in the dev
-# profile.  qos.alloc (test_qos.ml): words per Algorithm-1 round
-# independent of the tenant count, at most 20.  engine.alloc
-# (test_engine.ml): at most 3.1 words per posted Sim event and 40 per
-# 1KB Fabric.transmit, and 0 words over 10,000 Prng.int draws.
-# flash.alloc (test_flash.ml): at most 14 words per 4KB queue-pair read,
-# submit through drain.  core.alloc (test_core.ml): 0 words over 10,000
-# Server.tenant_completed and deficit_notifications lookups, and at most
-# 30.04 words per request through one dataplane thread.  The release
-# build replaces the dev one in _build/, so the next dev build recompiles.
+# profile.  Each is an exact Gc.minor_words count, held at the count
+# measured in its profile (one more word per operation fails it), and
+# together they are the one allocation check on the request path:
+#   qos.alloc       0 words per Algorithm-1 round, at 20 and 2564 tenants
+#   engine.alloc    words per posted Sim event and per 1KB Fabric.transmit;
+#                   0 over 10,000 Prng.int draws
+#   flash.alloc     words per 4KB queue-pair read and write, submit
+#                   through drain
+#   core.alloc      0 over 10,000 Server counter lookups; words per
+#                   request through one dataplane thread, unarmed and
+#                   with telemetry, stage sink and flight recorder armed
+#   stats.alloc     0 over 10,000 Hdr_histogram records
+#   obs.alloc       0 over 10,000 armed Flight records
+#   rack_obs.alloc  the rack tracer's words per read (armed minus inert)
+# The release build replaces the dev one in _build/, so the next dev
+# build recompiles.
 alloc-gate:
-	dune exec --profile release test/test_main.exe -- test '(qos|engine|flash|core).alloc'
+	dune exec --profile release test/test_main.exe -- test '.*\.alloc'
 
 # Host-time gates (test/host_gate.ml lists them): wall-clock floors and
 # overhead budgets, kept out of `dune runtest` because machine load moves

@@ -46,8 +46,7 @@ let () =
     if !manifest <> "" then !manifest else Filename.concat !root "lint.manifest"
   in
   let paths = match List.rev !paths with [] -> None | ps -> Some ps in
-  let report, graph, hot =
-    Lint_driver.run_full ?paths ~jobs:!jobs ~root:!root ~manifest_path ()
+  let report, graph = Lint_driver.run_full ?paths ~jobs:!jobs ~root:!root ~manifest_path ()
   in
   (match !explain with
   | "" -> print_string (Lint_driver.to_text report)
@@ -75,11 +74,11 @@ let () =
     close_out oc);
   (match !callgraph_out with
   | "" -> ()
-  | "-" -> print_string (Lint_callgraph.to_json ~hot graph)
+  | "-" -> print_string (Lint_callgraph.to_json graph)
   | path ->
     let oc = open_out path in
     output_string oc
-      (if Filename.check_suffix path ".dot" then Lint_callgraph.to_dot ~hot graph
-       else Lint_callgraph.to_json ~hot graph);
+      (if Filename.check_suffix path ".dot" then Lint_callgraph.to_dot graph
+       else Lint_callgraph.to_json graph);
     close_out oc);
   exit (if Lint_driver.clean report then 0 else 1)

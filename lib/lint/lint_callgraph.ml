@@ -12,8 +12,7 @@
      2. [build] (serial, whole-tree): resolve references to definitions
         with a module-alias-aware resolver and assemble the node/edge
         sets plus the per-node facts the interprocedural passes consume
-        (allocation sites, determinism-taint sources, effectful
-        telemetry sites).
+        (determinism-taint sources, effectful telemetry sites).
 
    Resolution leans on a repo invariant the driver checks implicitly:
    compilation-unit basenames are unique across lib/ and bin/, so a
@@ -26,9 +25,8 @@
    Soundness caveats (see DESIGN.md §15): calls through function values
    (higher-order arguments, record fields of closures, first-class
    modules) produce no edge at the eventual call site — only the
-   "mention" edge where the function name appears.  The hot-set closure
-   therefore follows applied edges only, while reachability used by the
-   drift check counts mentions too. *)
+   "mention" edge where the function name appears.  The taint pass
+   follows applied edges only. *)
 
 type site = { p_line : int; p_col : int; p_app : bool; p_guarded : bool }
 
@@ -42,7 +40,7 @@ type edge = {
 (* A call whose alias-expanded path lands in the effectful-telemetry set
    ([Telemetry.span] & friends, [Monitor.tick]).  [x_plain] marks sites
    the per-file [guard/telemetry] rule already sees (raw head
-   [Telemetry]/[Monitor]); the transitive pass only reports the rest. *)
+   [Telemetry]/[Monitor]); [guard/transitive] only reports the rest. *)
 type effect_site = { x_path : string; x_line : int; x_col : int; x_guarded : bool; x_plain : bool }
 
 (* A determinism-taint source: ambient PRNG, wall clock, [Marshal], or
@@ -54,7 +52,6 @@ type node = {
   n_file : string;
   n_line : int;
   n_name : string; (* last path component *)
-  n_allocs : (string * int * int * string) list; (* construct, line, col, detail *)
   n_effects : effect_site list;
   n_sources : source_site list;
 }
@@ -63,8 +60,6 @@ type t = {
   nodes : node list; (* sorted by id *)
   edges : edge list; (* sorted by (from, line, col, to) *)
   node_tbl : (string, node) Hashtbl.t;
-  out_tbl : (string, edge list) Hashtbl.t; (* per caller, in site order *)
-  in_deg : (string, int) Hashtbl.t; (* references from *other* definitions *)
 }
 
 (* ---------------- phase 1: per-file scan ---------------- *)
@@ -85,7 +80,6 @@ type def = {
   d_scope : string list; (* enclosing module path, file module first *)
   d_target : bool; (* resolvable by name ([<init>] blocks are not) *)
   d_refs : ref_site list;
-  d_allocs : (string * int * int * string) list;
   d_has_sort : bool;
 }
 
@@ -102,10 +96,11 @@ let module_of_file rel =
 open Parsetree
 
 (* Walk one definition body: collect references (with application /
-   guard flags), allocation sites (outside guard branches, mirroring the
-   per-file hot/alloc rule), and whether any sort call appears. *)
+   guard flags) and whether any sort call appears.  A reference is
+   guarded when an enabled-guard conditional in this definition encloses
+   it, as in the per-file [guard/telemetry] rule. *)
 let scan_body body =
-  let refs = ref [] and allocs = ref [] and has_sort = ref false in
+  let refs = ref [] and has_sort = ref false in
   let note_ref ~app ~guarded lid (loc : Location.t) =
     let line, col = Lint_rules.pos_of loc in
     let parts = Lint_rules.lid_parts lid in
@@ -114,16 +109,7 @@ let scan_body body =
     | [] -> ());
     refs := { r_parts = parts; r_line = line; r_col = col; r_app = app; r_guarded = guarded } :: !refs
   in
-  let note_alloc ~guarded e =
-    if not guarded then
-      match Lint_rules.alloc_construct e with
-      | Some (kind, loc, detail) ->
-        let line, col = Lint_rules.pos_of loc in
-        allocs := (kind, line, col, detail) :: !allocs
-      | None -> ()
-  in
   let rec walk ~guarded e =
-    note_alloc ~guarded e;
     match e.pexp_desc with
     | Pexp_ifthenelse (c, t, eo) ->
       walk ~guarded c;
@@ -132,9 +118,6 @@ let scan_body body =
       Option.iter (walk ~guarded:g) eo
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; loc }; _ }, args) ->
       note_ref ~app:true ~guarded lid loc;
-      (* raise/failwith/invalid_arg arguments evaluate only when about
-         to raise: treat as guarded (cold) for allocs and edges. *)
-      let guarded = guarded || Lint_rules.is_raise_head lid in
       List.iter (fun (_, a) -> walk ~guarded a) args
     | Pexp_ident { txt = lid; loc } -> note_ref ~app:false ~guarded lid loc
     | _ ->
@@ -146,14 +129,14 @@ let scan_body body =
       in
       Ast_iterator.default_iterator.expr it e
   in
-  List.iter (walk ~guarded:false) (Lint_rules.def_bodies body);
-  (List.rev !refs, List.rev !allocs, !has_sort)
+  walk ~guarded:false body;
+  (List.rev !refs, !has_sort)
 
 let scan_file ~rel (str : structure) =
   let file_mod = module_of_file rel in
   let aliases = ref [] and defs = ref [] in
   let add_def ~scope ~name ~target ~line (body : expression) =
-    let refs, allocs, has_sort = scan_body body in
+    let refs, has_sort = scan_body body in
     let id = String.concat "." (List.rev scope @ [ name ]) in
     defs :=
       {
@@ -164,7 +147,6 @@ let scan_file ~rel (str : structure) =
         d_scope = List.rev scope;
         d_target = target;
         d_refs = refs;
-        d_allocs = allocs;
         d_has_sort = has_sort;
       }
       :: !defs
@@ -299,8 +281,6 @@ let build (facts : file_facts list) =
       | None -> if Hashtbl.mem def_tbl joined then Some joined else None)
   in
   let nodes = ref [] and edges = ref [] in
-  let in_deg = Hashtbl.create 512 in
-  let bump_in id = Hashtbl.replace in_deg id (1 + Option.value ~default:0 (Hashtbl.find_opt in_deg id)) in
   List.iter
     (fun ff ->
       List.iter
@@ -333,8 +313,7 @@ let build (facts : file_facts list) =
                     e_site = { p_line = r.r_line; p_col = r.r_col; p_app = r.r_app; p_guarded = r.r_guarded };
                   }
                 in
-                out := e :: !out;
-                bump_in target
+                out := e :: !out
               | _ -> ())
             d.d_refs;
           nodes :=
@@ -343,7 +322,6 @@ let build (facts : file_facts list) =
               n_file = d.d_file;
               n_line = d.d_line;
               n_name = d.d_name;
-              n_allocs = d.d_allocs;
               n_effects = List.rev !effects;
               n_sources = List.rev !sources;
             }
@@ -368,23 +346,15 @@ let build (facts : file_facts list) =
   in
   let node_tbl = Hashtbl.create (List.length nodes) in
   List.iter (fun n -> Hashtbl.replace node_tbl n.n_id n) nodes;
-  let out_tbl = Hashtbl.create (List.length nodes) in
-  List.iter
-    (fun e ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt out_tbl e.e_from) in
-      Hashtbl.replace out_tbl e.e_from (prev @ [ e ]))
-    edges;
-  { nodes; edges; node_tbl; out_tbl; in_deg }
+  { nodes; edges; node_tbl }
 
 (* ---------------- accessors ---------------- *)
 
 let node t id = Hashtbl.find_opt t.node_tbl id
-let out_edges t id = Option.value ~default:[] (Hashtbl.find_opt t.out_tbl id)
-let in_degree t id = Option.value ~default:0 (Hashtbl.find_opt t.in_deg id)
 
 (* Definitions in [file] whose toplevel name is [func] (nested-module
-   definitions do not match manifest entries, which name toplevel
-   functions only). *)
+   definitions do not match manifest [identity_sink] entries, which name
+   toplevel functions only). *)
 let find_in_file t ~file ~func =
   List.filter
     (fun n -> n.n_file = file && n.n_name = func && n.n_id = module_of_file file ^ "." ^ func)
@@ -392,14 +362,13 @@ let find_in_file t ~file ~func =
 
 (* ---------------- exports ---------------- *)
 
-let to_dot ?(hot = fun _ -> false) t =
+let to_dot t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph reflex_callgraph {\n  rankdir=LR;\n  node [shape=box,fontsize=9];\n";
   List.iter
     (fun n ->
       Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" [label=\"%s\\n%s:%d\"%s];\n" n.n_id n.n_id n.n_file n.n_line
-           (if hot n.n_id then ",style=filled,fillcolor=lightsalmon" else "")))
+        (Printf.sprintf "  \"%s\" [label=\"%s\\n%s:%d\"];\n" n.n_id n.n_id n.n_file n.n_line))
     t.nodes;
   List.iter
     (fun e ->
@@ -412,7 +381,7 @@ let to_dot ?(hot = fun _ -> false) t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_json ?(hot = fun _ -> false) t =
+let to_json t =
   let buf = Buffer.create 8192 in
   let esc = Reflex_obs.Trace_event.quote in
   Buffer.add_string buf "{\n  \"nodes\": [";
@@ -420,9 +389,7 @@ let to_json ?(hot = fun _ -> false) t =
     (fun i n ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
-        (Printf.sprintf {|{"id":%s,"file":%s,"line":%d%s}|} (esc n.n_id) (esc n.n_file)
-           n.n_line
-           (if hot n.n_id then {|,"hot":true|} else "")))
+        (Printf.sprintf {|{"id":%s,"file":%s,"line":%d}|} (esc n.n_id) (esc n.n_file) n.n_line))
     t.nodes;
   Buffer.add_string buf "],\n  \"edges\": [";
   List.iteri

@@ -1,7 +1,7 @@
 (** Cross-module call graph over the scanned tree: definitions resolved
     from the parsetree with a module-alias-aware resolver, plus the
-    per-definition facts (allocation sites, determinism-taint sources,
-    effectful telemetry sites) the interprocedural passes consume.
+    per-definition facts (determinism-taint sources, effectful telemetry
+    sites) the interprocedural passes consume.
     Construction semantics and soundness caveats: DESIGN.md §15. *)
 
 type site = { p_line : int; p_col : int; p_app : bool; p_guarded : bool }
@@ -27,7 +27,6 @@ type node = {
   n_file : string;
   n_line : int;
   n_name : string;
-  n_allocs : (string * int * int * string) list;  (** construct, line, col, detail *)
   n_effects : effect_site list;
   n_sources : source_site list;
 }
@@ -36,8 +35,6 @@ type t = {
   nodes : node list;  (** sorted by id *)
   edges : edge list;  (** sorted by (from, line, col, to) *)
   node_tbl : (string, node) Hashtbl.t;
-  out_tbl : (string, edge list) Hashtbl.t;
-  in_deg : (string, int) Hashtbl.t;
 }
 
 (** Per-file scan result; pure, safe to compute in parallel workers. *)
@@ -47,16 +44,14 @@ val scan_file : rel:string -> Parsetree.structure -> file_facts
 val build : file_facts list -> t
 
 val node : t -> string -> node option
-val out_edges : t -> string -> edge list
-val in_degree : t -> string -> int
 
 (** Toplevel definitions in [file] named [func] (how manifest
-    [hot_path]/[cold_path]/[identity_sink] entries address nodes). *)
+    [identity_sink] entries address nodes). *)
 val find_in_file : t -> file:string -> func:string -> node list
 
-(** Graphviz rendering; [hot] nodes are highlighted. *)
-val to_dot : ?hot:(string -> bool) -> t -> string
+(** Graphviz rendering: mention edges dashed, guarded calls gray. *)
+val to_dot : t -> string
 
 (** Machine-readable nodes/edges export (hand-rolled JSON, stable
     order). *)
-val to_json : ?hot:(string -> bool) -> t -> string
+val to_json : t -> string

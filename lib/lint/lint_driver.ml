@@ -143,7 +143,7 @@ let run_full ?(paths = default_paths) ?(jobs = 1) ~root ~manifest_path () =
     List.concat_map (fun sc -> sc.sc_pre @ List.filter_map (filter_finding ctx) sc.sc_raw) scans
   in
   let graph = Lint_callgraph.build (List.filter_map (fun sc -> sc.sc_facts) scans) in
-  let inferred, stats, hot = Lint_interproc.run ~manifest ~manifest_path ~graph in
+  let inferred, stats = Lint_interproc.run ~manifest ~manifest_path ~graph in
   let inferred = List.filter_map (filter_finding ctx) inferred in
   let stale = stale_waivers ctx scans in
   ( {
@@ -154,12 +154,9 @@ let run_full ?(paths = default_paths) ?(jobs = 1) ~root ~manifest_path () =
       rules = Lint_rule_ids.all;
       gstats = Some stats;
     },
-    graph,
-    hot )
+    graph )
 
-let run ?paths ?jobs ~root ~manifest_path () =
-  let r, _, _ = run_full ?paths ?jobs ~root ~manifest_path () in
-  r
+let run ?paths ?jobs ~root ~manifest_path () = fst (run_full ?paths ?jobs ~root ~manifest_path ())
 
 (* Lint a single file against an already-parsed manifest (fixture tests). *)
 let run_on_source ~manifest (src : Lint_source.t) =
@@ -201,10 +198,9 @@ let to_text r =
   | Some g ->
     Buffer.add_string buf
       (Printf.sprintf
-         "callgraph: %d node(s), %d edge(s); hot set %d seed(s) + %d inferred; taint %d \
-          source(s) -> %d function(s), %d identity sink(s)\n"
-         g.Lint_interproc.gs_nodes g.Lint_interproc.gs_edges g.Lint_interproc.gs_hot_seeds
-         g.Lint_interproc.gs_hot_inferred g.Lint_interproc.gs_taint_sources
+         "callgraph: %d node(s), %d edge(s); taint %d source(s) -> %d function(s), %d identity \
+          sink(s)\n"
+         g.Lint_interproc.gs_nodes g.Lint_interproc.gs_edges g.Lint_interproc.gs_taint_sources
          g.Lint_interproc.gs_taint_tainted g.Lint_interproc.gs_identity_sinks));
   Buffer.add_string buf
     (Printf.sprintf "reflex-lint: %d file(s), %d rule(s), %d finding(s), %d waiver(s) applied\n"
@@ -225,10 +221,9 @@ let to_json r =
   | Some g ->
     Buffer.add_string buf
       (Printf.sprintf
-         "  \"callgraph\": {\"nodes\": %d, \"edges\": %d, \"hot_seeds\": %d, \"hot_inferred\": \
-          %d, \"taint_sources\": %d, \"taint_tainted\": %d, \"identity_sinks\": %d},\n"
-         g.Lint_interproc.gs_nodes g.Lint_interproc.gs_edges g.Lint_interproc.gs_hot_seeds
-         g.Lint_interproc.gs_hot_inferred g.Lint_interproc.gs_taint_sources
+         "  \"callgraph\": {\"nodes\": %d, \"edges\": %d, \"taint_sources\": %d, \
+          \"taint_tainted\": %d, \"identity_sinks\": %d},\n"
+         g.Lint_interproc.gs_nodes g.Lint_interproc.gs_edges g.Lint_interproc.gs_taint_sources
          g.Lint_interproc.gs_taint_tainted g.Lint_interproc.gs_identity_sinks));
   Buffer.add_string buf (Printf.sprintf "  \"finding_count\": %d,\n" (List.length r.findings));
   Buffer.add_string buf

@@ -21,15 +21,15 @@ val clean : report -> bool
 val run :
   ?paths:string list -> ?jobs:int -> root:string -> manifest_path:string -> unit -> report
 
-(** {!run}, also returning the call graph and the hot-set membership
-    predicate (by node id) for [--callgraph-out] exports. *)
+(** {!run}, also returning the call graph for [--callgraph-out]
+    exports. *)
 val run_full :
   ?paths:string list ->
   ?jobs:int ->
   root:string ->
   manifest_path:string ->
   unit ->
-  report * Lint_callgraph.t * (string -> bool)
+  report * Lint_callgraph.t
 
 (** Lint one in-memory source against a given manifest (fixture tests).
     Runs the AST families only — not [iface/mli] or the interprocedural

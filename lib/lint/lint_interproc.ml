@@ -1,28 +1,22 @@
 (* The interprocedural passes over {!Lint_callgraph}:
 
-     hot/transitive-alloc  close the manifest's [hot_path] seeds over
-                           applied, unguarded call edges and flag
-                           allocations in every reachable callee that has
-                           no manifest entry of its own.  [cold_path]
-                           entries stop the closure (growth/registration
-                           helpers reached only on cold branches).
-     hot/drift             a [hot_path] entry referenced nowhere in the
-                           scanned tree is stale policy.
      det/taint             functions containing a nondeterminism source
                            (ambient PRNG, wall clock, Marshal, unsorted
                            Hashtbl iteration) taint their transitive
                            callers; a tainted [identity_sink] (a
                            byte-identity-checked render) is a finding.
-     guard/transitive      every unguarded path from hot-set code into an
-                           effectful telemetry call must cross an
-                           enabled-guard somewhere; alias-resolved sites
-                           the per-file [guard/telemetry] rule cannot see
-                           are caught here, with the call chain attached.
+     guard/transitive      an effectful telemetry call reached through a
+                           module alias ([module T = Telemetry]), which
+                           the per-file [guard/telemetry] rule cannot
+                           see, must sit under an enabled-guard in the
+                           function that makes it.  Same scope as the
+                           per-file rule: every scanned function outside
+                           the [allow guard/telemetry] prefixes.
 
-   Every finding carries its propagation chain (seed/sink first,
-   terminal site last) both embedded in the message ("via a -> b -> c")
-   and structurally, for [--explain].  Iteration is deterministic:
-   worklists are seeded in sorted order and edges are consumed in the
+   Every finding carries its chain (sink or caller first, terminal site
+   last) both embedded in the message ("via a -> b -> c") and
+   structurally, for [--explain].  Iteration is deterministic: the
+   worklist is seeded in sorted order and edges are consumed in the
    graph's stable order, so reports are byte-identical across runs and
    [--jobs] settings. *)
 
@@ -31,77 +25,25 @@ module G = Lint_callgraph
 type stats = {
   gs_nodes : int;
   gs_edges : int;
-  gs_hot_seeds : int;
-  gs_hot_inferred : int;
   gs_taint_sources : int;
   gs_taint_tainted : int;
   gs_identity_sinks : int;
   gs_findings : int; (* pre-waiver interprocedural findings *)
 }
 
-(* Reconstruct a diagnostic chain from BFS parent edges: the seed's own
-   definition site first, then each hop's call site in its caller. *)
-let chain_of ~(graph : G.t) ~parents id =
-  let rec walk acc id =
-    match Hashtbl.find_opt parents id with
-    | Some (e : G.edge) ->
-      walk (Lint_diagnostic.step ~name:e.G.e_to ~file:e.G.e_file ~line:e.G.e_site.G.p_line :: acc) e.G.e_from
-    | None ->
-      let file, line =
-        match G.node graph id with Some n -> (n.G.n_file, n.G.n_line) | None -> ("?", 0)
-      in
-      Lint_diagnostic.step ~name:id ~file ~line :: acc
-  in
-  walk [] id
+(* ---------------- backward taint propagation ---------------- *)
 
-(* ---------------- transitive hot set ---------------- *)
-
-(* BFS from the manifest seeds over applied, unguarded edges, stopping
-   at [cold_path] nodes.  Returns the visited set (the hot set), the
-   parent-edge map for chains, and the seed ids in order. *)
-let hot_closure ~(graph : G.t) ~seeds ~cold =
-  let visited = Hashtbl.create 128 in
-  let parents = Hashtbl.create 128 in
-  let queue = Queue.create () in
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem visited id) then begin
-        Hashtbl.replace visited id ();
-        Queue.add id queue
-      end)
-    seeds;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    List.iter
-      (fun (e : G.edge) ->
-        if
-          e.G.e_site.G.p_app
-          && (not e.G.e_site.G.p_guarded)
-          && (not (Hashtbl.mem visited e.G.e_to))
-          && not (Hashtbl.mem cold e.G.e_to)
-        then begin
-          Hashtbl.replace visited e.G.e_to ();
-          Hashtbl.replace parents e.G.e_to e;
-          Queue.add e.G.e_to queue
-        end)
-      (G.out_edges graph id)
-  done;
-  (visited, parents)
-
-(* ---------------- backward propagation (taint / guard leaks) -------- *)
-
-(* Generic reverse reachability over applied edges: [roots] maps node id
-   to its terminal step (the source/effect site).  Returns, per reached
-   node, the forward chain of steps from that node down to the terminal
-   site.  [follow_guarded] distinguishes taint (guards are telemetry
-   switches, not determinism barriers: follow) from guard leaks (a
-   guarded edge is exactly what discharges the obligation: stop).
-   [cut] prunes nodes policy treats as internally safe. *)
-let propagate_up ~(graph : G.t) ~roots ~follow_guarded ~cut =
+(* Reverse reachability over applied edges: [roots] maps node id to its
+   terminal step (the source site).  Returns, per reached node, the
+   forward chain of steps from that node down to the terminal site.
+   Guards are telemetry switches, not determinism barriers, so guarded
+   edges are followed too.  [cut] prunes nodes policy treats as
+   internally safe. *)
+let propagate_up ~(graph : G.t) ~roots ~cut =
   let rev = Hashtbl.create 256 in
   List.iter
     (fun (e : G.edge) ->
-      if e.G.e_site.G.p_app && ((not e.G.e_site.G.p_guarded) || follow_guarded) then
+      if e.G.e_site.G.p_app then
         let prev = Option.value ~default:[] (Hashtbl.find_opt rev e.G.e_to) in
         Hashtbl.replace rev e.G.e_to (prev @ [ e ]))
     graph.G.edges;
@@ -129,8 +71,6 @@ let propagate_up ~(graph : G.t) ~roots ~follow_guarded ~cut =
           let caller_step =
             Lint_diagnostic.step ~name:e.G.e_from ~file:e.G.e_file ~line:e.G.e_site.G.p_line
           in
-          (* Re-anchor the callee's own step at the call site too, so the
-             chain reads caller -> callee@call-site -> ... -> terminal. *)
           Hashtbl.replace reached e.G.e_from (caller_step :: chain);
           Queue.add e.G.e_from queue
         end)
@@ -145,83 +85,20 @@ let run ~(manifest : Lint_manifest.t) ~manifest_path ~(graph : G.t) =
   let add d = out := d :: !out in
   let allowed_guard file = Lint_manifest.allowed manifest ~rule:"guard/telemetry" ~path:file in
   let allowed_taint file = Lint_manifest.allowed manifest ~rule:"det/taint" ~path:file in
-
-  (* Seeds and stops, with existence validation for the new forms (the
-     per-file rule already reports hot_path entries whose function is
-     missing from its file). *)
-  let hot_entries =
-    List.concat_map
-      (fun (h : Lint_manifest.hot_entry) ->
-        List.map
-          (fun (n : G.node) -> (n.G.n_id, h))
-          (G.find_in_file graph ~file:h.Lint_manifest.h_file ~func:h.Lint_manifest.h_func))
-      (List.rev manifest.Lint_manifest.hot_paths)
-  in
-  let seed_tbl = Hashtbl.create 64 in
-  List.iter (fun (id, _) -> Hashtbl.replace seed_tbl id ()) hot_entries;
-  let seeds = List.sort_uniq String.compare (List.map fst hot_entries) in
-  let cold = Hashtbl.create 16 in
-  let resolve_func_entry ~form (f : Lint_manifest.func_entry) =
-    match G.find_in_file graph ~file:f.Lint_manifest.f_file ~func:f.Lint_manifest.f_func with
-    | [] ->
-      add
-        (Lint_diagnostic.make ~file:manifest_path ~line:f.Lint_manifest.f_line ~col:0
-           ~rule:"lint/manifest"
-           (Printf.sprintf "%s function %S not found in %s (manifest drift?)" form
-              f.Lint_manifest.f_func f.Lint_manifest.f_file));
-      []
-    | ns -> List.map (fun (n : G.node) -> n.G.n_id) ns
-  in
-  List.iter
-    (fun f -> List.iter (fun id -> Hashtbl.replace cold id ()) (resolve_func_entry ~form:"cold_path" f))
-    (List.rev manifest.Lint_manifest.cold_paths);
   let sink_ids =
     List.concat_map
       (fun (f : Lint_manifest.func_entry) ->
-        List.map (fun id -> (id, f)) (resolve_func_entry ~form:"identity_sink" f))
+        match G.find_in_file graph ~file:f.Lint_manifest.f_file ~func:f.Lint_manifest.f_func with
+        | [] ->
+          add
+            (Lint_diagnostic.make ~file:manifest_path ~line:f.Lint_manifest.f_line ~col:0
+               ~rule:"lint/manifest"
+               (Printf.sprintf "identity_sink function %S not found in %s (manifest drift?)"
+                  f.Lint_manifest.f_func f.Lint_manifest.f_file));
+          []
+        | ns -> List.map (fun (n : G.node) -> (n.G.n_id, f)) ns)
       (List.rev manifest.Lint_manifest.identity_sinks)
   in
-
-  (* -------- hot/transitive-alloc -------- *)
-  let hot_set, hot_parents = hot_closure ~graph ~seeds ~cold in
-  let hot_inferred = ref 0 in
-  List.iter
-    (fun (n : G.node) ->
-      if Hashtbl.mem hot_set n.G.n_id && not (Hashtbl.mem seed_tbl n.G.n_id) then begin
-        incr hot_inferred;
-        match n.G.n_allocs with
-        | [] -> ()
-        | allocs ->
-          let chain = chain_of ~graph ~parents:hot_parents n.G.n_id in
-          let via = Lint_diagnostic.chain_to_string chain in
-          List.iter
-            (fun (kind, line, col, detail) ->
-              add
-                (Lint_diagnostic.make ~chain ~file:n.G.n_file ~line ~col
-                   ~rule:"hot/transitive-alloc"
-                   (Printf.sprintf
-                      "%S is on the hot path via %s and allocates (%s: %s); hoist the \
-                       allocation, add a hot_path entry with allow=%s, mark the helper \
-                       cold_path, or waive with a reason"
-                      n.G.n_name via kind detail kind)))
-            allocs
-      end)
-    graph.G.nodes;
-
-  (* -------- hot/drift -------- *)
-  List.iter
-    (fun (h : Lint_manifest.hot_entry) ->
-      let nodes = G.find_in_file graph ~file:h.Lint_manifest.h_file ~func:h.Lint_manifest.h_func in
-      if nodes <> [] && List.for_all (fun (n : G.node) -> G.in_degree graph n.G.n_id = 0) nodes
-      then
-        add
-          (Lint_diagnostic.make ~file:manifest_path ~line:h.Lint_manifest.h_line ~col:0
-             ~rule:"hot/drift"
-             (Printf.sprintf
-                "hot_path entry %s %s is referenced nowhere in the scanned tree; the function \
-                 left the hot path (drift) — delete the entry or waive with a reason"
-                h.Lint_manifest.h_file h.Lint_manifest.h_func)))
-    (List.rev manifest.Lint_manifest.hot_paths);
 
   (* -------- det/taint -------- *)
   let taint_roots =
@@ -244,7 +121,7 @@ let run ~(manifest : Lint_manifest.t) ~manifest_path ~(graph : G.t) =
       0 graph.G.nodes
   in
   let tainted =
-    propagate_up ~graph ~roots:taint_roots ~follow_guarded:true ~cut:(fun id ->
+    propagate_up ~graph ~roots:taint_roots ~cut:(fun id ->
         match G.node graph id with
         | Some n -> allowed_taint n.G.n_file
         | None -> false)
@@ -281,35 +158,12 @@ let run ~(manifest : Lint_manifest.t) ~manifest_path ~(graph : G.t) =
     sink_ids;
 
   (* -------- guard/transitive -------- *)
-  let leak_roots =
-    List.filter_map
-      (fun (n : G.node) ->
-        if allowed_guard n.G.n_file then None
-        else
-          match
-            List.filter (fun (x : G.effect_site) -> (not x.G.x_guarded) && not x.G.x_plain) n.G.n_effects
-          with
-          | [] -> None
-          | x :: _ ->
-            Some (n.G.n_id, Lint_diagnostic.step ~name:x.G.x_path ~file:n.G.n_file ~line:x.G.x_line))
-      graph.G.nodes
-  in
-  let leaks =
-    propagate_up ~graph ~roots:leak_roots ~follow_guarded:false ~cut:(fun id ->
-        match G.node graph id with
-        | Some n -> allowed_guard n.G.n_file
-        | None -> false)
-  in
-  let guard_findings = ref 0 in
-  (* Direct, alias-resolved unguarded telemetry sites in hot-set code:
-     the per-file rule cannot see these (the head is a local alias). *)
   List.iter
     (fun (n : G.node) ->
-      if Hashtbl.mem hot_set n.G.n_id && not (allowed_guard n.G.n_file) then
+      if not (allowed_guard n.G.n_file) then
         List.iter
           (fun (x : G.effect_site) ->
             if (not x.G.x_guarded) && not x.G.x_plain then begin
-              incr guard_findings;
               let chain =
                 [
                   Lint_diagnostic.step ~name:n.G.n_id ~file:n.G.n_file ~line:n.G.n_line;
@@ -320,51 +174,22 @@ let run ~(manifest : Lint_manifest.t) ~manifest_path ~(graph : G.t) =
                 (Lint_diagnostic.make ~chain ~file:n.G.n_file ~line:x.G.x_line ~col:x.G.x_col
                    ~rule:"guard/transitive"
                    (Printf.sprintf
-                      "effectful %s call (alias-resolved) on the hot path outside an \
-                       enabled-guard; wrap it in [if tel_on then ...] in %S or in its hot \
-                       callers"
+                      "effectful %s call (alias-resolved) outside an enabled-guard; wrap it in \
+                       [if tel_on then ...] in %S"
                       x.G.x_path n.G.n_name))
             end)
           n.G.n_effects)
     graph.G.nodes;
-  (* Unguarded hot-set edges into leaking code the closure did not
-     absorb (cold_path cutouts): report at the edge, with the chain. *)
-  List.iter
-    (fun (e : G.edge) ->
-      if
-        Hashtbl.mem hot_set e.G.e_from
-        && e.G.e_site.G.p_app
-        && (not e.G.e_site.G.p_guarded)
-        && not (Hashtbl.mem hot_set e.G.e_to)
-      then
-        match Hashtbl.find_opt leaks e.G.e_to with
-        | None -> ()
-        | Some callee_chain ->
-          incr guard_findings;
-          let caller_step =
-            Lint_diagnostic.step ~name:e.G.e_from ~file:e.G.e_file ~line:e.G.e_site.G.p_line
-          in
-          let chain = caller_step :: callee_chain in
-          add
-            (Lint_diagnostic.make ~chain ~file:e.G.e_file ~line:e.G.e_site.G.p_line
-               ~col:e.G.e_site.G.p_col ~rule:"guard/transitive"
-               (Printf.sprintf
-                  "unguarded hot-path call into telemetry via %s; cross an enabled-guard on \
-                   this edge or inside the callee"
-                  (Lint_diagnostic.chain_to_string chain))))
-    graph.G.edges;
 
   let findings = List.rev !out in
   let stats =
     {
       gs_nodes = List.length graph.G.nodes;
       gs_edges = List.length graph.G.edges;
-      gs_hot_seeds = List.length seeds;
-      gs_hot_inferred = !hot_inferred;
       gs_taint_sources = taint_sources;
       gs_taint_tainted = Hashtbl.length tainted;
       gs_identity_sinks = List.length manifest.Lint_manifest.identity_sinks;
       gs_findings = List.length findings;
     }
   in
-  (findings, stats, fun id -> Hashtbl.mem hot_set id)
+  (findings, stats)

@@ -1,56 +1,33 @@
 (* The checked-in `lint.manifest` carries directory- and symbol-scoped
    policy: which rules are waived wholesale under a path prefix, which
-   functions are hot-path allocation-scanned, which module-toplevel
+   renders the determinism-taint pass protects, which module-toplevel
    mutable bindings are registered as domain-safe, and which `.ml` files
    are exempt from the matching-`.mli` rule.
 
    Syntax (one entry per line, `#` comments, blank lines ignored):
 
      allow <rule-id> <path-prefix> — <reason>
-     hot_path <file> <function> [allow=c1,c2] — <reason>
-     cold_path <file> <function> — <reason>
      identity_sink <file> <function> — <reason>
      domain_safe <file> <ident> — <reason>
      iface_exempt <file> — <reason>
 
-   [hot_path] entries double as the seeds of the interprocedural hot-set
-   closure; [cold_path] marks a function the closure must not descend
-   into (growth/registration/init helpers reached from hot code only on
-   their cold branch); [identity_sink] declares a byte-identity-checked
-   render (debrief/digest/trace export) that the determinism-taint pass
+   [identity_sink] declares a byte-identity-checked render
+   (debrief/digest/trace export) that the determinism-taint pass
    protects.
 
    Every entry must carry a reason after an em-dash (or `--`): policy
    without a written justification is itself a lint error. *)
 
-type hot_entry = {
-  h_file : string;
-  h_func : string;
-  h_allow : string list;
-  h_reason : string;
-  h_line : int; (* manifest line, where hot/drift findings anchor *)
-}
-
 type func_entry = { f_file : string; f_func : string; f_reason : string; f_line : int }
 
 type t = {
   allows : (string * string * string) list; (* rule-id, path prefix, reason *)
-  hot_paths : hot_entry list;
-  cold_paths : func_entry list;
   identity_sinks : func_entry list;
   domain_safe : (string * string * string) list; (* file, ident, reason *)
   iface_exempt : (string * string) list; (* file, reason *)
 }
 
-let empty =
-  {
-    allows = [];
-    hot_paths = [];
-    cold_paths = [];
-    identity_sinks = [];
-    domain_safe = [];
-    iface_exempt = [];
-  }
+let empty = { allows = []; identity_sinks = []; domain_safe = []; iface_exempt = [] }
 
 (* Split "payload — reason" (accepting the ASCII fallback "--").  Returns
    None when no separator or the reason is empty. *)
@@ -93,39 +70,6 @@ let parse ~file text =
           if not (Lint_rule_ids.is_known rule) then
             error lineno (Printf.sprintf "allow names unknown rule-id %S" rule)
           else m := { !m with allows = (rule, prefix, reason) :: !m.allows }
-        | "hot_path" :: filep :: func :: rest ->
-          let allow =
-            match rest with
-            | [] -> Ok []
-            | [ a ] when String.length a > 6 && String.sub a 0 6 = "allow=" ->
-              let names =
-                String.split_on_char ',' (String.sub a 6 (String.length a - 6))
-                |> List.filter (fun w -> w <> "")
-              in
-              let bad = List.filter (fun c -> not (List.mem c Lint_rule_ids.alloc_constructs)) names in
-              if bad <> [] then
-                Error (Printf.sprintf "unknown alloc construct(s): %s" (String.concat "," bad))
-              else Ok names
-            | _ -> Error "hot_path takes: <file> <function> [allow=c1,c2]"
-          in
-          (match allow with
-          | Error msg -> error lineno msg
-          | Ok h_allow ->
-            m :=
-              {
-                !m with
-                hot_paths =
-                  { h_file = filep; h_func = func; h_allow; h_reason = reason; h_line = lineno }
-                  :: !m.hot_paths;
-              })
-        | [ "cold_path"; filep; func ] ->
-          m :=
-            {
-              !m with
-              cold_paths =
-                { f_file = filep; f_func = func; f_reason = reason; f_line = lineno }
-                :: !m.cold_paths;
-            }
         | [ "identity_sink"; filep; func ] ->
           m :=
             {
@@ -163,8 +107,6 @@ let is_prefix ~prefix s =
 
 let allowed t ~rule ~path =
   List.exists (fun (r, prefix, _) -> r = rule && is_prefix ~prefix path) t.allows
-
-let hot_path_funcs t ~path = List.filter (fun h -> h.h_file = path) t.hot_paths
 
 let domain_safe_idents t ~path =
   List.filter_map (fun (f, id, _) -> if f = path then Some id else None) t.domain_safe

@@ -3,22 +3,12 @@
     Every entry carries a mandatory written justification after an
     em-dash (or [--]); entries without one are [lint/manifest] findings. *)
 
-type hot_entry = {
-  h_file : string;  (** root-relative path, e.g. [lib/engine/heap.ml] *)
-  h_func : string;  (** toplevel function name to allocation-scan *)
-  h_allow : string list;  (** construct names exempted for this function *)
-  h_reason : string;
-  h_line : int;  (** manifest line, where [hot/drift] findings anchor *)
-}
-
-(** A [cold_path] (closure stop) or [identity_sink] (taint-protected
-    render) entry. *)
+(** An [identity_sink] entry: a byte-identity-checked render that the
+    determinism-taint pass protects. *)
 type func_entry = { f_file : string; f_func : string; f_reason : string; f_line : int }
 
 type t = {
   allows : (string * string * string) list;  (** rule-id, path prefix, reason *)
-  hot_paths : hot_entry list;  (** also the hot-set closure seeds *)
-  cold_paths : func_entry list;  (** the closure must not descend into these *)
   identity_sinks : func_entry list;  (** byte-identity-checked renders *)
   domain_safe : (string * string * string) list;  (** file, ident, reason *)
   iface_exempt : (string * string) list;  (** file, reason *)
@@ -36,7 +26,6 @@ val load : string -> t * Lint_diagnostic.t list
 (** Is [rule] suppressed for root-relative [path] by an [allow] prefix? *)
 val allowed : t -> rule:string -> path:string -> bool
 
-val hot_path_funcs : t -> path:string -> hot_entry list
 val domain_safe_idents : t -> path:string -> string list
 val iface_exempted : t -> path:string -> bool
 

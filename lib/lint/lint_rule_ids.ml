@@ -5,26 +5,21 @@
 let determinism = [ "det/random"; "det/clock"; "det/marshal"; "det/hashtbl-order"; "det/taint" ]
 let domain_safety = [ "dom/toplevel-state" ]
 let guards = [ "guard/telemetry"; "guard/transitive" ]
-let hot_path = [ "hot/alloc"; "hot/transitive-alloc"; "hot/drift" ]
 let interface = [ "iface/mli" ]
 
 (* Rule-ids produced by the interprocedural (call-graph) passes rather
    than the per-file scans.  A waiver naming one of these that matches no
    finding is itself stale policy and reported as [lint/bad-waiver]. *)
-let interprocedural = [ "det/taint"; "guard/transitive"; "hot/transitive-alloc"; "hot/drift" ]
+let interprocedural = [ "det/taint"; "guard/transitive" ]
 
 (* Internal rule-ids attached to problems with the lint inputs themselves
    (unparseable source, malformed waiver or manifest line).  They are not
    waivable and not valid waiver targets. *)
 let internal = [ "lint/parse-error"; "lint/bad-waiver"; "lint/manifest" ]
 
-let all = determinism @ domain_safety @ guards @ hot_path @ interface
+let all = determinism @ domain_safety @ guards @ interface
 let is_known id = List.mem id all
 let is_internal id = List.mem id internal
-
-(* Construct names accepted by a [hot_path ... allow=...] manifest clause
-   (see Lint_rules.hot-path family for what each one matches). *)
-let alloc_constructs = [ "tuple"; "record"; "closure"; "list"; "array"; "printf"; "string"; "lazy" ]
 
 (* One-paragraph explanations, printed by [reflex_lint --explain ID]. *)
 let describe = function
@@ -55,21 +50,9 @@ let describe = function
     "effectful Telemetry/Monitor call not dominated by an enabled/armed guard in the same \
      function; dataplane code must skip telemetry work when it is switched off"
   | "guard/transitive" ->
-    "interprocedural guard propagation: an unguarded path from hot-set code reaches an \
-     effectful telemetry call in a callee (often through a module alias the per-file rule \
-     cannot see); some hop on the chain must test the enabled-guard"
-  | "hot/alloc" ->
-    "allocation (tuple/record/closure/list/array/printf/string/lazy) inside a function the \
-     manifest declares hot_path, outside its allow= list; hot-path code must not allocate \
-     per operation"
-  | "hot/transitive-alloc" ->
-    "allocation in a function reachable from a hot_path seed over applied, unguarded call \
-     edges but absent from the manifest; either the callee is genuinely hot (give it a \
-     hot_path entry or hoist the allocation) or the closure descended a cold branch (mark \
-     the helper cold_path)"
-  | "hot/drift" ->
-    "a manifest hot_path entry whose function is referenced nowhere in the scanned tree; \
-     the policy has drifted from the code — delete or re-point the entry"
+    "effectful Telemetry/Monitor call reached through a module alias (module T = \
+     Telemetry) that the per-file guard/telemetry rule cannot see, not dominated by an \
+     enabled/armed guard in the function that makes the call; scope as guard/telemetry"
   | "iface/mli" ->
     "a .ml without a matching .mli and no manifest iface_exempt entry; every module \
      exports a curated interface"

@@ -2,13 +2,11 @@
 
 val determinism : string list
 val guards : string list
-val hot_path : string list
 val interface : string list
 
-(** Rule-ids produced by the interprocedural call-graph passes
-    ([det/taint], [guard/transitive], [hot/transitive-alloc],
-    [hot/drift]).  Waivers on these that suppress nothing are stale and
-    reported as [lint/bad-waiver]. *)
+(** Rule-ids produced by the call-graph passes ([det/taint],
+    [guard/transitive]).  Waivers on these that suppress nothing are
+    stale and reported as [lint/bad-waiver]. *)
 val interprocedural : string list
 
 (** Rule-ids for problems with the lint inputs themselves (parse errors,
@@ -20,9 +18,6 @@ val all : string list
 
 val is_known : string -> bool
 val is_internal : string -> bool
-
-(** Construct names accepted by [hot_path ... allow=...]. *)
-val alloc_constructs : string list
 
 (** One-paragraph explanation of a rule-id ([reflex_lint --explain]). *)
 val describe : string -> string

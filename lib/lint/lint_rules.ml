@@ -1,4 +1,4 @@
-(* The five rule families, implemented as syntactic passes over the
+(* The four rule families, implemented as syntactic passes over the
    compiler-libs Parsetree.  Every rule is a sound-for-our-idioms
    approximation; the precise approximation limits are documented in
    DESIGN.md §10.  All rules run on every scanned file — *policy* about
@@ -15,8 +15,6 @@
                        across Runner.map domains)
      guard/telemetry   effectful Telemetry/Monitor record calls not
                        under an enabled-guard conditional
-     hot/alloc         allocating constructs inside manifest-listed
-                       hot-path functions
      iface/mli         .ml without matching .mli (driver-level)        *)
 
 open Parsetree
@@ -302,115 +300,6 @@ let check_guards ~file str =
   it.structure it str;
   !out
 
-(* ---------------- hot-path allocation ---------------- *)
-
-let printf_heads = [ "Printf"; "Format" ]
-let printf_names = [ "sprintf"; "printf"; "eprintf"; "fprintf"; "asprintf"; "sprintf" ]
-
-(* Classify an expression node as an allocating construct; [Some
-   (construct, loc, detail)]. *)
-let alloc_construct e =
-  match e.pexp_desc with
-  | Pexp_tuple _ -> Some ("tuple", e.pexp_loc, "tuple construction")
-  | Pexp_record _ -> Some ("record", e.pexp_loc, "record construction")
-  | Pexp_fun _ | Pexp_function _ -> Some ("closure", e.pexp_loc, "closure allocation")
-  | Pexp_lazy _ -> Some ("lazy", e.pexp_loc, "lazy thunk")
-  | Pexp_array (_ :: _) -> Some ("array", e.pexp_loc, "array literal")
-  | Pexp_construct ({ txt = Longident.Lident "::"; loc }, Some _) -> Some ("list", loc, "list cons")
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; loc }; _ }, _) ->
-    let head = lid_head lid and last = lid_last lid in
-    if List.mem head printf_heads || (head = last && List.mem last printf_names) then
-      Some ("printf", loc, lid_string lid)
-    else if head = "String" || head = "Bytes" || last = "^" then
-      Some ("string", loc, lid_string lid)
-    else if last = "@" || (head = "List" && List.mem last [ "append"; "concat"; "map"; "rev" ])
-    then Some ("list", loc, lid_string lid)
-    else if head = "Array" && List.mem last mutable_ctors then Some ("array", loc, lid_string lid)
-    else if head = "Buffer" && last = "create" then Some ("string", loc, lid_string lid)
-    else None
-  | _ -> None
-
-(* The body expressions of a definition: [let f a b = e] yields [e];
-   [let f = function A -> e1 | B -> e2] yields the case bodies (and
-   when-guards) — the [function] node is the function itself, not a
-   closure it allocates per call. *)
-let rec def_bodies e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> def_bodies body
-  | Pexp_function cases ->
-    List.concat_map
-      (fun c -> (match c.pc_guard with Some g -> [ g ] | None -> []) @ [ c.pc_rhs ])
-      cases
-  | _ -> [ e ]
-
-(* Arguments of these evaluate only when the program is about to raise:
-   error-path work, never hot. *)
-let is_raise_head lid =
-  match lid_parts lid with
-  | [ f ] -> List.mem f [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-  | _ -> false
-
-let check_hot_alloc ~file ~(manifest : Lint_manifest.t) str =
-  let entries = Lint_manifest.hot_path_funcs manifest ~path:file in
-  if entries = [] then []
-  else begin
-    let out = ref [] in
-    let seen = Hashtbl.create 8 in
-    iter_toplevel_bindings str (fun ~name vb ->
-        match name with
-        | None -> ()
-        | Some n -> (
-          match List.find_opt (fun h -> h.Lint_manifest.h_func = n) entries with
-          | None -> ()
-          | Some entry ->
-            Hashtbl.replace seen n ();
-            (* Custom walk: skip branches of telemetry-guard conditionals
-               (they are off the telemetry-disabled hot path), honor the
-               entry's allow= construct list. *)
-            let rec walk e =
-              (match alloc_construct e with
-              | Some (kind, loc, detail) when not (List.mem kind entry.Lint_manifest.h_allow) ->
-                out :=
-                  diag ~file ~loc ~rule:"hot/alloc"
-                    (Printf.sprintf
-                       "hot-path function %S allocates (%s: %s); hoist it out of the per-event \
-                        path or add allow=%s with a justification in lint.manifest"
-                       n kind detail kind)
-                  :: !out
-              | _ -> ());
-              match e.pexp_desc with
-              | Pexp_ifthenelse (c, t, eo) ->
-                walk c;
-                if not (is_guard_expr c) then begin
-                  walk t;
-                  Option.iter walk eo
-                end
-              | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; _ }; _ }, _)
-                when is_raise_head lid ->
-                (* error-path: the arguments evaluate only when raising *)
-                ()
-              | _ ->
-                let it =
-                  {
-                    Ast_iterator.default_iterator with
-                    expr = (fun _ child -> if child != e then walk child);
-                  }
-                in
-                Ast_iterator.default_iterator.expr it e
-            in
-            List.iter walk (def_bodies vb.pvb_expr)));
-    List.iter
-      (fun h ->
-        if not (Hashtbl.mem seen h.Lint_manifest.h_func) then
-          out :=
-            Lint_diagnostic.make ~file ~line:1 ~col:0 ~rule:"lint/manifest"
-              (Printf.sprintf "hot_path function %S not found in %s (manifest drift?)"
-                 h.Lint_manifest.h_func file)
-            :: !out)
-      entries;
-    !out
-  end
-
 (* ---------------- interface hygiene (driver supplies has_mli) ------- *)
 
 let check_iface ~(manifest : Lint_manifest.t) ~rel ~has_mli =
@@ -435,4 +324,3 @@ let check ~(manifest : Lint_manifest.t) (src : Lint_source.t) =
     @ check_hashtbl_order ~file str
     @ check_toplevel_state ~file ~manifest str
     @ check_guards ~file str
-    @ check_hot_alloc ~file ~manifest str

@@ -1,8 +1,8 @@
-(** The five reflex-lint rule families as syntactic Parsetree passes.
+(** The reflex-lint rule families as syntactic Parsetree passes.
     Approximation limits are documented in DESIGN.md §10. *)
 
-(** Run the AST rule families (determinism, domain-safety, guards,
-    hot-path allocation) on one parsed source file.  Waiver and manifest
+(** Run the AST rule families (determinism, domain-safety, guards) on
+    one parsed source file.  Waiver and manifest
     [allow] filtering happen in {!Lint_driver}, not here. *)
 val check : manifest:Lint_manifest.t -> Lint_source.t -> Lint_diagnostic.t list
 
@@ -31,17 +31,3 @@ val is_guard_expr : Parsetree.expression -> bool
 (** [Telemetry]/[Monitor] calls that record when enabled, keyed on the
     dotted path (module head and function name). *)
 val effectful_telemetry_path : string list -> bool
-
-(** Classify an expression node as an allocating construct:
-    [(construct, loc, detail)]. *)
-val alloc_construct : Parsetree.expression -> (string * Location.t * string) option
-
-(** The body expressions of a definition: [let f a b = e] yields [e]
-    (the parameter chain is the function itself), and [let f = function
-    ...] yields all case bodies (the [function] node is not a per-call
-    closure). *)
-val def_bodies : Parsetree.expression -> Parsetree.expression list
-
-(** [raise]/[failwith]/[invalid_arg]: argument subtrees evaluate only on
-    the error path and are excluded from hot-path allocation scans. *)
-val is_raise_head : Longident.t -> bool

@@ -76,7 +76,9 @@ let fault_annotation telemetry ~lookback now =
    budget burns >= 10x over 2 windows and >= 5x over 10 (>= 20% and
    >= 5% of requests over the bound: far above a healthy tail, far below
    a fault window).  Flag an anomaly at z >= 3.0 when at least a quarter
-   of a window violates.  Apply a bound remediation at most once per
+   of a window of at least 10 completions violates: a drain window that
+   holds two completions, one of them late, reads 50% and says nothing
+   about the tenant.  Apply a bound remediation at most once per
    50ms per rule.  Budgets accumulate over the whole run.  Put the load
    knee at 0.8 of device token capacity, and keep at most four forensic
    dumps of the last 5ms of flight records. *)
@@ -89,6 +91,7 @@ let z_thresh = 3.0
 let cooldown = Time.ms 50
 let dump_window = Time.ms 5
 let anomaly_floor = 0.25
+let anomaly_min_count = 10
 let knee_frac = 0.8
 let max_dumps = 4
 
@@ -191,12 +194,13 @@ let track_tenant t id ~slo_us =
            | _ -> None));
   (* Rule 3: EWMA z-score anomaly on the violating fraction, gated on
      an absolute floor so clean runs stay silent no matter how wiggly
-     the baseline is. *)
+     the baseline is, and on a minimum window population so a handful
+     of stragglers cannot make a fraction. *)
   Alerts.add t.alerts
     (Alerts.rule ~severity:Alerts.Info ~name:(pfx ^ "/anomaly") (fun _ w ->
          let z = Option.value ~default:0.0 (Tsdb.value w (pfx ^ "/badfrac_z")) in
          match Tsdb.hist w latency with
-         | Some h when Hdr_histogram.count h > 0 ->
+         | Some h when Hdr_histogram.count h >= anomaly_min_count ->
            let frac = bad_fraction h in
            if z >= z_thresh && frac >= anomaly_floor then
              Some

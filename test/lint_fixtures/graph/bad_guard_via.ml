@@ -1,4 +1,4 @@
-(* Fixture: alias-resolved telemetry call, unguarded in hot-set code. *)
+(* Fixture: alias-resolved telemetry call, unguarded where it is made. *)
 module T = Telemetry
 
 let emit s = T.incr s "requests"

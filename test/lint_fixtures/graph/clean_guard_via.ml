@@ -1,8 +1,8 @@
-(* Fixture: clean twin — the caller crosses the enabled-guard, so the
-   guarded edge discharges the callee's telemetry obligation. *)
+(* Fixture: clean twin — the function that makes the alias-resolved
+   telemetry call crosses the enabled-guard itself. *)
 module T = Telemetry
 
 let tel_on = false
-let emit s = T.incr s "requests"
-let tick s = if tel_on then emit s
+let emit s = if tel_on then T.incr s "requests"
+let tick s = emit s
 let () = ignore tick

@@ -1,2 +1,2 @@
-(* reflex-lint: allow hot/transitive-alloc — fixture: nothing left here for this waiver to suppress *)
+(* reflex-lint: allow det/taint — fixture: nothing left here for this waiver to suppress *)
 let quiet x = x + 1

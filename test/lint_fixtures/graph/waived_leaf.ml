@@ -1,5 +1,3 @@
-(* Fixture: the tuple below is inferred hot but waived with a reason. *)
-let wconsume x =
-  (* reflex-lint: allow hot/transitive-alloc — fixture: the pair is the contract *)
-  let pair = (x, x) in
-  fst pair
+(* Fixture: a second deliberate nondeterminism source (det/random is
+   allowed for this file in graph.manifest), reached by a waived sink. *)
+let wnoise () = Random.int 10

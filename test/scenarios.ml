@@ -8,7 +8,8 @@ open Reflex_experiments
 
 let chaos = lazy (Chaos.run ~mode:Common.Quick ~seed:42L ())
 let monitor_render () = Monitor_exp.render ~mode:Common.Quick ~seed:11L ()
-let monitor = lazy (monitor_render ())
+let monitor_result = lazy (Monitor_exp.run ~mode:Common.Quick ~seed:11L ())
+let monitor = lazy (Monitor_exp.render_result (Lazy.force monitor_result))
 let obs = lazy (Obs_exp.run ~mode:Common.Quick ~seed:42L ())
 
 (* The obs render carries only its first dump's md5; the identity legs

@@ -848,18 +848,22 @@ let prng_int_words () =
   done;
   Gc.minor_words () -. w0
 
-(* Run under both build profiles ([make alloc-gate] runs them alone in
-   release). *)
+(* Each bound is the measured count, exact for the seed: 1.224 words
+   per posted event in both build profiles, and 26.375 words per
+   transmit in dev, 24.375 in release, where cross-module inlining
+   saves two words per message.  Run under both profiles ([make
+   alloc-gate] runs them alone in release). *)
 let test_posted_event_words () =
   let w = posted_event_words () in
-  Alcotest.(check bool) (Printf.sprintf "%.2f words per posted event <= 3.1" w) true (w <= 3.1)
+  Alcotest.(check bool) (Printf.sprintf "%.4f words per posted event <= 1.224" w) true (w <= 1.224)
 
 let test_prng_int_words () =
   Alcotest.(check (float 0.0)) "words over 10,000 Prng.int draws" 0.0 (prng_int_words ())
 
 let test_transmit_words () =
   let w = transmit_words () in
-  Alcotest.(check bool) (Printf.sprintf "%.2f words per 1KB transmit <= 40" w) true (w <= 40.0)
+  let bound = if Build_profile.release then 24.38 else 26.38 in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per 1KB transmit <= %g" w bound) true (w <= bound)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -242,21 +242,24 @@ let test_qp_poll_max () =
   Alcotest.(check int) "f applied per completion" 4 !seen;
   Alcotest.(check int) "rest remain" 6 (Queue_pair.completions_pending qp)
 
-(* Minor words per 4KB read through a queue pair, from submit through
-   drain: batches of 16 reads, the device run to completion, the CQ
-   reaped with a preallocated callback.  What is left is the boxed
-   [Time.t]s at module edges (the die's service delay, the latency
-   handed back, the clock re-boxed as time advances) and the lognormal
-   service noise's float.  Exact for the seed; run under both build
-   profiles ([make alloc-gate] runs it alone in release). *)
-let qp_read_words () =
+(* Minor words per 4KB I/O through a queue pair, from submit through
+   drain: batches of 16 I/Os of one kind, the device run to completion,
+   the CQ reaped with a preallocated callback.  What is left for a read
+   is the boxed [Time.t]s at module edges (the die's service delay, the
+   latency handed back, the clock re-boxed as time advances) and the
+   lognormal service noise's float.  A write takes the buffered path:
+   [submit_write] acks from the write buffer, [submit_backend] programs
+   the buffered chunks, and [chunk_done] frees buffer slots and
+   schedules erases.  Exact for the seed; run under both build profiles
+   ([make alloc-gate] runs it alone in release). *)
+let qp_words kind =
   let sim, dev = make_dev () in
   let qp = Queue_pair.create dev in
   let reaped = ref 0 in
   let f ~cookie:_ ~kind:_ ~latency:_ = incr reaped in
   let batch () =
     for i = 1 to 16 do
-      ignore (Sys.opaque_identity (Queue_pair.submit qp ~kind:Io_op.Read ~bytes:4096 ~cookie:i))
+      ignore (Sys.opaque_identity (Queue_pair.submit qp ~kind ~bytes:4096 ~cookie:i))
     done;
     ignore (Sim.run sim);
     ignore (Queue_pair.drain qp ~max:16 ~f)
@@ -269,12 +272,16 @@ let qp_read_words () =
     batch ()
   done;
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "every read reaped" 16_160 !reaped;
+  Alcotest.(check int) "every I/O reaped" 16_160 !reaped;
   words /. 16_000.0
 
-let test_qp_read_words () =
-  let w = qp_read_words () in
-  Alcotest.(check bool) (Printf.sprintf "%.3f words per queue-pair read <= 14.0" w) true (w <= 14.0)
+let test_qp_words () =
+  List.iter
+    (fun (kind, what, bound) ->
+      let w = qp_words kind in
+      Alcotest.(check bool) (Printf.sprintf "%.3f words per queue-pair %s <= %g" w what bound) true
+        (w <= bound))
+    [ (Io_op.Read, "read", 14.0); (Io_op.Write, "write", 44.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Calibrate                                                          *)
@@ -360,7 +367,7 @@ let suite =
         Alcotest.test_case "full at sq_depth" `Quick test_qp_full;
         Alcotest.test_case "poll bounded by max" `Quick test_qp_poll_max;
       ] );
-    ("alloc", [ Alcotest.test_case "queue-pair read words" `Quick test_qp_read_words ]);
+    ("alloc", [ Alcotest.test_case "queue-pair read words" `Quick test_qp_words ]);
     ( "calibrate",
       [
         Alcotest.test_case "achieved tracks offered" `Quick test_measure_tracks_offered_load;

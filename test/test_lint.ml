@@ -22,20 +22,9 @@ let case name f =
       Sys.chdir (Filename.concat (find_root cwd) "test");
       Fun.protect ~finally:(fun () -> Sys.chdir cwd) f)
 
-(* The fixture manifest (also checked in as lint_fixtures/fixtures.manifest
-   for CLI experimentation); parsed inline so the tests are self-contained. *)
-let fixture_manifest =
-  let text =
-    "hot_path lint_fixtures/bad_hot_alloc.ml drain — fixture: allocation-scan drain\n"
-    ^ "hot_path lint_fixtures/clean_hot_alloc.ml drain — fixture: allocation-scan drain\n"
-  in
-  let m, diags = Lint_manifest.parse ~file:"inline.manifest" text in
-  if diags <> [] then failwith "fixture manifest failed to parse";
-  m
-
 let lint rel =
   let src = Lint_source.load ~rel ~abs:rel in
-  Lint_driver.run_on_source ~manifest:fixture_manifest src
+  Lint_driver.run_on_source ~manifest:Lint_manifest.empty src
 
 let rule_lines (r : Lint_driver.report) =
   List.map (fun d -> (d.Lint_diagnostic.rule, d.Lint_diagnostic.line)) r.Lint_driver.findings
@@ -70,17 +59,6 @@ let test_dom_toplevel () =
 let test_guard () =
   check_findings "bad fires" [ ("guard/telemetry", 4) ] "lint_fixtures/bad_guard.ml";
   check_findings "clean (guarded) silent" [] "lint_fixtures/clean_guard.ml"
-
-let test_hot_alloc () =
-  check_findings "bad fires" [ ("hot/alloc", 4) ] "lint_fixtures/bad_hot_alloc.ml";
-  check_findings "clean silent" [] "lint_fixtures/clean_hot_alloc.ml"
-
-(* Without a manifest hot_path entry the same file is silent: the rule is
-   opt-in per function. *)
-let test_hot_alloc_opt_in () =
-  let src = Lint_source.load ~rel:"x.ml" ~abs:"lint_fixtures/bad_hot_alloc.ml" in
-  let r = Lint_driver.run_on_source ~manifest:Lint_manifest.empty src in
-  Alcotest.(check (list finding)) "no manifest entry, no scan" [] (rule_lines r)
 
 (* ---------------- waivers ---------------- *)
 
@@ -127,24 +105,16 @@ let test_manifest_errors () =
         "allow det/clock bench/"; (* missing reason *)
         "frobnicate x — y"; (* unknown directive *)
         "allow det/nope lib/ — r"; (* unknown rule-id *)
-        "hot_path f.ml g allow=banana — r"; (* unknown construct *)
+        "allow hot/alloc lib/ — r"; (* a deleted rule-id *)
+        "hot_path f.ml g — r"; (* allocation is the word gates' job, not policy *)
+        "cold_path f.ml g — r";
         "";
       ]
   in
   let _, diags = Lint_manifest.parse ~file:"bad.manifest" text in
   Alcotest.(check (list finding)) "each bad line is a finding"
-    [ ("lint/manifest", 1); ("lint/manifest", 2); ("lint/manifest", 3); ("lint/manifest", 4) ]
+    (List.map (fun line -> ("lint/manifest", line)) [ 1; 2; 3; 4; 5; 6 ])
     (List.map (fun d -> (d.Lint_diagnostic.rule, d.Lint_diagnostic.line)) diags)
-
-let test_manifest_drift () =
-  let m, diags =
-    Lint_manifest.parse ~file:"m" "hot_path x.ml missing_fn — fixture: drifted entry\n"
-  in
-  Alcotest.(check int) "manifest parses" 0 (List.length diags);
-  let src = Lint_source.load ~rel:"x.ml" ~abs:"lint_fixtures/clean_det_random.ml" in
-  let r = Lint_driver.run_on_source ~manifest:m src in
-  Alcotest.(check (list finding)) "drifted hot_path entry is a finding" [ ("lint/manifest", 1) ]
-    (rule_lines r)
 
 (* ---------------- iface/mli via the directory driver ---------------- *)
 
@@ -194,12 +164,11 @@ let run_graph ?(jobs = 1) () =
     ~manifest_path:graph_manifest ()
 
 (* One directory run over the fixture mini-tree exercises every inferred
-   family with exact (file, line, rule): a two-hop transitive alloc, a
-   taint chain through a module alias, an alias-resolved unguarded
-   telemetry call, a drifted hot_path entry (anchored at its manifest
-   line), and a stale interprocedural waiver — while each clean twin
-   (cold_path stop, guard in the caller, pure sink callees, referenced
-   entry, used waiver) stays silent. *)
+   family with exact (file, line, rule): a taint chain through a module
+   alias, an alias-resolved unguarded telemetry call, a drifted
+   identity_sink entry (anchored at its manifest line), and a stale
+   interprocedural waiver — while each clean twin (pure sink callees,
+   the guard in the calling function, a used waiver) stays silent. *)
 let test_graph_findings () =
   let r = run_graph () in
   let triples =
@@ -211,43 +180,51 @@ let test_graph_findings () =
     "exact findings"
     [
       ("lint_fixtures/graph/bad_guard_via.ml", 4, "guard/transitive");
-      ("lint_fixtures/graph/graph.manifest", 12, "hot/drift");
+      ("lint_fixtures/graph/graph.manifest", 12, "lint/manifest");
       ("lint_fixtures/graph/stale_waiver.ml", 1, "lint/bad-waiver");
       ("lint_fixtures/graph/taint_render.ml", 5, "det/taint");
-      ("lint_fixtures/graph/trans_leaf.ml", 3, "hot/transitive-alloc");
     ]
     triples;
-  Alcotest.(check int) "inline waiver on the inferred alloc is used" 1 r.Lint_driver.waivers_used
+  Alcotest.(check int) "inline waiver on the sink's taint is used" 1 r.Lint_driver.waivers_used
+
+(* An identity_sink entry naming no function is reported at its manifest
+   line, with the entry's file and function in the message. *)
+let test_sink_drift () =
+  let r = run_graph () in
+  match List.filter (fun d -> d.Lint_diagnostic.rule = "lint/manifest") r.Lint_driver.findings with
+  | [ d ] ->
+    Alcotest.(check int) "anchored at the entry" 12 d.Lint_diagnostic.line;
+    Alcotest.(check bool) "names the missing function" true
+      (contains d.Lint_diagnostic.message
+         {|identity_sink function "gone" not found in lint_fixtures/graph/taint_clean.ml|})
+  | ds -> Alcotest.failf "expected one drift finding, got %d" (List.length ds)
 
 let test_graph_stats () =
   let r = run_graph () in
   match r.Lint_driver.gstats with
   | None -> Alcotest.fail "directory run must carry call-graph stats"
   | Some s ->
-    Alcotest.(check int) "hot seeds" 7 s.Lint_interproc.gs_hot_seeds;
-    Alcotest.(check int) "inferred hot" 5 s.Lint_interproc.gs_hot_inferred;
-    Alcotest.(check int) "taint sources" 1 s.Lint_interproc.gs_taint_sources;
-    Alcotest.(check int) "identity sinks" 2 s.Lint_interproc.gs_identity_sinks
+    Alcotest.(check int) "taint sources" 2 s.Lint_interproc.gs_taint_sources;
+    Alcotest.(check int) "identity sinks" 4 s.Lint_interproc.gs_identity_sinks
 
-(* Inferred findings carry their propagation chain, both structurally and
-   as "via a -> b -> c" in the message. *)
+(* Inferred findings carry their chain, both structurally and as
+   "via a -> b -> c" in the message. *)
 let test_graph_chains () =
   let r = run_graph () in
   let find rule =
     List.find (fun d -> d.Lint_diagnostic.rule = rule) r.Lint_driver.findings
   in
   let names d = List.map (fun s -> s.Lint_diagnostic.st_name) d.Lint_diagnostic.chain in
-  let alloc = find "hot/transitive-alloc" in
-  Alcotest.(check (list string)) "alloc chain"
-    [ "Trans_root.pump"; "Trans_mid.step"; "Trans_leaf.consume" ]
-    (names alloc);
-  Alcotest.(check bool) "alloc message spells the chain" true
-    (contains alloc.Lint_diagnostic.message
-       "via Trans_root.pump -> Trans_mid.step -> Trans_leaf.consume");
   let taint = find "det/taint" in
   Alcotest.(check (list string)) "taint chain sink-to-source"
     [ "Taint_render.render"; "Taint_src.noise"; "Random.int (ambient PRNG)" ]
-    (names taint)
+    (names taint);
+  Alcotest.(check bool) "taint message spells the chain" true
+    (contains taint.Lint_diagnostic.message
+       "via Taint_render.render -> Taint_src.noise -> Random.int (ambient PRNG)");
+  Alcotest.(check (list string)) "guard chain: the calling function, then the call"
+    [ "Bad_guard_via.emit"; "Telemetry.incr" ]
+    (names (find "guard/transitive"))
 
 (* The per-file stage fans across domains; merge and filtering are
    serial, so reports are byte-identical for any --jobs. *)
@@ -258,22 +235,20 @@ let check_jobs_identity a b =
 let test_graph_jobs_identity () = check_jobs_identity (run_graph ()) (run_graph ~jobs:2 ())
 
 let test_graph_exports () =
-  let _, g, hot =
+  let _, g =
     Lint_driver.run_full ~paths:[ "lint_fixtures/graph" ] ~root:(Sys.getcwd ())
       ~manifest_path:graph_manifest ()
   in
-  Alcotest.(check bool) "seed is hot" true (hot "Trans_root.pump");
-  Alcotest.(check bool) "two-hop callee inferred hot" true (hot "Trans_leaf.consume");
-  Alcotest.(check bool) "cold_path stop is not hot" false (hot "Cold_helper.grow");
-  Alcotest.(check bool) "guarded callee is not hot" false (hot "Clean_guard_via.emit");
-  let dot = Lint_callgraph.to_dot ~hot g in
+  let dot = Lint_callgraph.to_dot g in
   Alcotest.(check bool) "dot has the applied edge" true
-    (contains dot "\"Trans_root.pump\" -> \"Trans_mid.step\"");
-  let json = Lint_callgraph.to_json ~hot g in
+    (contains dot "\"Taint_render.render\" -> \"Taint_src.noise\"");
+  Alcotest.(check bool) "dot dashes a mention" true
+    (contains dot "\"Bad_guard_via.<init:6>\" -> \"Bad_guard_via.tick\" [style=dashed];");
+  let json = Lint_callgraph.to_json g in
   Alcotest.(check bool) "json has the applied edge" true
-    (contains json {|{"from":"Trans_root.pump","to":"Trans_mid.step"|});
-  Alcotest.(check bool) "json marks hot nodes" true
-    (contains json {|{"id":"Trans_mid.step","file":"lint_fixtures/graph/trans_mid.ml","line":2,"hot":true}|})
+    (contains json {|{"from":"Taint_render.render","to":"Taint_src.noise"|});
+  Alcotest.(check bool) "json nodes carry file and line" true
+    (contains json {|{"id":"Taint_src.noise","file":"lint_fixtures/graph/taint_src.ml","line":4}|})
 
 (* --explain's backing text: every public rule-id has a real description. *)
 let test_rule_descriptions () =
@@ -305,8 +280,6 @@ let suite =
         case "det/hashtbl-order fixtures" test_det_hashtbl;
         case "dom/toplevel-state fixtures" test_dom_toplevel;
         case "guard/telemetry fixtures" test_guard;
-        case "hot/alloc fixtures" test_hot_alloc;
-        case "hot/alloc is manifest-opt-in" test_hot_alloc_opt_in;
       ] );
     ( "waivers",
       [
@@ -319,7 +292,7 @@ let suite =
     ( "manifest",
       [
         case "grammar errors are findings" test_manifest_errors;
-        case "hot_path drift is a finding" test_manifest_drift;
+        case "identity_sink drift is a finding" test_sink_drift;
       ] );
     ( "callgraph",
       [
@@ -327,7 +300,7 @@ let suite =
         case "call-graph statistics" test_graph_stats;
         case "propagation chains" test_graph_chains;
         case "serial vs --jobs 2 byte-identity" test_graph_jobs_identity;
-        case "dot/json exports and hot marking" test_graph_exports;
+        case "dot/json exports" test_graph_exports;
         case "--explain rule descriptions" test_rule_descriptions;
       ] );
     ( "driver",

@@ -305,20 +305,18 @@ let test_monitor_disabled_inert () =
   Alcotest.(check string) "disabled report" "== monitor disabled ==\n" (Monitor.report m)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end scenario (shared across checks; ~one chaos-sized run)   *)
+(* End-to-end scenario (the pinned seed-11 run, shared across checks)  *)
 (* ------------------------------------------------------------------ *)
 
-let scenario = lazy (Monitor_exp.run ~mode:Common.Quick ~seed:7L ())
-
 let test_scenario_alerts_in_fault_windows () =
-  let r = Lazy.force scenario in
+  let r = Lazy.force Scenarios.monitor_result in
   Alcotest.(check bool) "alerts fired" true (Monitor_exp.alerts_fired r);
   Alcotest.(check bool) "all inside padded fault windows" true
     (Monitor_exp.alerts_in_windows r);
   Alcotest.(check bool) "every alert names its fault" true (Monitor_exp.alerts_named r)
 
 let test_scenario_identity () =
-  let r = Lazy.force scenario in
+  let r = Lazy.force Scenarios.monitor_result in
   Alcotest.(check bool) "enabled observer == none" true (Monitor_exp.observer_identical r);
   Alcotest.(check bool) "remediation applied" true (Monitor_exp.remediation_applied r)
 

@@ -196,6 +196,21 @@ let test_obs_dump_determinism () =
   Alcotest.(check bool) "render verdict" true
     (contains (Obs_exp.render_result (Lazy.force Scenarios.obs)) "OBS OK\n")
 
+(* An armed recorder's write allocates nothing: exactly 0 words over
+   10,000 records.  The time and the payload float are boxed up front,
+   as a caller's are.  Run under both build profiles ([make alloc-gate]
+   runs it alone in release). *)
+let test_record_allocation_free () =
+  let fl = Flight.create ~capacity:1024 () in
+  let now = Sys.opaque_identity (Time.us 5) and v = Sys.opaque_identity 1.5 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:i ~b:(i land 7) ~v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every record written" 10_000 (Flight.total fl);
+  Alcotest.(check (float 0.0)) "record words" 0.0 words
+
 let suite =
   [
     ( "flight",
@@ -206,6 +221,7 @@ let suite =
         Alcotest.test_case "intern table" `Quick test_intern_labels;
         Alcotest.test_case "kind roundtrip" `Quick test_kind_roundtrip;
       ] );
+    ("alloc", [ Alcotest.test_case "armed record allocation-free" `Quick test_record_allocation_free ]);
     ( "profiler",
       [ Alcotest.test_case "scope accounting" `Quick test_profiler_accounting ] );
     ( "trace_event",

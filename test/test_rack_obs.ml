@@ -308,6 +308,63 @@ let test_stitch_same_seed_rerun () =
   Alcotest.(check string) "rollup byte-identical on rerun" base_chrome again_chrome
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per read through a two-server rack, dispatch to reply, in
+   steady state: four latency-critical tenants on two replicas each,
+   batches of four reads per tenant dispatched together and run to
+   completion.  The same rack is measured inert and with the tracer
+   armed; the difference is what the tracer's per-request hooks
+   allocate ([on_dispatch], [on_issue], [on_stage] at the NVMe submit
+   and complete stamps, [on_complete]), exemplar admission included.
+   Exact for the seed: 30.106 words in the dev profile, 28.106 in
+   release, where cross-module inlining saves two words per read;
+   each profile is held to its own count ([make alloc-gate] runs it
+   alone in release). *)
+let rack_read_words ~armed =
+  let sim = Sim.create ~seed:5L () in
+  let rack = Rack.create sim ~n_servers:2 ~policy:Policy.Po2c ~link:(Link.create ~n:2 ()) ~seed:8L () in
+  if armed then ignore (Rack_obs.create ~exemplars:2 rack);
+  for id = 1 to 4 do
+    match
+      Rack.add_tenant rack ~id ~slo:(Common.lc_slo ~latency_us:300 ~iops:500 ~read_pct:100)
+        ~replicas:2
+    with
+    | `Placed _ -> ()
+    | `Rejected -> Alcotest.fail "tenant rejected"
+  done;
+  Rack.sample_probes rack;
+  let batch () =
+    for id = 1 to 4 do
+      for _ = 1 to 4 do
+        Rack.dispatch_read rack ~tenant:id ~lba:0L ~len:1024 ()
+      done
+    done;
+    ignore (Sim.run sim)
+  in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  let done0 = Rack.completed rack in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every read completed" 16_000 (Rack.completed rack - done0);
+  words /. 16_000.0
+
+let test_tracer_hook_words () =
+  let inert = rack_read_words ~armed:false in
+  let armed = rack_read_words ~armed:true in
+  let w = armed -. inert in
+  let bound = if Build_profile.release then 28.11 else 30.11 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f - %.3f = %.3f tracer words per read <= %g" armed inert w bound)
+    true (w <= bound)
+
+(* ------------------------------------------------------------------ *)
 (* Suite                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -332,6 +389,7 @@ let suite =
       ] );
     ( "gauges",
       [ Alcotest.test_case "probe age + dispatch gauges" `Quick test_rack_gauges ] );
+    ("alloc", [ Alcotest.test_case "tracer hook words" `Quick test_tracer_hook_words ]);
     ( "rollup",
       [
         Alcotest.test_case "Follows_from stitched" `Quick test_follows_from_stitched;

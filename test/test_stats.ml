@@ -243,6 +243,21 @@ let test_table_render () =
     (Invalid_argument "Table.add_row: 1 cells for 2 columns") (fun () ->
       Table.add_row t [ "x" ])
 
+(* Recording allocates nothing: exactly 0 words over 10,000 records,
+   the values spread over the linear region and the log buckets.  The
+   values are boxed up front, as a caller's [Time.t] is.  Run under both
+   build profiles ([make alloc-gate] runs it alone in release). *)
+let test_hdr_record_allocation_free () =
+  let h = Hdr_histogram.create () in
+  let values = Array.init 64 (fun i -> Int64.of_int ((i * i * 7919) + i)) in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Hdr_histogram.record h values.(i land 63)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every value recorded" 10_000 (Hdr_histogram.count h);
+  Alcotest.(check (float 0.0)) "record words" 0.0 words
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -272,4 +287,5 @@ let suite =
         qcheck prop_fit_recovers_line;
       ] );
     ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+    ("alloc", [ Alcotest.test_case "record allocation-free" `Quick test_hdr_record_allocation_free ]);
   ]
