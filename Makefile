@@ -36,12 +36,15 @@ lint: build
 #   qos.alloc       0 words per Algorithm-1 round, at 20 and 2564 tenants
 #   engine.alloc    words per posted Sim event and per 1KB Fabric.transmit;
 #                   0 over 10,000 Prng.int draws
+#   net.alloc       words per Tcp_conn message, send to the receiving
+#                   handler
 #   flash.alloc     words per 4KB queue-pair read and write, submit
 #                   through drain
 #   core.alloc      0 over 10,000 Server counter lookups; words per
 #                   request through one dataplane thread, unarmed and
-#                   with telemetry, stage sink and flight recorder armed
-#   stats.alloc     0 over 10,000 Hdr_histogram records
+#                   with telemetry, stage sink and flight recorder armed;
+#                   words per read through Client_lib against a Server
+#   stats.alloc     0 over 10,000 Hdr_histogram records, int64 and int
 #   obs.alloc       0 over 10,000 armed Flight records
 #   rack_obs.alloc  the rack tracer's words per read (armed minus inert)
 # The release build replaces the dev one in _build/, so the next dev

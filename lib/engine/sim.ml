@@ -21,6 +21,9 @@ let slot_mask = (1 lsl slot_bits) - 1
 
 type event_id = int
 
+(* Slot [slot_mask] at generation 2^41 - 1, which no slot reaches. *)
+let no_event = -1
+
 type t = {
   mutable clock : Time.t;
   mutable clock_key : int; (* [key_of_time clock] *)

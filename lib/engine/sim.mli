@@ -23,6 +23,10 @@ type t
     counter so stale handles are harmless. *)
 type event_id
 
+(** A handle that names no event: {!cancel} ignores it and {!cancelled}
+    holds for it.  The blank of a table of handles. *)
+val no_event : event_id
+
 (** [create ?seed ()] — a fresh simulation at time zero. *)
 val create : ?seed:int64 -> unit -> t
 

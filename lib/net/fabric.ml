@@ -21,20 +21,31 @@ type t = {
   mutable hosts : host array; (* indexed by [host.id] *)
   mutable n_hosts : int;
   (* In-flight message arena (parallel arrays indexed by message id):
-     each hop is a posted event carrying the id, so a message costs no
-     closure and no job record between [transmit] and its delivery. *)
+     each hop is a posted event carrying the id, and the delivery is a
+     posted (handler, arg), so a message costs no closure and no job
+     record between [post_transmit] and its delivery. *)
   mutable m_src : int array;
   mutable m_dst : int array;
   mutable m_bytes : int array;
   mutable m_ser : int array; (* serialization ns, both links *)
   mutable m_dup : bool array;
-  mutable m_k : (unit -> unit) array; (* the delivery continuation *)
+  mutable m_h : int array; (* the delivery: posted handler ... *)
+  mutable m_arg : int array; (* ... and its argument *)
   mutable m_free : int array; (* freelist stack of message ids *)
   mutable m_free_len : int;
+  (* [transmit]'s continuations, parked by slot until their last
+     delivery ([k_due] counts the deliveries still to come: two for a
+     duplicated message) *)
+  mutable k_fn : (unit -> unit) array;
+  mutable k_due : int array;
+  mutable k_free : int array;
+  mutable k_free_len : int;
   (* posted-event handler ids, registered in [create] *)
   mutable h_tx_done : int;
   mutable h_wire : int;
   mutable h_rx_done : int;
+  mutable h_stalled : int;
+  mutable h_k : int;
   (* ---- fault-injection state (lib/faults) ----
      [faulty] is the single guard [transmit] reads; while false (the
      default) the pre-fault code path runs unchanged and no extra PRNG
@@ -98,14 +109,15 @@ let grow_msgs t =
   t.m_bytes <- grow t.m_bytes 0;
   t.m_ser <- grow t.m_ser 0;
   t.m_dup <- grow t.m_dup false;
-  t.m_k <- grow t.m_k noop;
+  t.m_h <- grow t.m_h 0;
+  t.m_arg <- grow t.m_arg 0;
   t.m_free <- grow t.m_free 0;
   for m = ncap - 1 downto cap do
     t.m_free.(t.m_free_len) <- m;
     t.m_free_len <- t.m_free_len + 1
   done
 
-let alloc_msg t ~src ~dst ~bytes ~ser k =
+let alloc_msg t ~src ~dst ~bytes ~ser h arg =
   if t.m_free_len = 0 then grow_msgs t;
   t.m_free_len <- t.m_free_len - 1;
   let m = t.m_free.(t.m_free_len) in
@@ -114,7 +126,8 @@ let alloc_msg t ~src ~dst ~bytes ~ser k =
   t.m_bytes.(m) <- bytes;
   t.m_ser.(m) <- ser;
   t.m_dup.(m) <- false;
-  t.m_k.(m) <- k;
+  t.m_h.(m) <- h;
+  t.m_arg.(m) <- arg;
   m
 
 (* ---- the hops, as posted events over a message id ---- *)
@@ -127,24 +140,58 @@ let on_tx_done t m =
 
 let on_wire t m = link_submit t t.hosts.(t.m_dst.(m)).rx t.h_rx_done m
 
+(* A flap or a loss stalled the message before its tx link. *)
+let on_stalled t m = link_submit t t.hosts.(t.m_src.(m)).tx t.h_tx_done m
+
 (* Destination rx link done: the next queued message starts, the message
-   leaves the arena, and its continuation runs after the destination
+   leaves the arena, and its delivery is posted after the destination
    stack's receive delay (twice when duplicated). *)
 let on_rx_done t m =
   let dst = t.hosts.(t.m_dst.(m)) in
   link_next t dst.rx t.h_rx_done;
-  let k = t.m_k.(m) and dup = t.m_dup.(m) in
+  let h = t.m_h.(m) and arg = t.m_arg.(m) and dup = t.m_dup.(m) in
   dst.rx_bytes <- dst.rx_bytes + t.m_bytes.(m);
-  t.m_k.(m) <- noop;
   t.m_free.(t.m_free_len) <- m;
   t.m_free_len <- t.m_free_len + 1;
   let stack_delay = Stack_model.rx_delay dst.stack dst.prng in
-  ignore (Sim.after t.sim stack_delay k);
+  Sim.post_after t.sim stack_delay h arg;
   if dup then
     (* The duplicate pops out one extra stack delay later: same payload,
-       same continuation; dedup is the receiver's job (see
-       Tcp_conn.arrive). *)
-    ignore (Sim.after t.sim (Time.add stack_delay nic_latency) k)
+       same delivery; dedup is the receiver's job (see Tcp_conn). *)
+    Sim.post_after t.sim (Time.add stack_delay nic_latency) h arg
+
+(* ---- the closure form's continuation table ---- *)
+
+(* Cold path: double the table and push the fresh slots onto the
+   freelist (low slots are reused first). *)
+let grow_ks t =
+  let cap = Array.length t.k_fn in
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let grow a fill =
+    let na = Array.make ncap fill in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  t.k_fn <- grow t.k_fn noop;
+  t.k_due <- grow t.k_due 0;
+  t.k_free <- grow t.k_free 0;
+  for k = ncap - 1 downto cap do
+    t.k_free.(t.k_free_len) <- k;
+    t.k_free_len <- t.k_free_len + 1
+  done
+
+(* A delivery of the continuation parked at [slot]: the last one frees
+   the slot (blanked, so it pins nothing) before the continuation runs. *)
+let on_k t slot =
+  let k = t.k_fn.(slot) in
+  let due = t.k_due.(slot) - 1 in
+  t.k_due.(slot) <- due;
+  if due = 0 then begin
+    t.k_fn.(slot) <- noop;
+    t.k_free.(t.k_free_len) <- slot;
+    t.k_free_len <- t.k_free_len + 1
+  end;
+  k ()
 
 let create sim ?(bandwidth_gbps = 10.0) () =
   if bandwidth_gbps <= 0.0 then invalid_arg "Fabric.create: bandwidth";
@@ -159,12 +206,19 @@ let create sim ?(bandwidth_gbps = 10.0) () =
       m_bytes = [||];
       m_ser = [||];
       m_dup = [||];
-      m_k = [||];
+      m_h = [||];
+      m_arg = [||];
       m_free = [||];
       m_free_len = 0;
+      k_fn = [||];
+      k_due = [||];
+      k_free = [||];
+      k_free_len = 0;
       h_tx_done = 0;
       h_wire = 0;
       h_rx_done = 0;
+      h_stalled = 0;
+      h_k = 0;
       faulty = false;
       fault_prng = None;
       link_down_until = Time.zero;
@@ -176,6 +230,8 @@ let create sim ?(bandwidth_gbps = 10.0) () =
   t.h_tx_done <- Sim.handler sim (on_tx_done t);
   t.h_wire <- Sim.handler sim (on_wire t);
   t.h_rx_done <- Sim.handler sim (on_rx_done t);
+  t.h_stalled <- Sim.handler sim (on_stalled t);
+  t.h_k <- Sim.handler sim (on_k t);
   t
 
 let sim t = t.sim
@@ -229,19 +285,37 @@ let fault_penalties t =
     let dup = t.dup_prob > 0.0 && Prng.bool prng t.dup_prob in
     (stall, dup)
 
-let transmit t ~src ~dst ~bytes k =
-  if bytes <= 0 then invalid_arg "Fabric.transmit: non-positive size";
+let check_size bytes = if bytes <= 0 then invalid_arg "Fabric.transmit: non-positive size"
+
+(* Start a message towards its posted delivery [(h, arg)]; returns the
+   message id. *)
+let submit t ~src ~dst ~bytes h arg =
   src.tx_bytes <- src.tx_bytes + bytes;
   let ser = Int64.to_int (serialization_time t ~bytes) in
-  let m = alloc_msg t ~src ~dst ~bytes ~ser k in
+  let m = alloc_msg t ~src ~dst ~bytes ~ser h arg in
   if not t.faulty then link_submit t src.tx t.h_tx_done m
   else begin
     let stall, dup = fault_penalties t in
     t.m_dup.(m) <- dup;
-    if Time.(stall > Time.zero) then
-      ignore (Sim.after t.sim stall (fun () -> link_submit t src.tx t.h_tx_done m))
+    if Time.(stall > Time.zero) then Sim.post_after t.sim stall t.h_stalled m
     else link_submit t src.tx t.h_tx_done m
-  end
+  end;
+  m
+
+let post_transmit t ~src ~dst ~bytes h arg =
+  check_size bytes;
+  ignore (submit t ~src ~dst ~bytes h arg)
+
+(* The closure form: [k] is parked in the continuation table, whose
+   handler is the message's delivery. *)
+let transmit t ~src ~dst ~bytes k =
+  check_size bytes;
+  if t.k_free_len = 0 then grow_ks t;
+  t.k_free_len <- t.k_free_len - 1;
+  let slot = t.k_free.(t.k_free_len) in
+  t.k_fn.(slot) <- k;
+  let m = submit t ~src ~dst ~bytes t.h_k slot in
+  t.k_due.(slot) <- (if t.m_dup.(m) then 2 else 1)
 
 let bytes_sent h = h.tx_bytes
 let bytes_received h = h.rx_bytes

@@ -9,12 +9,12 @@
 
     A message in flight is a slot in the fabric's message arena ([int]
     arrays: source and destination host ids, bytes, serialization ns, a
-    duplicate flag; plus the one delivery continuation).  Each link is a
-    busy bit and a FIFO ring of queued message ids.  The three hops —
-    tx link done, wire arrival, rx link done — are {!Sim.post_after}
-    events on the message id, so a hop allocates no closure and no job
-    record.  A finishing link starts its next queued message before the
-    finished one moves on. *)
+    duplicate flag, and the delivery as a posted handler and argument).
+    Each link is a busy bit and a FIFO ring of queued message ids.  The
+    three hops — tx link done, wire arrival, rx link done — and the
+    delivery are {!Sim.post_after} events, so a message allocates no
+    closure and no job record.  A finishing link starts its next queued
+    message before the finished one moves on. *)
 
 open Reflex_engine
 
@@ -37,10 +37,16 @@ val host_id : host -> int
 val host_name : host -> string
 val host_stack : host -> Stack_model.t
 
-(** [transmit t ~src ~dst ~bytes k] delivers [bytes] from [src] to [dst]:
-    serialization on the source tx link, NIC+switch propagation,
-    serialization on the destination rx link, then the destination stack's
-    receive delay (coalescing, wakeups).  [k] runs at delivery. *)
+(** [post_transmit t ~src ~dst ~bytes h arg] delivers [bytes] from [src]
+    to [dst]: serialization on the source tx link, NIC+switch
+    propagation, serialization on the destination rx link, then the
+    destination stack's receive delay (coalescing, wakeups).  The
+    delivery is the {!Sim.handler} [h] applied to [arg], posted once (twice
+    for an injected duplicate). *)
+val post_transmit : t -> src:host -> dst:host -> bytes:int -> int -> int -> unit
+
+(** [transmit t ~src ~dst ~bytes k] is {!post_transmit} with the closure
+    [k] as the delivery: it runs once per delivery. *)
 val transmit : t -> src:host -> dst:host -> bytes:int -> (unit -> unit) -> unit
 
 (** Cumulative bytes sent by a host (for bandwidth accounting). *)

@@ -5,7 +5,12 @@
     FIFO delivery — the only ordering the paper's ReFlex provides (§4.1
     "Limitations").  The sender's transmit-path latency is applied here;
     the sender's CPU cost is charged by the sending component, since
-    clients and servers model their cores differently. *)
+    clients and servers model their cores differently.
+
+    Each direction keeps its in-flight messages in a ring, and a
+    message's steps are posted events on the connection's one
+    {!Reflex_engine.Sim.handler}, so sending allocates nothing beyond
+    the message value. *)
 
 type 'a t
 

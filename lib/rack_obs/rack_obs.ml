@@ -231,9 +231,9 @@ let on_complete t ~slot ~ok ~now =
   if bound > 0 then begin
     t.lc_traced <- t.lc_traced + 1;
     for i = 0 to Array.length c - 1 do
-      Hdr.record t.h_comp.(i) (Int64.of_int c.(i))
+      Hdr.record_int t.h_comp.(i) c.(i)
     done;
-    Hdr.record t.h_e2e (Int64.of_int e2e);
+    Hdr.record_int t.h_e2e e2e;
     if e2e > bound then begin
       t.viol_total <- t.viol_total + 1;
       let dom = Stage.dominant c in

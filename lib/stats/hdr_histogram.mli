@@ -13,6 +13,11 @@ val create : unit -> t
 
 val record : t -> int64 -> unit
 
+(** [record_int t v] records the native-int value [v] (nanoseconds): the
+    path [record] wraps, for callers that hold their values unboxed.
+    Values at or above 2^62 - 1 are kept as 2^62 - 1 by [record]. *)
+val record_int : t -> int -> unit
+
 (** [record_n t v n] records [v] with multiplicity [n]. *)
 val record_n : t -> int64 -> int -> unit
 

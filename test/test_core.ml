@@ -730,6 +730,139 @@ let test_dataplane_request_words () =
       (true, "telemetry and flight armed", if Build_profile.release then 30.04 else 37.78);
     ]
 
+(* Minor words per read through [Client_lib] against a [Server], issue
+   to completion, in steady state: one best-effort tenant on an IX-like
+   client, batches of 16 4KB reads issued together and run to
+   completion.  This is the whole request: the client's core ring and
+   slot table, the connection both ways, the server's dataplane and
+   the flash.  What is left is the messages themselves, the server's
+   payload record, and the boxed [int64] request id, latency and
+   [Time.t]s at module edges.  Exact for the seed: 132.691 words in
+   the dev profile, 128.691 in release ([make alloc-gate] runs it
+   alone in release). *)
+let client_request_words () =
+  let sim, fabric, server = setup () in
+  let client = connect_client sim fabric server () in
+  register_ok sim client ~tenant:1 ();
+  let lbas = Array.init 16 (fun i -> Int64.of_int (i * 8)) in
+  let completed = ref 0 in
+  let k _ ~latency:_ = incr completed in
+  let batch () =
+    for i = 0 to 15 do
+      Client_lib.read client ~lba:lbas.(i) ~len:4096 k
+    done;
+    ignore (Sim.run sim)
+  in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every read completed" 16_160 !completed;
+  Alcotest.(check int) "nothing in flight" 0 (Client_lib.inflight client);
+  words /. 16_000.0
+
+let test_client_request_words () =
+  let w = client_request_words () in
+  let bound = if Build_profile.release then 128.70 else 132.70 in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per client read <= %g" w bound) true
+    (w <= bound)
+
+(* ------------------------------------------------------------------ *)
+(* Client_lib's outstanding-request table                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One early read is stuck under a retry policy while later reads
+   complete, so the slot table (keyed by [req_id land (capacity - 1)])
+   grows until it spans the stuck id and the newest.  A stand-in server
+   holds the stuck read's first response past its deadline (the retry
+   is answered at once), and holds one later read whose id lands on the
+   stuck id's slot: the abandoned attempt's late response arrives while
+   that slot is live under the other id and must be dropped. *)
+let test_client_slot_table_stuck_request () =
+  let sim = Sim.create () in
+  let fabric = Fabric.create sim () in
+  let server_host = Fabric.add_host fabric ~name:"stand-in" ~stack:Stack_model.dataplane_server in
+  let stuck_lba = 7L and held_lba = 9L in
+  let stuck_held = ref false in
+  let accept conn =
+    let reply m = Tcp_conn.send_to_client conn ~size:(Codec.encoded_size m) m in
+    let reply_at time m = ignore (Sim.at sim time (fun () -> reply m)) in
+    Tcp_conn.set_server_handler conn (fun msg ~size:_ ->
+        match msg with
+        | Message.Register _ -> reply (Message.Registered { handle = 1; status = Message.Ok })
+        | Message.Read_req { req_id; lba; len; _ } ->
+          let m = Message.Read_resp { req_id; status = Message.Ok; len } in
+          if Int64.equal lba stuck_lba && not !stuck_held then begin
+            stuck_held := true;
+            reply_at (Time.ms 20) m
+          end
+          else if Int64.equal lba held_lba then reply_at (Time.ms 21) m
+          else reply m
+        | _ -> ())
+  in
+  let retry =
+    {
+      Retry.timeout = Time.ms 5;
+      max_retries = 2;
+      backoff_base = Time.us 10;
+      backoff_mult = 2.0;
+      backoff_max = Time.us 100;
+      jitter = 0.0;
+    }
+  in
+  let client =
+    Client_lib.connect sim fabric ~server_host ~accept ~stack:Stack_model.ix_client ~retry ()
+  in
+  register_ok sim client ~tenant:1 ();
+  let stuck = ref [] and held = ref [] and ok = ref 0 in
+  Client_lib.read client ~lba:stuck_lba ~len:4096 (fun s ~latency:_ -> stuck := s :: !stuck);
+  (* ids 2..101, one after another *)
+  let rec chain n =
+    if n > 0 then
+      Client_lib.read client ~lba:0L ~len:4096 (fun s ~latency:_ ->
+          if s = Message.Ok then incr ok;
+          chain (n - 1))
+  in
+  chain 100;
+  ignore (Sim.run ~until:(Time.ms 4) sim);
+  Alcotest.(check int) "later reads complete" 100 !ok;
+  Alcotest.(check int) "only the stuck read in flight" 1 (Client_lib.inflight client);
+  Alcotest.(check int) "stuck read still waiting" 0 (List.length !stuck);
+  (* The deadline expires and the retry (id 102) is answered. *)
+  ignore (Sim.run ~until:(Time.ms 8) sim);
+  Alcotest.(check (list string)) "stuck read completes once, by its retry" [ "ok" ]
+    (List.map Message.status_to_string !stuck);
+  Alcotest.(check int) "one timeout" 1 (Client_lib.timeouts client);
+  Alcotest.(check int) "one retry" 1 (Client_lib.retries client);
+  Alcotest.(check int) "nothing in flight" 0 (Client_lib.inflight client);
+  (* ids 103..128 complete; id 129 shares the stuck id's slot at
+     capacity 128 and is held past the late response (20ms). *)
+  for _ = 103 to 128 do
+    Client_lib.read client ~lba:0L ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok)
+  done;
+  ignore (Sim.run ~until:(Time.ms 10) sim);
+  Alcotest.(check int) "filler reads complete" 126 !ok;
+  ignore (Sim.run ~until:(Time.ms 17) sim);
+  Alcotest.(check int64) "the held read's id" 129L (Client_lib.next_req_id client);
+  Client_lib.read client ~lba:held_lba ~len:4096 (fun s ~latency:_ -> held := s :: !held);
+  ignore (Sim.run ~until:(Time.ms 20) sim);
+  Alcotest.(check int) "held read in flight" 1 (Client_lib.inflight client);
+  (* The late response for id 1 lands on the held read's slot. *)
+  ignore (Sim.run ~until:(Time.of_float_us 20_500.0) sim);
+  Alcotest.(check int) "held read still waiting" 0 (List.length !held);
+  Alcotest.(check int) "held read still in flight" 1 (Client_lib.inflight client);
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "late response dropped" [ "ok" ]
+    (List.map Message.status_to_string !stuck);
+  Alcotest.(check (list string)) "held read completes once" [ "ok" ]
+    (List.map Message.status_to_string !held);
+  Alcotest.(check int) "no further timeouts" 1 (Client_lib.timeouts client);
+  Alcotest.(check int) "nothing in flight at the end" 0 (Client_lib.inflight client)
+
 (* ------------------------------------------------------------------ *)
 (* Global_control                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1023,6 +1156,12 @@ let suite =
       [
         Alcotest.test_case "tenant lookups allocation-free" `Quick test_lookups_allocation_free;
         Alcotest.test_case "dataplane request words" `Quick test_dataplane_request_words;
+        Alcotest.test_case "client request words" `Quick test_client_request_words;
+      ] );
+    ( "client",
+      [
+        Alcotest.test_case "slot table: stuck request, late response dropped" `Quick
+          test_client_slot_table_stuck_request;
       ] );
     ( "global_control",
       [

@@ -171,6 +171,168 @@ let test_linux_slower_than_ix () =
     true
     (linux > ix +. 10.0)
 
+(* ------------------------------------------------------------------ *)
+(* Reassembly under reordering and duplicates                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The reassembly rule the in-flight window replaced, as a reference: a
+   table of buffered arrivals and a cursor.  An arrival below the cursor
+   is a duplicate and is dropped; one above it counts as out of order
+   ([net/ooo_buffered]), a duplicate of a buffered one included. *)
+type reference = { buffered : (int, unit) Hashtbl.t; mutable next : int; mutable ooo : int }
+
+let reference_arrive r seq =
+  if seq >= r.next then begin
+    if seq <> r.next then r.ooo <- r.ooo + 1;
+    Hashtbl.replace r.buffered seq ();
+    while Hashtbl.mem r.buffered r.next do
+      Hashtbl.remove r.buffered r.next;
+      r.next <- r.next + 1
+    done
+  end
+
+(* Linux stacks on both ends (receive jitter reorders raw deliveries),
+   duplicates armed, and bursts of [n_s] messages to the server and
+   [n_c] to the client every [gap_us].  The same schedule drives a twin
+   world whose messages are plain [Fabric.transmit]s after the same
+   transmit delay, arriving into [reference]: both worlds post the same
+   events in the same order and so draw the same jitter and duplicates.
+   Returns whether each direction delivered every message exactly once
+   and in order, with exact counters and the reference's out-of-order
+   count, plus that count and the number of raw arrivals. *)
+let reassembly_run ~seed bursts =
+  let world () =
+    let sim = Sim.create ~seed:(Int64.of_int seed) () in
+    let fabric = Fabric.create sim () in
+    let client = Fabric.add_host fabric ~name:"client" ~stack:Stack_model.linux_client in
+    let server = Fabric.add_host fabric ~name:"server" ~stack:Stack_model.linux_server in
+    Fabric.set_fault_prng fabric (Prng.create (Int64.of_int (seed + 1)));
+    Fabric.set_dup fabric ~prob:0.3;
+    (sim, fabric, client, server)
+  in
+  let schedule sim send =
+    let at = ref 0 and n_s = ref 0 and n_c = ref 0 in
+    List.iter
+      (fun (gap_us, to_s, to_c) ->
+        at := !at + gap_us;
+        let first_s = !n_s and first_c = !n_c in
+        ignore
+          (Sim.at sim (Time.us !at) (fun () ->
+               for i = 0 to to_s - 1 do
+                 send `To_server (first_s + i)
+               done;
+               for i = 0 to to_c - 1 do
+                 send `To_client (first_c + i)
+               done));
+        n_s := !n_s + to_s;
+        n_c := !n_c + to_c)
+      bursts;
+    ignore (Sim.run sim);
+    (!n_s, !n_c)
+  in
+  (* the connection under test *)
+  let sim, fabric, client, server = world () in
+  let tel = Reflex_telemetry.Telemetry.create () in
+  let conn = Tcp_conn.connect ~telemetry:tel fabric ~client ~server in
+  let got_s = ref [] and got_c = ref [] in
+  Tcp_conn.set_server_handler conn (fun i ~size:_ -> got_s := i :: !got_s);
+  Tcp_conn.set_client_handler conn (fun i ~size:_ -> got_c := i :: !got_c);
+  let n_s, n_c =
+    schedule sim (fun dir i ->
+        match dir with
+        | `To_server -> Tcp_conn.send_to_server conn ~size:64 i
+        | `To_client -> Tcp_conn.send_to_client conn ~size:64 i)
+  in
+  let ooo =
+    int_of_float
+      Reflex_telemetry.Telemetry.(counter_value (counter tel "net/ooo_buffered"))
+  in
+  (* the twin, arriving into the reference rule *)
+  let sim, fabric, client, server = world () in
+  let refs = Array.init 2 (fun _ -> { buffered = Hashtbl.create 16; next = 0; ooo = 0 }) in
+  let arrivals = ref 0 in
+  let _ =
+    schedule sim (fun dir seq ->
+        let src, dst, r = match dir with `To_server -> (client, server, refs.(0)) | `To_client -> (server, client, refs.(1)) in
+        ignore
+          (Sim.after sim (Fabric.host_stack src).Stack_model.tx_overhead (fun () ->
+               Fabric.transmit fabric ~src ~dst ~bytes:64 (fun () ->
+                   incr arrivals;
+                   reference_arrive r seq))))
+  in
+  let ref_ooo = refs.(0).ooo + refs.(1).ooo in
+  let ok =
+    List.rev !got_s = List.init n_s Fun.id
+    && List.rev !got_c = List.init n_c Fun.id
+    && Tcp_conn.delivered_to_server conn = n_s
+    && Tcp_conn.delivered_to_client conn = n_c
+    && refs.(0).next = n_s
+    && refs.(1).next = n_c
+    && ooo = ref_ooo
+  in
+  (ok, ref_ooo, !arrivals, n_s + n_c)
+
+let prop_reassembly_exactly_once_in_order =
+  QCheck.Test.make ~name:"reassembly delivers once, in order, under jitter and duplicates"
+    ~count:60
+    QCheck.(
+      pair (int_range 1 1_000)
+        (list_of_size Gen.(int_range 1 8)
+           (triple (int_range 0 40) (int_range 0 24) (int_range 0 24))))
+    (fun (seed, bursts) ->
+      let ok, _, _, _ = reassembly_run ~seed bursts in
+      ok)
+
+(* The property is not vacuous: a fixed schedule sees reordering and
+   duplicates, and bursts wider than the ring's first capacities. *)
+let test_reassembly_reorders_and_duplicates () =
+  let ok, ooo, arrivals, sent = reassembly_run ~seed:3 [ (0, 20, 20); (5, 16, 3); (1, 24, 24) ] in
+  Alcotest.(check bool) "delivered once, in order, counters exact" true ok;
+  Alcotest.(check bool) (Printf.sprintf "%d out-of-order arrivals" ooo) true (ooo > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d raw arrivals > %d messages" arrivals sent)
+    true (arrivals > sent)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per connection message, [Tcp_conn.send_to_server]
+   through the server handler, in steady state: batches of 8 messages
+   sent together between IX-like endpoints.  The message is an
+   immediate, so the count is the connection and fabric path alone: the
+   boxed [Time.t]s at module edges (each hop's delay handed to
+   [Sim.post_after], the receive delay, the clock re-boxed as time
+   advances).  Exact for the seed: 23.750 words in the dev profile,
+   21.750 in release ([make alloc-gate] runs it alone in release). *)
+let conn_message_words () =
+  let sim, fabric = make_fabric () in
+  let client = Fabric.add_host fabric ~name:"client" ~stack:Stack_model.ix_client in
+  let server = Fabric.add_host fabric ~name:"server" ~stack:Stack_model.dataplane_server in
+  let conn = Tcp_conn.connect fabric ~client ~server in
+  let received = ref 0 in
+  Tcp_conn.set_server_handler conn (fun _ ~size:_ -> incr received);
+  let batch () =
+    for i = 1 to 8 do
+      Tcp_conn.send_to_server conn ~size:64 i
+    done;
+    ignore (Sim.run sim)
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every message delivered" 8_008 !received;
+  words /. 8_000.0
+
+let test_conn_message_words () =
+  let w = conn_message_words () in
+  let bound = if Build_profile.release then 21.75 else 23.75 in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per connection message <= %g" w bound) true
+    (w <= bound)
+
 let suite =
   [
     ( "stack_model",
@@ -191,5 +353,9 @@ let suite =
         Alcotest.test_case "FIFO under receive jitter" `Quick test_conn_fifo_under_jitter;
         Alcotest.test_case "late handler replays queue" `Quick test_conn_handler_installed_late;
         Alcotest.test_case "linux receiver slower than ix" `Quick test_linux_slower_than_ix;
+        Alcotest.test_case "reassembly sees reordering and duplicates" `Quick
+          test_reassembly_reorders_and_duplicates;
+        QCheck_alcotest.to_alcotest prop_reassembly_exactly_once_in_order;
       ] );
+    ("alloc", [ Alcotest.test_case "connection message words" `Quick test_conn_message_words ]);
   ]

@@ -318,7 +318,7 @@ let test_stitch_same_seed_rerun () =
    armed; the difference is what the tracer's per-request hooks
    allocate ([on_dispatch], [on_issue], [on_stage] at the NVMe submit
    and complete stamps, [on_complete]), exemplar admission included.
-   Exact for the seed: 30.106 words in the dev profile, 28.106 in
+   Exact for the seed: 12.106 words in the dev profile, 10.106 in
    release, where cross-module inlining saves two words per read;
    each profile is held to its own count ([make alloc-gate] runs it
    alone in release). *)
@@ -359,7 +359,7 @@ let test_tracer_hook_words () =
   let inert = rack_read_words ~armed:false in
   let armed = rack_read_words ~armed:true in
   let w = armed -. inert in
-  let bound = if Build_profile.release then 28.11 else 30.11 in
+  let bound = if Build_profile.release then 10.11 else 12.11 in
   Alcotest.(check bool)
     (Printf.sprintf "%.3f - %.3f = %.3f tracer words per read <= %g" armed inert w bound)
     true (w <= bound)

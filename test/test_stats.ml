@@ -197,6 +197,23 @@ let prop_hdr_monotone =
       in
       monotone vals)
 
+(* [record] is [record_int] on the value as an int: the same values give
+   the same count, extrema, mean and percentiles either way. *)
+let prop_hdr_record_int_matches_record =
+  QCheck.Test.make ~name:"hdr record_int matches record" ~count:50
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_range 0 1_000_000_000))
+    (fun values ->
+      let a = Hdr_histogram.create () and b = Hdr_histogram.create () in
+      List.iter (fun v -> Hdr_histogram.record a (Int64.of_int v)) values;
+      List.iter (Hdr_histogram.record_int b) values;
+      Hdr_histogram.count a = Hdr_histogram.count b
+      && Hdr_histogram.min_value a = Hdr_histogram.min_value b
+      && Hdr_histogram.max_value a = Hdr_histogram.max_value b
+      && Hdr_histogram.mean a = Hdr_histogram.mean b
+      && List.for_all
+           (fun p -> Hdr_histogram.percentile a p = Hdr_histogram.percentile b p)
+           [ 0.0; 50.0; 95.0; 99.9; 100.0 ])
+
 (* ------------------------------------------------------------------ *)
 (* Linear_fit                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -243,20 +260,28 @@ let test_table_render () =
     (Invalid_argument "Table.add_row: 1 cells for 2 columns") (fun () ->
       Table.add_row t [ "x" ])
 
-(* Recording allocates nothing: exactly 0 words over 10,000 records,
-   the values spread over the linear region and the log buckets.  The
-   values are boxed up front, as a caller's [Time.t] is.  Run under both
-   build profiles ([make alloc-gate] runs it alone in release). *)
+(* Recording allocates nothing: exactly 0 words over 10,000 records
+   through each of [record] and [record_int], the values spread over
+   the linear region and the log buckets.  [record]'s values are boxed
+   up front, as a caller's [Time.t] is.  Run under both build profiles
+   ([make alloc-gate] runs it alone in release). *)
 let test_hdr_record_allocation_free () =
   let h = Hdr_histogram.create () in
-  let values = Array.init 64 (fun i -> Int64.of_int ((i * i * 7919) + i)) in
+  let ints = Array.init 64 (fun i -> (i * i * 7919) + i) in
+  let values = Array.map Int64.of_int ints in
   let w0 = Gc.minor_words () in
   for i = 1 to 10_000 do
     Hdr_histogram.record h values.(i land 63)
   done;
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "every value recorded" 10_000 (Hdr_histogram.count h);
-  Alcotest.(check (float 0.0)) "record words" 0.0 words
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Hdr_histogram.record_int h ints.(i land 63)
+  done;
+  let int_words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every value recorded" 20_000 (Hdr_histogram.count h);
+  Alcotest.(check (float 0.0)) "record words" 0.0 words;
+  Alcotest.(check (float 0.0)) "record_int words" 0.0 int_words
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -278,6 +303,7 @@ let suite =
         qcheck prop_hdr_diff_add_id;
         qcheck prop_hdr_vs_exact;
         qcheck prop_hdr_monotone;
+        qcheck prop_hdr_record_int_matches_record;
       ] );
     ( "linear_fit",
       [
