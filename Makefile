@@ -21,12 +21,11 @@ test: build
 	dune runtest
 
 # Determinism / domain-safety / guard-discipline / interface gate:
-# reflex-lint scans lib/ and bin/ against lint.manifest, runs the
-# interprocedural passes (det/taint, guard/transitive) over the
-# cross-module call graph, and fails on any finding.  The JSON report and
-# the call graph are kept for the CI artifacts.
+# reflex-lint runs its per-file rules over lib/ and bin/ against
+# lint.manifest and fails on any finding.  The JSON report is kept for
+# the CI artifacts.
 lint: build
-	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json --callgraph-out _build/callgraph.json
+	dune exec bin/reflex_lint.exe -- --root . --json _build/lint.json
 
 # The allocation gates in the release profile, whose cross-module
 # inlining allocates differently; `dune runtest` runs them in the dev

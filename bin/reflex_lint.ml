@@ -1,25 +1,21 @@
 (* reflex-lint command line.
 
      reflex_lint [--root DIR] [--manifest PATH] [--json PATH|-]
-                 [--jobs N] [--callgraph-out PATH] [--explain RULE-ID]
-                 [PATHS...]
+                 [--jobs N] [--explain RULE-ID] [PATHS...]
 
    Scans lib/ and bin/ under --root (default: cwd) unless explicit
    PATHS are given.  Prints compiler-style findings to stdout; exits 1
    when there are findings, 0 on a clean tree.  --json writes the
    machine-readable report (use "-" for stdout).  --jobs fans the
    per-file stage across domains (output is byte-identical to serial).
-   --callgraph-out writes the cross-module call graph (Graphviz when the
-   path ends in .dot, JSON otherwise).  --explain prints the rule's
-   documentation and expands each current finding of that rule hop by
-   hop. *)
+   --explain prints the rule's documentation and lists each current
+   finding of that rule. *)
 
 let () =
   let root = ref (Sys.getcwd ()) in
   let manifest = ref "" in
   let json = ref "" in
   let jobs = ref 1 in
-  let callgraph_out = ref "" in
   let explain = ref "" in
   let paths = ref [] in
   let spec =
@@ -30,24 +26,20 @@ let () =
         "PATH lint.manifest location (default: ROOT/lint.manifest)" );
       ("--json", Arg.Set_string json, "PATH write JSON report to PATH ('-' for stdout)");
       ("--jobs", Arg.Set_int jobs, "N fan the per-file stage across N domains (default: 1)");
-      ( "--callgraph-out",
-        Arg.Set_string callgraph_out,
-        "PATH write the call graph (.dot -> Graphviz, otherwise JSON; '-' for JSON on stdout)" );
       ( "--explain",
         Arg.Set_string explain,
-        "RULE-ID print the rule's documentation and expand its findings hop by hop" );
+        "RULE-ID print the rule's documentation and list its findings" );
     ]
   in
   Arg.parse spec
     (fun p -> paths := p :: !paths)
-    "reflex_lint [--root DIR] [--manifest PATH] [--json PATH|-] [--jobs N] [--callgraph-out \
-     PATH] [--explain RULE-ID] [PATHS...]";
+    "reflex_lint [--root DIR] [--manifest PATH] [--json PATH|-] [--jobs N] [--explain \
+     RULE-ID] [PATHS...]";
   let manifest_path =
     if !manifest <> "" then !manifest else Filename.concat !root "lint.manifest"
   in
   let paths = match List.rev !paths with [] -> None | ps -> Some ps in
-  let report, graph = Lint_driver.run_full ?paths ~jobs:!jobs ~root:!root ~manifest_path ()
-  in
+  let report = Lint_driver.run ?paths ~jobs:!jobs ~root:!root ~manifest_path () in
   (match !explain with
   | "" -> print_string (Lint_driver.to_text report)
   | rule ->
@@ -56,29 +48,12 @@ let () =
       List.filter (fun (d : Lint_diagnostic.t) -> d.Lint_diagnostic.rule = rule) report.Lint_driver.findings
     in
     Printf.printf "%d finding(s) of %s in this tree\n" (List.length of_rule) rule;
-    List.iter
-      (fun (d : Lint_diagnostic.t) ->
-        Printf.printf "\n%s\n" (Lint_diagnostic.to_string d);
-        List.iteri
-          (fun i (s : Lint_diagnostic.step) ->
-            Printf.printf "  hop %d: %s (%s:%d)\n" i s.Lint_diagnostic.st_name
-              s.Lint_diagnostic.st_file s.Lint_diagnostic.st_line)
-          d.Lint_diagnostic.chain)
-      of_rule);
+    List.iter (fun d -> Printf.printf "\n%s\n" (Lint_diagnostic.to_string d)) of_rule);
   (match !json with
   | "" -> ()
   | "-" -> print_string (Lint_driver.to_json report)
   | path ->
     let oc = open_out path in
     output_string oc (Lint_driver.to_json report);
-    close_out oc);
-  (match !callgraph_out with
-  | "" -> ()
-  | "-" -> print_string (Lint_callgraph.to_json graph)
-  | path ->
-    let oc = open_out path in
-    output_string oc
-      (if Filename.check_suffix path ".dot" then Lint_callgraph.to_dot graph
-       else Lint_callgraph.to_json graph);
     close_out oc);
   exit (if Lint_driver.clean report then 0 else 1)

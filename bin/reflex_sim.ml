@@ -284,8 +284,9 @@ let obs_cmd =
     "Run the observability acceptance scenario: the chaos world with the always-on \
      flight recorder, alert-triggered forensic dumps, causal retry span links and the \
      continuous cost profiler armed.  The render checks that an alert froze a dump \
-     naming its trigger alert and the active fault window; the profiler table (host \
-     wall time, nondeterministic by design) is printed after it."
+     naming its trigger alert and the active fault window; the profiler table (minor \
+     words per subsystem: the same on every run of one build, but not part of the \
+     render, since the counts move with the build profile) is printed after it."
   in
   let dump_json_arg =
     Arg.(

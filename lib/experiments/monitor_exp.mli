@@ -46,13 +46,10 @@ val run : ?mode:Common.mode -> ?seed:int64 -> unit -> result
     seeds in the zero-alerts-on-clean-runs property test. *)
 val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> Monitor.t leg
 
-val alerts_fired : result -> bool
-val alerts_in_windows : result -> bool
-val alerts_named : result -> bool
-val observer_identical : result -> bool
-val remediation_applied : result -> bool
-
-(** The predicates above as the render's PASS/FAIL lines. *)
+(** The acceptance checks as the render's PASS/FAIL lines: alerts fired
+    under faults, inside the fault windows and naming their fault, the
+    clean run is silent, the observer-only run equals the no-monitor
+    run, and remediation applied. *)
 val checks : result -> Identity.check list
 
 val render_result : result -> string

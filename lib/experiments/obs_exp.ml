@@ -19,9 +19,10 @@ module Profiler = Reflex_obs.Profiler
    The deterministic render covers the fault plan, the monitor report
    (including the dump summary), the retry span trees reconstructed
    from the client's Follows_from links, and the digest of the first
-   dump's JSON debrief.  Profiler output is host wall time and is kept
-   strictly out of the render — [profile_report] exposes it separately
-   for the CLI. *)
+   dump's JSON debrief.  The profiler's minor-word counts repeat for a
+   seed but move with the build profile and the compiler, so they are
+   kept out of the render — [profile_report] exposes them separately for
+   the CLI. *)
 
 type result = {
   monitor : Monitor.t;
@@ -128,6 +129,6 @@ let render_result r =
   Buffer.add_string buf (if Identity.all_ok checks then "OBS OK\n" else "OBS FAILED\n");
   Buffer.contents buf
 
-(* {1 Profiler view (host wall time — never part of the render)} *)
+(* {1 Profiler view (host minor words — never part of the render)} *)
 
 let profile_report r = Profiler.report r.profiler

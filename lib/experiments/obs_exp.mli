@@ -5,8 +5,8 @@
 
     The deterministic render covers the fault plan, monitor report,
     retry span trees and the digest of the first dump's JSON debrief;
-    profiler output (host wall time) is exposed only through
-    {!profile_report}. *)
+    profiler output (host minor words, which move with the build
+    profile) is exposed only through {!profile_report}. *)
 
 open Reflex_faults
 open Reflex_monitor
@@ -21,8 +21,9 @@ type result = {
 }
 
 (** [flight] (default true) attaches a live recorder ring; [false]
-    leaves the shared disabled instance.  [profile] arms the cost profiler (default off — its
-    clock reads are host-wall-time and pure overhead when unused). *)
+    leaves the shared disabled instance.  [profile] arms the cost
+    profiler (default off — its word reads are pure overhead when
+    unused). *)
 val run :
   ?mode:Common.mode ->
   ?seed:int64 ->
@@ -39,20 +40,15 @@ val first_debrief : result -> string option
 
 val first_chrome : result -> string option
 
-(** {1 Acceptance checks} *)
-
-val dump_captured : result -> bool
-val dump_names_alert : result -> bool
-val dump_names_fault : result -> bool
-val links_recorded : result -> bool
-
-(** The predicates above as the render's PASS/FAIL lines. *)
+(** The acceptance checks as the render's PASS/FAIL lines: a dump was
+    captured, it names its trigger alert and the active fault window,
+    and retry attempts are linked into span trees. *)
 val checks : result -> Identity.check list
 
 (** Deterministic render (never includes profiler numbers), ending with
     the {!checks} lines and an [OBS OK]/[OBS FAILED] verdict line. *)
 val render_result : result -> string
 
-(** Host-wall-time profiler table ({!Reflex_obs.Profiler.report}) —
-    print separately, never fold into a byte-identity-checked output. *)
+(** Minor-words profiler table ({!Reflex_obs.Profiler.report}) — print
+    separately, never fold into a byte-identity-checked output. *)
 val profile_report : result -> string

@@ -90,17 +90,11 @@ type result = {
 
 val run : ?mode:Common.mode -> ?seed:int64 -> ?jobs:int -> ?scale:scale -> unit -> result
 
-(** {1 Predicates (the render's PASS/FAIL lines)} *)
+(** {1 Acceptance checks} *)
 
-val po2c_beats_random : result -> bool
-
-(** The oracle's SLO compliance is >= every other policy's. *)
-val oracle_best : result -> bool
-
-val migrations_applied : result -> bool
-val migration_helps : result -> bool
-
-(** The predicates above as the render's PASS/FAIL lines. *)
+(** The render's PASS/FAIL lines: po2c beats random on p99, the oracle's
+    SLO compliance is >= every other policy's, the skew detector migrated
+    tenants and reduced dispatch imbalance, and the tracing legs' checks. *)
 val checks : result -> Identity.check list
 
 val render_result : result -> string

@@ -1,24 +1,8 @@
 (** A single lint finding with a compiler-style rendering. *)
 
-(** One hop of an interprocedural propagation path. *)
-type step = { st_name : string; st_file : string; st_line : int }
+type t = { file : string; line : int; col : int; rule : string; message : string }
 
-type t = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  message : string;
-  chain : step list;
-      (** propagation path for interprocedural findings (seed/sink first,
-          terminal site last); [[]] for per-file findings *)
-}
-
-val make : ?chain:step list -> file:string -> line:int -> col:int -> rule:string -> string -> t
-val step : name:string -> file:string -> line:int -> step
-
-(** ["a -> b -> c"] — the compact form embedded in messages. *)
-val chain_to_string : step list -> string
+val make : file:string -> line:int -> col:int -> rule:string -> string -> t
 
 (** Order by file, then line, then column, then rule — the stable output
     order of every reflex-lint report (determinism applies to the linter

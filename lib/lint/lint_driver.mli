@@ -1,15 +1,11 @@
-(** Lint orchestration: discovery, per-file rule passes (fanned across
-    domains), call-graph construction, interprocedural passes,
-    waiver/manifest filtering, deterministic rendering.  Reports are
-    byte-identical for any [jobs] value. *)
+(** Lint orchestration: discovery, per-file rule passes and
+    waiver/manifest filtering (fanned across domains), deterministic
+    rendering.  Reports are byte-identical for any [jobs] value. *)
 
 type report = {
   findings : Lint_diagnostic.t list;  (** sorted, waiver/manifest-filtered *)
   files_scanned : int;
   waivers_used : int;
-  rules : string list;
-  gstats : Lint_interproc.stats option;
-      (** call-graph pass statistics; [None] for single-source runs *)
 }
 
 val clean : report -> bool
@@ -21,23 +17,12 @@ val clean : report -> bool
 val run :
   ?paths:string list -> ?jobs:int -> root:string -> manifest_path:string -> unit -> report
 
-(** {!run}, also returning the call graph for [--callgraph-out]
-    exports. *)
-val run_full :
-  ?paths:string list ->
-  ?jobs:int ->
-  root:string ->
-  manifest_path:string ->
-  unit ->
-  report * Lint_callgraph.t
-
 (** Lint one in-memory source against a given manifest (fixture tests).
-    Runs the AST families only — not [iface/mli] or the interprocedural
-    passes, which need the filesystem / the whole tree. *)
+    Runs the AST families only — not [iface/mli], which needs the
+    filesystem. *)
 val run_on_source : manifest:Lint_manifest.t -> Lint_source.t -> report
 
-(** Compiler-style text report plus a one-line summary (and a call-graph
-    stats line when the interprocedural passes ran). *)
+(** Compiler-style text report plus a one-line summary. *)
 val to_text : report -> string
 
 (** Machine-readable report (hand-rolled JSON, stable field order). *)

@@ -1,33 +1,24 @@
 (* The checked-in `lint.manifest` carries directory- and symbol-scoped
    policy: which rules are waived wholesale under a path prefix, which
-   renders the determinism-taint pass protects, which module-toplevel
-   mutable bindings are registered as domain-safe, and which `.ml` files
-   are exempt from the matching-`.mli` rule.
+   module-toplevel mutable bindings are registered as domain-safe, and
+   which `.ml` files are exempt from the matching-`.mli` rule.
 
    Syntax (one entry per line, `#` comments, blank lines ignored):
 
      allow <rule-id> <path-prefix> — <reason>
-     identity_sink <file> <function> — <reason>
      domain_safe <file> <ident> — <reason>
      iface_exempt <file> — <reason>
-
-   [identity_sink] declares a byte-identity-checked render
-   (debrief/digest/trace export) that the determinism-taint pass
-   protects.
 
    Every entry must carry a reason after an em-dash (or `--`): policy
    without a written justification is itself a lint error. *)
 
-type func_entry = { f_file : string; f_func : string; f_reason : string; f_line : int }
-
 type t = {
   allows : (string * string * string) list; (* rule-id, path prefix, reason *)
-  identity_sinks : func_entry list;
   domain_safe : (string * string * string) list; (* file, ident, reason *)
   iface_exempt : (string * string) list; (* file, reason *)
 }
 
-let empty = { allows = []; identity_sinks = []; domain_safe = []; iface_exempt = [] }
+let empty = { allows = []; domain_safe = []; iface_exempt = [] }
 
 (* Split "payload — reason" (accepting the ASCII fallback "--").  Returns
    None when no separator or the reason is empty. *)
@@ -70,14 +61,6 @@ let parse ~file text =
           if not (Lint_rule_ids.is_known rule) then
             error lineno (Printf.sprintf "allow names unknown rule-id %S" rule)
           else m := { !m with allows = (rule, prefix, reason) :: !m.allows }
-        | [ "identity_sink"; filep; func ] ->
-          m :=
-            {
-              !m with
-              identity_sinks =
-                { f_file = filep; f_func = func; f_reason = reason; f_line = lineno }
-                :: !m.identity_sinks;
-            }
         | [ "domain_safe"; filep; ident ] ->
           m := { !m with domain_safe = (filep, ident, reason) :: !m.domain_safe }
         | [ "iface_exempt"; filep ] ->

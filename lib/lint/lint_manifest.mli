@@ -3,13 +3,8 @@
     Every entry carries a mandatory written justification after an
     em-dash (or [--]); entries without one are [lint/manifest] findings. *)
 
-(** An [identity_sink] entry: a byte-identity-checked render that the
-    determinism-taint pass protects. *)
-type func_entry = { f_file : string; f_func : string; f_reason : string; f_line : int }
-
 type t = {
   allows : (string * string * string) list;  (** rule-id, path prefix, reason *)
-  identity_sinks : func_entry list;  (** byte-identity-checked renders *)
   domain_safe : (string * string * string) list;  (** file, ident, reason *)
   iface_exempt : (string * string) list;  (** file, reason *)
 }

@@ -2,15 +2,10 @@
    anything outside this list are themselves findings — a typo in a
    waiver must not silently disable nothing. *)
 
-let determinism = [ "det/random"; "det/clock"; "det/marshal"; "det/hashtbl-order"; "det/taint" ]
+let determinism = [ "det/random"; "det/clock"; "det/marshal"; "det/hashtbl-order" ]
 let domain_safety = [ "dom/toplevel-state" ]
-let guards = [ "guard/telemetry"; "guard/transitive" ]
+let guards = [ "guard/telemetry" ]
 let interface = [ "iface/mli" ]
-
-(* Rule-ids produced by the interprocedural (call-graph) passes rather
-   than the per-file scans.  A waiver naming one of these that matches no
-   finding is itself stale policy and reported as [lint/bad-waiver]. *)
-let interprocedural = [ "det/taint"; "guard/transitive" ]
 
 (* Internal rule-ids attached to problems with the lint inputs themselves
    (unparseable source, malformed waiver or manifest line).  They are not
@@ -37,28 +32,20 @@ let describe = function
     "iteration over an unsorted Hashtbl (iter/fold/to_seq without a nearby sort); bucket \
      order depends on insertion history and hash seeding, so dependent output is \
      nondeterministic"
-  | "det/taint" ->
-    "interprocedural determinism taint: a byte-identity-checked render (a manifest \
-     identity_sink) transitively reaches a nondeterminism source (PRNG, wall clock, \
-     Marshal, unsorted Hashtbl iteration) through the call graph; the finding's chain \
-     lists each hop from the sink down to the source site"
   | "dom/toplevel-state" ->
     "mutable toplevel state (ref/Hashtbl/Buffer/array/Mutex at module level) without a \
      manifest domain_safe entry; shared mutable state needs an explicit ownership story \
      under OCaml 5 domains"
   | "guard/telemetry" ->
     "effectful Telemetry/Monitor call not dominated by an enabled/armed guard in the same \
-     function; dataplane code must skip telemetry work when it is switched off"
-  | "guard/transitive" ->
-    "effectful Telemetry/Monitor call reached through a module alias (module T = \
-     Telemetry) that the per-file guard/telemetry rule cannot see, not dominated by an \
-     enabled/armed guard in the function that makes the call; scope as guard/telemetry"
+     function, also when made through a module alias declared in the same file (module T \
+     = Telemetry); dataplane code must skip telemetry work when it is switched off"
   | "iface/mli" ->
     "a .ml without a matching .mli and no manifest iface_exempt entry; every module \
      exports a curated interface"
   | "lint/parse-error" -> "the file does not parse; nothing else can be checked"
   | "lint/bad-waiver" ->
-    "malformed, unknown-rule, reason-less, or stale waiver comment; a waiver that \
-     suppresses nothing must not linger"
-  | "lint/manifest" -> "malformed or drifted lint.manifest line"
+    "malformed, unknown-rule or reason-less waiver comment; a typo must not silently waive \
+     nothing"
+  | "lint/manifest" -> "malformed lint.manifest line"
   | id -> Printf.sprintf "unknown rule-id %S" id

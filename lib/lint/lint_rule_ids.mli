@@ -4,11 +4,6 @@ val determinism : string list
 val guards : string list
 val interface : string list
 
-(** Rule-ids produced by the call-graph passes ([det/taint],
-    [guard/transitive]).  Waivers on these that suppress nothing are
-    stale and reported as [lint/bad-waiver]. *)
-val interprocedural : string list
-
 (** Rule-ids for problems with the lint inputs themselves (parse errors,
     malformed waivers/manifest lines).  Never waivable. *)
 val internal : string list

@@ -14,7 +14,8 @@
      dom/toplevel-state  module-toplevel mutable allocations (shared
                        across Runner.map domains)
      guard/telemetry   effectful Telemetry/Monitor record calls not
-                       under an enabled-guard conditional
+                       under an enabled-guard conditional, also when
+                       made through a file-local module alias
      iface/mli         .ml without matching .mli (driver-level)        *)
 
 open Parsetree
@@ -241,19 +242,45 @@ let check_toplevel_state ~file ~(manifest : Lint_manifest.t) str =
 
 (* ---------------- zero-overhead guards ---------------- *)
 
-(* Keyed on (module head, function name) so both the syntactic per-file
-   rule (raw longident) and the interprocedural pass (alias-expanded
-   path) share one definition of "effectful". *)
+(* Keyed on the function name and the module right before it, so a
+   library-qualified path ([Reflex_telemetry.Telemetry.incr]) matches
+   like the bare one. *)
 let effectful_telemetry_path parts =
-  let head = match parts with h :: _ -> h | [] -> "" in
-  let last = match List.rev parts with l :: _ -> l | [] -> "" in
-  match (head, last) with
-  | "Telemetry", ("span" | "incr" | "add" | "record_tenant_latency" | "fault_mark" | "sample") ->
+  match List.rev parts with
+  | ("span" | "incr" | "add" | "record_tenant_latency" | "fault_mark" | "sample") :: "Telemetry" :: _
+    ->
     true
-  | "Monitor", "tick" -> true
+  | "tick" :: "Monitor" :: _ -> true
   | _ -> false
 
-let effectful_telemetry lid = effectful_telemetry_path (lid_parts lid)
+(* The file's module aliases ([module T = Telemetry], [module M =
+   Reflex_monitor.Monitor]) as (name, target path), wherever they sit in
+   the file.  Aliases made in other files are not followed. *)
+let module_aliases str =
+  let out = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          (match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
+          | Some name, Pmod_ident { txt = lid; _ } -> out := (name, lid_parts lid) :: !out
+          | _ -> ());
+          Ast_iterator.default_iterator.module_binding self mb);
+    }
+  in
+  it.structure it str;
+  !out
+
+(* Expand a path's head through the file's aliases; the fuel bounds an
+   alias cycle ([module A = B] and [module B = A]). *)
+let rec expand_aliases aliases ~fuel parts =
+  match parts with
+  | head :: tl when fuel > 0 -> (
+    match List.assoc_opt head aliases with
+    | Some target -> expand_aliases aliases ~fuel:(fuel - 1) (target @ tl)
+    | None -> parts)
+  | _ -> parts
 
 let is_guard_name s =
   s = "enabled" || s = "armed"
@@ -269,6 +296,8 @@ let is_guard_expr e =
   !found
 
 let check_guards ~file str =
+  let aliases = module_aliases str in
+  let effectful lid = effectful_telemetry_path (expand_aliases aliases ~fuel:4 (lid_parts lid)) in
   let out = ref [] in
   let guarded = ref false in
   let it =
@@ -285,7 +314,7 @@ let check_guards ~file str =
             Option.iter (self.expr self) eo;
             guarded := saved
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; loc }; _ }, _) ->
-            if effectful_telemetry lid && not !guarded then
+            if effectful lid && not !guarded then
               out :=
                 diag ~file ~loc ~rule:"guard/telemetry"
                   (Printf.sprintf

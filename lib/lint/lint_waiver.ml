@@ -17,10 +17,8 @@
 type t = { w_start_line : int; w_end_line : int; w_rule : string; w_reason : string }
 
 (* [start_line, end_line+1] — the comment's own lines plus the next. *)
-let covering ws ~rule ~line =
-  List.find_opt (fun w -> w.w_rule = rule && line >= w.w_start_line && line <= w.w_end_line + 1) ws
-
-let covers ws ~rule ~line = covering ws ~rule ~line <> None
+let covers ws ~rule ~line =
+  List.exists (fun w -> w.w_rule = rule && line >= w.w_start_line && line <= w.w_end_line + 1) ws
 
 type comment = { c_start_line : int; c_end_line : int; c_text : string }
 

@@ -12,7 +12,3 @@ val scan : file:string -> string -> t list * Lint_diagnostic.t list
 
 (** Does some waiver cover [rule] at [line]? *)
 val covers : t list -> rule:string -> line:int -> bool
-
-(** The covering waiver itself, for usage tracking (stale-waiver
-    detection on the interprocedural rule-ids). *)
-val covering : t list -> rule:string -> line:int -> t option

@@ -1,15 +1,13 @@
-(** Continuous cost profiler: per-subsystem wall-time and minor-allocation
-    attribution for the simulator's own host cost.
+(** Continuous cost profiler: per-subsystem minor-allocation attribution
+    for the simulator's own host cost.
 
-    This module deliberately breaks the "sim time only" rule that governs
-    everything else in [lib/]: its whole purpose is to measure how much
-    {e host} wall time and minor-heap allocation each subsystem burns (the
-    question the ROADMAP's 100K-tenant item needs answered).  The numbers
-    are therefore nondeterministic by design and must never feed back into
-    simulation state or into any byte-identity-checked report — they are
-    exported only through gauges, Prometheus, and the [reflex_sim obs]
-    cost table.  The [det/clock] waiver for [lib/obs/] in [lint.manifest]
-    records this contract.
+    It reads [Gc.minor_words] and no clock.  A minor-word count is exact
+    and repeats bit for bit for a seed and a build profile, so two runs
+    of one scenario print the same profile.  The counts still describe
+    the host, not the model: they never feed back into simulation state
+    or into a byte-identity-checked render, and they change with the
+    build profile and the compiler.  They are exported only through
+    gauges, Prometheus, and the [reflex_sim obs] cost table.
 
     Scopes are coarse and non-reentrant per subsystem: [enter]/[leave]
     pairs wrap the scheduler round ([Qos]), NVMe submission ([Flash]), TCP
@@ -17,7 +15,7 @@
     ([Monitor]), and — from the harness side — the whole [Sim.run] loop
     ([Engine]).  Nested scopes accumulate into their own buckets, so the
     [Engine] bucket encloses the rest; {!shares} reports Engine as the
-    {e self} time left after subtracting the nested buckets. *)
+    {e self} words left after subtracting the nested buckets. *)
 
 module Subsystem : sig
   type t = Engine | Qos | Flash | Net | Telemetry | Monitor | Other
@@ -36,24 +34,23 @@ val disabled : t
 val create : unit -> t
 val enabled : t -> bool
 
-(** Open a scope.  One monotonic ns clock read and one minor-words read;
-    no allocation. *)
+(** Open a scope.  One minor-words read; no allocation. *)
 val enter : t -> Subsystem.t -> unit
 
-(** Close the matching scope and accumulate. *)
+(** Close the matching scope and accumulate.  An enabled [enter]/[leave]
+    pair adds no words of its own to the count. *)
 val leave : t -> Subsystem.t -> unit
 
-(** Accumulated wall seconds / minor words / scope count per subsystem. *)
-val wall_s : t -> Subsystem.t -> float
-
+(** Accumulated minor words / scope count per subsystem. *)
 val minor_words : t -> Subsystem.t -> float
+
 val calls : t -> Subsystem.t -> int
 
-(** [(name, self_wall_s, wall_share, minor_words)] rows, one per subsystem
-    in declaration order, with [Engine] reduced to its self time (total
-    minus the nested subsystem buckets) and shares normalised over the
-    total measured wall time. *)
-val shares : t -> (string * float * float * float) list
+(** [(name, self_words, share)] rows, one per subsystem in declaration
+    order, with [Engine] reduced to its self words (total minus the
+    nested subsystem buckets) and shares normalised over the total
+    measured words. *)
+val shares : t -> (string * float * float) list
 
 (** Human-readable table of {!shares} plus scope counts. *)
 val report : t -> string

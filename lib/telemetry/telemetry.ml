@@ -170,21 +170,16 @@ let unregister t name = if t.enabled then Hashtbl.remove t.metrics name
 
 (* Attaching a profiler also publishes its accumulators as gauges, so the
    per-subsystem cost shares reach the Prometheus export with no extra
-   plumbing.  The values are host wall time — nondeterministic by design
-   (see Profiler's contract); they are only present when a profiler is
-   explicitly attached. *)
+   plumbing.  The values are host minor words (see Profiler's contract);
+   they are only present when a profiler is explicitly attached. *)
 let set_profiler t p =
   if not t.enabled then invalid_arg "Telemetry.set_profiler: disabled instance";
   t.profiler <- p;
   if Profiler.enabled p then
     List.iter
       (fun sub ->
-        let n = Profiler.Subsystem.name sub in
         register_gauge t
-          (Printf.sprintf "obs/prof/%s/wall_ms" n)
-          (fun () -> Profiler.wall_s p sub *. 1e3);
-        register_gauge t
-          (Printf.sprintf "obs/prof/%s/minor_words" n)
+          (Printf.sprintf "obs/prof/%s/minor_words" (Profiler.Subsystem.name sub))
           (fun () -> Profiler.minor_words p sub))
       Profiler.Subsystem.all
 

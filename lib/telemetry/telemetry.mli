@@ -49,7 +49,7 @@ val set_flight : t -> Reflex_obs.Flight.t -> unit
 
 val profiler : t -> Reflex_obs.Profiler.t
 
-(** Attach a cost profiler and publish its per-subsystem wall/minor-words
+(** Attach a cost profiler and publish its per-subsystem minor-words
     accumulators as [obs/prof/...] gauges (read on demand by the metrics
     report and the Prometheus export).  Raises on {!disabled}. *)
 val set_profiler : t -> Reflex_obs.Profiler.t -> unit

@@ -32,3 +32,14 @@ let rack_small_scale =
 
 let rack_small = lazy (Rack_exp.run ~scale:rack_small_scale ~jobs:1 ())
 let trace = lazy (Tracing.run ~mode:Common.Quick ())
+
+(* Each named row of a scenario's acceptance [checks] is present and
+   passed: the tests assert a scenario's facts through the rows its
+   render prints. *)
+let check_rows checks names =
+  List.iter
+    (fun name ->
+      match List.find_opt (fun (c : Identity.check) -> c.Identity.name = name) checks with
+      | None -> Alcotest.failf "no acceptance row named %S" name
+      | Some c -> Alcotest.(check bool) name true c.Identity.ok)
+    names

@@ -58,7 +58,10 @@ let test_dom_toplevel () =
 
 let test_guard () =
   check_findings "bad fires" [ ("guard/telemetry", 4) ] "lint_fixtures/bad_guard.ml";
-  check_findings "clean (guarded) silent" [] "lint_fixtures/clean_guard.ml"
+  check_findings "clean (guarded) silent" [] "lint_fixtures/clean_guard.ml";
+  check_findings "bad via a file-local alias fires" [ ("guard/telemetry", 4) ]
+    "lint_fixtures/bad_guard_via.ml";
+  check_findings "clean via a file-local alias silent" [] "lint_fixtures/clean_guard_via.ml"
 
 (* ---------------- waivers ---------------- *)
 
@@ -108,12 +111,14 @@ let test_manifest_errors () =
         "allow hot/alloc lib/ — r"; (* a deleted rule-id *)
         "hot_path f.ml g — r"; (* allocation is the word gates' job, not policy *)
         "cold_path f.ml g — r";
+        "identity_sink f.ml g — r"; (* byte identity is tier-1's pins' job *)
+        "allow det/taint lib/ — r"; (* a deleted rule-id *)
         "";
       ]
   in
   let _, diags = Lint_manifest.parse ~file:"bad.manifest" text in
   Alcotest.(check (list finding)) "each bad line is a finding"
-    (List.map (fun line -> ("lint/manifest", line)) [ 1; 2; 3; 4; 5; 6 ])
+    (List.map (fun line -> ("lint/manifest", line)) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
     (List.map (fun d -> (d.Lint_diagnostic.rule, d.Lint_diagnostic.line)) diags)
 
 (* ---------------- iface/mli via the directory driver ---------------- *)
@@ -150,114 +155,39 @@ let test_report_json () =
   Alcotest.(check bool) "finding_count" true (has "\"finding_count\": 1");
   Alcotest.(check bool) "rule id present" true (has "det/random")
 
-(* ---------------- interprocedural passes over the graph fixtures ----- *)
+(* ---------------- the directory driver over every fixture ---------- *)
 
 let contains hay needle =
   let n = String.length needle and m = String.length hay in
   let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-let graph_manifest = "lint_fixtures/graph/graph.manifest"
+let run_fixtures ?(jobs = 1) () =
+  Lint_driver.run ~paths:[ "lint_fixtures" ] ~jobs ~root:(Sys.getcwd ())
+    ~manifest_path:"lint_fixtures/fixtures.manifest" ()
 
-let run_graph ?(jobs = 1) () =
-  Lint_driver.run ~paths:[ "lint_fixtures/graph" ] ~jobs ~root:(Sys.getcwd ())
-    ~manifest_path:graph_manifest ()
-
-(* One directory run over the fixture mini-tree exercises every inferred
-   family with exact (file, line, rule): a taint chain through a module
-   alias, an alias-resolved unguarded telemetry call, a drifted
-   identity_sink entry (anchored at its manifest line), and a stale
-   interprocedural waiver — while each clean twin (pure sink callees,
-   the guard in the calling function, a used waiver) stays silent. *)
-let test_graph_findings () =
-  let r = run_graph () in
-  let triples =
-    List.map
-      (fun d -> (d.Lint_diagnostic.file, d.Lint_diagnostic.line, d.Lint_diagnostic.rule))
-      r.Lint_driver.findings
-  in
-  Alcotest.(check (list (triple string int string)))
-    "exact findings"
-    [
-      ("lint_fixtures/graph/bad_guard_via.ml", 4, "guard/transitive");
-      ("lint_fixtures/graph/graph.manifest", 12, "lint/manifest");
-      ("lint_fixtures/graph/stale_waiver.ml", 1, "lint/bad-waiver");
-      ("lint_fixtures/graph/taint_render.ml", 5, "det/taint");
-    ]
-    triples;
-  Alcotest.(check int) "inline waiver on the sink's taint is used" 1 r.Lint_driver.waivers_used
-
-(* An identity_sink entry naming no function is reported at its manifest
-   line, with the entry's file and function in the message. *)
-let test_sink_drift () =
-  let r = run_graph () in
-  match List.filter (fun d -> d.Lint_diagnostic.rule = "lint/manifest") r.Lint_driver.findings with
-  | [ d ] ->
-    Alcotest.(check int) "anchored at the entry" 12 d.Lint_diagnostic.line;
-    Alcotest.(check bool) "names the missing function" true
-      (contains d.Lint_diagnostic.message
-         {|identity_sink function "gone" not found in lint_fixtures/graph/taint_clean.ml|})
-  | ds -> Alcotest.failf "expected one drift finding, got %d" (List.length ds)
-
-let test_graph_stats () =
-  let r = run_graph () in
-  match r.Lint_driver.gstats with
-  | None -> Alcotest.fail "directory run must carry call-graph stats"
-  | Some s ->
-    Alcotest.(check int) "taint sources" 2 s.Lint_interproc.gs_taint_sources;
-    Alcotest.(check int) "identity sinks" 4 s.Lint_interproc.gs_identity_sinks
-
-(* Inferred findings carry their chain, both structurally and as
-   "via a -> b -> c" in the message. *)
-let test_graph_chains () =
-  let r = run_graph () in
-  let find rule =
-    List.find (fun d -> d.Lint_diagnostic.rule = rule) r.Lint_driver.findings
-  in
-  let names d = List.map (fun s -> s.Lint_diagnostic.st_name) d.Lint_diagnostic.chain in
-  let taint = find "det/taint" in
-  Alcotest.(check (list string)) "taint chain sink-to-source"
-    [ "Taint_render.render"; "Taint_src.noise"; "Random.int (ambient PRNG)" ]
-    (names taint);
-  Alcotest.(check bool) "taint message spells the chain" true
-    (contains taint.Lint_diagnostic.message
-       "via Taint_render.render -> Taint_src.noise -> Random.int (ambient PRNG)");
-  Alcotest.(check (list string)) "guard chain: the calling function, then the call"
-    [ "Bad_guard_via.emit"; "Telemetry.incr" ]
-    (names (find "guard/transitive"))
-
-(* The per-file stage fans across domains; merge and filtering are
-   serial, so reports are byte-identical for any --jobs. *)
+(* The per-file stage fans across domains; every finding belongs to the
+   file that produced it and files merge in input order, so reports are
+   byte-identical for any --jobs. *)
 let check_jobs_identity a b =
   Alcotest.(check string) "text identical" (Lint_driver.to_text a) (Lint_driver.to_text b);
   Alcotest.(check string) "json identical" (Lint_driver.to_json a) (Lint_driver.to_json b)
 
-let test_graph_jobs_identity () = check_jobs_identity (run_graph ()) (run_graph ~jobs:2 ())
+let test_jobs_identity () =
+  let r = run_fixtures () in
+  Alcotest.(check bool) "the fixtures have findings" true (r.Lint_driver.findings <> []);
+  check_jobs_identity r (run_fixtures ~jobs:2 ())
 
-let test_graph_exports () =
-  let _, g =
-    Lint_driver.run_full ~paths:[ "lint_fixtures/graph" ] ~root:(Sys.getcwd ())
-      ~manifest_path:graph_manifest ()
-  in
-  let dot = Lint_callgraph.to_dot g in
-  Alcotest.(check bool) "dot has the applied edge" true
-    (contains dot "\"Taint_render.render\" -> \"Taint_src.noise\"");
-  Alcotest.(check bool) "dot dashes a mention" true
-    (contains dot "\"Bad_guard_via.<init:6>\" -> \"Bad_guard_via.tick\" [style=dashed];");
-  let json = Lint_callgraph.to_json g in
-  Alcotest.(check bool) "json has the applied edge" true
-    (contains json {|{"from":"Taint_render.render","to":"Taint_src.noise"|});
-  Alcotest.(check bool) "json nodes carry file and line" true
-    (contains json {|{"id":"Taint_src.noise","file":"lint_fixtures/graph/taint_src.ml","line":4}|})
-
-(* --explain's backing text: every public rule-id has a real description. *)
+(* --explain's backing text: every public rule-id, and every rule-id the
+   fixtures fire, has a real description. *)
 let test_rule_descriptions () =
+  let fired = List.map (fun d -> d.Lint_diagnostic.rule) (run_fixtures ()).Lint_driver.findings in
   List.iter
     (fun id ->
       let d = Lint_rule_ids.describe id in
       Alcotest.(check bool) (id ^ " described") true
         (String.length d > 40 && not (contains d "unknown rule-id")))
-    Lint_rule_ids.all
+    (List.sort_uniq String.compare (Lint_rule_ids.all @ fired))
 
 (* ---------------- the live tree lints clean ---------------- *)
 
@@ -289,25 +219,14 @@ let suite =
         case "internal rules unwaivable" test_waiver_internal_rule;
         case "waiver inside string ignored" test_waiver_in_string;
       ] );
-    ( "manifest",
-      [
-        case "grammar errors are findings" test_manifest_errors;
-        case "identity_sink drift is a finding" test_sink_drift;
-      ] );
-    ( "callgraph",
-      [
-        case "inferred findings, exact (file,line,rule)" test_graph_findings;
-        case "call-graph statistics" test_graph_stats;
-        case "propagation chains" test_graph_chains;
-        case "serial vs --jobs 2 byte-identity" test_graph_jobs_identity;
-        case "dot/json exports" test_graph_exports;
-        case "--explain rule descriptions" test_rule_descriptions;
-      ] );
+    ("manifest", [ case "grammar errors are findings" test_manifest_errors ]);
     ( "driver",
       [
         case "iface/mli over a directory" test_iface_dir;
         case "diagnostic formatting" test_diag_format;
         case "json report" test_report_json;
         case "live tree lints clean" test_live_tree_clean;
+        case "serial vs --jobs 2 byte-identity" test_jobs_identity;
+        case "--explain rule descriptions" test_rule_descriptions;
       ] );
   ]

@@ -310,15 +310,18 @@ let test_monitor_disabled_inert () =
 
 let test_scenario_alerts_in_fault_windows () =
   let r = Lazy.force Scenarios.monitor_result in
-  Alcotest.(check bool) "alerts fired" true (Monitor_exp.alerts_fired r);
-  Alcotest.(check bool) "all inside padded fault windows" true
-    (Monitor_exp.alerts_in_windows r);
-  Alcotest.(check bool) "every alert names its fault" true (Monitor_exp.alerts_named r)
+  Scenarios.check_rows (Monitor_exp.checks r)
+    [
+      "alerts fired under faults";
+      Printf.sprintf "all fired alerts inside fault windows (+%.0fms)"
+        (Time.to_float_ms r.Monitor_exp.pad);
+      "every fired alert names the overlapping fault";
+    ]
 
 let test_scenario_identity () =
   let r = Lazy.force Scenarios.monitor_result in
-  Alcotest.(check bool) "enabled observer == none" true (Monitor_exp.observer_identical r);
-  Alcotest.(check bool) "remediation applied" true (Monitor_exp.remediation_applied r)
+  Scenarios.check_rows (Monitor_exp.checks r)
+    [ "enabled observer run == no-monitor run"; "remediation bindings applied" ]
 
 (* Property: a fault-free scripted run fires zero alerts, across seeds. *)
 let test_clean_runs_silent () =

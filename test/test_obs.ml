@@ -118,19 +118,30 @@ let test_kind_roundtrip () =
 (* Profiler accounting                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Exact in both build profiles: a scope around one 10-element array
+   counts its 11 words (10 fields and the header), and an enabled
+   enter/leave pair, measured from outside, adds no words of its own. *)
 let test_profiler_accounting () =
   let p = Profiler.create () in
   Alcotest.(check bool) "enabled" true (Profiler.enabled p);
   Profiler.enter p Profiler.Subsystem.Qos;
+  ignore (Sys.opaque_identity (Array.make 10 0));
   Profiler.leave p Profiler.Subsystem.Qos;
   Alcotest.(check int) "one scope" 1 (Profiler.calls p Profiler.Subsystem.Qos);
-  Alcotest.(check bool) "wall accumulated" true (Profiler.wall_s p Profiler.Subsystem.Qos >= 0.0);
-  Alcotest.(check int) "other subsystems untouched" 0 (Profiler.calls p Profiler.Subsystem.Net);
-  (* shares: one row per subsystem, shares sum to ~1 when anything ran. *)
+  Alcotest.(check (float 0.0)) "scope words" 11.0 (Profiler.minor_words p Profiler.Subsystem.Qos);
+  let w0 = Gc.minor_words () in
+  Profiler.enter p Profiler.Subsystem.Net;
+  Profiler.leave p Profiler.Subsystem.Net;
+  let pair = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "enter/leave pair words" 0.0 pair;
+  Alcotest.(check (float 0.0)) "empty scope words" 0.0 (Profiler.minor_words p Profiler.Subsystem.Net);
+  Alcotest.(check int) "other subsystems untouched" 0 (Profiler.calls p Profiler.Subsystem.Flash);
+  (* shares: one row per subsystem, normalised over the measured words. *)
   let rows = Profiler.shares p in
   Alcotest.(check int) "one row per subsystem" Profiler.Subsystem.count (List.length rows);
-  let total = List.fold_left (fun acc (_, _, share, _) -> acc +. share) 0.0 rows in
-  Alcotest.(check bool) "shares normalised" true (total <= 1.0 +. 1e-9);
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+    "qos holds every word" [ ("qos", 11.0, 1.0) ]
+    (List.filter (fun (_, w, _) -> w > 0.0) rows);
   (* the disabled instance is a no-op sink. *)
   Profiler.enter Profiler.disabled Profiler.Subsystem.Qos;
   Profiler.leave Profiler.disabled Profiler.Subsystem.Qos;
@@ -172,10 +183,13 @@ let contains hay needle =
 let test_obs_scenario () =
   let open Reflex_experiments in
   let r = Lazy.force Scenarios.obs in
-  Alcotest.(check bool) "an alert-triggered dump fired" true (Obs_exp.dump_captured r);
-  Alcotest.(check bool) "dump names its firing alert" true (Obs_exp.dump_names_alert r);
-  Alcotest.(check bool) "dump names an active fault window" true (Obs_exp.dump_names_fault r);
-  Alcotest.(check bool) "causal retry links recorded" true (Obs_exp.links_recorded r);
+  Scenarios.check_rows (Obs_exp.checks r)
+    [
+      "alert-triggered flight dump captured";
+      "dump names its trigger alert";
+      "dump carries the active fault window";
+      "retry attempts linked into span trees";
+    ];
   (match Obs_exp.first_chrome r with
   | None -> Alcotest.fail "no Chrome trace for the first dump"
   | Some j ->

@@ -347,11 +347,13 @@ let test_exp_small_result () =
       Alcotest.(check bool) "p99 sane" true
         (p.Rack_exp.p_p99_us > 0.0 && p.Rack_exp.p_p99_us < 10_000.0))
     r.Rack_exp.r_rows;
-  Alcotest.(check bool) "po2c beats random on p99" true (Rack_exp.po2c_beats_random r);
-  Alcotest.(check bool) "oracle compliance is the best" true (Rack_exp.oracle_best r);
-  Alcotest.(check bool) "skew detector migrated tenants" true
-    (Rack_exp.migrations_applied r);
-  Alcotest.(check bool) "migration reduced imbalance" true (Rack_exp.migration_helps r);
+  Scenarios.check_rows (Rack_exp.checks r)
+    [
+      "po2c beats random on p99";
+      "oracle's SLO compliance is the best";
+      "skew detector migrated tenants";
+      "migration reduced dispatch imbalance";
+    ];
   Alcotest.(check bool) "all checks" true (Identity.all_ok (Rack_exp.checks r))
 
 let test_exp_serial_vs_jobs2 () =
