@@ -4,10 +4,11 @@
 # runtest` (the alcotest/qcheck suites: every check there is
 # deterministic, including byte identity: the rerun and --jobs 2 legs,
 # and the one pin table test/pins.md5; and the exact allocation gates,
-# the *.alloc cases), `make host-gate`
-# (the wall-clock floors and overhead budgets), and the scenario smoke
-# (the chaos, monitor, obs and rack acceptance checks, each scenario run
-# once).  Figures are `reflex_sim run <id>|all`; host-cost measurement
+# the *.alloc cases), the scenario smoke (the chaos, monitor, obs and
+# rack acceptance checks, each scenario run once), and then `make
+# host-gate` (the wall-clock floors and overhead budgets), last because
+# machine load can move it and a failure there should not skip the
+# deterministic checks before it.  Figures are `reflex_sim run <id>|all`; host-cost measurement
 # is `bash perfbench/run.sh`.
 
 .PHONY: all build test lint alloc-gate host-gate smoke check trace chaos monitor obs rack clean
@@ -79,8 +80,8 @@ smoke: build
 check: build
 	$(MAKE) lint
 	dune runtest
-	$(MAKE) host-gate
 	$(MAKE) smoke
+	$(MAKE) host-gate
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO
 # audit, scheduler decision log (read off the flight ring), Chrome trace

@@ -7,10 +7,10 @@ module Stage = Reflex_obs.Stage
 (* The request path allocates nothing per request or per cycle beyond
    the boxed [Time.t] service handed to the core [Resource] at each
    step and the float the cost model returns.  A request lives in an
-   int slot of the request arena below (structure of arrays, grown on
-   demand, freelist-recycled) from [receive] to [respond]: the receive
-   ring, the tenant queues, the SQ-full retry queue and the NVMe cookie
-   are all that slot.  The cycle's steps are closures built once at
+   int slot of the request arena below (structure of arrays over
+   [Slots]) from [receive] to [respond]: the receive ring, the tenant
+   queues, the SQ-full retry queue and the NVMe cookie are all that
+   slot.  The cycle's steps are closures built once at
    creation; what one step hands the next ([batch], [submissions]) sits
    in fields, which is safe because one cycle runs at a time
    ([running]).  CPU charges are computed in int nanoseconds: the
@@ -34,8 +34,7 @@ type 'a t = {
   mutable r_bytes : int array;
   mutable r_tenant : int array;
   mutable r_cost : float array; (* token cost fixed at parse time *)
-  mutable r_free : int array;
-  mutable r_free_len : int;
+  reqs : Slots.t;
   mutable r_filler : 'a option; (* the first payload seen: blanks freed slots *)
   rx_ring : Int_fifo.t;
   deferred : Int_fifo.t; (* SQ-full retries *)
@@ -79,32 +78,20 @@ type 'a t = {
 let stamp t ~tenant payload stage =
   Stage.stamp t.stages ~tenant ~req:(t.trace_id payload) ~now:(Sim.now t.sim) stage
 
-let grow a ncap fill =
-  let na = Array.make ncap fill in
-  Array.blit a 0 na 0 (Array.length a);
-  na
-
 (* Cold: more requests inside the thread than ever before.  [payload]
    fills the fresh slots. *)
 let grow_reqs t payload =
-  let cap = Array.length t.r_kind in
-  let ncap = if cap = 0 then 64 else 2 * cap in
-  t.r_payload <- grow t.r_payload ncap payload;
-  t.r_kind <- grow t.r_kind ncap Io_op.Read;
-  t.r_bytes <- grow t.r_bytes ncap 0;
-  t.r_tenant <- grow t.r_tenant ncap 0;
-  t.r_cost <- grow t.r_cost ncap 0.0;
-  t.r_free <- grow t.r_free ncap 0;
-  if t.r_filler = None then t.r_filler <- Some payload;
-  for slot = ncap - 1 downto cap do
-    t.r_free.(t.r_free_len) <- slot;
-    t.r_free_len <- t.r_free_len + 1
-  done
+  let ncap = Slots.capacity t.reqs in
+  t.r_payload <- Slots.extend t.r_payload ncap payload;
+  t.r_kind <- Slots.extend t.r_kind ncap Io_op.Read;
+  t.r_bytes <- Slots.extend t.r_bytes ncap 0;
+  t.r_tenant <- Slots.extend t.r_tenant ncap 0;
+  t.r_cost <- Slots.extend t.r_cost ncap 0.0;
+  if t.r_filler = None then t.r_filler <- Some payload
 
 let alloc_req t payload =
-  if t.r_free_len = 0 then grow_reqs t payload;
-  t.r_free_len <- t.r_free_len - 1;
-  let r = t.r_free.(t.r_free_len) in
+  let r = Slots.alloc t.reqs in
+  if r >= Array.length t.r_kind then grow_reqs t payload;
   t.r_payload.(r) <- payload;
   r
 
@@ -112,8 +99,7 @@ let alloc_req t payload =
    completed request. *)
 let free_req t r =
   (match t.r_filler with Some f -> t.r_payload.(r) <- f | None -> ());
-  t.r_free.(t.r_free_len) <- r;
-  t.r_free_len <- t.r_free_len + 1
+  Slots.free t.reqs r
 
 let add_tenant t ~id ~slo ~token_rate =
   Scheduler.add_tenant t.scheduler (Tenant.create ~id ~slo ~token_rate)
@@ -175,7 +161,7 @@ and run_cycle t =
 
 (* Step two (Figure 2, steps 5-8): poll the completion queue, deliver
    completion events, transmit responses.  The batch is sized now (CPU
-   is charged for what this cycle will reap); the CQ ring is FIFO, so
+   is charged for what this cycle will reap); the CQ is FIFO, so
    the first [batch] entries when [reap_step] drains it are exactly the
    ones pending here. *)
 and run_step2 t =
@@ -296,8 +282,7 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       r_bytes = [||];
       r_tenant = [||];
       r_cost = [||];
-      r_free = [||];
-      r_free_len = 0;
+      reqs = Slots.create 64;
       r_filler = None;
       rx_ring = Int_fifo.create ();
       deferred = Int_fifo.create ();

@@ -68,20 +68,6 @@ let place t ~slo =
   in
   Option.map (fun (server_name, server, _) -> { server_name; server }) best
 
-let place_and_admit t ~id ~slo =
-  match place t ~slo with
-  | None -> None
-  | Some p -> (
-    match Control_plane.admit (Server.control_plane p.server) ~id ~slo with
-    | Control_plane.Admitted ->
-      (* Local bookkeeping (thread binding, rates) happens when the
-         tenant's first connection registers; pre-admission here reserves
-         the capacity.  Forget it again so the wire registration is the
-         single source of truth. *)
-      Control_plane.forget (Server.control_plane p.server) ~id;
-      Some p
-    | Control_plane.Rejected_no_capacity | Control_plane.Rejected_duplicate -> None)
-
 (* Placement restricted to servers outside [excluding]: replica
    selection (a replica set must span distinct servers) and migration
    (the tenant must leave its current replica set) both need to rule

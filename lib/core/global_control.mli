@@ -54,10 +54,6 @@ val probes : t -> probe list
     server can admit it. *)
 val place : t -> slo:Slo.t -> placement option
 
-(** Convenience: place and register in one step (the caller connects its
-    clients to the returned server).  [None] if no server admits. *)
-val place_and_admit : t -> id:int -> slo:Slo.t -> placement option
-
 (** [place_excluding_set t ~slo ~excluding] is {!place} restricted to
     servers whose names are not in [excluding] — replica selection
     (replicas must land on distinct servers) and tenant migration (the

@@ -39,10 +39,5 @@ val normal : t -> mean:float -> stddev:float -> float
     shape parameter is [sigma] (stddev of the underlying normal). *)
 val lognormal : t -> median:float -> sigma:float -> float
 
-(** Zipf-distributed integer in [0, n-1] with exponent [theta].
-    Uses the rejection-inversion-free harmonic CDF (O(1) amortized via
-    precomputation is not needed at our scales; this is O(log n)). *)
-val zipf : t -> n:int -> theta:float -> int
-
 (** Fisher-Yates shuffle in place. *)
 val shuffle : t -> 'a array -> unit

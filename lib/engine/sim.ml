@@ -1,9 +1,9 @@
-(* Event records live in a structure-of-arrays arena and are recycled on
-   pop: [schedule] allocates nothing in steady state.  An [event_id] is
-   an immediate int packing the arena slot with a generation counter;
-   the generation is bumped when a slot is recycled, so a stale handle
-   held after its event fired can never cancel an unrelated later event
-   (ABA safety).
+(* Event records live in a structure-of-arrays arena over [Slots] and
+   are recycled on pop: [schedule] allocates nothing in steady state.
+   An [event_id] is an immediate int packing the arena slot with a
+   generation counter; the generation is bumped when a slot is recycled,
+   so a stale handle held after its event fired can never cancel an
+   unrelated later event (ABA safety).
 
    An event is either a closure ([at]/[after]: [a_handler] is -1 and the
    thunk sits in [a_action]) or posted data ([post_after]: a
@@ -44,8 +44,7 @@ type t = {
   mutable a_handler : int array; (* posted handler id, or -1 for a closure *)
   mutable a_arg : int array;
   mutable a_gen : int array;
-  mutable free : int array; (* freelist stack of recycled slots *)
-  mutable free_len : int;
+  slots : Slots.t;
   (* posted-event handlers, indexed by the id [handler] returned *)
   mutable handlers : (int -> unit) array;
   mutable n_handlers : int;
@@ -84,8 +83,7 @@ let create ?(seed = default_seed) () =
     a_handler = [||];
     a_arg = [||];
     a_gen = [||];
-    free = [||];
-    free_len = 0;
+    slots = Slots.create 64;
     handlers = [||];
     n_handlers = 0;
   }
@@ -95,19 +93,13 @@ let prng t = t.root_prng
 
 (* ---- the queue ---- *)
 
-(* [a] copied into a fresh array of [ncap] cells, the rest [fill]. *)
-let grow a ncap fill =
-  let na = Array.make ncap fill in
-  Array.blit a 0 na 0 (Array.length a);
-  na
-
 (* Cold path: double the heap arrays. *)
 let grow_queue t =
   let cap = Array.length t.q_key in
   let ncap = if cap = 0 then 64 else cap * 2 in
-  t.q_key <- grow t.q_key ncap 0;
-  t.q_seq <- grow t.q_seq ncap 0;
-  t.q_slot <- grow t.q_slot ncap 0
+  t.q_key <- Slots.extend t.q_key ncap 0;
+  t.q_seq <- Slots.extend t.q_seq ncap 0;
+  t.q_slot <- Slots.extend t.q_slot ncap 0
 
 (* Hole-lifting sift-up.  Seqs only grow, so the new cell is never below
    a parent with an equal key: comparing keys alone is the exact
@@ -169,42 +161,33 @@ let queue_pop t =
 
 (* ---- the arena ---- *)
 
-(* Cold path: double the arena and push the fresh slots onto the
-   freelist (newest first, so low slot numbers are reused first). *)
+(* Cold path: the slots doubled, so the field arrays follow. *)
 let grow_arena t =
-  let cap = Array.length t.a_gen in
-  let ncap = if cap = 0 then 64 else cap * 2 in
+  let ncap = Slots.capacity t.slots in
   if ncap > slot_mask + 1 then failwith "Sim: event arena exhausted";
-  t.a_cancelled <- grow t.a_cancelled ncap false;
-  t.a_daemon <- grow t.a_daemon ncap false;
-  t.a_action <- grow t.a_action ncap noop_action;
-  t.a_handler <- grow t.a_handler ncap (-1);
-  t.a_arg <- grow t.a_arg ncap 0;
-  t.a_gen <- grow t.a_gen ncap 0;
-  t.free <- grow t.free ncap 0;
-  for slot = ncap - 1 downto cap do
-    t.free.(t.free_len) <- slot;
-    t.free_len <- t.free_len + 1
-  done
+  t.a_cancelled <- Slots.extend t.a_cancelled ncap false;
+  t.a_daemon <- Slots.extend t.a_daemon ncap false;
+  t.a_action <- Slots.extend t.a_action ncap noop_action;
+  t.a_handler <- Slots.extend t.a_handler ncap (-1);
+  t.a_arg <- Slots.extend t.a_arg ncap 0;
+  t.a_gen <- Slots.extend t.a_gen ncap 0
 
-(* Take a slot off the freelist and clear its flags. *)
+(* Take a slot and clear its flags. *)
 let alloc_event t ~daemon =
-  if t.free_len = 0 then grow_arena t;
-  t.free_len <- t.free_len - 1;
-  let slot = t.free.(t.free_len) in
+  let slot = Slots.alloc t.slots in
+  if slot >= Array.length t.a_gen then grow_arena t;
   t.a_cancelled.(slot) <- false;
   t.a_daemon.(slot) <- daemon;
   slot
 
 (* Retire a popped slot: drop a closure event's thunk, bump the
-   generation (stale handles die), push back onto the freelist.  A
-   posted event's [a_action] is already [noop_action], so its slot is
-   retired with int stores only. *)
+   generation (stale handles die), free the slot.  A posted event's
+   [a_action] is already [noop_action], so its slot is retired with int
+   stores only. *)
 let free_event t slot =
   if t.a_handler.(slot) < 0 then t.a_action.(slot) <- noop_action;
   t.a_gen.(slot) <- t.a_gen.(slot) + 1;
-  t.free.(t.free_len) <- slot;
-  t.free_len <- t.free_len + 1
+  Slots.free t.slots slot
 
 let past_error time clock =
   invalid_arg
@@ -229,7 +212,7 @@ let after t delay f = at t (Time.add t.clock delay) f
 
 let handler t f =
   let id = t.n_handlers in
-  if id = Array.length t.handlers then t.handlers <- grow t.handlers (max 8 (2 * id)) f;
+  if id = Array.length t.handlers then t.handlers <- Slots.extend t.handlers (max 8 (2 * id)) f;
   t.handlers.(id) <- f;
   t.n_handlers <- id + 1;
   id

@@ -48,14 +48,13 @@ type t = {
   die_busy_ns : int array;
   die_work : int array; (* outstanding service ns per die *)
   die_programs : int array; (* programs since last erase, per die *)
-  (* the op arena: parallel arrays indexed by slot, grown on demand *)
+  (* the op arena: parallel arrays indexed by a [Slots] slot *)
   mutable op_tag : int array;
   mutable op_service : int array; (* die occupancy, ns *)
   mutable op_arg : int array; (* submit time ns, group slot or chunk count *)
   mutable op_next : int array; (* FIFO link, -1 at the tail *)
   mutable op_cb : (latency:Time.t -> unit) array;
-  mutable op_free : int array;
-  mutable op_free_len : int;
+  ops : Slots.t;
   (* posted-event handlers *)
   mutable die_done_h : int;
   mutable read_done_h : int;
@@ -94,38 +93,24 @@ let scale_ns ns x = int_of_float (Float.round (float_of_int ns *. x))
 
 (* ---- the op arena ---- *)
 
-let grow a ncap fill =
-  let na = Array.make ncap fill in
-  Array.blit a 0 na 0 (Array.length a);
-  na
-
-(* Cold path: double the arena and push the fresh slots onto the
-   freelist. *)
+(* Cold path: the slots doubled, so the field arrays follow. *)
 let grow_ops t =
-  let cap = Array.length t.op_tag in
-  let ncap = if cap = 0 then 64 else 2 * cap in
-  t.op_tag <- grow t.op_tag ncap 0;
-  t.op_service <- grow t.op_service ncap 0;
-  t.op_arg <- grow t.op_arg ncap 0;
-  t.op_next <- grow t.op_next ncap (-1);
-  t.op_cb <- grow t.op_cb ncap no_cb;
-  t.op_free <- grow t.op_free ncap 0;
-  for slot = ncap - 1 downto cap do
-    t.op_free.(t.op_free_len) <- slot;
-    t.op_free_len <- t.op_free_len + 1
-  done
+  let ncap = Slots.capacity t.ops in
+  t.op_tag <- Slots.extend t.op_tag ncap 0;
+  t.op_service <- Slots.extend t.op_service ncap 0;
+  t.op_arg <- Slots.extend t.op_arg ncap 0;
+  t.op_next <- Slots.extend t.op_next ncap (-1);
+  t.op_cb <- Slots.extend t.op_cb ncap no_cb
 
 let alloc_op t tag =
-  if t.op_free_len = 0 then grow_ops t;
-  t.op_free_len <- t.op_free_len - 1;
-  let op = t.op_free.(t.op_free_len) in
+  let op = Slots.alloc t.ops in
+  if op >= Array.length t.op_tag then grow_ops t;
   t.op_tag.(op) <- tag;
   op
 
 let free_op t op =
   t.op_cb.(op) <- no_cb;
-  t.op_free.(t.op_free_len) <- op;
-  t.op_free_len <- t.op_free_len + 1
+  Slots.free t.ops op
 
 (* ---- dies ---- *)
 
@@ -362,8 +347,7 @@ let create ?(telemetry = Telemetry.disabled) sim ~profile ~prng =
       op_arg = [||];
       op_next = [||];
       op_cb = [||];
-      op_free = [||];
-      op_free_len = 0;
+      ops = Slots.create 64;
       die_done_h = -1;
       read_done_h = -1;
       write_ack_h = -1;

@@ -23,7 +23,7 @@ val submit : t -> kind:Io_op.kind -> bytes:int -> cookie:int -> [ `Ok | `Full ]
 val drain :
   t -> max:int -> f:(cookie:int -> kind:Io_op.kind -> latency:Time.t -> unit) -> int
 
-(** Commands submitted but not yet reaped. *)
+(** Commands submitted that the device has not yet completed. *)
 val inflight : t -> int
 
 (** Completions waiting to be polled. *)

@@ -31,15 +31,13 @@ type t = {
   mutable m_dup : bool array;
   mutable m_h : int array; (* the delivery: posted handler ... *)
   mutable m_arg : int array; (* ... and its argument *)
-  mutable m_free : int array; (* freelist stack of message ids *)
-  mutable m_free_len : int;
+  msgs : Slots.t;
   (* [transmit]'s continuations, parked by slot until their last
      delivery ([k_due] counts the deliveries still to come: two for a
      duplicated message) *)
   mutable k_fn : (unit -> unit) array;
   mutable k_due : int array;
-  mutable k_free : int array;
-  mutable k_free_len : int;
+  ks : Slots.t;
   (* posted-event handler ids, registered in [create] *)
   mutable h_tx_done : int;
   mutable h_wire : int;
@@ -94,33 +92,20 @@ let link_next t l h =
 
 (* ---- the message arena ---- *)
 
-(* Cold path: double the arena and push the fresh ids onto the freelist
-   (low ids are reused first). *)
+(* Cold path: the message ids doubled, so the field arrays follow. *)
 let grow_msgs t =
-  let cap = Array.length t.m_src in
-  let ncap = if cap = 0 then 64 else cap * 2 in
-  let grow a fill =
-    let na = Array.make ncap fill in
-    Array.blit a 0 na 0 cap;
-    na
-  in
-  t.m_src <- grow t.m_src 0;
-  t.m_dst <- grow t.m_dst 0;
-  t.m_bytes <- grow t.m_bytes 0;
-  t.m_ser <- grow t.m_ser 0;
-  t.m_dup <- grow t.m_dup false;
-  t.m_h <- grow t.m_h 0;
-  t.m_arg <- grow t.m_arg 0;
-  t.m_free <- grow t.m_free 0;
-  for m = ncap - 1 downto cap do
-    t.m_free.(t.m_free_len) <- m;
-    t.m_free_len <- t.m_free_len + 1
-  done
+  let ncap = Slots.capacity t.msgs in
+  t.m_src <- Slots.extend t.m_src ncap 0;
+  t.m_dst <- Slots.extend t.m_dst ncap 0;
+  t.m_bytes <- Slots.extend t.m_bytes ncap 0;
+  t.m_ser <- Slots.extend t.m_ser ncap 0;
+  t.m_dup <- Slots.extend t.m_dup ncap false;
+  t.m_h <- Slots.extend t.m_h ncap 0;
+  t.m_arg <- Slots.extend t.m_arg ncap 0
 
 let alloc_msg t ~src ~dst ~bytes ~ser h arg =
-  if t.m_free_len = 0 then grow_msgs t;
-  t.m_free_len <- t.m_free_len - 1;
-  let m = t.m_free.(t.m_free_len) in
+  let m = Slots.alloc t.msgs in
+  if m >= Array.length t.m_src then grow_msgs t;
   t.m_src.(m) <- src.id;
   t.m_dst.(m) <- dst.id;
   t.m_bytes.(m) <- bytes;
@@ -151,8 +136,7 @@ let on_rx_done t m =
   link_next t dst.rx t.h_rx_done;
   let h = t.m_h.(m) and arg = t.m_arg.(m) and dup = t.m_dup.(m) in
   dst.rx_bytes <- dst.rx_bytes + t.m_bytes.(m);
-  t.m_free.(t.m_free_len) <- m;
-  t.m_free_len <- t.m_free_len + 1;
+  Slots.free t.msgs m;
   let stack_delay = Stack_model.rx_delay dst.stack dst.prng in
   Sim.post_after t.sim stack_delay h arg;
   if dup then
@@ -162,23 +146,11 @@ let on_rx_done t m =
 
 (* ---- the closure form's continuation table ---- *)
 
-(* Cold path: double the table and push the fresh slots onto the
-   freelist (low slots are reused first). *)
+(* Cold path: the slots doubled, so the table follows. *)
 let grow_ks t =
-  let cap = Array.length t.k_fn in
-  let ncap = if cap = 0 then 8 else cap * 2 in
-  let grow a fill =
-    let na = Array.make ncap fill in
-    Array.blit a 0 na 0 cap;
-    na
-  in
-  t.k_fn <- grow t.k_fn noop;
-  t.k_due <- grow t.k_due 0;
-  t.k_free <- grow t.k_free 0;
-  for k = ncap - 1 downto cap do
-    t.k_free.(t.k_free_len) <- k;
-    t.k_free_len <- t.k_free_len + 1
-  done
+  let ncap = Slots.capacity t.ks in
+  t.k_fn <- Slots.extend t.k_fn ncap noop;
+  t.k_due <- Slots.extend t.k_due ncap 0
 
 (* A delivery of the continuation parked at [slot]: the last one frees
    the slot (blanked, so it pins nothing) before the continuation runs. *)
@@ -188,8 +160,7 @@ let on_k t slot =
   t.k_due.(slot) <- due;
   if due = 0 then begin
     t.k_fn.(slot) <- noop;
-    t.k_free.(t.k_free_len) <- slot;
-    t.k_free_len <- t.k_free_len + 1
+    Slots.free t.ks slot
   end;
   k ()
 
@@ -208,12 +179,10 @@ let create sim ?(bandwidth_gbps = 10.0) () =
       m_dup = [||];
       m_h = [||];
       m_arg = [||];
-      m_free = [||];
-      m_free_len = 0;
+      msgs = Slots.create 64;
       k_fn = [||];
       k_due = [||];
-      k_free = [||];
-      k_free_len = 0;
+      ks = Slots.create 8;
       h_tx_done = 0;
       h_wire = 0;
       h_rx_done = 0;
@@ -250,11 +219,7 @@ let add_host t ~name ~stack =
       rx_bytes = 0;
     }
   in
-  if id = Array.length t.hosts then begin
-    let nh = Array.make (if id = 0 then 8 else id * 2) h in
-    Array.blit t.hosts 0 nh 0 id;
-    t.hosts <- nh
-  end;
+  if id = Array.length t.hosts then t.hosts <- Slots.extend t.hosts (max 8 (2 * id)) h;
   t.hosts.(id) <- h;
   t.n_hosts <- id + 1;
   h
@@ -310,9 +275,8 @@ let post_transmit t ~src ~dst ~bytes h arg =
    handler is the message's delivery. *)
 let transmit t ~src ~dst ~bytes k =
   check_size bytes;
-  if t.k_free_len = 0 then grow_ks t;
-  t.k_free_len <- t.k_free_len - 1;
-  let slot = t.k_free.(t.k_free_len) in
+  let slot = Slots.alloc t.ks in
+  if slot >= Array.length t.k_fn then grow_ks t;
   t.k_fn.(slot) <- k;
   let m = submit t ~src ~dst ~bytes t.h_k slot in
   t.k_due.(slot) <- (if t.m_dup.(m) then 2 else 1)

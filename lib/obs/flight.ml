@@ -168,11 +168,7 @@ let intern t label =
     | Some id -> id
     | None ->
         let id = t.n_labels in
-        if id = Array.length t.names then begin
-          let bigger = Array.make (2 * id) "" in
-          Array.blit t.names 0 bigger 0 id;
-          t.names <- bigger
-        end;
+        if id = Array.length t.names then t.names <- Slots.extend t.names (2 * id) "";
         t.names.(id) <- label;
         t.n_labels <- id + 1;
         Hashtbl.add t.ids label id;

@@ -28,51 +28,68 @@ module Subsystem = struct
   let all = [ Engine; Qos; Flash; Net; Telemetry; Monitor; Other ]
 end
 
+(* Open scopes form a stack: a scope's words leave the enclosing scope
+   when it closes, so every bucket holds self words.  Word counts are
+   exact ints (below 2^53), kept in int arrays so no store boxes. *)
+let max_depth = 16
+
 type t = {
   on : bool;
-  minor : float array; (* accumulated minor words per subsystem *)
+  minor : int array; (* accumulated self words per subsystem *)
   n_calls : int array;
-  w0 : float array; (* open-scope start counts *)
+  open_w0 : int array; (* per open scope: the count at [enter] *)
+  open_nested : int array; (* per open scope: words of its closed children *)
+  mutable depth : int;
 }
 
 let make ~enabled =
   let n = Subsystem.count in
-  { on = enabled; minor = Array.make n 0.0; n_calls = Array.make n 0; w0 = Array.make n 0.0 }
+  {
+    on = enabled;
+    minor = Array.make n 0;
+    n_calls = Array.make n 0;
+    open_w0 = Array.make max_depth 0;
+    open_nested = Array.make max_depth 0;
+    depth = 0;
+  }
 
 let disabled = make ~enabled:false
 let create () = make ~enabled:true
 let enabled t = t.on [@@inline]
+let words () = int_of_float (Gc.minor_words ()) [@@inline]
 
-let enter t sub = if t.on then t.w0.(Subsystem.to_int sub) <- Gc.minor_words () [@@inline]
-
-let leave t sub =
+let enter t _sub =
   if t.on then begin
-    let i = Subsystem.to_int sub in
-    t.minor.(i) <- t.minor.(i) +. (Gc.minor_words () -. t.w0.(i));
-    t.n_calls.(i) <- t.n_calls.(i) + 1
+    let d = t.depth in
+    t.open_w0.(d) <- words ();
+    t.open_nested.(d) <- 0;
+    t.depth <- d + 1
   end
 [@@inline]
 
-let minor_words t sub = t.minor.(Subsystem.to_int sub)
+let leave t sub =
+  if t.on then begin
+    let d = t.depth - 1 in
+    t.depth <- d;
+    let total = words () - t.open_w0.(d) in
+    let i = Subsystem.to_int sub in
+    t.minor.(i) <- t.minor.(i) + total - t.open_nested.(d);
+    t.n_calls.(i) <- t.n_calls.(i) + 1;
+    if d > 0 then t.open_nested.(d - 1) <- t.open_nested.(d - 1) + total
+  end
+[@@inline]
+
+let minor_words t sub = float_of_int t.minor.(Subsystem.to_int sub)
 let calls t sub = t.n_calls.(Subsystem.to_int sub)
 
-(* The Engine scope (wrapped around Sim.run by the harness) encloses every
-   other scope, so its self words are what remains once the nested buckets
-   are subtracted.  When no Engine scope was taken, shares normalise over
-   the sum of the independent buckets instead. *)
+(* Buckets hold self words, so they sum to the words inside the
+   outermost scopes, and shares normalise over that sum. *)
 let shares t =
-  let engine = minor_words t Subsystem.Engine in
-  let nested =
-    List.fold_left
-      (fun acc sub -> if sub = Subsystem.Engine then acc else acc +. minor_words t sub)
-      0.0 Subsystem.all
-  in
-  let engine_self = if engine > 0.0 then Float.max 0.0 (engine -. nested) else 0.0 in
-  let total = if engine > nested then engine else nested in
+  let total = List.fold_left (fun acc sub -> acc +. minor_words t sub) 0.0 Subsystem.all in
   let total = if total > 0.0 then total else 1.0 in
   List.map
     (fun sub ->
-      let w = if sub = Subsystem.Engine then engine_self else minor_words t sub in
+      let w = minor_words t sub in
       (Subsystem.name sub, w, w /. total))
     Subsystem.all
 

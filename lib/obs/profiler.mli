@@ -9,13 +9,15 @@
     build profile and the compiler.  They are exported only through
     gauges, Prometheus, and the [reflex_sim obs] cost table.
 
-    Scopes are coarse and non-reentrant per subsystem: [enter]/[leave]
-    pairs wrap the scheduler round ([Qos]), NVMe submission ([Flash]), TCP
-    sends ([Net]), the metrics sampler ([Telemetry]), the monitor tick
-    ([Monitor]), and — from the harness side — the whole [Sim.run] loop
-    ([Engine]).  Nested scopes accumulate into their own buckets, so the
-    [Engine] bucket encloses the rest; {!shares} reports Engine as the
-    {e self} words left after subtracting the nested buckets. *)
+    Scopes are coarse: [enter]/[leave] pairs wrap the scheduler round
+    ([Qos]), NVMe submission ([Flash]), TCP sends ([Net]), the metrics
+    sampler ([Telemetry]), the monitor tick ([Monitor]), and — from the
+    harness side — the whole [Sim.run] loop ([Engine]).  Open scopes
+    form a stack of at most 16: each [leave] closes the innermost one,
+    and the words of a nested scope count in its own bucket only, not in
+    the enclosing one ([Flash] words granted inside a [Qos] round are
+    not [Qos] words).  Every bucket holds {e self} words, so the buckets
+    sum to the words inside the outermost scopes. *)
 
 module Subsystem : sig
   type t = Engine | Qos | Flash | Net | Telemetry | Monitor | Other
@@ -34,22 +36,22 @@ val disabled : t
 val create : unit -> t
 val enabled : t -> bool
 
-(** Open a scope.  One minor-words read; no allocation. *)
+(** Open a scope.  One minor-words read; no allocation.  Raises
+    [Invalid_argument] when 16 scopes are already open. *)
 val enter : t -> Subsystem.t -> unit
 
-(** Close the matching scope and accumulate.  An enabled [enter]/[leave]
-    pair adds no words of its own to the count. *)
+(** Close the innermost open scope and add its self words to the
+    subsystem's bucket.  An enabled [enter]/[leave] pair adds no words
+    of its own to the count. *)
 val leave : t -> Subsystem.t -> unit
 
-(** Accumulated minor words / scope count per subsystem. *)
+(** Accumulated self minor words / scope count per subsystem. *)
 val minor_words : t -> Subsystem.t -> float
 
 val calls : t -> Subsystem.t -> int
 
 (** [(name, self_words, share)] rows, one per subsystem in declaration
-    order, with [Engine] reduced to its self words (total minus the
-    nested subsystem buckets) and shares normalised over the total
-    measured words. *)
+    order, with shares normalised over the sum of the buckets. *)
 val shares : t -> (string * float * float) list
 
 (** Human-readable table of {!shares} plus scope counts. *)

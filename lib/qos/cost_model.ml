@@ -5,9 +5,6 @@ type t = { write_cost : float; ro_read_cost : float }
 let of_profile (p : Device_profile.t) =
   { write_cost = p.write_cost; ro_read_cost = 1.0 /. p.ro_speedup }
 
-let of_fitted (f : Calibrate.fitted) =
-  { write_cost = f.write_cost; ro_read_cost = f.ro_read_cost }
-
 let request_cost t ~kind ~bytes ~read_only =
   let sectors = float_of_int (Io_op.sectors_of_bytes bytes) in
   match (kind : Io_op.kind) with

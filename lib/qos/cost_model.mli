@@ -12,10 +12,6 @@ type t = {
 (** Cost model from a device profile's nominal parameters. *)
 val of_profile : Reflex_flash.Device_profile.t -> t
 
-(** Cost model from a measured calibration (paper: calibrated per device
-    type, re-calibrated after wear). *)
-val of_fitted : Reflex_flash.Calibrate.fitted -> t
-
 (** [request_cost t ~kind ~bytes ~read_only] in tokens.  [read_only] is
     whether the whole device currently sees a pure-read load. *)
 val request_cost : t -> kind:Reflex_flash.Io_op.kind -> bytes:int -> read_only:bool -> float

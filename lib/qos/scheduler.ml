@@ -112,14 +112,7 @@ let unregister_tenant_gauges t tenant_id =
 (* Append [x] into the first free slot of [arr] (of which [n] are live),
    doubling capacity when full; returns the array to store back. *)
 let grow_push arr n x =
-  let arr =
-    if n = Array.length arr then begin
-      let narr = Array.make (if n = 0 then 8 else 2 * n) x in
-      Array.blit arr 0 narr 0 n;
-      narr
-    end
-    else arr
-  in
+  let arr = if n = Array.length arr then Slots.extend arr (max 8 (2 * n)) x else arr in
   arr.(n) <- x;
   arr
 

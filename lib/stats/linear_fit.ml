@@ -20,11 +20,3 @@ let fit points =
   let slope = ((fn *. sxy) -. (sx *. sy)) /. denom in
   let intercept = (sy -. (slope *. sx)) /. fn in
   { slope; intercept; r2 = r_squared points (fun x -> intercept +. (slope *. x)) }
-
-let fit_through_origin points =
-  if points = [] then invalid_arg "Linear_fit.fit_through_origin: empty";
-  let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0.0 points in
-  let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0.0 points in
-  if sxx = 0.0 then invalid_arg "Linear_fit.fit_through_origin: degenerate x values";
-  let slope = sxy /. sxx in
-  { slope; intercept = 0.0; r2 = r_squared points (fun x -> slope *. x) }

@@ -6,6 +6,3 @@ type fit = { slope : float; intercept : float; r2 : float }
 (** Ordinary least squares y = intercept + slope * x.
     Raises [Invalid_argument] on fewer than 2 points. *)
 val fit : (float * float) list -> fit
-
-(** Least squares through the origin (y = slope * x). *)
-val fit_through_origin : (float * float) list -> fit

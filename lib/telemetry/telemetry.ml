@@ -224,9 +224,7 @@ let grow_tlat t tenant =
   while !ncap <= tenant do
     ncap := !ncap * 2
   done;
-  let arr = Array.make !ncap dummy_hist in
-  Array.blit t.tlat 0 arr 0 cap;
-  t.tlat <- arr
+  t.tlat <- Slots.extend t.tlat !ncap dummy_hist
 
 let rec tenant_latency_hist t ~tenant =
   if not t.enabled then dummy_hist

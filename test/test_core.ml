@@ -913,17 +913,6 @@ let test_global_be_goes_to_headroom () =
   | Some p -> Alcotest.(check string) "BE to headroom" "loose-pool" p.Global_control.server_name
   | None -> Alcotest.fail "BE must always place"
 
-let test_global_place_and_admit () =
-  let _, gc, _, _ = make_pool () in
-  let slo = Slo.latency_critical ~latency_us:4000 ~iops:10_000.0 ~read_pct:100 in
-  match Global_control.place_and_admit gc ~id:950 ~slo with
-  | Some p ->
-    Alcotest.(check string) "placed" "loose-pool" p.Global_control.server_name;
-    (* The dry-run reservation is released: the wire registration owns it. *)
-    Alcotest.(check bool) "not pre-registered" false
-      (Control_plane.is_registered (Server.control_plane p.Global_control.server) ~id:950)
-  | None -> Alcotest.fail "placement failed"
-
 (* ------------------------------------------------------------------ *)
 (* Load_gen                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1168,7 +1157,6 @@ let suite =
         Alcotest.test_case "co-locates similar SLOs" `Quick test_global_colocates_similar_slos;
         Alcotest.test_case "respects capacity" `Quick test_global_respects_capacity;
         Alcotest.test_case "BE to most headroom" `Quick test_global_be_goes_to_headroom;
-        Alcotest.test_case "place and admit" `Quick test_global_place_and_admit;
       ] );
     ( "load_gen",
       [

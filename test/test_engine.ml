@@ -114,16 +114,6 @@ let test_prng_normal_moments () =
   Alcotest.(check bool) "mean ~10" true (abs_float (mean -. 10.0) < 0.1);
   Alcotest.(check bool) "stddev ~3" true (abs_float (sqrt var -. 3.0) < 0.1)
 
-let test_prng_zipf_skew () =
-  let p = Prng.create 17L in
-  let counts = Array.make 100 0 in
-  for _ = 1 to 50_000 do
-    let i = Prng.zipf p ~n:100 ~theta:0.99 in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Alcotest.(check bool) "rank 0 most popular" true (counts.(0) > counts.(10));
-  Alcotest.(check bool) "rank 10 > rank 90" true (counts.(10) > counts.(90))
-
 let test_prng_bool_bias () =
   let p = Prng.create 19L in
   let hits = ref 0 in
@@ -165,6 +155,48 @@ let prop_int_fifo_matches_queue =
               assert (head = popped && popped = Queue.pop q)
             end);
           Int_fifo.length f = Queue.length q)
+        ops)
+
+(* Random alloc/free runs against a reference freelist: no live slot is
+   handed out twice, the capacity only doubles (from [first]), and each
+   growth's fresh slots come out lowest first, after any freed slot,
+   last freed first. *)
+let prop_slots_freelist =
+  QCheck.Test.make ~name:"Slots hands out each slot once, lowest fresh first" ~count:300
+    QCheck.(pair (int_range 1 16) (list_of_size Gen.(int_range 0 300) (pair bool small_nat)))
+    (fun (first, ops) ->
+      let a = Slots.create first in
+      let live = Hashtbl.create 64 and order = ref [] in
+      let model_free = ref [] and model_cap = ref 0 in
+      List.for_all
+        (fun (is_alloc, pick) ->
+          if is_alloc || !order = [] then begin
+            let cap = Slots.capacity a in
+            if !model_free = [] then begin
+              let ncap = if !model_cap = 0 then first else 2 * !model_cap in
+              model_free := List.init (ncap - !model_cap) (fun k -> !model_cap + k);
+              model_cap := ncap
+            end;
+            let expected = List.hd !model_free in
+            model_free := List.tl !model_free;
+            let slot = Slots.alloc a in
+            let ncap = Slots.capacity a in
+            let doubled_or_same =
+              ncap = cap || (cap = 0 && ncap = first) || (cap > 0 && ncap = 2 * cap)
+            in
+            let twice = Hashtbl.mem live slot in
+            Hashtbl.replace live slot ();
+            order := slot :: !order;
+            slot = expected && (not twice) && doubled_or_same && ncap = !model_cap
+          end
+          else begin
+            let slot = List.nth !order (pick mod List.length !order) in
+            order := List.filter (( <> ) slot) !order;
+            Hashtbl.remove live slot;
+            Slots.free a slot;
+            model_free := slot :: !model_free;
+            true
+          end)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -885,11 +917,11 @@ let suite =
         Alcotest.test_case "float in range" `Quick test_prng_float_range;
         Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
         Alcotest.test_case "normal moments" `Quick test_prng_normal_moments;
-        Alcotest.test_case "zipf skew" `Quick test_prng_zipf_skew;
         Alcotest.test_case "bernoulli bias" `Quick test_prng_bool_bias;
         qcheck prop_prng_int_bounds;
       ] );
     ("int_fifo", [ qcheck prop_int_fifo_matches_queue ]);
+    ("slots", [ qcheck prop_slots_freelist ]);
     ( "heap",
       [
         Alcotest.test_case "ordering" `Quick test_heap_ordering;

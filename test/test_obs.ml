@@ -119,8 +119,9 @@ let test_kind_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 (* Exact in both build profiles: a scope around one 10-element array
-   counts its 11 words (10 fields and the header), and an enabled
-   enter/leave pair, measured from outside, adds no words of its own. *)
+   counts its 11 words (10 fields and the header), an enabled
+   enter/leave pair, measured from outside, adds no words of its own,
+   and a nested scope's words leave the enclosing scope's bucket. *)
 let test_profiler_accounting () =
   let p = Profiler.create () in
   Alcotest.(check bool) "enabled" true (Profiler.enabled p);
@@ -142,6 +143,26 @@ let test_profiler_accounting () =
   Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
     "qos holds every word" [ ("qos", 11.0, 1.0) ]
     (List.filter (fun (_, w, _) -> w > 0.0) rows);
+  (* Nested scopes: flash words inside a qos round count once, in flash,
+     and the buckets sum exactly to the words inside the engine scope. *)
+  let p = Profiler.create () in
+  let w0 = Gc.minor_words () in
+  Profiler.enter p Profiler.Subsystem.Engine;
+  ignore (Sys.opaque_identity (Array.make 2 0));
+  Profiler.enter p Profiler.Subsystem.Qos;
+  ignore (Sys.opaque_identity (Array.make 4 0));
+  Profiler.enter p Profiler.Subsystem.Flash;
+  ignore (Sys.opaque_identity (Array.make 10 0));
+  Profiler.leave p Profiler.Subsystem.Flash;
+  Profiler.leave p Profiler.Subsystem.Qos;
+  Profiler.leave p Profiler.Subsystem.Engine;
+  let outside = Gc.minor_words () -. w0 in
+  let words sub = Profiler.minor_words p sub in
+  Alcotest.(check (float 0.0)) "flash words once" 11.0 (words Profiler.Subsystem.Flash);
+  Alcotest.(check (float 0.0)) "qos self words" 5.0 (words Profiler.Subsystem.Qos);
+  Alcotest.(check (float 0.0)) "engine self words" 3.0 (words Profiler.Subsystem.Engine);
+  Alcotest.(check (float 0.0)) "buckets sum to the engine total" outside
+    (List.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 (Profiler.shares p));
   (* the disabled instance is a no-op sink. *)
   Profiler.enter Profiler.disabled Profiler.Subsystem.Qos;
   Profiler.leave Profiler.disabled Profiler.Subsystem.Qos;

@@ -50,14 +50,6 @@ let test_weighted_rate_paper_example () =
   Alcotest.(check (float 1.0)) "196K tokens/s" 196_000.0
     (Cost_model.weighted_rate model_a ~iops:70_000.0 ~read_ratio:0.8)
 
-let test_cost_of_fitted () =
-  let fitted =
-    { Calibrate.write_cost = 9.5; ro_read_cost = 0.52; token_rate = 5e5; fit_r2 = 0.99 }
-  in
-  let m = Cost_model.of_fitted fitted in
-  Alcotest.(check (float 1e-9)) "write cost carried" 9.5
-    (Cost_model.request_cost m ~kind:Io_op.Write ~bytes:4096 ~read_only:false)
-
 (* ------------------------------------------------------------------ *)
 (* Global_bucket                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -664,7 +656,6 @@ let suite =
       [
         Alcotest.test_case "basic costs" `Quick test_cost_basic;
         Alcotest.test_case "weighted rate (paper example)" `Quick test_weighted_rate_paper_example;
-        Alcotest.test_case "from calibration" `Quick test_cost_of_fitted;
       ] );
     ( "global_bucket",
       [

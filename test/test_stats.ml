@@ -225,12 +225,6 @@ let test_fit_exact_line () =
   Alcotest.(check (float 1e-9)) "intercept" 1.0 f.intercept;
   Alcotest.(check (float 1e-9)) "r2" 1.0 f.r2
 
-let test_fit_through_origin () =
-  let pts = [ (1.0, 2.1); (2.0, 3.9); (4.0, 8.1) ] in
-  let f = Linear_fit.fit_through_origin pts in
-  Alcotest.(check bool) "slope ~2" true (abs_float (f.slope -. 2.0) < 0.05);
-  Alcotest.(check (float 1e-9)) "intercept 0" 0.0 f.intercept
-
 let test_fit_degenerate () =
   Alcotest.check_raises "single point" (Invalid_argument "Linear_fit.fit: need at least 2 points")
     (fun () -> ignore (Linear_fit.fit [ (1.0, 1.0) ]))
@@ -308,7 +302,6 @@ let suite =
     ( "linear_fit",
       [
         Alcotest.test_case "exact line" `Quick test_fit_exact_line;
-        Alcotest.test_case "through origin" `Quick test_fit_through_origin;
         Alcotest.test_case "degenerate input" `Quick test_fit_degenerate;
         qcheck prop_fit_recovers_line;
       ] );
