@@ -5,7 +5,8 @@
 # deterministic, including byte identity: the rerun and --jobs 2 legs,
 # and the one pin table test/pins.md5; and the exact allocation gates,
 # the *.alloc cases), the scenario smoke (the chaos, monitor, obs and
-# rack acceptance checks, each scenario run once), and then `make
+# rack acceptance checks, each scenario run once, and Table 2's claim
+# rows through `reflex_sim run table2`), and then `make
 # host-gate` (the wall-clock floors and overhead budgets), last because
 # machine load can move it and a failure there should not skip the
 # deterministic checks before it.  Figures are `reflex_sim run <id>|all`; host-cost measurement
@@ -63,8 +64,11 @@ host-gate: build
 # Scenario acceptance: chaos (SLO held, retries bounded), monitor (alerts
 # inside fault windows, clean runs silent), obs (alert-triggered forensic
 # dump names its alert and fault) and rack (policy bakeoff, migration,
-# hop-delta tiling, ingress blamed on the congested link), each run once.
-# reflex_sim exits non-zero when any acceptance check fails.  The same
+# hop-delta tiling, ingress blamed on the congested link), each run once,
+# then `run table2` (the access-path ordering, the +21us band and the
+# paper's cells: the CLI's claim rows and exit code end to end, well
+# under a second).  reflex_sim exits non-zero when any acceptance check
+# fails.  The same
 # runs also write every exporter's output under _build/ (request traces,
 # the flight dump's Chrome view and JSON debrief, the rack trace) for
 # CI's archive.  Byte identity is checked in `dune runtest`: the rerun
@@ -75,7 +79,8 @@ smoke: build
 	dune exec bin/reflex_sim.exe -- obs --flight-dump _build/smoke_obs_flight.json --dump-json _build/smoke_obs_dump.json > _build/smoke_obs.out
 	dune exec bin/reflex_sim.exe -- rack --trace-out _build/smoke_rack_trace.json > _build/smoke_rack.out
 	dune exec bin/reflex_sim.exe -- trace --out _build/smoke_trace.json > _build/smoke_trace.out
-	@echo "smoke OK: chaos, monitor, obs and rack acceptance checks pass"
+	dune exec bin/reflex_sim.exe -- run table2 > _build/smoke_table2.out
+	@echo "smoke OK: chaos, monitor, obs, rack and table2 acceptance checks pass"
 
 check: build
 	$(MAKE) lint

@@ -11,7 +11,9 @@
 
    run/trace/chaos/monitor/obs/rack all take the shared [--prom-out FILE]
    / [--trace-out FILE] observability outputs.  chaos/monitor/obs/rack
-   run their scenario once and exit 1 when any acceptance check fails. *)
+   run their scenario once; run prints each figure's acceptance rows
+   after its tables.  Each exits 1 when any acceptance check it printed
+   fails. *)
 
 open Cmdliner
 open Reflex_experiments
@@ -19,49 +21,63 @@ open Reflex_telemetry
 module Monitor = Reflex_monitor.Monitor
 module Prom_export = Reflex_monitor.Prom_export
 
-let experiments : (string * string * (Common.mode -> unit)) list =
+(* Each figure prints its tables and returns its acceptance rows (none
+   for a figure without paper claims). *)
+let fig (run : ?mode:Common.mode -> unit -> 'r) tables checks mode =
+  let r = run ~mode () in
+  List.iter Reflex_stats.Table.print (tables r);
+  checks r
+
+let no_checks _ = []
+
+let experiments : (string * string * (Common.mode -> Identity.check list)) list =
   [
     ( "fig1",
       "p95 read latency vs IOPS per read/write ratio (device A)",
-      fun mode -> Reflex_stats.Table.print (Fig1.to_table (Fig1.run ~mode ())) );
+      fig Fig1.run (fun r -> [ Fig1.to_table r ]) no_checks );
     ( "fig3",
       "request cost models and calibration fits for devices A/B/C",
-      fun mode -> List.iter Reflex_stats.Table.print (Fig3.to_tables (Fig3.run ~mode ())) );
+      fig Fig3.run Fig3.to_tables Fig3.checks );
     ( "table2",
       "unloaded 4KB latency across the six access paths",
-      fun mode -> Reflex_stats.Table.print (Table2.to_table (Table2.run ~mode ())) );
+      fig Table2.run (fun r -> [ Table2.to_table r ]) Table2.checks );
     ( "fig4",
       "latency vs throughput, 1KB reads: Local/ReFlex/Libaio x 1/2 threads",
-      fun mode -> Reflex_stats.Table.print (Fig4.to_table (Fig4.run ~mode ())) );
+      fig Fig4.run (fun r -> [ Fig4.to_table r ]) Fig4.checks );
     ( "fig5",
       "QoS isolation: 2 LC + 2 BE tenants, scheduler on/off, 2 scenarios",
-      fun mode -> Reflex_stats.Table.print (Fig5.to_table (Fig5.run ~mode ())) );
+      fig Fig5.run (fun r -> [ Fig5.to_table r ]) Fig5.checks );
     ( "fig6a",
       "multi-core scaling with per-core LC tenants",
-      fun mode -> Reflex_stats.Table.print (Fig6.cores_table (Fig6.run_cores ~mode ())) );
+      fig Fig6.run_cores (fun r -> [ Fig6.cores_table r ]) Fig6.cores_checks );
     ( "fig6b",
       "tenant scaling (100 IOPS per tenant)",
-      fun mode -> Reflex_stats.Table.print (Fig6.tenants_table (Fig6.run_tenants ~mode ())) );
+      fig Fig6.run_tenants (fun r -> [ Fig6.tenants_table r ]) no_checks );
     ( "fig6c",
       "TCP connection scaling on one core",
-      fun mode -> Reflex_stats.Table.print (Fig6.conns_table (Fig6.run_conns ~mode ())) );
+      fig Fig6.run_conns (fun r -> [ Fig6.conns_table r ]) no_checks );
     ( "fig7a",
       "FIO latency-throughput over local/iSCSI/ReFlex block devices",
-      fun mode -> Reflex_stats.Table.print (Fig7.fio_table (Fig7.run_fio ~mode ())) );
+      fig Fig7.run_fio (fun r -> [ Fig7.fio_table r ]) no_checks );
     ( "fig7b",
       "FlashX graph analytics slowdown vs local",
-      fun mode -> Reflex_stats.Table.print (Fig7.flashx_table (Fig7.run_flashx ~mode ())) );
+      fig Fig7.run_flashx (fun r -> [ Fig7.flashx_table r ]) no_checks );
     ( "fig7c",
       "RocksDB slowdown vs local",
-      fun mode -> Reflex_stats.Table.print (Fig7.rocksdb_table (Fig7.run_rocksdb ~mode ())) );
+      fig Fig7.run_rocksdb (fun r -> [ Fig7.rocksdb_table r ]) no_checks );
     ( "ablations",
       "design-choice studies: NEG_LIMIT, donation fraction, batching cap, cost model",
       fun mode ->
-        Reflex_stats.Table.print (Ablations.neg_limit_table (Ablations.run_neg_limit ~mode ()));
-        Reflex_stats.Table.print (Ablations.donation_table (Ablations.run_donation ~mode ()));
-        Reflex_stats.Table.print (Ablations.batching_table (Ablations.run_batching ~mode ()));
-        Reflex_stats.Table.print (Ablations.cost_model_table (Ablations.run_cost_model ~mode ()))
-    );
+        let open Ablations in
+        (* In order: each study prints its table before the next runs. *)
+        List.concat_map
+          (fun study -> study mode)
+          [
+            fig run_neg_limit (fun r -> [ neg_limit_table r ]) no_checks;
+            fig run_donation (fun r -> [ donation_table r ]) donation_checks;
+            fig run_batching (fun r -> [ batching_table r ]) batching_checks;
+            fig run_cost_model (fun r -> [ cost_model_table r ]) cost_model_checks;
+          ] );
   ]
 
 let list_cmd =
@@ -152,7 +168,9 @@ let export_flight_dump dumps path =
     Printf.printf "\nFlight dump (trigger %s) written to %s\n" d.Monitor.d_rule path
 
 let run_cmd =
-  let doc = "Run one experiment (or 'all') and print its table(s)." in
+  let doc =
+    "Run one experiment (or 'all'), print its table(s) and acceptance rows; exit 1 if a row fails."
+  in
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc:"experiment id")
   in
@@ -173,26 +191,27 @@ let run_cmd =
        well defined and no two domains write it. *)
     if telemetry then Runner.set_default_jobs 1;
     let mode = if full then Common.Full else Common.Quick in
-    let finish () =
-      if telemetry then
-        match !Common.last_telemetry with
-        | None -> prerr_endline "warning: no telemetry-enabled world was built"
-        | Some tel ->
-          print_string (Tracing.reports tel);
-          Option.iter (export_trace tel) trace_out;
-          Option.iter (export_prom tel) prom_out
+    (* Each figure's acceptance block follows its tables; the exit code is
+       the verdict over every row printed. *)
+    let run_one (_, _, f) =
+      let checks = f mode in
+      if checks <> [] then print_string ("acceptance:\n" ^ Identity.lines checks);
+      checks
     in
-    if id = "all" then begin
-      List.iter (fun (_, _, f) -> f mode) experiments;
-      finish ();
-      `Ok 0
-    end
+    let verdict checks =
+      (if telemetry then
+         match !Common.last_telemetry with
+         | None -> prerr_endline "warning: no telemetry-enabled world was built"
+         | Some tel ->
+           print_string (Tracing.reports tel);
+           Option.iter (export_trace tel) trace_out;
+           Option.iter (export_prom tel) prom_out);
+      `Ok (Identity.exit_code checks)
+    in
+    if id = "all" then verdict (List.concat_map run_one experiments)
     else
       match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
-      | Some (_, _, f) ->
-        f mode;
-        finish ();
-        `Ok 0
+      | Some e -> verdict (run_one e)
       | None -> `Error (false, "unknown experiment: " ^ id ^ " (try 'list')")
   in
   Cmd.v (Cmd.info "run" ~doc)

@@ -27,12 +27,9 @@ type t = {
           (die failures, GC storms) and restored on recovery *)
 }
 
-let create ?token_rate_fn ~profile ~cost_model () =
-  let token_rate_fn =
-    match token_rate_fn with Some f -> f | None -> default_token_rate_fn profile
-  in
+let create ~profile ~cost_model () =
   {
-    token_rate_fn;
+    token_rate_fn = default_token_rate_fn profile;
     cost_model;
     tenants = Hashtbl.create 64;
     non_ro_tenants = 0;

@@ -11,14 +11,12 @@ open Reflex_qos
 
 type t
 
-(** [token_rate_fn ~latency_us] maps a p95 read-latency SLO to the max
-    weighted tokens/sec the device sustains — normally obtained from
-    {!Reflex_flash.Calibrate.max_token_rate}.  The default is an analytic
-    curve matching the bundled device profiles (device A: ~429K tokens/s
-    at 500us, ~539K at 2ms; see DESIGN.md).  LC admission fills at most
-    0.85 of that rate. *)
+(** The device's sustainable token rate for a p95 read-latency SLO is
+    {!default_token_rate_fn} of [profile]: an analytic stand-in for a
+    measured {!Reflex_flash.Calibrate.max_token_rate} curve, matching the
+    bundled device profiles (device A: ~429K tokens/s at 500us, ~539K at
+    2ms; see DESIGN.md).  LC admission fills at most 0.85 of that rate. *)
 val create :
-  ?token_rate_fn:(latency_us:float -> float) ->
   profile:Reflex_flash.Device_profile.t ->
   cost_model:Cost_model.t ->
   unit ->
@@ -90,6 +88,6 @@ val fleet_read_only : t -> bool
     reservations. *)
 val lc_tenants : t -> (int * Slo.t) list
 
-(** The default analytic device model used when no measured calibration is
-    supplied. *)
+(** The analytic device model: max weighted tokens/sec the device
+    sustains at a p95 read-latency SLO of [latency_us]. *)
 val default_token_rate_fn : Reflex_flash.Device_profile.t -> latency_us:float -> float

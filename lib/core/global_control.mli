@@ -50,13 +50,9 @@ type probe = {
     probe-aged state; only the idealized oracle reads fresh counters. *)
 val probes : t -> probe list
 
-(** [place t ~slo] picks the server for a new tenant, or [None] when no
-    server can admit it. *)
-val place : t -> slo:Slo.t -> placement option
-
-(** [place_excluding_set t ~slo ~excluding] is {!place} restricted to
-    servers whose names are not in [excluding] — replica selection
-    (replicas must land on distinct servers) and tenant migration (the
-    target must be outside the current replica set) both exclude several
-    servers at once. *)
+(** [place_excluding_set t ~slo ~excluding] picks the server for a new
+    tenant among those whose names are not in [excluding], or [None] when
+    none of them can admit it.  Replica selection (replicas must land on
+    distinct servers) and tenant migration (the target must be outside
+    the current replica set) both exclude several servers at once. *)
 val place_excluding_set : t -> slo:Slo.t -> excluding:string list -> placement option

@@ -122,13 +122,13 @@ let reroute t ~tenant_id ~kind ~bytes payload =
     Tcp_conn.send_to_client payload.conn ~size:(Codec.encoded_size msg) msg
 
 let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1)
-    ?(costs = Costs.default) ?acl ?token_rate_fn ?(qos = true) ?neg_limit ?donate_fraction
+    ?(costs = Costs.default) ?acl ?(qos = true) ?neg_limit ?donate_fraction
     ?cost_model ?seed ?(telemetry = Telemetry.disabled) () =
   if n_threads < 1 then invalid_arg "Server.create: n_threads < 1";
   let seed = Option.value seed ~default:0x5EF1E45EEDL in
   let device = Nvme_model.create ~telemetry sim ~profile ~prng:(Prng.create seed) in
   let cost_model = Option.value cost_model ~default:(Cost_model.of_profile profile) in
-  let control_plane = Control_plane.create ?token_rate_fn ~profile ~cost_model () in
+  let control_plane = Control_plane.create ~profile ~cost_model () in
   let acl = match acl with Some a -> a | None -> Acl.create_permissive () in
   let global = Global_bucket.create ~n_threads in
   let host = Fabric.add_host fabric ~name:"reflex-server" ~stack:Stack_model.dataplane_server in

@@ -35,7 +35,6 @@ val create :
   ?costs:Costs.t ->
   ?acl:Acl.t ->
   (* default permissive *)
-  ?token_rate_fn:(latency_us:float -> float) ->
   ?qos:bool ->
   (* default true; false disables the QoS scheduler (Figure 5's
      "I/O sched disabled"): tenants get unbounded token rates and requests

@@ -147,6 +147,25 @@ let run_cost_model ?(mode = Common.Quick) () =
         Some { Reflex_qos.Cost_model.write_cost = 1.0; ro_read_cost = 0.5 } );
     ]
 
+(* ---------------- acceptance rows ---------------- *)
+
+let donation_checks rows =
+  let at f = (List.find (fun r -> r.fraction = f) rows).be_kiops in
+  [ Identity.check "donations feed best-effort tenants" (at 0.9 > 1.3 *. at 0.0) ]
+
+let batching_checks rows =
+  let at cap = List.find (fun (r : batch_row) -> r.batch_cap = cap) rows in
+  Identity.
+    [
+      check "no batching collapses throughput"
+        ((at 1).achieved_kiops < 0.85 *. (at 64).achieved_kiops);
+      check "no batching inflates the tail" ((at 1).p95_us > 5.0 *. (at 64).p95_us);
+    ]
+
+let cost_model_checks rows =
+  let p95 met = (List.find (fun r -> r.lc_slo_met = met) rows).lc_p95_us in
+  [ Identity.check "naive pricing blows the LC tail" (p95 false > 1.5 *. p95 true) ]
+
 (* ---------------- tables ---------------- *)
 
 let neg_limit_table rows =

@@ -43,6 +43,12 @@ val run_donation : ?mode:Common.mode -> unit -> donation_row list
 val run_batching : ?mode:Common.mode -> unit -> batch_row list
 val run_cost_model : ?mode:Common.mode -> unit -> cost_model_row list
 
+(** Acceptance rows (NEG_LIMIT has none): donations feed BE tenants, no
+    batching costs throughput and the tail, naive pricing blows the LC tail. *)
+val donation_checks : donation_row list -> Identity.check list
+val batching_checks : batch_row list -> Identity.check list
+val cost_model_checks : cost_model_row list -> Identity.check list
+
 val neg_limit_table : neg_limit_row list -> Reflex_stats.Table.t
 val donation_table : donation_row list -> Reflex_stats.Table.t
 val batching_table : batch_row list -> Reflex_stats.Table.t

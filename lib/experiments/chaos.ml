@@ -218,8 +218,6 @@ let render_result r =
   Buffer.add_string buf (Telemetry.faults_report r.telemetry);
   Buffer.contents buf
 
-let render ?mode ?seed () = render_result (run ?mode ?seed ())
-
 let checks r =
   [
     Identity.check "clean-bucket LC p95 within SLO" (clean_ok r);

@@ -77,8 +77,6 @@ val run : ?mode:Common.mode -> ?seed:int64 -> unit -> result
     the unit of byte-comparison for determinism checks. *)
 val render_result : result -> string
 
-val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
-
 (** The acceptance checks: both LC tenants' worst clean-bucket p95 is
     within their SLO, and retry counts respect the policy's budget (at
     most [max_retries] re-issues and [max_retries + 1] deadline expiries

@@ -29,6 +29,11 @@ let weighted_rate profile ~read_ratio ~bytes ~rate =
   *. ((read_ratio *. read_cost)
      +. ((1.0 -. read_ratio) *. cm.Reflex_qos.Cost_model.write_cost *. sectors))
 
+(* The paper's calibrated costs, C(write) per device and C(read,100%) on
+   device A: they title the fit table and are its acceptance rows. *)
+let paper_write_cost = [ ("A", 10.0); ("B", 20.0); ("C", 16.0) ]
+let paper_ro_read_cost = 0.5
+
 let workloads =
   [
     ("100%rd (1KB)", 1.0, 1024);
@@ -115,7 +120,10 @@ let to_tables (points, fits) =
   let fit =
     Table.create
       ~title:
-        "Figure 3 (fit): calibrated cost models — paper: C(write)=10/20/16, C(read,100%)=0.5 (A)"
+        (Printf.sprintf
+           "Figure 3 (fit): calibrated cost models — paper: C(write)=%s, C(read,100%%)=%g (A)"
+           (String.concat "/" (List.map (fun (_, c) -> Printf.sprintf "%g" c) paper_write_cost))
+           paper_ro_read_cost)
       ~columns:[ "device"; "C(write) tokens"; "C(read,100%)"; "ktokens/s @1ms"; "fit r^2" ]
   in
   List.iter
@@ -130,3 +138,15 @@ let to_tables (points, fits) =
         ])
     fits;
   [ curves; fit ]
+
+let checks (_, fits) =
+  let fit device = List.find (fun f -> f.fdevice = device) fits in
+  List.map
+    (fun (device, paper) ->
+      Identity.within (Printf.sprintf "Fig 3 C(write) device %s" device) ~paper
+        ~sim:(fit device).write_cost ~tol:0.15)
+    paper_write_cost
+  @ [
+      Identity.within "Fig 3 C(read,100%) device A" ~paper:paper_ro_read_cost
+        ~sim:(fit "A").ro_read_cost ~tol:0.10;
+    ]

@@ -12,7 +12,7 @@ type point = {
 
 type fit_row = {
   fdevice : string;
-  write_cost : float;  (** paper: 10 / 20 / 16 *)
+  write_cost : float;  (** the paper's values are {!checks}' rows *)
   ro_read_cost : float;
   token_rate_at_1ms : float;
   r2 : float;
@@ -20,3 +20,7 @@ type fit_row = {
 
 val run : ?mode:Common.mode -> unit -> point list * fit_row list
 val to_tables : point list * fit_row list -> Reflex_stats.Table.t list
+
+(** Acceptance rows: each device's C(write) within 15% of the paper's,
+    and device A's C(read,100%) within 10%. *)
+val checks : point list * fit_row list -> Identity.check list

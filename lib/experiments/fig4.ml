@@ -145,3 +145,11 @@ let to_table rows =
         ])
     rows;
   t
+
+(* The paper's headline: one ReFlex core serves ~850K 1KB read IOPS. *)
+let paper_kiops = 850.0
+
+let checks rows =
+  let one_core = List.filter (fun r -> r.system = "ReFlex" && r.threads = 1) rows in
+  let peak = List.fold_left (fun acc r -> Float.max acc r.achieved_kiops) 0.0 one_core in
+  [ Identity.within "Fig 4 ReFlex one-core peak (KIOPS)" ~paper:paper_kiops ~sim:peak ~tol:0.05 ]

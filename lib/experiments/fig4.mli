@@ -14,3 +14,7 @@ type row = {
 
 val run : ?mode:Common.mode -> unit -> row list
 val to_table : row list -> Reflex_stats.Table.t
+
+(** Acceptance row: the ReFlex one-thread sweep's peak achieved KIOPS
+    within 5% of the paper's ~850K IOPS per core. *)
+val checks : row list -> Identity.check list

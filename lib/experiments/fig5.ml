@@ -83,3 +83,26 @@ let to_table rows =
         ])
     rows;
   t
+
+let checks rows =
+  let get sc sched tenant f =
+    f (List.find (fun r -> r.scenario = sc && r.sched = sched && r.tenant.[0] = tenant) rows)
+  in
+  let p95 r = r.p95_read_us and kiops r = r.achieved_kiops in
+  let c_on = get 1 true 'C' kiops in
+  Identity.
+    [
+      (* Scenario 1, scheduler on: both LC tenants meet the 500us SLO at
+         their reserved IOPS. *)
+      check "A meets SLO" (get 1 true 'A' p95 <= 500.0);
+      check "B meets SLO" (get 1 true 'B' p95 <= 500.0);
+      check "A at reservation" (get 1 true 'A' kiops > 115.0);
+      check "B at reservation" (get 1 true 'B' kiops > 66.0);
+      (* Scheduler off: the LC SLO is violated. *)
+      check "A violated without scheduler" (get 1 false 'A' p95 > 500.0);
+      (* BE fairness: C (95% reads) gets several times D's IOPS (write
+         cost). *)
+      check "C >> D" (c_on > 3.0 *. get 1 true 'D' kiops);
+      (* Scenario 2: B's unused reservation flows to the BE tenants. *)
+      check "work conservation across scenarios" (get 2 true 'C' kiops > 1.2 *. c_on);
+    ]

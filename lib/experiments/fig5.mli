@@ -19,3 +19,7 @@ type row = {
 
 val run : ?mode:Common.mode -> unit -> row list
 val to_table : row list -> Reflex_stats.Table.t
+
+(** Acceptance rows: A and B meet the 500us SLO at their reservations
+    only with the scheduler on; C gets over 3x D's IOPS; work conserved. *)
+val checks : row list -> Identity.check list

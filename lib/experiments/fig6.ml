@@ -206,6 +206,25 @@ let cores_table rows =
     rows;
   t
 
+let cores_checks rows =
+  let at cores = List.find (fun r -> r.cores = cores) rows in
+  let r1 = at 1 and r12 = at 12 in
+  Identity.check "LC scales ~12x" (r12.lc_kiops > 10.0 *. r1.lc_kiops)
+  :: Identity.check "BE shrinks" (r12.be_kiops < r1.be_kiops)
+  (* Token usage pinned at the 2ms ceiling, and every LC tenant within
+     its 2ms SLO, at every scale. *)
+  :: List.concat_map
+       (fun r ->
+         let name fmt v = Printf.sprintf fmt r.cores v in
+         Identity.
+           [
+             check (name "tokens pinned (%d cores: %.0fK)" r.ktokens_per_sec)
+               (abs_float (r.ktokens_per_sec -. r1.ktokens_per_sec) < 20.0);
+             check (name "all LC under 2ms SLO (%d cores: %.0fus)" r.lc_p95_worst_us)
+               (r.lc_p95_worst_us < 2000.0);
+           ])
+       rows
+
 let tenants_table rows =
   let t =
     Table.create ~title:"Figure 6b: tenant scaling (100 1KB-read IOPS per tenant)"

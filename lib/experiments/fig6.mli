@@ -37,5 +37,10 @@ val run_tenants : ?mode:Common.mode -> unit -> tenant_row list
 val run_conns : ?mode:Common.mode -> unit -> conn_row list
 
 val cores_table : core_row list -> Reflex_stats.Table.t
+
+(** Fig 6a's acceptance rows: LC scales ~12x, BE shrinks, and at every
+    core count tokens stay pinned and every LC p95 is under 2ms. *)
+val cores_checks : core_row list -> Identity.check list
+
 val tenants_table : tenant_row list -> Reflex_stats.Table.t
 val conns_table : conn_row list -> Reflex_stats.Table.t

@@ -177,8 +177,6 @@ let render_result r =
   Buffer.add_string buf (if Identity.all_ok checks then "MONITOR OK\n" else "MONITOR FAILED\n");
   Buffer.contents buf
 
-let render ?mode ?seed () = render_result (run ?mode ?seed ())
-
 (* Prometheus page + Chrome-trace fragments for the faulted leg (used
    by the CLI's --prom-out/--trace-out). *)
 let exports r =

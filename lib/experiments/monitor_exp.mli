@@ -53,7 +53,6 @@ val run_clean : ?mode:Common.mode -> ?seed:int64 -> unit -> Monitor.t leg
 val checks : result -> Identity.check list
 
 val render_result : result -> string
-val render : ?mode:Common.mode -> ?seed:int64 -> unit -> string
 
 (** [(prometheus page, chrome instant fragments, monitor)] of the
     faulted leg, for the CLI's [--prom-out]/[--trace-out]. *)

@@ -553,8 +553,6 @@ let render_result r =
   Printf.bprintf buf "\n%s\n" (if Identity.all_ok checks then "RACK OK" else "RACK FAILED");
   Buffer.contents buf
 
-let render ?mode ?seed ?jobs ?scale () = render_result (run ?mode ?seed ?jobs ?scale ())
-
 let export_leg ?(mode = Common.Quick) ?(seed = 42L) () =
   let sc = scale_of_mode mode in
   let telemetry = Telemetry.create () in

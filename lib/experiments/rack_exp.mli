@@ -99,9 +99,6 @@ val checks : result -> Identity.check list
 
 val render_result : result -> string
 
-val render :
-  ?mode:Common.mode -> ?seed:int64 -> ?jobs:int -> ?scale:scale -> unit -> string
-
 (** One telemetry-armed po2c leg (probes, balancing decisions and
     migrations land in the flight recorder and gauges), for the CLI's
     [--prom-out]/[--trace-out]. *)

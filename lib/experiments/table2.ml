@@ -137,3 +137,36 @@ let to_table rows =
         ])
     rows;
   t
+
+let checks rows =
+  let find rows path = List.find (fun r -> r.path = path) rows in
+  let read path = (find rows path).read_avg_us in
+  let local = read "Local (SPDK)" and ix = read "ReFlex (IX)" and linux = read "ReFlex (Linux)" in
+  let libaio_ix = read "Libaio (IX)" and iscsi = read "iSCSI" and overhead = ix -. local in
+  (* Paper Table 2's ordering, and the +21us headline: ReFlex (IX) adds
+     12-32us over local. *)
+  Identity.
+    [
+      check "six access paths" (List.length rows = 6);
+      check "local fastest" (local < ix);
+      check "reflex beats libaio" (ix < libaio_ix);
+      check "linux client slower than ix" (ix < linux);
+      check "iscsi slowest" (iscsi > linux && iscsi > libaio_ix);
+      check (Printf.sprintf "ReFlex overhead %.0fus in [12,32]" overhead)
+        (overhead > 12.0 && overhead < 32.0);
+    ]
+  (* Cell by cell, for the two rows the +21us headline compares, each
+     within 10% of the paper; the other rows' deviations are recorded in
+     DESIGN.md section 5. *)
+  @ List.concat_map
+      (fun path ->
+        let sim = find rows path and paper = find paper path in
+        List.map
+          (fun (cell, f) ->
+            Identity.within (Printf.sprintf "Table 2 %s %s (us)" path cell) ~paper:(f paper)
+              ~sim:(f sim) ~tol:0.10)
+          [
+            ("read avg", fun r -> r.read_avg_us); ("read p95", fun r -> r.read_p95_us);
+            ("write avg", fun r -> r.write_avg_us); ("write p95", fun r -> r.write_p95_us);
+          ])
+      [ "Local (SPDK)"; "ReFlex (IX)" ]

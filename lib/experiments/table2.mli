@@ -16,3 +16,8 @@ val paper : row list
 
 val run : ?mode:Common.mode -> unit -> row list
 val to_table : row list -> Reflex_stats.Table.t
+
+(** Acceptance rows: the access-path ordering, ReFlex (IX)'s overhead
+    over local in [12,32] us, and the Local (SPDK) and ReFlex (IX) cells
+    each within 10% of {!paper}. *)
+val checks : row list -> Identity.check list

@@ -89,9 +89,6 @@ let device_c =
 
 let all = [ device_a; device_b; device_c ]
 
-let by_name n =
-  List.find_opt (fun p -> String.lowercase_ascii p.name = String.lowercase_ascii n) all
-
 let read_only_iops p =
   float_of_int p.n_dies /. (Time.to_float_sec p.t_read /. p.ro_speedup)
 

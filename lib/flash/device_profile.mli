@@ -53,8 +53,6 @@ val device_a : t
 val device_b : t
 val device_c : t
 
-val by_name : string -> t option
-
 (** All bundled profiles. *)
 val all : t list
 

@@ -1,7 +1,5 @@
 type kind = Read | Write
 
-let equal_kind a b = match (a, b) with Read, Read | Write, Write -> true | _ -> false
-
 let lba_size = 4096
 
 let sectors_of_bytes b =

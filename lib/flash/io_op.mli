@@ -3,8 +3,6 @@
 
 type kind = Read | Write
 
-val equal_kind : kind -> kind -> bool
-
 (** Logical-block size used for cost accounting: the paper's devices
     operate at 4KB granularity. *)
 val lba_size : int

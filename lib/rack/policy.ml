@@ -11,14 +11,6 @@ let kind_name = function
   | Po2c -> "po2c"
   | Oracle -> "oracle"
 
-let kind_of_name = function
-  | "random" -> Some Random
-  | "round-robin" | "rr" -> Some Round_robin
-  | "jsq" -> Some Jsq
-  | "po2c" -> Some Po2c
-  | "oracle" -> Some Oracle
-  | _ -> None
-
 let kind_index = function
   | Random -> 0
   | Round_robin -> 1

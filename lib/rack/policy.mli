@@ -30,9 +30,6 @@ val all : kind list
 
 val kind_name : kind -> string
 
-(** Inverse of {!kind_name} ([None] for unknown strings). *)
-val kind_of_name : string -> kind option
-
 (** Stable small int per kind (flight-recorder payloads). *)
 val kind_index : kind -> int
 

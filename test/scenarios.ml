@@ -7,8 +7,9 @@ open Reflex_engine
 open Reflex_experiments
 
 let chaos = lazy (Chaos.run ~mode:Common.Quick ~seed:42L ())
-let monitor_render () = Monitor_exp.render ~mode:Common.Quick ~seed:11L ()
-let monitor_result = lazy (Monitor_exp.run ~mode:Common.Quick ~seed:11L ())
+let monitor_run () = Monitor_exp.run ~mode:Common.Quick ~seed:11L ()
+let monitor_render () = Monitor_exp.render_result (monitor_run ())
+let monitor_result = lazy (monitor_run ())
 let monitor = lazy (Monitor_exp.render_result (Lazy.force monitor_result))
 let obs = lazy (Obs_exp.run ~mode:Common.Quick ~seed:42L ())
 

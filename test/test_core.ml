@@ -884,14 +884,16 @@ let make_pool () =
        ~slo:(Slo.latency_critical ~latency_us:5000 ~iops:50_000.0 ~read_pct:100));
   (sim, gc, strict, loose)
 
+let place gc slo = Global_control.place_excluding_set gc ~excluding:[] ~slo
+
 let test_global_colocates_similar_slos () =
   let _, gc, _, _ = make_pool () in
   (* A loose tenant goes with the loose crowd; a strict one with the
      strict crowd (paper §4.3 placement guidance). *)
-  (match Global_control.place gc ~slo:(Slo.latency_critical ~latency_us:4000 ~iops:10_000.0 ~read_pct:100) with
+  (match place gc (Slo.latency_critical ~latency_us:4000 ~iops:10_000.0 ~read_pct:100) with
   | Some p -> Alcotest.(check string) "loose tenant placed loose" "loose-pool" p.Global_control.server_name
   | None -> Alcotest.fail "no placement");
-  match Global_control.place gc ~slo:(Slo.latency_critical ~latency_us:350 ~iops:10_000.0 ~read_pct:100) with
+  match place gc (Slo.latency_critical ~latency_us:350 ~iops:10_000.0 ~read_pct:100) with
   | Some p -> Alcotest.(check string) "strict tenant placed strict" "strict-pool" p.Global_control.server_name
   | None -> Alcotest.fail "no placement"
 
@@ -899,9 +901,7 @@ let test_global_respects_capacity () =
   let _, gc, _, _ = make_pool () in
   (* An inadmissible SLO is rejected everywhere. *)
   Alcotest.(check bool) "over-demanding tenant unplaceable" true
-    (Global_control.place gc
-       ~slo:(Slo.latency_critical ~latency_us:500 ~iops:2_000_000.0 ~read_pct:50)
-    = None)
+    (place gc (Slo.latency_critical ~latency_us:500 ~iops:2_000_000.0 ~read_pct:50) = None)
 
 let test_global_be_goes_to_headroom () =
   let _, gc, strict, _ = make_pool () in
@@ -909,7 +909,7 @@ let test_global_be_goes_to_headroom () =
   ignore
     (Control_plane.admit (Server.control_plane strict) ~id:902
        ~slo:(Slo.latency_critical ~latency_us:300 ~iops:150_000.0 ~read_pct:100));
-  match Global_control.place gc ~slo:(Slo.best_effort ()) with
+  match place gc (Slo.best_effort ()) with
   | Some p -> Alcotest.(check string) "BE to headroom" "loose-pool" p.Global_control.server_name
   | None -> Alcotest.fail "BE must always place"
 

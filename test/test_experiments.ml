@@ -1,14 +1,11 @@
 (* Regression tests over the experiment harness itself: run the cheap
-   experiments end-to-end and assert the paper's qualitative claims hold
-   (so a refactor that silently breaks a reproduction fails the suite). *)
+   experiments end-to-end and assert that every acceptance row they
+   return passes (so a refactor that silently breaks a reproduction fails
+   the suite). *)
 
 open Reflex_engine
 open Reflex_client
 open Reflex_experiments
-
-let find_row rows pred = match List.find_opt pred rows with
-  | Some r -> r
-  | None -> Alcotest.fail "expected row missing"
 
 (* ------------------------------------------------------------------ *)
 (* Parallel runner                                                    *)
@@ -86,7 +83,9 @@ let test_runner_parallel_matches_serial () =
 (* ------------------------------------------------------------------ *)
 
 (* A render that counts its calls differs on every rerun: both identity
-   legs must fail, and a failing check must make the exit code non-zero. *)
+   legs must fail, and a failing check must make the exit code non-zero.
+   So must a paper claim just past its tolerance, whose FAIL line names
+   both values. *)
 let test_identity_catches_nondeterminism () =
   let calls = Atomic.make 0 in
   let render () = string_of_int (Atomic.fetch_and_add calls 1) in
@@ -95,185 +94,48 @@ let test_identity_catches_nondeterminism () =
     "rerun and two-domain legs fail"
     [ ("same-seed rerun byte-identical", false); ("serial vs --jobs 2 byte-identical", false) ]
     (List.map (fun c -> (c.Identity.name, c.Identity.ok)) checks);
-  Alcotest.(check int) "non-zero exit" 1 (Identity.exit_code checks)
+  Alcotest.(check int) "non-zero exit" 1 (Identity.exit_code checks);
+  let miss = Identity.within "claim" ~paper:100.0 ~sim:110.001 ~tol:0.10 in
+  Alcotest.(check string) "claim just past its tolerance: a FAIL line naming both values"
+    "  claim: paper 100, simulated 110.001, tolerance 10% (off by 10.0%) FAIL\n"
+    (Identity.lines [ miss ]);
+  Alcotest.(check int) "one failing claim fails the exit code" 1
+    (Identity.exit_code [ Identity.check "predicate holds" true; miss ])
 
+(* A claim exactly at its tolerance passes: the bound is inclusive. *)
 let test_identity_all_pass () =
   let render () = "same bytes" in
-  let checks = Identity.check "predicate holds" true :: Rerun.legs ~base:(render ()) render in
+  let checks =
+    Identity.check "predicate holds" true
+    :: Identity.within "claim" ~paper:100.0 ~sim:90.0 ~tol:0.10
+    :: Rerun.legs ~base:(render ()) render
+  in
   Alcotest.(check bool) "all pass" true (Identity.all_ok checks);
   Alcotest.(check int) "zero exit" 0 (Identity.exit_code checks);
   Alcotest.(check string) "one PASS line per check"
-    (Printf.sprintf "  %-44s PASS\n  %-44s PASS\n  %-44s PASS\n" "predicate holds"
+    (Printf.sprintf "  %-44s PASS\n  %-44s PASS\n  %-44s PASS\n  %-44s PASS\n"
+       "predicate holds" "claim: paper 100, simulated 90, tolerance 10% (off by 10.0%)"
        "same-seed rerun byte-identical" "serial vs --jobs 2 byte-identical")
     (Identity.lines checks)
 
 (* ------------------------------------------------------------------ *)
-(* Table 2                                                            *)
+(* Paper figures: every acceptance row [reflex_sim run] prints passes   *)
 (* ------------------------------------------------------------------ *)
 
-(* One Table 2 run, shared by the ordering case and the per-cell claims. *)
-let table2 = lazy (Table2.run ())
+(* One assertion per acceptance row, named by the row (a claim's name
+   carries both values, the tolerance and the error); the count guards
+   against a row going missing.  Tier-1 runs quick mode. *)
+let rows_case name ~expect checks run =
+  Alcotest.test_case name `Slow (fun () ->
+      let rows = checks (run ()) in
+      Alcotest.(check int) "acceptance rows" expect (List.length rows);
+      List.iter (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok) rows)
 
-let test_table2_ordering () =
-  let rows = Lazy.force table2 in
-  Alcotest.(check int) "six access paths" 6 (List.length rows);
-  let read_of name = (find_row rows (fun r -> r.Table2.path = name)).Table2.read_avg_us in
-  let local = read_of "Local (SPDK)" in
-  let reflex_ix = read_of "ReFlex (IX)" in
-  let reflex_linux = read_of "ReFlex (Linux)" in
-  let libaio_ix = read_of "Libaio (IX)" in
-  let iscsi = read_of "iSCSI" in
-  (* Paper Table 2's ordering: local < ReFlex(IX) < ReFlex(Linux) ~
-     Libaio(IX) < ... < iSCSI. *)
-  Alcotest.(check bool) "local fastest" true (local < reflex_ix);
-  Alcotest.(check bool) "reflex beats libaio" true (reflex_ix < libaio_ix);
-  Alcotest.(check bool) "linux client slower than ix" true (reflex_ix < reflex_linux);
-  Alcotest.(check bool) "iscsi slowest" true
-    (iscsi > reflex_linux && iscsi > libaio_ix);
-  (* The +21us headline: ReFlex(IX) adds 15-30us over local. *)
-  let overhead = reflex_ix -. local in
-  Alcotest.(check bool) (Printf.sprintf "ReFlex overhead %.0fus in [12,32]" overhead) true
-    (overhead > 12.0 && overhead < 32.0)
-
-(* ------------------------------------------------------------------ *)
-(* Paper-claims ledger: quantitative claims with stated tolerances     *)
-(* ------------------------------------------------------------------ *)
-
-(* [sim] is within [tol] (a fraction) of the paper's value; the failure
-   message names the claim, both values and the tolerance. *)
-let check_claim claim ~paper ~sim ~tol =
-  let err = abs_float (sim -. paper) /. paper in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: paper %g, simulated %g, tolerance %g%% (off by %.1f%%)" claim paper sim
-       (100.0 *. tol) (100.0 *. err))
-    true (err <= tol)
-
-(* Figure 3: the calibrated write cost is 10/20/16 tokens on devices
-   A/B/C, and a read on read-only device A costs half a token. *)
-let test_fig3_claims () =
-  let _, fits = Fig3.run () in
-  let fit device = find_row fits (fun f -> f.Fig3.fdevice = device) in
-  List.iter
-    (fun (device, paper) ->
-      check_claim
-        (Printf.sprintf "Fig 3 C(write) device %s" device)
-        ~paper ~sim:(fit device).Fig3.write_cost ~tol:0.15)
-    [ ("A", 10.0); ("B", 20.0); ("C", 16.0) ];
-  check_claim "Fig 3 C(read,100%) device A" ~paper:0.5 ~sim:(fit "A").Fig3.ro_read_cost ~tol:0.10
-
-(* Table 2, cell by cell, for the two rows the +21us headline compares:
-   local SPDK and ReFlex with an IX client, each within 10% of the
-   paper's mean and p95, read and write.  The other rows' deviations are
-   recorded in DESIGN.md section 5. *)
-let test_table2_claims () =
-  let rows = Lazy.force table2 in
-  List.iter
-    (fun path ->
-      let sim = find_row rows (fun r -> r.Table2.path = path) in
-      let paper = find_row Table2.paper (fun r -> r.Table2.path = path) in
-      List.iter
-        (fun (cell, f) ->
-          check_claim (Printf.sprintf "Table 2 %s %s (us)" path cell) ~paper:(f paper) ~sim:(f sim)
-            ~tol:0.10)
-        [
-          ("read avg", fun r -> r.Table2.read_avg_us);
-          ("read p95", fun r -> r.Table2.read_p95_us);
-          ("write avg", fun r -> r.Table2.write_avg_us);
-          ("write p95", fun r -> r.Table2.write_p95_us);
-        ])
-    [ "Local (SPDK)"; "ReFlex (IX)" ]
-
-(* Figure 4: one ReFlex core serves ~850K 1KB read IOPS. *)
-let test_fig4_claims () =
-  let rows = Fig4.run () in
-  let best =
-    List.fold_left
-      (fun acc r ->
-        if r.Fig4.system = "ReFlex" && r.Fig4.threads = 1 then Float.max acc r.Fig4.achieved_kiops
-        else acc)
-      0.0 rows
-  in
-  check_claim "Fig 4 ReFlex one-core peak (KIOPS)" ~paper:850.0 ~sim:best ~tol:0.05
-
-(* ------------------------------------------------------------------ *)
-(* Figure 5                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_fig5_claims () =
-  let rows = Fig5.run () in
-  let get ~scenario ~sched ~tenant_prefix =
-    find_row rows (fun r ->
-        r.Fig5.scenario = scenario && r.Fig5.sched = sched
-        && String.length r.Fig5.tenant > 0
-        && String.sub r.Fig5.tenant 0 1 = tenant_prefix)
-  in
-  (* Scenario 1, scheduler on: both LC tenants meet the 500us SLO at
-     their reserved IOPS. *)
-  let a_on = get ~scenario:1 ~sched:true ~tenant_prefix:"A" in
-  let b_on = get ~scenario:1 ~sched:true ~tenant_prefix:"B" in
-  Alcotest.(check bool) "A meets SLO" true (a_on.Fig5.p95_read_us <= 500.0);
-  Alcotest.(check bool) "B meets SLO" true (b_on.Fig5.p95_read_us <= 500.0);
-  Alcotest.(check bool) "A at reservation" true (a_on.Fig5.achieved_kiops > 115.0);
-  Alcotest.(check bool) "B at reservation" true (b_on.Fig5.achieved_kiops > 66.0);
-  (* Scheduler off: the LC SLO is violated. *)
-  let a_off = get ~scenario:1 ~sched:false ~tenant_prefix:"A" in
-  Alcotest.(check bool) "A violated without scheduler" true (a_off.Fig5.p95_read_us > 500.0);
-  (* BE fairness: C (95% reads) gets several times D's IOPS (write cost). *)
-  let c_on = get ~scenario:1 ~sched:true ~tenant_prefix:"C" in
-  let d_on = get ~scenario:1 ~sched:true ~tenant_prefix:"D" in
-  Alcotest.(check bool) "C >> D" true (c_on.Fig5.achieved_kiops > 3.0 *. d_on.Fig5.achieved_kiops);
-  (* Scenario 2: B's unused reservation flows to the BE tenants. *)
-  let c_s2 = get ~scenario:2 ~sched:true ~tenant_prefix:"C" in
-  Alcotest.(check bool) "work conservation across scenarios" true
-    (c_s2.Fig5.achieved_kiops > 1.2 *. c_on.Fig5.achieved_kiops)
-
-(* ------------------------------------------------------------------ *)
-(* Figure 6a                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_fig6a_linear_scaling () =
-  let rows = Fig6.run_cores () in
-  let r1 = find_row rows (fun r -> r.Fig6.cores = 1) in
-  let r12 = find_row rows (fun r -> r.Fig6.cores = 12) in
-  Alcotest.(check bool) "LC scales ~12x" true
-    (r12.Fig6.lc_kiops > 10.0 *. r1.Fig6.lc_kiops);
-  Alcotest.(check bool) "BE shrinks" true (r12.Fig6.be_kiops < r1.Fig6.be_kiops);
-  (* Token usage pinned at the 2ms ceiling at every scale. *)
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "tokens pinned (%d cores: %.0fK)" r.Fig6.cores r.Fig6.ktokens_per_sec)
-        true
-        (abs_float (r.Fig6.ktokens_per_sec -. r1.Fig6.ktokens_per_sec) < 20.0))
-    rows;
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "all LC under 2ms SLO" true (r.Fig6.lc_p95_worst_us < 2000.0))
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_ablation_cost_model () =
-  let rows = Ablations.run_cost_model () in
-  let calibrated = find_row rows (fun r -> r.Ablations.lc_slo_met) in
-  let naive = find_row rows (fun r -> not r.Ablations.lc_slo_met) in
-  Alcotest.(check bool) "naive pricing blows the LC tail" true
-    (naive.Ablations.lc_p95_us > 1.5 *. calibrated.Ablations.lc_p95_us)
-
-let test_ablation_donation () =
-  let rows = Ablations.run_donation () in
-  let at f = (find_row rows (fun r -> r.Ablations.fraction = f)).Ablations.be_kiops in
-  Alcotest.(check bool) "donations feed best-effort tenants" true (at 0.9 > 1.3 *. at 0.0)
-
-let test_ablation_batching () =
-  let rows = Ablations.run_batching () in
-  let at c = find_row rows (fun r -> r.Ablations.batch_cap = c) in
-  Alcotest.(check bool) "no batching collapses throughput" true
-    ((at 1).Ablations.achieved_kiops < 0.85 *. (at 64).Ablations.achieved_kiops);
-  Alcotest.(check bool) "no batching inflates the tail" true
-    ((at 1).Ablations.p95_us > 5.0 *. (at 64).Ablations.p95_us)
+(* One Table 2 run, shared by the ordering case and the per-cell claims:
+   the cell rows are the ones named "Table 2 ...". *)
+let table2_rows = lazy (Table2.checks (Table2.run ()))
+let table2 () = Lazy.force table2_rows
+let cells want = List.filter (fun c -> String.starts_with ~prefix:"Table 2 " c.Identity.name = want)
 
 let suite =
   [
@@ -292,17 +154,20 @@ let suite =
       ] );
     ( "table2",
       [
-        Alcotest.test_case "access-path ordering & +21us" `Slow test_table2_ordering;
-        Alcotest.test_case "local and ReFlex (IX) cells" `Slow test_table2_claims;
+        rows_case "access-path ordering & +21us" ~expect:6 (cells false) table2;
+        rows_case "local and ReFlex (IX) cells" ~expect:8 (cells true) table2;
       ] );
-    ("fig3", [ Alcotest.test_case "cost-model claims" `Slow test_fig3_claims ]);
-    ("fig4", [ Alcotest.test_case "IOPS/core claim" `Slow test_fig4_claims ]);
-    ("fig5", [ Alcotest.test_case "isolation claims" `Slow test_fig5_claims ]);
-    ("fig6a", [ Alcotest.test_case "linear core scaling" `Slow test_fig6a_linear_scaling ]);
+    ("fig3", [ rows_case "cost-model claims" ~expect:4 Fig3.checks Fig3.run ]);
+    ("fig4", [ rows_case "IOPS/core claim" ~expect:1 Fig4.checks Fig4.run ]);
+    ("fig5", [ rows_case "isolation claims" ~expect:7 Fig5.checks Fig5.run ]);
+    (* Two scaling rows, then a token row and an SLO row for each of the
+       five core counts. *)
+    ("fig6a", [ rows_case "linear core scaling" ~expect:12 Fig6.cores_checks Fig6.run_cores ]);
     ( "ablations",
-      [
-        Alcotest.test_case "cost model matters" `Slow test_ablation_cost_model;
-        Alcotest.test_case "donation fraction matters" `Slow test_ablation_donation;
-        Alcotest.test_case "batching matters" `Slow test_ablation_batching;
-      ] );
+      Ablations.
+        [
+          rows_case "cost model matters" ~expect:1 cost_model_checks run_cost_model;
+          rows_case "donation fraction matters" ~expect:1 donation_checks run_donation;
+          rows_case "batching matters" ~expect:2 batching_checks run_batching;
+        ] );
   ]

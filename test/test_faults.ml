@@ -224,7 +224,7 @@ let test_chaos_deterministic_and_resilient () =
   let r = Lazy.force Scenarios.chaos in
   List.iter (fun c -> Alcotest.(check bool) c.Identity.name true c.Identity.ok) (Chaos.checks r);
   Rerun.check ~base:(Chaos.render_result r) (fun () ->
-      Chaos.render ~mode:Common.Quick ~seed:42L ());
+      Chaos.render_result (Chaos.run ~mode:Common.Quick ~seed:42L ()));
   Alcotest.(check int) "all windows injected" 3 r.Chaos.injected;
   Alcotest.(check int) "all windows recovered" 3 r.Chaos.recovered;
   Alcotest.(check bool) "faults provoked retries" true (r.Chaos.retries > 0)

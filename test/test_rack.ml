@@ -43,12 +43,6 @@ let test_link_table () =
 let mk kind = Policy.create kind ~prng:(Prng.create 7L)
 
 let test_policy_names () =
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) "name roundtrips" true
-        (Policy.kind_of_name (Policy.kind_name k) = Some k))
-    Policy.all;
-  Alcotest.(check bool) "unknown name" true (Policy.kind_of_name "zippy" = None);
   let idx = List.map Policy.kind_index Policy.all in
   Alcotest.(check bool) "indices distinct" true
     (List.length (List.sort_uniq compare idx) = List.length idx)
@@ -358,12 +352,12 @@ let test_exp_small_result () =
 
 let test_exp_serial_vs_jobs2 () =
   let base = Rack_exp.render_result (Lazy.force Scenarios.rack_small) in
-  let par = Rack_exp.render ~scale:Scenarios.rack_small_scale ~jobs:2 () in
+  let par = Rack_exp.render_result (Rack_exp.run ~scale:Scenarios.rack_small_scale ~jobs:2 ()) in
   Alcotest.(check string) "serial vs --jobs 2 byte-identical" base par
 
 let test_exp_same_seed_rerun () =
   let base = Rack_exp.render_result (Lazy.force Scenarios.rack_small) in
-  let again = Rack_exp.render ~scale:Scenarios.rack_small_scale ~jobs:1 () in
+  let again = Rack_exp.render_result (Rack_exp.run ~scale:Scenarios.rack_small_scale ~jobs:1 ()) in
   Alcotest.(check string) "same seed, same bytes" base again
 
 
